@@ -13,6 +13,10 @@ the sandbox evidence for the north_rule's N→4N cluster-size criterion.
 The headline scaling workload is the compute-bound spatial-join + zonal
 reduce (see _scaling docstring for why, and BASELINE.md for the sandbox
 kernel caveat that rules out allocation-heavy wall-clock scaling).
+
+--kernels [seed]: Ray-free single-process pixels/s of the two zone
+assignment kernels (per-point R-tree + PIP vs scanline grid burn) on the
+seeded high-vertex rings of perfbench's raster_highvertex workload.
 """
 
 from __future__ import annotations
@@ -753,6 +757,75 @@ def _stats_audit():
     ray.shutdown()
 
 
+def _kernels():
+    """`bench.py --kernels [seed]`: Ray-free single-process timing of the
+    two zone-assignment kernels on the pixel centers of the
+    `raster_highvertex` benchmark grid (two 512² tiles) against its seeded
+    high-vertex rings (`perfbench.gen.highvertex_zones`, unsimplified):
+    `ZoneSet.assign_points` (R-tree + per-part `points_in_ring`) vs
+    `ZoneSet.assign_grid` (scanline burn).  Median of 3 passes over every
+    tile; the two outputs must be identical.  Prints ONE JSON line with
+    the calibration block."""
+    from perfbench import gen
+    from perfbench.workloads import SIZES
+    from zonal_stats_toolkit_ray.sources.raster import tile_window
+    from zonal_stats_toolkit_ray.sources.zones import ZoneSet
+
+    args = [a for a in sys.argv[1:] if not a.startswith("--")]
+    seed = int(args[0]) if args else 1
+    size = SIZES["raster_highvertex"]
+    grid = gen.world_grid(size["width"])
+    zs = ZoneSet(
+        gen.highvertex_zones(
+            seed,
+            n_zones=size["n_zones"],
+            vertices=size["vertices"],
+            rough_deg=size["rough_px"] * grid.dx,
+            radius_cells=size["radius_cells"],
+        )
+    )
+    axes = []
+    for ty in range(-(-grid.height // grid.tile_size)):
+        for tx in range(-(-grid.width // grid.tile_size)):
+            gx, gy = grid.pixel_centers(*tile_window(grid, tx, ty))
+            axes.append((gx[0], gy[:, 0]))
+    pixels = sum(xs.size * ys.size for xs, ys in axes)
+    calib = calibrate()
+
+    def timed(kernel):
+        secs, outs = [], None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            outs = [kernel(xs, ys) for xs, ys in axes]
+            secs.append(time.perf_counter() - t0)
+        return float(np.median(secs)), outs
+
+    def points(xs, ys):
+        return zs.assign_points(
+            np.broadcast_to(xs, (ys.size, xs.size)).ravel(),
+            np.repeat(ys, xs.size),
+        )
+
+    t_pts, want = timed(points)
+    t_grid, got = timed(lambda xs, ys: zs.assign_grid(xs, ys).ravel())
+    print(
+        json.dumps(
+            {
+                "metric": "zone_assign_kernels",
+                "workload": "raster_highvertex",
+                "seed": seed,
+                "pixels": pixels,
+                "parts": zs.n_parts,
+                "vertices": int(sum(r.size for r in zs.ring_x)),
+                "assign_points_px_per_s": round(pixels / t_pts, 1),
+                "assign_grid_px_per_s": round(pixels / t_grid, 1),
+                "identical": all(np.array_equal(a, b) for a, b in zip(want, got)),
+                "calib": {"pre": calib, "ref": CALIB_REF},
+            }
+        )
+    )
+
+
 def _scale_demo():
     """`bench.py --scale-demo [replicate]`: the flagship zonal_pages
     pipeline end-to-end at the largest input this sandbox holds (VERDICT
@@ -834,6 +907,9 @@ def main():
         return
     if "--stats" in sys.argv:
         _stats_audit()
+        return
+    if "--kernels" in sys.argv:
+        _kernels()
         return
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))

@@ -3,14 +3,29 @@
 Replaces the reference's ``gdal.RasterizeLayer(..., ALL_TOUCHED=FALSE)``
 attribute burn (``/root/reference/runner.py:463-469, 599-606``): a pixel
 belongs to a polygon iff its *center* is inside — i.e. exactly a
-point-in-polygon test on cell/pixel centers, which is what this module
-provides.  Even-odd crossing rule; conformance fixtures avoid
-center-on-edge ambiguity (SURVEY.md Q5/Q6) so boundary tie-breaks are moot.
+point-in-polygon test on cell/pixel centers.  Even-odd crossing rule;
+conformance fixtures avoid center-on-edge ambiguity (SURVEY.md Q5/Q6) so
+boundary tie-breaks are moot.
+
+Two forms of the same test: ``points_in_ring`` for scattered points
+(O(points × edges)), and ``ring_row_crossings`` for points on a regular
+grid, where a ring is a set of per-row crossings (a scanline burn:
+O(edge-row crossings)).  Both evaluate the crossing x with the same
+float64 expression, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _open_ring(ring_x, ring_y) -> tuple[np.ndarray, np.ndarray]:
+    """Ring vertices as float64 arrays, closing vertex (if any) dropped."""
+    rx = np.asarray(ring_x, dtype=np.float64)
+    ry = np.asarray(ring_y, dtype=np.float64)
+    if rx.size >= 2 and rx[0] == rx[-1] and ry[0] == ry[-1]:
+        return rx[:-1], ry[:-1]
+    return rx, ry
 
 
 def points_in_ring(
@@ -27,10 +42,7 @@ def points_in_ring(
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
-    rx = np.asarray(ring_x, dtype=np.float64)
-    ry = np.asarray(ring_y, dtype=np.float64)
-    if rx.size >= 2 and rx[0] == rx[-1] and ry[0] == ry[-1]:
-        rx, ry = rx[:-1], ry[:-1]
+    rx, ry = _open_ring(ring_x, ring_y)
     n = rx.size
     inside = np.zeros(px.shape, dtype=bool)
     if n < 3:
@@ -49,6 +61,34 @@ def points_in_ring(
     return inside
 
 
+def ring_row_crossings(
+    ring_x, ring_y, ys: np.ndarray, r0: int, r1: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where a ring's edges cross the horizontal lines ``y = ys[r]``.
+
+    ``ys`` must be sorted ascending; only rows ``r0 <= r < r1`` are
+    reported.  Returns ``(rows, xcross)``, one entry per edge-row crossing.
+    An edge crosses row ``r`` iff ``min(y1, y2) <= ys[r] < max(y1, y2)``,
+    which is exactly ``points_in_ring``'s ``(y1 > py) != (y2 > py)``, and
+    ``xcross`` is its expression verbatim, so a point ``(px, ys[r])`` is
+    inside iff an odd number of the row's crossings have ``px < xcross``.
+    """
+    rx, ry = _open_ring(ring_x, ring_y)
+    if rx.size < 3:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    x1, y1 = np.roll(rx, 1), np.roll(ry, 1)
+    lo = np.searchsorted(ys, np.minimum(y1, ry), side="left").clip(r0, r1)
+    hi = np.searchsorted(ys, np.maximum(y1, ry), side="left").clip(r0, r1)
+    n = hi - lo  # 0 for horizontal edges: they never cross
+    edge = np.repeat(np.arange(rx.size), n)
+    starts = np.cumsum(n) - n
+    rows = lo[edge] + (np.arange(edge.size) - starts[edge])
+    py = ys[rows]
+    xa, ya = x1[edge], y1[edge]
+    xcross = (rx[edge] - xa) * (py - ya) / (ry[edge] - ya) + xa
+    return rows, xcross
+
+
 def ring_bbox(ring_x, ring_y) -> tuple[float, float, float, float]:
     rx = np.asarray(ring_x, dtype=np.float64)
     ry = np.asarray(ring_y, dtype=np.float64)
@@ -65,10 +105,7 @@ def ring_edges_intersect_bbox(
     side of the edge's supporting line (separating-axis test, exact for
     segment vs solid box).
     """
-    rx = np.asarray(ring_x, dtype=np.float64)
-    ry = np.asarray(ring_y, dtype=np.float64)
-    if rx.size >= 2 and rx[0] == rx[-1] and ry[0] == ry[-1]:
-        rx, ry = rx[:-1], ry[:-1]
+    rx, ry = _open_ring(ring_x, ring_y)
     if rx.size < 2:
         return False
     x1, y1 = rx, ry

@@ -16,9 +16,8 @@ from pathlib import Path
 
 from ..sources.config import parse_and_validate_config
 from ..sources.raster import read_grid_spec
-from ..sources.zones import ZoneSet
 from ..state.metrics import StageMetrics
-from .zonal import pivot_stats, write_pivot_csv, zonal_stats_raster
+from .zonal import pivot_stats, simplified_zones, write_pivot_csv, zonal_stats_raster
 
 
 def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | None = None) -> Path:
@@ -26,13 +25,15 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
     path (timestamped like ``runner.py:1079-1091`` when a timestamp is
     given)."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
 
     metrics = metrics or StageMetrics()
     zones_table = pq.read_table(job["agg_vector"])
-    zs = ZoneSet(zones_table)
-    zones_ref = ray.put(zones_table) if ray.is_initialized() else zones_table
+    # quirk Q6: the reference simplifies the vector at half a pixel before
+    # rasterizing each raster (runner.py:297-298, 349-365).  The tolerance
+    # is grid-bound, so rasters that share a pixel width share one
+    # simplified ZoneSet and one broadcast (workers cache it by ref).
+    zones_by_tol: dict[float, tuple] = {}
 
     raster_stats_by_stem: dict[str, dict] = {}
     stems: list[str] = []
@@ -40,6 +41,10 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
         stem = Path(raster_path).stem
         stems.append(stem)
         grid = read_grid_spec(raster_path)
+        tol = 0.5 * abs(grid.dx)
+        if tol not in zones_by_tol:
+            zones_by_tol[tol] = simplified_zones(zones_table, tol)
+        zs, zones_ref = zones_by_tol[tol]
         tiles = rd.read_parquet(raster_path)
         with metrics.timed(f"zonal:{stem}"):
             raster_stats_by_stem[stem] = zonal_stats_raster(
@@ -48,10 +53,6 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
                 zs,
                 percentiles=job["percentile_list"],
                 zones_ref=zones_ref,
-                # quirk Q6: the reference always simplifies the vector at
-                # half a pixel before rasterizing (runner.py:297-298,
-                # 349-365) — per raster, since the tolerance is grid-bound
-                simplify_tolerance=0.5 * abs(grid.dx),
             )
 
     header, rows = pivot_stats(

@@ -7,7 +7,9 @@ Points path (the graft's primary corpus flow, SURVEY §3.4):
     → finalize (+ exact percentiles via a raw-value path when requested).
 
 Raster path (the reference's native flow, ``runner.py:264-926``): tiles →
-per-tile pixel-center assignment + per-FID partials → FID merge → quirk-Q4
+per-tile pixel-center assignment (a scanline burn of each zone part's
+edge-row crossings, ``ZoneSet.assign_grid``; no per-pixel index lookup or
+point-in-polygon loop) + per-FID partials → FID merge → quirk-Q4
 bbox-window fallback for zero-pixel FIDs → FID→group rollup → finalize.
 Replicates quirks Q1-Q9 (SURVEY §2.9) for row-identical output.
 """
@@ -208,83 +210,56 @@ def _list_col_buffers(col) -> tuple[np.ndarray, np.ndarray]:
 # string key was pure overhead (round-2 fix, VERDICT item 5).
 
 
-def tile_fid_partials_batch(
-    batch: pa.Table, zones, grid: GridSpec, ignore_nodata: bool = True
-) -> pa.Table:
-    """Stateless-task stage: raster tiles → per-(tile, FID) partial
-    aggregates.  Pixel centers are assigned to zones with the same PIP
-    semantics as the reference's FID burn; partials are keyed by FID (not
-    group) because the Q4 fallback and the rollup's min/max-merge condition
-    operate per FID (``runner.py:848-889``).  The zones ObjectRef resolves
-    through the per-worker-process cache (see stages/join.py)."""
+def _tile_fid_pixels(batch: pa.Table, zones, grid: GridSpec):
+    """Yield ``(fids, values)`` of the zone-assigned pixels of each tile in
+    the batch.  Pixel centers burn through ``ZoneSet.assign_grid`` — the
+    scanline form of the reference's FID rasterize — so a tile costs its
+    edge-row crossings plus its pixels, not pixels × edges.  The zones
+    ObjectRef resolves through the per-worker-process cache (see
+    stages/join.py)."""
     from ..sources.raster import tile_window
     from ..stages.join import _cached_zoneset
 
     zs = _cached_zoneset(zones)
-    out = []
     txs = batch["tile_x"].to_numpy()
     tys = batch["tile_y"].to_numpy()
     flat, offs = _list_col_buffers(batch["values"])
     for i in range(len(batch)):
         col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
-        v = flat[offs[i] : offs[i + 1]]
         gx, gy = grid.pixel_centers(col0, row0, ncols, nrows)
-        fids = zs.assign_points(gx.ravel(), gy.ravel())
+        fids = zs.assign_grid(gx[0], gy[:, 0]).ravel()
         m = fids != -1
-        if not m.any():
-            continue
-        t = Z.grouped_partials(
-            fids[m], v.astype(np.float64)[m], grid.nodata,
-            ignore_nodata=ignore_nodata,
+        if m.any():
+            yield fids[m], flat[offs[i] : offs[i + 1]][m]
+
+
+def tile_fid_partials_batch(
+    batch: pa.Table, zones, grid: GridSpec, ignore_nodata: bool = True
+) -> pa.Table:
+    """Stateless-task stage: raster tiles → per-(tile, FID) partial
+    aggregates.  Partials are keyed by FID (not group) because the Q4
+    fallback and the rollup's min/max-merge condition operate per FID
+    (``runner.py:848-889``)."""
+    out = [
+        Z.grouped_partials(
+            fids, v.astype(np.float64), grid.nodata, ignore_nodata=ignore_nodata
         )
-        out.append(t)
+        for fids, v in _tile_fid_pixels(batch, zones, grid)
+    ]
     if not out:
         return Z.PARTIAL_SCHEMA_INT.empty_table()
     return pa.concat_tables(out)
 
 
-class TileFidPixels:
-    """Actor stage: raster tiles → slim (fid_key, value, nodata) pixel rows.
-
-    Used when percentiles are requested: the expensive pixel-center PIP
-    assignment runs ONCE, the slim rows are materialized (bytes per pixel,
-    not tiles), and both the partial aggregate and the percentile shuffle
-    derive from them."""
-
-    def __init__(self, zones, grid: GridSpec):
-        from ..stages.join import _resolve_zones
-        from ..state.resources import prefault
-
-        prefault()
-        self.zs = _resolve_zones(zones)
-        self.grid = grid
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return tile_fid_pixels_batch(batch, self.zs, self.grid)
-
-
 def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec) -> pa.Table:
     """Stateless-task stage: raster tiles → slim (fid_key, value, nodata)
-    pixel rows (single PIP pass feeding both partials and percentiles)."""
-    from ..sources.raster import tile_window
-    from ..stages.join import _cached_zoneset
-
-    zs = _cached_zoneset(zones)
+    pixel rows (one assignment pass feeding both partials and
+    percentiles)."""
     keys_out, vals_out, nd_out = [], [], []
-    txs = batch["tile_x"].to_numpy()
-    tys = batch["tile_y"].to_numpy()
-    flat, offs = _list_col_buffers(batch["values"])
-    for i in range(len(batch)):
-        col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
-        v = flat[offs[i] : offs[i + 1]]
-        gx, gy = grid.pixel_centers(col0, row0, ncols, nrows)
-        fids = zs.assign_points(gx.ravel(), gy.ravel())
-        m = fids != -1
-        if not m.any():
-            continue
-        keys_out.append(fids[m])
-        vals_out.append(v[m].astype(np.float64))
-        nd_out.append(Z.nodata_mask(v[m], grid.nodata))
+    for fids, v in _tile_fid_pixels(batch, zones, grid):
+        keys_out.append(fids)
+        vals_out.append(v.astype(np.float64))
+        nd_out.append(Z.nodata_mask(v, grid.nodata))
     if not keys_out:
         return Z.ROWS_SCHEMA_INT.empty_table()
     return pa.table(
@@ -549,6 +524,17 @@ def _window_stats_distributed(
     return out
 
 
+def simplified_zones(table: pa.Table, tolerance: float):
+    """Quirk Q6: Douglas-Peucker-simplify the zones at ``tolerance`` →
+    ``(ZoneSet, broadcast ref)``; the ref is None without a Ray session."""
+    import ray
+
+    from ..geom.simplify import simplify_zones_table
+
+    zs = ZoneSet(simplify_zones_table(table, tolerance))
+    return zs, ray.put(zs.table) if ray.is_initialized() else None
+
+
 def zonal_stats_raster(
     tiles_ds,
     grid: GridSpec,
@@ -588,14 +574,9 @@ def zonal_stats_raster(
     if concurrency is None:
         concurrency = default_pool_size()
     if simplify_tolerance is not None and simplify_tolerance > 0:
-        import ray
-
-        from ..geom.simplify import simplify_zones_table
-
-        zs = ZoneSet(simplify_zones_table(zs.table, simplify_tolerance))
         # the incoming broadcast handle refers to the UNsimplified zones;
         # re-broadcast the simplified table so tasks still read from plasma
-        zones_ref = ray.put(zs.table) if ray.is_initialized() else None
+        zs, zones_ref = simplified_zones(zs.table, simplify_tolerance)
     plist = sorted(set(float(p) for p in percentiles))
     pkeys = percentile_keys(plist)
 
@@ -621,9 +602,9 @@ def zonal_stats_raster(
     zones_arg = zones_ref if zones_ref is not None else zs.table
 
     # --- per-tile FID partials → distributed merge.  With percentiles the
-    # PIP assignment runs once into slim materialized pixel rows and both
+    # pixel assignment runs once into slim materialized pixel rows and both
     # consumers derive from them; without, partials aggregate inside the
-    # actor (single pass, nothing materialized). ---
+    # task (single pass, nothing materialized). ---
     pixels = None
     if rows_sink is not None and not plist:
         raise ValueError("rows_sink requires percentile mode (pixels rows)")
@@ -664,7 +645,7 @@ def zonal_stats_raster(
         }
 
     # --- percentile value bags (assigned valid pixels, from the cached
-    # slim rows — no second PIP pass) ---
+    # slim rows — no second assignment pass) ---
     fid_value_chunks: dict[int, list[np.ndarray]] | None = None
     if plist:
         values_ds = pixels.map_batches(

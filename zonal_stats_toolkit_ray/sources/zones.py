@@ -9,7 +9,8 @@ Multi-part geometries are exploded to one row per part (reference M8,
 
 The zones side is always small relative to the corpus (countries/biomes:
 6-300 groups), so it travels as one Arrow table broadcast via ``ray.put``
-and is rebuilt into a ``ZoneSet`` (NumPy rings + STR R-tree) once per actor.
+and is rebuilt into a ``ZoneSet`` (NumPy rings + STR R-tree) once per worker
+process.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..geom.pip import points_in_ring, ring_contains_bbox
+from ..geom.pip import points_in_ring, ring_row_crossings
 from ..geom.strtree import STRTree
 
 ZONE_SCHEMA = pa.schema(
@@ -142,13 +143,20 @@ def synth_zones(
 
 
 class ZoneSet:
-    """Decoded zones: NumPy rings + STR R-tree; built once per actor.
+    """Decoded zones: NumPy rings + STR R-tree; built once per worker process.
 
-    ``assign_points`` implements the reference's rasterize-burn semantics:
-    candidate lookup via the R-tree, even-odd PIP on the point (pixel/cell
-    center), and, where zones overlap a point, highest-FID-wins — matching
-    the reference's later-feature-overwrites burn order with
-    ``polygons_might_overlap=False`` (quirk Q5, ``runner.py:463-469, 960``).
+    Two assignment kernels implement the reference's rasterize-burn
+    semantics (even-odd containment of the point — pixel or cell center —
+    and, where zones overlap a point, highest-FID-wins, matching the
+    reference's later-feature-overwrites burn order with
+    ``polygons_might_overlap=False``: quirk Q5, ``runner.py:463-469, 960``):
+
+    * ``assign_points`` for scattered points (pages, cells): R-tree
+      candidate lookup, then ``points_in_ring`` per candidate part;
+    * ``assign_grid`` for pixel centers on a regular grid (raster tiles): a
+      scanline burn of each part's edge-row crossings, with no point index.
+
+    Both give the same fid for the same point, bit for bit.
     """
 
     def __init__(self, table: pa.Table, interior_cell_res: int | None = None):
@@ -222,6 +230,52 @@ class ZoneSet:
                 sel = pts[inside]
                 np.maximum.at(out, sel, np.int64(self.fid[j]))
         return out
+
+    def assign_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Zone fid per point of the grid ``xs × ys`` (1-D, each monotone),
+        shaped ``(len(ys), len(xs))``: equal to ``assign_points`` on the
+        broadcast points, computed as a scanline burn.
+
+        Each part burns only the points inside its bbox (the R-tree's
+        candidate rule, so parts that miss the grid cost nothing).  Its
+        edge-row crossings become column cuts ``c = #(xs < xcross)``; a
+        point is inside iff an odd number of its row's crossings cut to its
+        right, which one ``bincount`` and one suffix sum give for the whole
+        bbox window.  O(crossings + window points) per part instead of
+        O(points × edges)."""
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        # work on ascending axes; flip the result back at the end
+        flip_x = xs.size > 1 and xs[0] > xs[-1]
+        flip_y = ys.size > 1 and ys[0] > ys[-1]
+        if flip_x:
+            xs = xs[::-1]
+        if flip_y:
+            ys = ys[::-1]
+        out = np.full((ys.size, xs.size), -1, dtype=np.int64)
+        c0 = np.searchsorted(xs, self.minx, side="left")
+        c1 = np.searchsorted(xs, self.maxx, side="right")
+        r0 = np.searchsorted(ys, self.miny, side="left")
+        r1 = np.searchsorted(ys, self.maxy, side="right")
+        for j in np.flatnonzero((c0 < c1) & (r0 < r1)).tolist():
+            ra, rb, ca, cb = int(r0[j]), int(r1[j]), int(c0[j]), int(c1[j])
+            rows, xcross = ring_row_crossings(
+                self.ring_x[j], self.ring_y[j], ys, ra, rb
+            )
+            if rows.size == 0:
+                continue
+            w = cb - ca
+            # window column k lies left of a crossing iff k < cut
+            cut = (np.searchsorted(xs, xcross, side="left") - ca).clip(0, w)
+            toggles = np.bincount(
+                (rows - ra) * (w + 1) + cut, minlength=(rb - ra) * (w + 1)
+            ).reshape(rb - ra, w + 1)
+            # crossings with cut > k, for k = 0..w-1 (uint8 wraps: parity kept)
+            right = np.cumsum(toggles[:, :0:-1], axis=1, dtype=np.uint8)[:, ::-1]
+            inside = (right & 1).astype(bool)
+            win = out[ra:rb, ca:cb]
+            win[inside] = np.maximum(win[inside], self.fid[j])
+        return out[:: -1 if flip_y else 1, :: -1 if flip_x else 1]
 
     def _classify_cell(self, cell: int) -> int:
         """cell id → cached classification: -1 outside every zone, -2 on a
