@@ -1081,33 +1081,6 @@ def q_window_ranks(sf_dir: str):
     ]
 
 
-def q_pagerank(sf_dir: str):
-    """Distributed PageRank (round-5): 3 power iterations over a
-    deterministic 3-out-regular link graph derived from doc_ids
-    (dst = (id·m + c) mod N for m,c in (3,1),(4,2),(5,3) — identical
-    integer construction in the SQL oracle).  Edges stream per iteration
-    as sparse in-batch contribution partials; the node-sized rank vector
-    broadcasts via ray.put."""
-    from zonal_stats_toolkit_ray.stages.graph import pagerank
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n = ds.count()
-
-    def edges(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([ids, ids, ids])
-        dst = np.concatenate(
-            [(ids * 3 + 1) % n, (ids * 4 + 2) % n, (ids * 5 + 3) % n]
-        )
-        return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-
-    e = ds.map_batches(edges, batch_format="pyarrow")
-    out = pagerank(e, iters=3, damping=0.85)
-    out["rank"] = out["rank"].round(6)
-    return out.sort_values("node").reset_index(drop=True)
-
-
 def q_common_passages(sf_dir: str):
     """Exact duplicate-passage detection (round-5; Lee et al. 2021 shape):
     distinct (8-word-window hash, doc) pairs → docs-per-window aggregate →
@@ -3116,7 +3089,7 @@ def _pages_pipeline(sf_dir: str, percentiles=(5.0, 95.0), rows_sink: str | None 
     )
     pages = ds.map_batches(docs_batch_to_pages, batch_format="pyarrow")
     pages = pages.map_batches(quality_score_batch, batch_format="pyarrow")
-    joined = join_points(pages, zones_ref, concurrency=2)
+    joined = join_points(pages, zones_ref)
     df = zonal_stats_points(
         joined, "quality_score", zs, percentiles=list(percentiles),
         rows_sink=rows_sink,
@@ -3509,7 +3482,7 @@ def q_zonal_raster(sf_dir: str):
     )
     tiles = rd.from_arrow(synth_tiles_table(grid, seed=42))
     stats = zonal_stats_raster(
-        tiles, grid, zs, percentiles=[5.0, 95.0], concurrency=2,
+        tiles, grid, zs, percentiles=[5.0, 95.0],
         rows_sink=os.path.join(d, "rows"),
     )
     rows = []
@@ -4676,7 +4649,7 @@ def q_zonal_algebra(sf_dir: str):
         a, b, nodata_a=-9999.0, nodata_b=-9999.0, nodata_out=-9999.0
     )
     stats = zonal_stats_raster(
-        derived, grid, zs, percentiles=[5.0, 95.0], concurrency=2,
+        derived, grid, zs, percentiles=[5.0, 95.0],
         rows_sink=os.path.join(d, "rows"),
     )
     rows = []
@@ -5390,7 +5363,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "heavy_hitters_cert": q_heavy_hitters_cert,
         "mixture_sample": q_mixture_sample,
         "common_passages": q_common_passages,
-        "pagerank": q_pagerank,
         "window_ranks": q_window_ranks,
         "knn_brute": q_knn_brute,
         # non-SQL-expressible pipelines (rows-only checks; pytest gates)
@@ -7823,48 +7795,6 @@ def oracle_sql() -> dict[str, str]:
               NTILE(4) OVER (PARTITION BY user_id
                              ORDER BY value, event_id) AS ntile
             FROM e ORDER BY event_id
-        """,
-        "pagerank": """
-            WITH n AS (SELECT count(*)::BIGINT AS cnt FROM documents),
-            e AS (
-              SELECT doc_id AS src, (doc_id*3+1) % cnt AS dst
-              FROM documents CROSS JOIN n
-              UNION ALL
-              SELECT doc_id, (doc_id*4+2) % cnt FROM documents CROSS JOIN n
-              UNION ALL
-              SELECT doc_id, (doc_id*5+3) % cnt FROM documents CROSS JOIN n
-            ),
-            deg AS (SELECT src, count(*)::DOUBLE AS od FROM e GROUP BY src),
-            u AS (SELECT doc_id AS node FROM documents),
-            r0 AS (SELECT node, 1.0/cnt AS r FROM u CROSS JOIN n),
-            i1 AS (
-              SELECT u.node, (1.0-0.85)/cnt + 0.85*coalesce(s.c, 0.0) AS r
-              FROM u CROSS JOIN n LEFT JOIN (
-                SELECT e.dst AS node, sum(r0.r/deg.od) AS c
-                FROM e JOIN r0 ON r0.node = e.src
-                       JOIN deg ON deg.src = e.src
-                GROUP BY e.dst
-              ) s ON s.node = u.node
-            ),
-            i2 AS (
-              SELECT u.node, (1.0-0.85)/cnt + 0.85*coalesce(s.c, 0.0) AS r
-              FROM u CROSS JOIN n LEFT JOIN (
-                SELECT e.dst AS node, sum(i1.r/deg.od) AS c
-                FROM e JOIN i1 ON i1.node = e.src
-                       JOIN deg ON deg.src = e.src
-                GROUP BY e.dst
-              ) s ON s.node = u.node
-            ),
-            i3 AS (
-              SELECT u.node, (1.0-0.85)/cnt + 0.85*coalesce(s.c, 0.0) AS r
-              FROM u CROSS JOIN n LEFT JOIN (
-                SELECT e.dst AS node, sum(i2.r/deg.od) AS c
-                FROM e JOIN i2 ON i2.node = e.src
-                       JOIN deg ON deg.src = e.src
-                GROUP BY e.dst
-              ) s ON s.node = u.node
-            )
-            SELECT node, round(r, 6) AS rank FROM i3 ORDER BY node
         """,
         "common_passages": r"""
             WITH toks AS (

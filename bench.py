@@ -553,9 +553,9 @@ DEFAULT_SUITE = [
 
 
 def _init_ray(ncpu: int):
-    # this sandbox kernel zero-fills fresh pages at ~75 MB/s; high malloc
-    # thresholds keep faulted pages in-process so each worker pays the
-    # fault cost once (see state/resources.prefault)
+    # on hosts whose kernel zero-fills fresh pages slowly (~75 MB/s seen),
+    # high malloc thresholds keep faulted pages in-process so each worker
+    # pays the fault cost once
     os.environ.setdefault("MALLOC_MMAP_THRESHOLD_", str(1 << 30))
     os.environ.setdefault("MALLOC_TRIM_THRESHOLD_", str(1 << 30))
     import ray

@@ -86,7 +86,7 @@ def oracle_zonal_statistics(
 
     # --- per-FID aggregate (runner.py:620-692) ---
     aggregate_stats: dict[int, dict] = {}
-    fid_value_chunks: dict[int, list] | None = {} if plist else None
+    fid_value_bags: dict[int, list] | None = {} if plist else None
     valid_fid_mask = fid_raster != -1
     vals = arr[valid_fid_mask]
     fids_of_vals = fid_raster[valid_fid_mask]
@@ -111,8 +111,8 @@ def oracle_zonal_statistics(
             st["max"] = float(vb.max())
             st["sum"] = float(vb.sum(dtype=np.float64))
             st["sumsq"] = float(np.sum(vb.astype(np.float64) ** 2))
-            if fid_value_chunks is not None:
-                fid_value_chunks.setdefault(int(f), []).append(
+            if fid_value_bags is not None:
+                fid_value_bags.setdefault(int(f), []).append(
                     vb.astype(np.float32, copy=False)
                 )
         aggregate_stats[int(f)] = st
@@ -161,8 +161,8 @@ def oracle_zonal_statistics(
                     }
                 )
             aggregate_stats[f] = st  # per-part overwrite: last part wins
-            if fid_value_chunks is not None and vb.size:
-                fid_value_chunks.setdefault(f, []).append(
+            if fid_value_bags is not None and vb.size:
+                fid_value_bags.setdefault(f, []).append(
                     vb.astype(np.float32, copy=False)
                 )
     for f in all_fids:
@@ -209,8 +209,8 @@ def oracle_zonal_statistics(
             else:
                 g["min"] = min(g["min"], s["min"])
                 g["max"] = max(g["max"], s["max"])
-        if fid_value_chunks is not None:
-            ch = fid_value_chunks.get(f)
+        if fid_value_bags is not None:
+            ch = fid_value_bags.get(f)
             if ch:
                 group_chunks.setdefault(gv, []).extend(ch)
 

@@ -124,14 +124,14 @@ def test_join_points_with_crs_matches_untransformed(ray_session):
     merc_zones = reproject_zones_table(zt, LONLAT, WEBMERC)
     ds = rd.from_arrow(pages).repartition(3)
     golden = (
-        join_points(ds, zt, concurrency=2)
+        join_points(ds, zt)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)
     )
     got = (
         join_points(
-            ds, merc_zones, concurrency=2, zones_crs=WEBMERC, points_crs=LONLAT
+            ds, merc_zones, zones_crs=WEBMERC, points_crs=LONLAT
         )
         .to_pandas()
         .sort_values("url")

@@ -8,7 +8,7 @@ import pytest
 from zonal_stats_toolkit_ray.geom.window import GridSpec
 from zonal_stats_toolkit_ray.pipelines.zonal import zonal_stats_raster
 from zonal_stats_toolkit_ray.sources.raster import dense_array, synth_tiles_table
-from zonal_stats_toolkit_ray.sources.zones import ZoneSet, zones_table
+from zonal_stats_toolkit_ray.sources.zones import ZoneSet, synth_zones, zones_table
 
 from golden_oracle import oracle_zonal_statistics
 
@@ -65,7 +65,7 @@ def test_distributed_fallback_percentiles_match_oracle(ray_session):
     sweep must reproduce the oracle's per-part value bags exactly."""
     import ray.data as rd
 
-    zt = _overlapping_zones(n=48, seed=21)
+    zt = _overlapping_zones(n=96, seed=21)  # 19 fallback windows (>16)
     zs = ZoneSet(zt)
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=9)).repartition(5)
     got = zonal_stats_raster(tiles, GRID, zs, percentiles=[5.0, 50.0, 95.0])
@@ -80,6 +80,49 @@ def test_distributed_fallback_percentiles_match_oracle(ray_session):
                 assert gv is None, (g, k)
             else:
                 assert np.isclose(float(gv), float(wv), rtol=1e-6), (g, k, gv, wv)
+
+
+@pytest.mark.parametrize("ignore_nodata", [True, False])
+@pytest.mark.parametrize(
+    "zones, swept",
+    [
+        pytest.param(
+            lambda: synth_zones(
+                seed=42, n_zones=24, include_subpixel=True, subpixel_size=0.01
+            ),
+            False,
+            id="driver_read_windows",
+        ),
+        pytest.param(
+            lambda: _overlapping_zones(n=96, seed=21), True, id="swept_windows"
+        ),
+    ],
+)
+def test_percentile_regimes_identical(
+    ray_session, monkeypatch, zones, swept, ignore_nodata
+):
+    """The driver and the salted distributed percentile reduce give the
+    same stats, exactly, with the fallback windows read on the driver
+    (≤16) and swept over the tiles (>16)."""
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.pipelines import zonal as PZ
+
+    sweep = PZ._window_stats_distributed
+    sweeps = []
+    monkeypatch.setattr(
+        PZ,
+        "_window_stats_distributed",
+        lambda *a, **kw: sweeps.append(len(a[2])) or sweep(*a, **kw),
+    )
+    zs = ZoneSet(zones())
+    tiles = rd.from_arrow(synth_tiles_table(GRID, seed=9)).repartition(5)
+    kw = dict(percentiles=[5.0, 50.0, 95.0], ignore_nodata=ignore_nodata)
+    forced = zonal_stats_raster(
+        tiles, GRID, zs, percentile_driver_threshold=0, **kw
+    )
+    assert forced == zonal_stats_raster(tiles, GRID, zs, **kw)
+    assert bool(sweeps) == swept, sweeps  # the intended fallback branch ran
 
 
 def test_fallback_paths_agree(ray_session):

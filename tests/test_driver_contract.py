@@ -1,11 +1,16 @@
 """Simulate the driver exactly: a FRESH process does ray.init, imports
 __ray_entry__, and calls entry() + sample queries.  Catches any
-library-side ray.init()/shutdown() contract violations."""
+library-side ray.init()/shutdown() contract violations.  A Ray-free
+guard also rejects shadowed names in the entry module."""
 
-import json
+import ast
+import collections
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+ENTRY = Path(__file__).resolve().parent.parent / "__ray_entry__.py"
 
 SCRIPT = r"""
 import ray
@@ -44,3 +49,34 @@ def test_driver_contract_fresh_process():
     assert out.returncode == 0, out.stderr[-3000:]
     last = out.stdout.strip().splitlines()[-1]
     assert "entry_rows" in last, out.stdout
+
+
+def _repeated(names) -> list:
+    return sorted(n for n, c in collections.Counter(names).items() if c > 1)
+
+
+def test_entry_module_has_no_shadowed_names():
+    """A second ``def`` of a module-level name, or a repeated key in the
+    ``queries()`` / ``oracle_sql()`` dict literals, silently replaces the
+    first: the dead copy keeps being read, reviewed and maintained while
+    no query runs it."""
+    tree = ast.parse(ENTRY.read_text(encoding="utf-8"))
+    defs = [
+        n.name
+        for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert _repeated(defs) == [], "module-level names defined twice"
+    registries = {
+        n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)
+        and n.name in ("queries", "oracle_sql")
+    }
+    assert set(registries) == {"queries", "oracle_sql"}
+    for name, fn in registries.items():
+        (registry,) = [
+            n.value
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Return) and isinstance(n.value, ast.Dict)
+        ]
+        keys = [k.value for k in registry.keys if isinstance(k, ast.Constant)]
+        assert _repeated(keys) == [], f"{name}() repeats keys"

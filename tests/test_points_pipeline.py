@@ -51,7 +51,7 @@ def test_text_byte_identity_through_pipeline(ray_session):
     pages = synth_pages_table(300, seed=42)
     zones = synth_zones(seed=42, n_zones=24)
     ds = rd.from_arrow(pages).repartition(4)
-    joined = join_points(ds, zones, concurrency=2).materialize()
+    joined = join_points(ds, zones).materialize()
     out = joined.select_columns(["url", "text"]).to_pandas()
     src = pages.select(["url", "text"]).to_pandas()
     merged = src.merge(out, on="url", suffixes=("_in", "_out"))
@@ -66,7 +66,7 @@ def test_join_matches_bruteforce(ray_session):
     zt = synth_zones(seed=5, n_zones=30)
     zs = ZoneSet(zt)
     ds = rd.from_arrow(pages).repartition(3)
-    joined = join_points(ds, zt, concurrency=2).to_pandas()
+    joined = join_points(ds, zt).to_pandas()
 
     # brute force: for each point, highest fid whose ring contains it
     lon = joined["lon"].to_numpy()
@@ -93,8 +93,8 @@ def test_shortcut_cache_equivalence(ray_session):
     pages = synth_pages_table(400, seed=9)
     zt = synth_zones(seed=11, n_zones=16)
     ds = rd.from_arrow(pages)
-    with_cache = join_points(ds, zt, concurrency=2, shortcut_res=6).to_pandas()
-    no_cache = join_points(ds, zt, concurrency=2, shortcut_res=None).to_pandas()
+    with_cache = join_points(ds, zt, shortcut_res=6).to_pandas()
+    no_cache = join_points(ds, zt, shortcut_res=None).to_pandas()
     a = with_cache.sort_values("url")["zone_fid"].to_numpy()
     b = no_cache.sort_values("url")["zone_fid"].to_numpy()
     assert np.array_equal(a, b)
@@ -113,7 +113,7 @@ def test_zonal_stats_points_vs_numpy(ray_session):
     zt = synth_zones(seed=21, n_zones=20)
     zs = ZoneSet(zt)
     ds = rd.from_arrow(pages).repartition(4)
-    joined = join_points(ds, zt, concurrency=2).materialize()
+    joined = join_points(ds, zt).materialize()
     df = zonal_stats_points(joined, "value", zs, percentiles=[25.0, 75.0])
 
     # brute force

@@ -2,10 +2,10 @@
 
 Replaces the reference's reliance on GDAL rasterization + the ``rtree``
 package (``/root/reference/requirements.txt``, not available here) for
-spatial candidate lookup.  Built once per actor over the zone bboxes
-(`SpatialJoiner.__init__`), then queried with *batched* vectorized
-traversals: point containment candidates, bbox intersection, and
-best-first kNN by bbox min-distance.
+spatial candidate lookup.  Built once per worker process over the zone
+bboxes (`stages.join._cached_zoneset`), then queried with *batched*
+vectorized traversals: point containment candidates, bbox intersection,
+and best-first kNN by bbox min-distance.
 
 Layout: items are packed bottom-up with fanout ``F``; children of node
 ``i`` at level ``l`` are nodes ``[i*F, (i+1)*F)`` at level ``l-1`` (level

@@ -50,7 +50,7 @@ def _run_partition(spec: dict, out_dir: str) -> dict:
         batch_format="pyarrow",
     )
     zones_table = pa.ipc.open_stream(Path(spec["zones_ipc"]).read_bytes()).read_all()
-    joined = join_points(pages, zones_table, concurrency=spec.get("concurrency", 2))
+    joined = join_points(pages, zones_table)
     joined = joined.materialize()
     joined.write_parquet(f"{out_dir}/joined")
     partials = joined.map_batches(
@@ -77,7 +77,11 @@ def run_pages_job(
     ``partition_concurrency > 1`` overlaps that many partitions (driver
     threads; manifest/publish are concurrency-safe, see
     state/checkpoint.py) — at 100-TB scale partitions are the unit of both
-    parallelism and resume, so they must not serialize."""
+    parallelism and resume, so they must not serialize.
+
+    ``concurrency`` is read by no stage; it stays in each partition spec
+    so the spec fingerprints of existing outputs (and thus their resume)
+    do not change."""
     import hashlib
 
     out = Path(out_dir)

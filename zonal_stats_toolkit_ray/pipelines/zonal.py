@@ -2,9 +2,9 @@
 
 Points path (the graft's primary corpus flow, SURVEY §3.4):
     pages → geocode → cell-encode → spatial join (stateless tasks with a
-    per-worker index cache by default; actor pool via ``use_actors``) →
-    per-batch partials → group merge (the shuffle moves only tiny partials)
-    → finalize (+ exact percentiles via a raw-value path when requested).
+    per-worker index cache) → per-batch partials → group merge (the shuffle
+    moves only tiny partials) → finalize (+ exact percentiles via a
+    raw-value path when requested).
 
 Raster path (the reference's native flow, ``runner.py:264-926``): tiles →
 per-tile pixel-center assignment (a scanline burn of each zone part's
@@ -26,7 +26,6 @@ from ..sources.zones import ZoneSet
 from ..stages import zonal as Z
 from ..stages.geocode import geocode_batch
 from ..stages.cells import cell_encode_batch
-from ..stages.join import SpatialJoiner
 
 
 def _all_group_keys(zs: ZoneSet) -> list[str]:
@@ -43,11 +42,9 @@ def join_points(
     zones,
     *,
     cell_res: int = 12,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int | None = None,
     shortcut_res: int | None = 7,
     geocode: bool = True,
-    use_actors: bool = False,
     zones_crs=None,
     points_crs=None,
 ):
@@ -63,12 +60,9 @@ def join_points(
     reprojected into the points frame before the index builds.  Requires
     ``zones`` as a table/ZoneSet (not a pre-broadcast ObjectRef).
 
-    ``use_actors=False`` (default) runs the join as stateless tasks on
-    Ray's persistent shared workers with a per-process ZoneSet cache —
-    same once-per-process index build as an actor pool, none of the
-    process-spawn cost (significant in this sandbox: fresh Python
-    processes page-fault their imports at ~75 MB/s).  Set True for huge
-    zone indexes that need dedicated actor sizing.
+    The join runs as stateless tasks on Ray's persistent shared workers
+    with a per-process ZoneSet cache: the index builds once per worker
+    process, and no actor processes are spawned.
 
     ``batch_size=None`` (default) keeps block-sized batches: an explicit
     batch size larger than the *input* rows-per-block would coalesce many
@@ -93,18 +87,6 @@ def join_points(
     ds = ds.map_batches(
         cell_encode_batch, batch_format="pyarrow", fn_kwargs={"res": cell_res}
     )
-    if use_actors:
-        from ..state.resources import default_pool_size
-
-        if concurrency is None:
-            concurrency = default_pool_size()
-        return ds.map_batches(
-            SpatialJoiner,
-            fn_constructor_kwargs={"zones": zones, "shortcut_res": shortcut_res},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
     return ds.map_batches(
         spatial_join_batch,
         fn_kwargs={"zones": zones, "shortcut_res": shortcut_res},
@@ -120,7 +102,6 @@ def zonal_stats_points(
     *,
     nodata: float | None = None,
     percentiles: list[float] = (),
-    cache_rows: bool = True,
     rows_sink: str | None = None,
 ) -> pd.DataFrame:
     """Joined points Dataset → final grouped stats frame (small), with the
@@ -128,20 +109,20 @@ def zonal_stats_points(
 
     When percentiles are requested there are two consumers (partials +
     raw-value shuffle); a lazy Dataset would re-execute the whole upstream
-    join for each.  ``cache_rows=True`` (default) first reduces the joined
-    rows to a slim (group_key, value, nodata) projection and materializes
-    THAT — a few bytes per row, never the wide page columns — so the join
-    runs exactly once.
+    join for each.  The joined rows are therefore first reduced to a slim
+    (group_key, value, nodata) projection and THAT is materialized — a few
+    bytes per row, never the wide page columns — so the join runs exactly
+    once.
 
     ``rows_sink`` (round 4, VERDICT r3 #4): write the slim joined rows to
     this Parquet directory so an external oracle (DuckDB) can reproduce
     the REDUCE independently — splitting join verification (covered by the
-    join-row fixtures) from aggregation verification.  Requires the
-    percentiles+cache_rows path (the only one that materializes slim
-    rows)."""
-    if rows_sink is not None and not (percentiles and cache_rows):
-        raise ValueError("rows_sink requires percentiles with cache_rows=True")
-    if percentiles and cache_rows:
+    join-row fixtures) from aggregation verification.  Requires
+    percentiles (the only path that materializes slim rows)."""
+    if rows_sink is not None and not percentiles:
+        raise ValueError("rows_sink requires percentiles")
+    gp = None
+    if percentiles:
         slim = joined_ds.map_batches(
             Z.rows_batch,
             batch_format="pyarrow",
@@ -153,35 +134,23 @@ def zonal_stats_points(
             # small assigned-row set: one driver pass computes partials AND
             # percentiles (each extra Dataset execution costs ~0.5 s of
             # executor startup — pure fixed overhead at this size)
-            df = slim.to_pandas()
-            merged, gp = Z.stats_from_rows_df(df, list(percentiles))
-            return Z.finalize_group_stats(
-                merged,
-                all_group_keys=_all_group_keys(zs),
-                percentiles=list(percentiles),
-                group_percentiles=gp,
+            merged, gp = Z.stats_from_rows_df(slim.to_pandas(), list(percentiles))
+        else:
+            merged = Z.reduce_partials(
+                slim.map_batches(Z.partials_from_rows, batch_format="pyarrow")
             )
-        partials = slim.map_batches(
-            Z.partials_from_rows, batch_format="pyarrow"
-        )
-        values = slim.map_batches(Z.values_from_rows, batch_format="pyarrow")
+            gp = Z.group_percentiles_ds(
+                slim.map_batches(Z.values_from_rows, batch_format="pyarrow"),
+                list(percentiles),
+            )
     else:
-        partials = joined_ds.map_batches(
-            Z.partial_stats_batch,
-            batch_format="pyarrow",
-            fn_kwargs={"value_col": value_col, "nodata": nodata},
-        )
-        values = (
+        merged = Z.reduce_partials(
             joined_ds.map_batches(
-                Z.values_batch,
+                Z.partial_stats_batch,
                 batch_format="pyarrow",
                 fn_kwargs={"value_col": value_col, "nodata": nodata},
             )
-            if percentiles
-            else None
         )
-    merged = Z.reduce_partials(partials)
-    gp = Z.group_percentiles_ds(values, list(percentiles)) if percentiles else None
     return Z.finalize_group_stats(
         merged,
         all_group_keys=_all_group_keys(zs),
@@ -394,8 +363,9 @@ def _window_partials_batch(
 def _window_values_batch(
     batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True
 ) -> pa.Table:
-    """Distributed fallback VALUES pass: (win_id, value) rows of valid
-    pixels per fallback window × tile intersection — feeds the percentile
+    """Distributed fallback VALUES pass: (group_key, value float32) rows of
+    the valid pixels of each fallback window × tile intersection, keyed by
+    the first spec array (the window's owning fid) — feeds the percentile
     value bags when the fallback set is large (reference appends each
     part-window's valid pixels to the bag, runner.py:805-811; percentile
     over the multiset is order-independent, so distributed collection is
@@ -410,11 +380,11 @@ def _window_values_batch(
             specs = ray.get(specs)
     except ImportError:
         pass
-    wid, xoff, yoff, wx, wy = (np.asarray(a) for a in specs)
+    key, xoff, yoff, wx, wy = (np.asarray(a) for a in specs)
     txs = batch["tile_x"].to_numpy()
     tys = batch["tile_y"].to_numpy()
     flat, offs = _list_col_buffers(batch["values"])
-    out_w, out_v = [], []
+    out_k, out_v = [], []
     for i in range(len(batch)):
         col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
         hit = np.flatnonzero(
@@ -438,18 +408,23 @@ def _window_values_batch(
                 else block.ravel()
             )
             if valid.size:
-                out_w.append(np.full(valid.size, wid[h], dtype=np.int64))
+                out_k.append(np.full(valid.size, key[h], dtype=np.int64))
                 out_v.append(valid.astype(np.float32, copy=False).ravel())
-    if not out_w:
-        return pa.table(
-            {"win_id": pa.array([], pa.int64()), "value": pa.array([], pa.float32())}
-        )
+    if not out_k:
+        return Z.VALUES_SCHEMA_INT.empty_table()
     return pa.table(
-        {
-            "win_id": pa.array(np.concatenate(out_w)),
-            "value": pa.array(np.concatenate(out_v), pa.float32()),
-        }
+        [pa.array(np.concatenate(out_k)), pa.array(np.concatenate(out_v))],
+        schema=Z.VALUES_SCHEMA_INT,
     )
+
+
+def _broadcast_specs(win_specs):
+    """``(key, xoff, yoff, wx, wy)`` window tuples → one tuple of int64
+    arrays for the window sweeps, ``ray.put`` once when a session is up."""
+    import ray
+
+    specs = tuple(np.array(win_specs, dtype=np.int64).T.copy())
+    return ray.put(specs) if ray.is_initialized() else specs
 
 
 def _window_stats_distributed(
@@ -471,22 +446,10 @@ def _window_stats_distributed(
     rows a distributed pre-combine level shrinks the frame before the
     driver groupby, so 10^5 fallback windows × 10^5 tiles no longer
     funnel one row each through the driver."""
-    import ray
-
-    wid = np.array([w[0] for w in win_specs], dtype=np.int64)
-    xoff = np.array([w[1] for w in win_specs], dtype=np.int64)
-    yoff = np.array([w[2] for w in win_specs], dtype=np.int64)
-    wx = np.array([w[3] for w in win_specs], dtype=np.int64)
-    wy = np.array([w[4] for w in win_specs], dtype=np.int64)
-    specs_ref = (
-        ray.put((wid, xoff, yoff, wx, wy))
-        if ray.is_initialized()
-        else (wid, xoff, yoff, wx, wy)
-    )
     parts = tiles_ds.map_batches(
         _window_partials_batch,
         fn_kwargs={
-            "specs_ref": specs_ref,
+            "specs_ref": _broadcast_specs(win_specs),
             "grid": grid,
             "ignore_nodata": ignore_nodata,
         },
@@ -524,6 +487,43 @@ def _window_stats_distributed(
     return out
 
 
+def _fid_group_ordinals(
+    batch: pa.Table, fids: np.ndarray, ords: np.ndarray
+) -> pa.Table:
+    """(fid, value) rows → (ordinal of the fid's group, value) rows;
+    ``fids`` is sorted and ``ords[i]`` is the group ordinal of ``fids[i]``."""
+    pos = np.searchsorted(fids, batch["group_key"].to_numpy(zero_copy_only=False))
+    return pa.table([pa.array(ords[pos]), batch["value"]], schema=Z.VALUES_SCHEMA_INT)
+
+
+def _raster_group_percentiles(
+    value_parts: list, zs: ZoneSet, plist: list[float], driver_threshold: int
+) -> dict:
+    """Exact percentiles per group value over the union of the (fid,
+    value) Datasets in ``value_parts``.  Each fid maps to its group's
+    ordinal in ``zs.unique_groups`` — an int64 key, so no per-pixel
+    strings reach the shuffle — and ``group_percentiles_ds`` picks the
+    driver reduce or the salted distributed one by ``driver_threshold``."""
+    ordinal = {g: i for i, g in enumerate(zs.unique_groups)}
+    ords = np.array([ordinal[zs.fid_to_group[f]] for f in zs.all_fids], np.int64)
+    # map, then materialize: an empty map_batches output has no schema
+    # (Ray never runs the UDF), so empty parts are dropped before the union
+    parts = [
+        p.map_batches(
+            _fid_group_ordinals,
+            fn_kwargs={"fids": zs._lut_fids, "ords": ords},
+            batch_format="pyarrow",
+        ).materialize()
+        for p in value_parts
+    ]
+    parts = [p for p in parts if p.count() > 0]
+    if not parts:
+        return {}
+    values = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    gp = Z.group_percentiles_ds(values, plist, driver_threshold=driver_threshold)
+    return {zs.unique_groups[int(k)]: [float(v) for v in pv] for k, pv in gp.items()}
+
+
 def simplified_zones(table: pa.Table, tolerance: float):
     """Quirk Q6: Douglas-Peucker-simplify the zones at ``tolerance`` →
     ``(ZoneSet, broadcast ref)``; the ref is None without a Ray session."""
@@ -542,7 +542,6 @@ def zonal_stats_raster(
     *,
     percentiles: list[float] = (),
     zones_ref=None,
-    concurrency: int | tuple[int, int] | None = None,
     simplify_tolerance: float | None = None,
     polygons_might_overlap: bool = False,
     ignore_nodata: bool = True,
@@ -568,11 +567,11 @@ def zonal_stats_raster(
     is accepted for API parity with ``fast_zonal_statistics``; the engine's
     join resolves overlap per point with the same highest-FID-wins rule in
     both modes, so no disjoint-set partitioning is ever needed (SURVEY O3).
-    """
-    from ..state.resources import default_pool_size
 
-    if concurrency is None:
-        concurrency = default_pool_size()
+    Percentile value bags — assigned pixels and fallback-window pixels
+    alike — reduce in one place (``_raster_group_percentiles``);
+    ``percentile_driver_threshold`` is its driver-or-salted-shuffle cut.
+    """
     if simplify_tolerance is not None and simplify_tolerance > 0:
         # the incoming broadcast handle refers to the UNsimplified zones;
         # re-broadcast the simplified table so tasks still read from plasma
@@ -605,9 +604,10 @@ def zonal_stats_raster(
     # pixel assignment runs once into slim materialized pixel rows and both
     # consumers derive from them; without, partials aggregate inside the
     # task (single pass, nothing materialized). ---
-    pixels = None
     if rows_sink is not None and not plist:
         raise ValueError("rows_sink requires percentile mode (pixels rows)")
+    # (fid, value float32) Datasets whose union is the percentile value bags
+    value_parts = []
     if plist:
         pixels = tiles_ds.map_batches(
             tile_fid_pixels_batch,
@@ -620,6 +620,13 @@ def zonal_stats_raster(
             Z.partials_from_rows,
             batch_format="pyarrow",
             fn_kwargs={"ignore_nodata": ignore_nodata},
+        )
+        value_parts.append(
+            pixels.map_batches(
+                Z.values_from_rows,
+                batch_format="pyarrow",
+                fn_kwargs={"ignore_nodata": ignore_nodata},
+            )
         )
     else:
         partials = tiles_ds.map_batches(
@@ -643,37 +650,6 @@ def zonal_stats_raster(
             "sum": float(r["sum"]),
             "sumsq": float(r["sumsq"]),
         }
-
-    # --- percentile value bags (assigned valid pixels, from the cached
-    # slim rows — no second assignment pass) ---
-    fid_value_chunks: dict[int, list[np.ndarray]] | None = None
-    if plist:
-        values_ds = pixels.map_batches(
-            Z.values_from_rows,
-            batch_format="pyarrow",
-            fn_kwargs={"ignore_nodata": ignore_nodata},
-        )
-        if pixels.count() < percentile_driver_threshold:
-            # small: stream to the driver (a distributed shuffle's fixed
-            # cost dwarfs the data here)
-            vdf = values_ds.to_pandas()
-            # an all-fallback run has zero assigned pixels: the empty frame
-            # comes back without columns, so skip the groupby
-            fid_value_chunks = (
-                {
-                    int(k): [g["value"].to_numpy(dtype=np.float32)]
-                    for k, g in vdf.groupby("group_key", sort=False)
-                }
-                if len(vdf)
-                else {}
-            )
-        else:
-            # DISTRIBUTED percentiles (round-2): keep the (fid, value) rows
-            # as Datasets — fallback window values union in below — and the
-            # group percentile runs through the salted two-level shuffle.
-            # No pixel value ever reaches the driver.
-            fid_value_chunks = None
-            dist_value_parts = [values_ds]
 
     # --- quirk-Q4 bbox-window fallback for zero-pixel FIDs
     #     (runner.py:697-811: whole envelope window, unmasked by geometry,
@@ -726,70 +702,27 @@ def zonal_stats_raster(
                 if st is not None:
                     fid_stats[f] = dict(st)
             if plist:
-                # percentile value bags for the fallback windows, collected
-                # in a second distributed sweep (exact: percentile over the
-                # multiset is append-order-independent)
-                import ray as _ray
-
-                wid = np.array([w[0] for w in win_specs], dtype=np.int64)
-                arrs = (
-                    wid,
-                    np.array([w[1] for w in win_specs], dtype=np.int64),
-                    np.array([w[2] for w in win_specs], dtype=np.int64),
-                    np.array([w[3] for w in win_specs], dtype=np.int64),
-                    np.array([w[4] for w in win_specs], dtype=np.int64),
-                )
-                sref = _ray.put(arrs) if _ray.is_initialized() else arrs
-                win_vals_ds = tiles_ds.map_batches(
-                    _window_values_batch,
-                    fn_kwargs={
-                        "specs_ref": sref,
-                        "grid": grid,
-                        "ignore_nodata": ignore_nodata,
-                    },
-                    batch_format="pyarrow",
-                )
-                # win_id → owning fid (small LUT; windows whose stats were
-                # discarded never made win_specs)
-                win_fid = np.full(len(win_specs), -1, dtype=np.int64)
-                for (f, _order), (win_id, *_rest) in zip(win_owner, win_specs):
-                    win_fid[win_id] = f
-                if fid_value_chunks is not None:
-                    vals = win_vals_ds.to_pandas()
-                    by_win = {
-                        int(w): g["value"].to_numpy(dtype=np.float32)
-                        for w, g in vals.groupby("win_id", sort=False)
-                    }
-                    for (f, _order), (win_id, *_rest) in zip(win_owner, win_specs):
-                        v = by_win.get(win_id)
-                        if v is not None and v.size:
-                            fid_value_chunks.setdefault(f, []).append(v)
-                else:
-                    wf_ref = (
-                        _ray.put(win_fid) if _ray.is_initialized() else win_fid
+                # the fallback windows' value bags, from a second sweep that
+                # keys each window's pixels by its owning fid (exact:
+                # percentile over the multiset is append-order-independent)
+                owned = [(f, *w[1:]) for (f, _), w in zip(win_owner, win_specs)]
+                value_parts.append(
+                    tiles_ds.map_batches(
+                        _window_values_batch,
+                        fn_kwargs={
+                            "specs_ref": _broadcast_specs(owned),
+                            "grid": grid,
+                            "ignore_nodata": ignore_nodata,
+                        },
+                        batch_format="pyarrow",
                     )
-
-                    def win_to_fid_rows(b: pa.Table) -> pa.Table:
-                        import ray as _r
-
-                        wf = _r.get(wf_ref) if not isinstance(wf_ref, np.ndarray) else wf_ref
-                        w = b["win_id"].to_numpy(zero_copy_only=False)
-                        return pa.table(
-                            {
-                                "group_key": pa.array(wf[w], pa.int64()),
-                                "value": b["value"],
-                            }
-                        )
-
-                    dist_value_parts.append(
-                        win_vals_ds.map_batches(
-                            win_to_fid_rows, batch_format="pyarrow"
-                        )
-                    )
+                )
         elif win_specs:
             # driver path (small window sets / percentile mode, which also
             # needs the raw valid values appended per part)
             fb_rows: list[pa.Table] = []
+            fb_fids: list[np.ndarray] = []
+            fb_vals: list[np.ndarray] = []
             tile_map = _fetch_windows(
                 tiles_ds, grid, [w[1:] for w in win_specs]
             )
@@ -832,30 +765,25 @@ def zonal_stats_raster(
                         }
                     )
                 fid_stats[f] = st  # overwrite (=), not accumulate — quirk Q4
-                if fid_value_chunks is not None and valid.size:
-                    # stats overwrite per part, but value chunks APPEND per
+                if plist and valid.size:
+                    # stats overwrite per part, but value bags APPEND per
                     # part (runner.py:805-811)
-                    fid_value_chunks.setdefault(f, []).append(
-                        valid.astype(np.float32, copy=False)
-                    )
-                elif plist and fid_value_chunks is None and valid.size:
-                    import ray.data as _rd
+                    fb_fids.append(np.full(valid.size, f, dtype=np.int64))
+                    fb_vals.append(valid.astype(np.float32, copy=False))
+            if fb_vals:
+                import ray.data as rd
 
-                    dist_value_parts.append(
-                        _rd.from_arrow(
-                            pa.table(
-                                {
-                                    "group_key": pa.array(
-                                        np.full(valid.size, f, dtype=np.int64)
-                                    ),
-                                    "value": pa.array(
-                                        valid.astype(np.float32, copy=False),
-                                        pa.float32(),
-                                    ),
-                                }
-                            )
+                value_parts.append(
+                    rd.from_arrow(
+                        pa.table(
+                            [
+                                pa.array(np.concatenate(fb_fids)),
+                                pa.array(np.concatenate(fb_vals)),
+                            ],
+                            schema=Z.VALUES_SCHEMA_INT,
                         )
                     )
+                )
 
         if rows_sink is not None and win_specs and fb_rows:
             import os as _os
@@ -881,7 +809,6 @@ def zonal_stats_raster(
 
     # --- FID → group rollup (runner.py:848-889) ---
     grouped: dict = {}
-    group_chunks: dict = {}
     for f in zs.all_fids:
         gv = zs.fid_to_group[f]
         s = fid_stats[f]
@@ -910,71 +837,13 @@ def zonal_stats_raster(
             else:
                 g["min"] = min(g["min"], s["min"])
                 g["max"] = max(g["max"], s["max"])
-        if fid_value_chunks is not None:
-            ch = fid_value_chunks.get(f)
-            if ch:
-                group_chunks.setdefault(gv, []).extend(ch)
 
-    if plist and fid_value_chunks is not None:
-        for gv, chunks in group_chunks.items():
-            vals = np.concatenate(chunks)
-            for k, v in zip(pkeys, np.percentile(vals, plist).tolist()):
-                grouped[gv][k] = v
-    elif plist:
-        # distributed: re-key (fid, value) → encoded group key with a
-        # broadcast LUT, then the salted two-level percentile shuffle —
-        # identical multiset per group, so results equal the driver path
-        import ray as _ray
-
-        from ..functions.scalars import encode_group_key as _enc
-
-        # one vectorized encode over the ZoneSet's precomputed fid-sorted
-        # group LUT (not a per-fid single-element loop — O(#zones) Python
-        # overhead on exactly the large runs this path exists for)
-        lut_fids = zs._lut_fids
-        lut_keys = _enc(zs._lut_groups)
-        lut_ref = (
-            _ray.put((lut_fids, lut_keys))
-            if _ray.is_initialized()
-            else (lut_fids, lut_keys)
+    if plist:
+        gp = _raster_group_percentiles(
+            value_parts, zs, plist, percentile_driver_threshold
         )
-
-        def rekey(b: pa.Table) -> pa.Table:
-            import ray as _r
-
-            lut = lut_ref if isinstance(lut_ref, tuple) else _r.get(lut_ref)
-            kf, kk = lut
-            fids = b["group_key"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kf, fids)
-            keys = kk[np.clip(pos, 0, len(kf) - 1)]
-            return pa.table(
-                {
-                    "group_key": pa.array(keys.tolist(), pa.string()),
-                    "value": b["value"],
-                }
-            )
-
-        # materialize each slim part once and drop empty ones — an empty
-        # map_batches output has no schema (Ray never runs the UDF), which
-        # would poison the union's groupby
-        parts_mat = [p.materialize() for p in dist_value_parts]
-        parts_mat = [p for p in parts_mat if p.count() > 0]
-        if not parts_mat:
-            gp = {}
-        else:
-            all_vals = parts_mat[0]
-            for part in parts_mat[1:]:
-                all_vals = all_vals.union(part)
-            gp = Z.salted_group_percentiles(
-                all_vals.map_batches(rekey, batch_format="pyarrow"), plist
-            )
-        from ..functions.scalars import decode_group_key as _dec
-
-        for key, pv in gp.items():
-            gv = _dec(key)
-            if gv in grouped:
-                for k, v in zip(pkeys, pv):
-                    grouped[gv][k] = v
+        for gv, pv in gp.items():
+            grouped[gv].update(zip(pkeys, pv))
 
     # --- finalize (runner.py:906-917) ---
     for gv, g in grouped.items():

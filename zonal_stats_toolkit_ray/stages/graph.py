@@ -1,25 +1,12 @@
-"""Distributed PageRank over an edge Dataset.
+"""Graph traversal and structure statistics over an edge Dataset.
 
-The host-graph authority pass of a web-corpus pipeline (rank hosts by
-hyperlink structure, weight documents by host rank).  Power iteration,
-Ray-Data-first:
+* ``bfs_hops`` — level-synchronous BFS: each level is one streaming pass
+  over the edges with the frontier broadcast via ``ray.put``; driver
+  state is node-universe-bounded (``node_driver_threshold``).
+* ``degree_assortativity`` — in-degree correlation over every edge, from
+  one degree aggregate, two dual-regime hash joins and one moment pass.
 
-* the EDGE LIST is the big thing and it streams — each iteration is one
-  ``map_batches`` over the edges producing sparse per-destination partial
-  contribution sums (in-batch ``bincount``), merged into the node-sized
-  rank vector;
-* the RANK VECTOR is node-sized (hosts, not pages) and broadcasts via
-  ``ray.put`` each iteration — the classic "small mutable state, big
-  streaming input" split.  ``node_driver_threshold`` guards the node
-  universe fitting the driver (millions of hosts is fine; raise it
-  knowingly beyond that);
-* dangling mass (nodes with no out-links) redistributes uniformly, the
-  standard correction.
-
-Iteration count is fixed (power iteration converges geometrically at
-``damping``; curation ranks need 3–20 iterations, not convergence
-detection), which also makes the computation SQL-expressible for the
-oracle — each iteration is one join + aggregate over the same edges.
+PageRank and HITS live in ``pagerank.py``.
 """
 
 from __future__ import annotations
@@ -27,116 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-
-def pagerank(
-    edges,
-    *,
-    src_col: str = "src",
-    dst_col: str = "dst",
-    iters: int = 3,
-    damping: float = 0.85,
-    node_driver_threshold: int = 50_000_000,
-) -> pd.DataFrame:
-    """→ DataFrame(node, rank) over the directed edge Dataset.
-
-    rank' = (1 − d)/N + d·(Σ_in rank/outdeg + dangling_mass/N), uniform
-    start 1/N.  Duplicate edges count once per occurrence (multi-edges
-    carry multi-weight — dedup upstream if unwanted)."""
-    import ray
-    from ray.data.aggregate import Count
-
-    slim = edges.select_columns([src_col, dst_col]).materialize()
-
-    # node universe + out-degrees: two slim aggregates
-    def ends(t: pa.Table) -> pa.Table:
-        s = t[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"node": pa.array(np.unique(np.concatenate([s, d])))})
-
-    nodes_ds = (
-        slim.map_batches(ends, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["node"])
-        .materialize()
-    )
-    n_nodes = nodes_ds.count()
-    if n_nodes == 0:
-        return pd.DataFrame(
-            {"node": pd.Series(dtype="int64"), "rank": pd.Series(dtype="float64")}
-        )
-    if n_nodes > node_driver_threshold:
-        raise ValueError(
-            f"node universe ({n_nodes}) exceeds node_driver_threshold — "
-            "PageRank holds the rank vector driver-side; partition the "
-            "graph or raise the threshold knowingly"
-        )
-    nodes = np.sort(nodes_ds.to_pandas()["node"].to_numpy().astype(np.int64))
-
-    od_df = (
-        slim.groupby(src_col).aggregate(Count(alias_name="od")).to_pandas()
-    )
-    outdeg = np.zeros(n_nodes, dtype=np.float64)
-    outdeg[np.searchsorted(nodes, od_df[src_col].to_numpy().astype(np.int64))] = (
-        od_df["od"].to_numpy().astype(np.float64)
-    )
-    dangling = outdeg == 0.0
-
-    nodes_ref = ray.put(nodes)
-    ranks = np.full(n_nodes, 1.0 / n_nodes, dtype=np.float64)
-
-    for _ in range(iters):
-        state_ref = ray.put((ranks, outdeg))
-
-        def contrib(t: pa.Table, *, _s=state_ref, _n=nodes_ref) -> pa.Table:
-            r, od = ray.get(_s)
-            nd = ray.get(_n)
-            if len(t) == 0:
-                return pa.table(
-                    {"i": pa.array([], pa.int64()),
-                     "c": pa.array([], pa.float64())}
-                )
-            si = np.searchsorted(nd, t[src_col].to_numpy(zero_copy_only=False))
-            di = np.searchsorted(nd, t[dst_col].to_numpy(zero_copy_only=False))
-            w = r[si] / od[si]
-            # sparse in-batch partial: only destinations present in batch
-            uniq, inv = np.unique(di, return_inverse=True)
-            sums = np.bincount(inv, weights=w)
-            return pa.table(
-                {"i": pa.array(uniq, pa.int64()),
-                 "c": pa.array(sums, pa.float64())}
-            )
-
-        parts = slim.map_batches(contrib, batch_format="pyarrow").to_pandas()
-        incoming = np.zeros(n_nodes, dtype=np.float64)
-        np.add.at(incoming, parts["i"].to_numpy(), parts["c"].to_numpy())
-        dang = float(ranks[dangling].sum())
-        ranks = (1.0 - damping) / n_nodes + damping * (incoming + dang / n_nodes)
-
-    return pd.DataFrame({"node": nodes, "rank": ranks})
-
-
-def pagerank_reference(
-    edges_df: pd.DataFrame, *, iters: int = 3, damping: float = 0.85
-) -> pd.DataFrame:
-    """Driver-side dense power iteration for test equality."""
-    nodes = np.sort(
-        np.unique(np.concatenate([edges_df["src"], edges_df["dst"]])).astype(
-            np.int64
-        )
-    )
-    n = nodes.size
-    si = np.searchsorted(nodes, edges_df["src"].to_numpy())
-    di = np.searchsorted(nodes, edges_df["dst"].to_numpy())
-    od = np.bincount(si, minlength=n).astype(np.float64)
-    dangling = od == 0
-    r = np.full(n, 1.0 / n)
-    for _ in range(iters):
-        w = np.where(od[si] > 0, r[si] / np.where(od[si] > 0, od[si], 1.0), 0.0)
-        inc = np.bincount(di, weights=w, minlength=n)
-        r = (1.0 - damping) / n + damping * (inc + float(r[dangling].sum()) / n)
-    return pd.DataFrame({"node": nodes, "rank": r})
 
 
 def bfs_hops(
@@ -154,8 +31,8 @@ def bfs_hops(
     BFS): each level is ONE streaming pass over the edges with the
     current frontier broadcast as a sorted array; per batch one
     ``isin``-style searchsorted + a sparse distinct-destination partial.
-    Driver state is two node-universe-bounded arrays (pagerank's
-    threshold contract) — the edge list never materializes."""
+    Driver state is two node-universe-bounded arrays (the
+    ``node_driver_threshold`` contract) — the edge list never materializes."""
     import ray
 
     slim = edges.select_columns([src_col, dst_col]).materialize()

@@ -1,18 +1,18 @@
-"""Spatial join stage: point/cell → zone assignment in a stateful actor pool.
+"""Spatial join stage: point/cell → zone assignment as stateless tasks.
 
 Replaces the reference's ``gdal.RasterizeLayer`` FID burn + block pairing
 (``/root/reference/runner.py:599-606, 634-641``) with an R-tree-accelerated
 point-in-polygon test: the (small) zones table is broadcast once via
-``ray.put``; each actor deserializes it and builds a
+``ray.put``; each worker process deserializes it and builds a
 :class:`~zonal_stats_toolkit_ray.sources.zones.ZoneSet` (STR R-tree +
-rings) in ``__init__`` — once per actor, not per batch.  Batches flow
-through ``__call__`` as zero-copy Arrow tables.
+rings) once, in a per-process cache (``_cached_zoneset``), not per batch.
+Batches flow through :func:`spatial_join_batch` as zero-copy Arrow tables.
 
 Semantics match the reference's pixel-center containment with
 highest-FID-wins tie-break on overlap (quirks Q5, SURVEY.md §2.9).
 An interior-cell shortcut (coarse cell fully inside one zone ⇒ dictionary
-hit, boundary cells ⇒ PIP) amortizes across batches via an actor-lifetime
-cache.
+hit, boundary cells ⇒ PIP) amortizes across batches via the cached
+ZoneSet's cell cache.
 
 ``ZoneKNN`` exposes kNN lookups against the same R-tree (north_star).
 """
@@ -80,7 +80,6 @@ def _join_batch(
     cell_col: str | None,
     shortcut_res: int | None,
     drop_unassigned: bool,
-    cell_cache_enabled: bool,
 ) -> pa.Table:
     lon = batch[lon_col].to_numpy(zero_copy_only=False)
     lat = batch[lat_col].to_numpy(zero_copy_only=False)
@@ -97,11 +96,7 @@ def _join_batch(
         # distinct coarse cells, amortized across the worker's lifetime);
         # scattered points would turn it into a per-point Python loop, so
         # fall through to the vectorized tree query
-        if (
-            cell_cache_enabled
-            and coarse is not None
-            and np.unique(coarse).size <= 0.25 * coarse.size
-        ):
+        if coarse is not None and np.unique(coarse).size <= 0.25 * coarse.size:
             fids = zs.assign_points_cached(lon, lat, coarse, fine_cells=cells)
     if fids is None:
         fids = zs.assign_points(lon, lat)
@@ -122,7 +117,7 @@ def spatial_join_batch(
     shortcut_res: int | None = 7,
     drop_unassigned: bool = False,
 ) -> pa.Table:
-    """Stateless-task spatial join (default path): pass with
+    """Stateless-task spatial join: pass with
     ``ds.map_batches(spatial_join_batch, fn_kwargs=dict(zones=ref))``.
     The zones ObjectRef resolves through a per-worker-process cache, so the
     R-tree builds once per worker, and the stage runs on Ray's persistent
@@ -136,51 +131,7 @@ def spatial_join_batch(
         cell_col=cell_col,
         shortcut_res=shortcut_res,
         drop_unassigned=drop_unassigned,
-        cell_cache_enabled=True,
     )
-
-
-class SpatialJoiner:
-    """map_batches ACTOR variant of the join: identical semantics to
-    :func:`spatial_join_batch`, for deployments where the zone index is
-    large enough that dedicated, individually-sized actor processes
-    (``num_cpus``/memory per actor) are worth their spawn cost.
-
-    Pass to ``ds.map_batches(SpatialJoiner, fn_constructor_kwargs=dict(
-    zones=ref), concurrency=N, batch_format="pyarrow")``.
-    """
-
-    def __init__(
-        self,
-        zones,
-        *,
-        lon_col: str = "lon",
-        lat_col: str = "lat",
-        cell_col: str | None = "cell_id",
-        shortcut_res: int | None = 7,
-        drop_unassigned: bool = False,
-    ):
-        from ..state.resources import prefault
-
-        prefault()
-        self.zs = _resolve_zones(zones)
-        self.lon_col = lon_col
-        self.lat_col = lat_col
-        self.cell_col = cell_col
-        self.shortcut_res = shortcut_res
-        self.drop_unassigned = drop_unassigned
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _join_batch(
-            batch,
-            self.zs,
-            lon_col=self.lon_col,
-            lat_col=self.lat_col,
-            cell_col=self.cell_col,
-            shortcut_res=self.shortcut_res,
-            drop_unassigned=self.drop_unassigned,
-            cell_cache_enabled=True,
-        )
 
 
 class ZoneKNN:

@@ -1,7 +1,7 @@
 """Distributed triangle counting / local clustering coefficient over an
 edge Dataset — the graph-structure signal a web-curation pipeline uses on
 the host link graph (spam farms have anomalous clustering; PageRank's
-sibling, ``graph.py``).
+sibling, ``pagerank.py``).
 
 Algorithm: the standard degree-oriented wedge-close (node-iterator++,
 Schank & Wagner 2005; MapReduce form Suri & Vassilvitskii 2011):
@@ -9,7 +9,7 @@ Schank & Wagner 2005; MapReduce form Suri & Vassilvitskii 2011):
 1. canonicalize edges to distinct (a < b) pairs (in-batch combiner + one
    slim hash aggregate — ``joins.distinct_rows``);
 2. degrees via endpoint-count partials (node-universe-sized, driver-held
-   under a threshold like ``graph.pagerank``);
+   under ``node_driver_threshold``, like ``graph.bfs_hops``);
 3. orient every edge from its lower-(degree, id) endpoint to the higher —
    each node's out-degree is then O(√m) on real graphs, which bounds the
    wedge explosion that id-orientation would let a hub node cause;
@@ -66,7 +66,7 @@ def triangle_stats(
         ["a", "b"],
     ).materialize()
 
-    # --- degrees (node universe on the driver, pagerank's threshold) ---
+    # --- degrees (node universe on the driver, node_driver_threshold) ---
     def ends(t: pa.Table) -> pa.Table:
         nodes = np.concatenate(
             [

@@ -314,6 +314,9 @@ ROWS_SCHEMA_INT = pa.schema(
     ]
 )
 
+# int64-keyed (group_key, value) percentile value rows for the raster path
+VALUES_SCHEMA_INT = pa.schema([("group_key", pa.int64()), ("value", pa.float32())])
+
 
 def rows_batch(
     batch: pa.Table,
@@ -509,31 +512,3 @@ def salted_group_percentiles(
     )
     level2 = level1.groupby("group_key").map_groups(merge_pct, batch_format="pandas")
     return {r["group_key"]: r["pcts"] for r in level2.to_pandas().to_dict("records")}
-
-
-def values_batch(
-    batch: pa.Table,
-    value_col: str,
-    *,
-    group_col: str = "group_value",
-    fid_col: str = "zone_fid",
-    nodata: float | None = None,
-) -> pa.Table:
-    """map_batches stage: joined rows → (group_key, value) rows of VALID
-    values only, float32-downcast like the reference's value bags
-    (``runner.py:664-667``)."""
-    if fid_col in batch.column_names:
-        batch = batch.filter(pa.compute.not_equal(batch[fid_col], -1))
-    if len(batch) == 0:
-        return pa.table(
-            {"group_key": pa.array([], pa.string()), "value": pa.array([], pa.float32())}
-        )
-    keys = encode_group_key(batch[group_col])
-    values = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-    valid = ~nodata_mask(values, nodata)
-    return pa.table(
-        {
-            "group_key": pa.array(keys[valid].tolist(), pa.string()),
-            "value": pa.array(values[valid].astype(np.float32), pa.float32()),
-        }
-    )

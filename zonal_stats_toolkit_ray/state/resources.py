@@ -1,50 +1,7 @@
-"""Per-stage resource sizing helpers.
-
-An actor pool that reserves EVERY CPU starves the read / shuffle / write
-operators of the same streaming execution and the pipeline deadlocks
-(observed: a 4-actor pool on a 4-CPU session stalls the partials→groupby
-plan forever).  Default pool size therefore leaves headroom for the
-stateless operators.
-"""
+"""Driver-process set-up: ``warm_lazy_imports`` caches an import Ray's
+read path probes lazily, before concurrent driver threads start."""
 
 from __future__ import annotations
-
-
-def prefault(mb: int = 64) -> None:
-    """Pre-fault worker heap pages.
-
-    This sandbox kernel zero-fills fresh pages at ~75 MB/s, so the FIRST
-    large NumPy allocation in a new worker/actor process costs seconds.
-    Touching (and freeing) a scratch buffer once in ``__init__`` moves that
-    cost out of the first data batch; combined with high malloc trim/mmap
-    thresholds (set in bench.py) the faulted pages stay in the arena and
-    every later allocation reuses them."""
-    import numpy as np
-
-    scratch = np.empty(mb * 1024 * 1024 // 8, dtype=np.int64)
-    scratch[:: 512] = 1  # touch every page
-    del scratch
-
-
-def default_pool_size(reserve: int = 2, cap: int | None = None) -> int:
-    """Actor-pool concurrency: cluster CPUs minus ``reserve``, at least 1."""
-    try:
-        import ray
-
-        if ray.is_initialized():
-            ncpu = int(ray.cluster_resources().get("CPU", 4))
-        else:
-            import os
-
-            ncpu = os.cpu_count() or 4
-    except ImportError:
-        import os
-
-        ncpu = os.cpu_count() or 4
-    n = max(1, ncpu - reserve)
-    if cap is not None:
-        n = min(n, cap)
-    return n
 
 
 def warm_lazy_imports() -> None:
