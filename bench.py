@@ -16,7 +16,9 @@ kernel caveat that rules out allocation-heavy wall-clock scaling).
 
 --kernels [seed]: Ray-free single-process pixels/s of the two zone
 assignment kernels (per-point R-tree + PIP vs scanline grid burn) on the
-seeded high-vertex rings of perfbench's raster_highvertex workload.
+seeded high-vertex rings of perfbench's raster_highvertex workload, then
+MB/s of the text byte-class kernel (`text_class_counts`) on perfbench's
+page texts and on a letter-free CJK variant of them.
 """
 
 from __future__ import annotations
@@ -764,8 +766,8 @@ def _kernels():
     high-vertex rings (`perfbench.gen.highvertex_zones`, unsimplified):
     `ZoneSet.assign_points` (R-tree + per-part `points_in_ring`) vs
     `ZoneSet.assign_grid` (scanline burn).  Median of 3 passes over every
-    tile; the two outputs must be identical.  Prints ONE JSON line with
-    the calibration block."""
+    tile; the two outputs must be identical.  Prints one JSON line with
+    the calibration block, then a second one for the text kernel."""
     from perfbench import gen
     from perfbench.workloads import SIZES
     from zonal_stats_toolkit_ray.sources.raster import tile_window
@@ -820,6 +822,48 @@ def _kernels():
                 "assign_points_px_per_s": round(pixels / t_pts, 1),
                 "assign_grid_px_per_s": round(pixels / t_grid, 1),
                 "identical": all(np.array_equal(a, b) for a, b in zip(want, got)),
+                "calib": {"pre": calib, "ref": CALIB_REF},
+            }
+        )
+    )
+    _text_kernels(calib)
+
+
+def _text_kernels(calib: dict):
+    """Second `--kernels` line: MB/s of `text_class_counts`, median of 3,
+    on ~16 MB of `perfbench.gen.text_pool()` pages and of the same pages
+    with every ASCII letter mapped to a CJK ideograph (3-byte characters,
+    no letters)."""
+    import string
+
+    from perfbench import gen
+    from zonal_stats_toolkit_ray.stages.text import text_class_counts
+
+    pool = gen.text_pool()
+    cjk = str.maketrans({c: chr(0x4E00 + i) for i, c in enumerate(string.ascii_letters)})
+    out = {}
+    for name, texts in (
+        ("text_pool", pool),
+        ("cjk_no_letters", [t.translate(cjk) for t in pool]),
+    ):
+        mb = sum(len(t.encode()) for t in texts) / 1e6
+        arr = pa.array(texts * int(np.ceil(16.0 / mb)))
+        mb = arr.buffers()[2].size / 1e6
+        secs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            text_class_counts(arr)
+            secs.append(time.perf_counter() - t0)
+        out[name] = {
+            "docs": len(arr),
+            "mb": round(mb, 2),
+            "mb_per_s": round(mb / float(np.median(secs)), 1),
+        }
+    print(
+        json.dumps(
+            {
+                "metric": "text_class_kernels",
+                "inputs": out,
                 "calib": {"pre": calib, "ref": CALIB_REF},
             }
         )

@@ -38,14 +38,30 @@ def _overlapping_zones(n=64, seed=7):
     return zones_table(fids, parts, groups, rings)
 
 
-def test_distributed_fallback_matches_oracle(ray_session):
+def _record_sweeps(monkeypatch) -> list[int]:
+    """Wraps the >16-window tile sweep; the returned list gets the window
+    count of every call."""
+    from zonal_stats_toolkit_ray.pipelines import zonal as PZ
+
+    sweep = PZ._window_stats_distributed
+    sweeps: list[int] = []
+    monkeypatch.setattr(
+        PZ,
+        "_window_stats_distributed",
+        lambda *a, **kw: sweeps.append(len(a[2])) or sweep(*a, **kw),
+    )
+    return sweeps
+
+
+def test_distributed_fallback_matches_oracle(ray_session, monkeypatch):
     import ray.data as rd
 
-    zt = _overlapping_zones()
+    sweeps = _record_sweeps(monkeypatch)
+    zt = _overlapping_zones(n=96, seed=21)  # 19 fallback windows (>16)
     zs = ZoneSet(zt)
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=3)).repartition(6)
-    got = zonal_stats_raster(tiles, GRID, zs)  # no percentiles → distributed path
-    # sanity: this workload actually exercises the fallback heavily
+    got = zonal_stats_raster(tiles, GRID, zs)
+    assert sweeps == [19], sweeps  # the stats came from the tile sweep
     arr = dense_array(GRID, seed=3)
     want = oracle_zonal_statistics(arr, GRID, zt, None)
     assert set(got) == set(want)
@@ -106,15 +122,7 @@ def test_percentile_regimes_identical(
     (≤16) and swept over the tiles (>16)."""
     import ray.data as rd
 
-    from zonal_stats_toolkit_ray.pipelines import zonal as PZ
-
-    sweep = PZ._window_stats_distributed
-    sweeps = []
-    monkeypatch.setattr(
-        PZ,
-        "_window_stats_distributed",
-        lambda *a, **kw: sweeps.append(len(a[2])) or sweep(*a, **kw),
-    )
+    sweeps = _record_sweeps(monkeypatch)
     zs = ZoneSet(zones())
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=9)).repartition(5)
     kw = dict(percentiles=[5.0, 50.0, 95.0], ignore_nodata=ignore_nodata)
@@ -125,19 +133,22 @@ def test_percentile_regimes_identical(
     assert bool(sweeps) == swept, sweeps  # the intended fallback branch ran
 
 
-def test_fallback_paths_agree(ray_session):
-    """Driver path (forced via percentile mode) and distributed path agree
-    on the shared stats fields."""
+def test_fallback_paths_agree(ray_session, monkeypatch):
+    """The plain run and the percentile run, which adds the fallback value
+    sweep and the percentile reduce, agree on the shared stats fields of a
+    >16-window fallback set; both take the tile sweep."""
     import ray.data as rd
 
-    zt = _overlapping_zones(n=40, seed=11)
+    sweeps = _record_sweeps(monkeypatch)
+    zt = _overlapping_zones(n=96, seed=21)
     zs = ZoneSet(zt)
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=5)).repartition(4)
-    dist = zonal_stats_raster(tiles, GRID, zs)
-    drv = zonal_stats_raster(tiles, GRID, zs, percentiles=[50.0])
-    for g in dist:
+    plain = zonal_stats_raster(tiles, GRID, zs)
+    pct = zonal_stats_raster(tiles, GRID, zs, percentiles=[50.0])
+    assert sweeps == [19, 19], sweeps
+    for g in plain:
         for k in ("min", "max", "count", "nodata_count", "valid_count", "sum", "stdev"):
-            a, b = dist[g][k], drv[g][k]
+            a, b = plain[g][k], pct[g][k]
             if a is None or b is None:
                 assert a is b, (g, k, a, b)
             else:

@@ -131,6 +131,90 @@ class TestText:
         out2 = T.fingerprint_batch(a, window=8)
         assert out2["fingerprint"].to_pylist() == fp
 
+    def test_fingerprint_matches_per_doc_loop(self):
+        """The reduceat fingerprint equals the per-document minimum over
+        each doc's own rolling-hash windows, bit for bit, at the window
+        boundary lengths and on a doc far past 64 KiB."""
+        from zonal_stats_toolkit_ray.stages.geocode import hash64_utf8
+
+        w = 8
+        rng = np.random.default_rng(5)
+        big = "".join(rng.choice(list("abcdefgh .é日"), 210_000))
+        docs = ["", "a" * (w - 1), "abcdefgh", "abcdefghi", big, "xyz", "q" * w]
+        docs.append("z" * w + "\x01" * w)  # its minimum is the buffer's last window
+
+        def loop(arr):
+            pw = np.array([257**k % 2**64 for k in range(w)][::-1], np.uint64)
+            out = hash64_utf8(arr)
+            for i, d in enumerate(arr.to_pylist()):
+                b = np.frombuffer(d.encode(), np.uint8).astype(np.uint64)
+                if b.size >= w:
+                    win = np.lib.stride_tricks.sliding_window_view(b, w)
+                    with np.errstate(over="ignore"):
+                        out[i] = (win * pw).sum(axis=1, dtype=np.uint64).min()
+            return out.tolist()
+
+        for arr in (pa.array(docs), pa.array(docs[::-1]), pa.array(docs).slice(2, 3)):
+            got = T.fingerprint_batch(pa.table({"text": arr}), window=w)
+            assert got["fingerprint"].to_pylist() == loop(arr)
+
+    def test_text_class_counts_match_reference(self):
+        """All four byte-class counts against a pure-Python per-document
+        reference of the docstring's classes, over adversarial documents
+        in four Arrow layouts (offset slice, chunks, large_string, nulls)."""
+        import re
+
+        def ref(doc):
+            if doc is None:
+                return 0, 0, 0, 0
+            return (
+                len(doc),  # UTF-8 code points
+                len(re.findall(r"[A-Za-z]", doc)),
+                len(re.findall(r"[.,!?;:]", doc)),
+                len(re.findall(r"[^\t\n\x0b\x0c\r ]+", doc)),
+            )
+
+        rng = np.random.default_rng(11)
+        alphabet = list("aZq .,!?;:\t\n\x0b\x0c\r\x1c\x1f -0é日本🙂")
+        docs = [
+            "", " ", "\t\n\x0b\x0c\r ", "\x0b\x0cword\x0c", "  lead", "trail  ",
+            "é日本🙂", "123 456 !?", "日本 語。", "Hello, world!", "",
+        ]
+        docs += [
+            "".join(rng.choice(alphabet, int(rng.integers(0, 40))))
+            for _ in range(400)
+        ]
+        docs.append("")  # a batch that ends in an empty doc
+        nulls = [None if i % 5 == 2 else d for i, d in enumerate(docs)]
+        layouts = [
+            pa.array(docs).slice(7, len(docs) - 9),
+            pa.chunked_array([docs[:3], docs[3:150], docs[150:]], pa.string()),
+            pa.array(docs, pa.large_string()),
+            pa.array(nulls),
+        ]
+        for arr in layouts:
+            got = T.text_class_counts(arr)
+            want = np.array([ref(d) for d in arr.to_pylist()], np.int64).reshape(-1, 4)
+            for j, k in enumerate(("n_chars", "n_alpha", "n_punct", "n_tokens")):
+                assert got[k].tolist() == want[:, j].tolist(), (k, arr.type)
+
+    def test_text_class_counts_null_slot_with_bytes(self):
+        """A null slot whose offsets span bytes counts as empty."""
+        arr = pa.Array.from_buffers(
+            pa.string(),
+            2,
+            [
+                pa.py_buffer(bytes([0b10])),
+                pa.py_buffer(np.array([0, 3, 5], np.int32).tobytes()),
+                pa.py_buffer(b"abcd."),
+            ],
+        )
+        got = T.text_class_counts(arr)
+        assert got["n_chars"].tolist() == [0, 2]
+        assert got["n_alpha"].tolist() == [0, 1]
+        assert got["n_punct"].tolist() == [0, 1]
+        assert got["n_tokens"].tolist() == [0, 1]
+
     def test_simhash_similarity(self):
         t = pa.table(
             {

@@ -28,9 +28,9 @@ def token_stats_batch(
 ) -> pa.Table:
     """Adds n_chars, n_tokens (whitespace runs), n_bpe_tokens, n_punct.
 
-    n_chars/n_tokens/n_punct come from the vectorized byte-class kernels
-    (exactly equivalent to the regex classes — see ``text_class_counts``);
-    the BPE-ish tokenizer count stays an RE2 scan (pyarrow kernel).
+    n_chars/n_tokens/n_punct come from ``text_class_counts`` (byte classes,
+    exactly equivalent to the regex classes; null text counts 0); the
+    BPE-ish tokenizer count stays an RE2 scan (pyarrow kernel).
 
     Oracle equivalence (DuckDB): ``length(text)``,
     ``len(regexp_extract_all(text, '\\S+'))``,
@@ -48,60 +48,59 @@ def token_stats_batch(
     return batch.append_column("n_punct", pa.array(c["n_punct"], pa.int64()))
 
 
-# --- byte-class lookup tables for the vectorized text kernels -------------
+# --- byte classes for the vectorized text kernels -------------------------
 # Unicode whitespace outside ASCII can't collide with these byte classes
 # (UTF-8 continuation/lead bytes are >= 0x80), so byte-level counting is
 # EXACTLY equivalent to the RE2 character classes used by the oracle SQL:
-#   [A-Za-z]  → ASCII letter bytes
+#   [A-Za-z]  → ASCII letter bytes: ((b | 0x20) - 97) < 26 in uint8
 #   [.,!?;:]  → those ASCII bytes
-#   \s (RE2)  → [\t\n\x0b\x0c\r ] ASCII whitespace bytes
-#   utf8_length → count of non-continuation bytes ((b & 0xC0) != 0x80)
-_ALPHA_TAB = np.zeros(256, dtype=np.uint8)
-_ALPHA_TAB[ord("A") : ord("Z") + 1] = 1
-_ALPHA_TAB[ord("a") : ord("z") + 1] = 1
-_PUNCT_TAB = np.zeros(256, dtype=np.uint8)
-for _c in b".,!?;:":
-    _PUNCT_TAB[_c] = 1
-_SPACE_TAB = np.zeros(256, dtype=np.uint8)
-for _c in b"\t\n\x0b\x0c\r ":
-    _SPACE_TAB[_c] = 1
-_CHAR_TAB = np.ones(256, dtype=np.uint8)
-_CHAR_TAB[0x80:0xC0] = 0  # UTF-8 continuation bytes don't start a character
-
-
-def _segment_sums(per_byte: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    cs = np.concatenate([[0], np.cumsum(per_byte, dtype=np.int64)])
-    base = starts[0] if len(starts) else 0
-    return cs[ends - base] - cs[starts - base]
+#   \s (RE2)  → [\t\n\x0b\x0c\r ]: b == 32 or (b - 9) < 5 in uint8
+#   utf8_length → non-continuation bytes ((b & 0xC0) != 0x80), as Arrow counts
+# Each class is a one-byte mask computed with uint8 arithmetic (a 256-entry
+# table lookup goes through an intp index, several times slower).
 
 
 def text_class_counts(col) -> dict[str, np.ndarray]:
     """Vectorized per-document counts straight off the Arrow byte buffer:
-    n_chars (UTF-8 chars), n_alpha, n_punct, n_tokens (\\S+ runs).  One
-    pass of table lookups + cumsums over the whole column — no regex, no
-    per-row Python."""
+    n_chars (UTF-8 chars), n_alpha, n_punct, n_tokens (\\S+ runs).  Null
+    rows count as empty.  uint8 arithmetic gives one bool mask per class,
+    and one int32 ``add.reduceat`` over the document starts sums each mask
+    per document (documents are < 2 GiB) — no regex, no per-row Python, no
+    per-byte array wider than one byte."""
     data, starts, ends = _byte_segments(col)
-    n = len(starts)
-    if n == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return {"n_chars": z, "n_alpha": z, "n_punct": z, "n_tokens": z}
-    base = int(starts[0])
-    seg = data[base : int(ends[-1])]
-    out = {
-        "n_chars": _segment_sums(_CHAR_TAB[seg], starts, ends),
-        "n_alpha": _segment_sums(_ALPHA_TAB[seg], starts, ends),
-        "n_punct": _segment_sums(_PUNCT_TAB[seg], starts, ends),
+    if col.null_count:
+        ends = np.where(pc.is_valid(col).to_numpy(zero_copy_only=False), ends, starts)
+    n_chars = pc.fill_null(pc.utf8_length(col), 0).to_numpy().astype(np.int64)
+    base, end = (int(starts[0]), int(ends[-1])) if len(starts) else (0, 0)
+    seg = data[base:end]
+    s, e = starts - base, ends - base
+    nonempty = e > s
+    # docs are contiguous, so doc i spans [s_i, s_i+1) for reduceat; the
+    # docs from k on start at the end of seg and are all empty
+    k = int(np.searchsorted(s, seg.size))
+
+    def count(mask):
+        per_doc = np.zeros(len(s), dtype=np.int64)
+        if k:
+            per_doc[:k] = np.add.reduceat(mask.view(np.uint8), s[:k], dtype=np.int32)
+        return np.where(nonempty, per_doc, 0)  # reduceat gives mask[s_i] if empty
+
+    u8 = np.uint8
+    space = (seg == u8(32)) | ((seg - u8(9)) < u8(5))
+    # token start: a non-space byte at a string start or after a space byte
+    run_start = ~space
+    run_start[1:] &= space[:-1]
+    first = s[nonempty]
+    run_start[first] = ~space[first]
+    punct = seg == u8(46)
+    for c in b",!?;:":
+        punct |= seg == u8(c)
+    return {
+        "n_chars": n_chars,
+        "n_alpha": count(((seg | u8(0x20)) - u8(97)) < u8(26)),
+        "n_punct": count(punct),
+        "n_tokens": count(run_start),
     }
-    # token runs: positions where a non-space byte follows a space byte or
-    # a string start
-    nonspace = _SPACE_TAB[seg] == 0
-    prev = np.empty_like(nonspace)
-    prev[0] = False
-    prev[1:] = nonspace[:-1]
-    prev[starts - base] = False  # string boundary counts as whitespace
-    run_start = nonspace & ~prev
-    out["n_tokens"] = _segment_sums(run_start, starts, ends)
-    return out
 
 
 def quality_score_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -212,10 +211,9 @@ def fingerprint_batch(
     buffer; no per-character Python.  Documents shorter than the window
     fall back to the full-text polynomial hash."""
     data, starts, ends = _byte_segments(batch[text_col])
-    full = hash64_utf8(batch[text_col])
-    n = len(starts)
-    out = full.copy()
-    if data.size >= window:
+    out = hash64_utf8(batch[text_col])
+    long = np.flatnonzero(ends - starts >= window)
+    if long.size:
         b = np.uint64(257)
         with np.errstate(over="ignore"):
             pw = np.multiply.accumulate(
@@ -229,10 +227,12 @@ def fingerprint_batch(
                 h += data[j : data.size - window + 1 + j].astype(np.uint64) * pw[
                     window - 1 - j
                 ]
-        for i in range(n):
-            s, e = int(starts[i]), int(ends[i])
-            if e - s >= window:
-                out[i] = h[s : e - window + 1].min()
+        # min over each long doc's windows [s, e - window + 1): the even
+        # slots of one reduceat over the interleaved bounds
+        idx = np.stack([starts[long], ends[long] - window + 1], axis=1).ravel()
+        if idx[-1] == h.size:  # out of range; the last slot runs to the end
+            idx = idx[:-1]
+        out[long] = np.minimum.reduceat(h, idx)[::2]
     return batch.append_column("fingerprint", pa.array(out, pa.uint64()))
 
 
