@@ -18,7 +18,8 @@ kernel caveat that rules out allocation-heavy wall-clock scaling).
 assignment kernels (per-point R-tree + PIP vs scanline grid burn) on the
 seeded high-vertex rings of perfbench's raster_highvertex workload, then
 MB/s of the text byte-class kernel (`text_class_counts`) on perfbench's
-page texts and on a letter-free CJK variant of them.
+page texts and on a letter-free CJK variant of them, then vertices/s of
+the Douglas-Peucker kernel (`simplify_zones_table`) on the same rings.
 """
 
 from __future__ import annotations
@@ -767,7 +768,8 @@ def _kernels():
     `ZoneSet.assign_points` (R-tree + per-part `points_in_ring`) vs
     `ZoneSet.assign_grid` (scanline burn).  Median of 3 passes over every
     tile; the two outputs must be identical.  Prints one JSON line with
-    the calibration block, then a second one for the text kernel."""
+    the calibration block, then one line each for the text and simplify
+    kernels."""
     from perfbench import gen
     from perfbench.workloads import SIZES
     from zonal_stats_toolkit_ray.sources.raster import tile_window
@@ -777,15 +779,14 @@ def _kernels():
     seed = int(args[0]) if args else 1
     size = SIZES["raster_highvertex"]
     grid = gen.world_grid(size["width"])
-    zs = ZoneSet(
-        gen.highvertex_zones(
-            seed,
-            n_zones=size["n_zones"],
-            vertices=size["vertices"],
-            rough_deg=size["rough_px"] * grid.dx,
-            radius_cells=size["radius_cells"],
-        )
+    zones = gen.highvertex_zones(
+        seed,
+        n_zones=size["n_zones"],
+        vertices=size["vertices"],
+        rough_deg=size["rough_px"] * grid.dx,
+        radius_cells=size["radius_cells"],
     )
+    zs = ZoneSet(zones)
     axes = []
     for ty in range(-(-grid.height // grid.tile_size)):
         for tx in range(-(-grid.width // grid.tile_size)):
@@ -827,6 +828,37 @@ def _kernels():
         )
     )
     _text_kernels(calib)
+    _simplify_kernels(calib, seed, zones, 0.5 * abs(grid.dx))
+
+
+def _simplify_kernels(calib: dict, seed: int, zones: pa.Table, tolerance: float):
+    """Third `--kernels` line: vertices/s of `simplify_zones_table`, median
+    of 3, on the raster_highvertex zones at the half-pixel tolerance that
+    `run_job` applies (quirk Q6)."""
+    import pyarrow.compute as pc
+
+    from zonal_stats_toolkit_ray.geom.simplify import simplify_zones_table
+
+    secs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = simplify_zones_table(zones, tolerance)
+        secs.append(time.perf_counter() - t0)
+    vin, vout = (int(pc.sum(pc.list_value_length(t["ring_x"])).as_py()) for t in (zones, out))
+    print(
+        json.dumps(
+            {
+                "metric": "simplify_kernels",
+                "workload": "raster_highvertex",
+                "seed": seed,
+                "rings": zones.num_rows,
+                "vertices_in": vin,
+                "vertices_out": vout,
+                "vertices_in_per_s": round(vin / float(np.median(secs)), 1),
+                "calib": {"pre": calib, "ref": CALIB_REF},
+            }
+        )
+    )
 
 
 def _text_kernels(calib: dict):

@@ -77,6 +77,9 @@ class TestKeyness:
             for _ in range(40):
                 idx = (rng.integers(0, 12, 8) + bias) % 30
                 rows.append({"lang": g, "text": " ".join(vocab[i] for i in idx)})
+        # NULL-lang documents count in the token and corpus totals but
+        # score no rows (the SQL twin's JOIN on lang drops them)
+        rows += [{"lang": None, "text": "w1 w2 w2 w29"}, {"lang": None, "text": "w5"}]
         df = pd.DataFrame(rows)
         for parts in (1, 5):
             got = keyness_terms(
@@ -91,10 +94,14 @@ class TestKeyness:
                 df.assign(tok=df["text"].str.lower().str.split())
                 .explode("tok")
             )
-            gt = toks.groupby(["lang", "tok"]).size().rename("c").reset_index()
+            gt = (
+                toks.groupby(["lang", "tok"], dropna=False)
+                .size().rename("c").reset_index()
+            )
             tt = gt.groupby("tok")["c"].sum()
-            gg = gt.groupby("lang")["c"].sum()
             call = float(gt["c"].sum())
+            gt = gt[gt["lang"].notna()].reset_index(drop=True)
+            gg = gt.groupby("lang")["c"].sum()
             sc = []
             for _, r in gt.iterrows():
                 c, cg, ct = float(r["c"]), float(gg[r["lang"]]), float(tt[r["tok"]])

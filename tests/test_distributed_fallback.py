@@ -192,3 +192,52 @@ def test_window_stats_tree_merge_matches_flat(ray_session):
         assert flat[w]["nodata_count"] == int(nd.sum())
         if valid.size:
             assert np.isclose(flat[w]["sum"], float(valid.sum(dtype=np.float64)))
+
+
+@pytest.mark.parametrize("int_keys", [False, True], ids=["string_keys", "int64_keys"])
+def test_group_percentiles_task_regime(ray_session, monkeypatch, int_keys):
+    """Below ``driver_threshold`` the percentile reduce runs in one Ray task
+    — ``to_pandas`` is never called on the driver — and gives the same
+    dict as the salted shuffle (``driver_threshold=0``), also for one-value
+    groups, an empty Dataset and two concurrent callers (the job threads
+    of ``run_config``)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data import Dataset
+
+    from zonal_stats_toolkit_ray.stages import zonal as Z
+
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 7, 4000)
+    keys[123] = 99  # a one-value group
+    vals = np.round(rng.normal(0, 10, keys.size), 1).astype(np.float32)
+    table = pa.table(
+        {
+            "group_key": pa.array(keys) if int_keys else pa.array([f"g{k}" for k in keys]),
+            "value": pa.array(vals),
+        }
+    )
+    plist = [5.0, 50.0, 95.0]
+
+    def run(ds, **kw):
+        got = Z.group_percentiles_ds(ds, plist, **kw)
+        return {k: [float(v) for v in pv] for k, pv in got.items()}
+
+    ds = rd.from_arrow(table).repartition(4)
+    empty = rd.from_arrow(table.slice(0, 0))
+    salted = run(ds, driver_threshold=0)
+    salted_empty = run(empty, driver_threshold=0)
+
+    def no_driver_rows(self, *a, **kw):
+        raise AssertionError("value rows collected on the driver")
+
+    monkeypatch.setattr(Dataset, "to_pandas", no_driver_rows)
+    got = run(ds)
+    assert got == salted
+    assert got[99 if int_keys else "g99"] == [float(vals[123])] * 3
+    assert len(got) == 8
+    assert run(empty) == salted_empty == {}
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        assert list(ex.map(lambda _: run(ds), range(2))) == [salted, salted]

@@ -80,3 +80,18 @@ class TestUniverseGuard:
             rd.from_pandas(df).repartition(4), key_col="k", value_col="v"
         )
         assert len(out) == 8 and out["n"].sum() == 20_000
+
+    def test_impute_group_median_guarded(self, ray_session, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import guard
+        from zonal_stats_toolkit_ray.stages.normalize import impute_group_median
+
+        df = _continuous_df(20_000)
+        df.loc[::7, "v"] = np.nan
+        ds = rd.from_pandas(df).repartition(4)
+        kw = dict(id_col="event_id", key_col="k", value_col="v")
+        out = impute_group_median(ds, **kw).to_pandas()
+        assert len(out) == 20_000 and out["v_filled"].notna().all()
+        # the universe is checked against the shared default bound
+        monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 1_000)
+        with pytest.raises(ValueError, match="max_universe=1,000"):
+            impute_group_median(ds, **kw)

@@ -503,7 +503,7 @@ def _raster_group_percentiles(
     value) Datasets in ``value_parts``.  Each fid maps to its group's
     ordinal in ``zs.unique_groups`` — an int64 key, so no per-pixel
     strings reach the shuffle — and ``group_percentiles_ds`` picks the
-    driver reduce or the salted distributed one by ``driver_threshold``."""
+    one-task reduce or the salted distributed one by ``driver_threshold``."""
     ordinal = {g: i for i, g in enumerate(zs.unique_groups)}
     ords = np.array([ordinal[zs.fid_to_group[f]] for f in zs.all_fids], np.int64)
     # map, then materialize: an empty map_batches output has no schema
@@ -570,7 +570,8 @@ def zonal_stats_raster(
 
     Percentile value bags — assigned pixels and fallback-window pixels
     alike — reduce in one place (``_raster_group_percentiles``);
-    ``percentile_driver_threshold`` is its driver-or-salted-shuffle cut.
+    ``percentile_driver_threshold`` is its cut between one Ray task (at or
+    below it; no value row reaches the driver) and the salted shuffle.
     """
     if simplify_tolerance is not None and simplify_tolerance > 0:
         # the incoming broadcast handle refers to the UNsimplified zones;

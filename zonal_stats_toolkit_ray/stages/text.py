@@ -1710,13 +1710,17 @@ def keyness_terms(
     import ray
     from ray.data.aggregate import Sum
 
+    from ..functions.scalars import _KEY_PREFIX, GROUP_KEY_NULL
     from .joins import hash_join
 
-    partials = ds.map_batches(
-        keyness_token_counts_batch,
-        batch_format="pyarrow",
-        fn_kwargs={"group_col": group_col, "text_col": text_col},
-    )
+    def keyed_counts(b: pa.Table) -> pa.Table:
+        # encode_group_key's keys (Ray's groupby cannot sort None against str);
+        # NULL counts in the totals but scores no rows, as in the SQL twin
+        t = keyness_token_counts_batch(b, group_col=group_col, text_col=text_col)
+        g = pc.binary_join_element_wise(_KEY_PREFIX, pc.cast(t[group_col], pa.string()), "")
+        return t.set_column(0, group_col, pc.fill_null(g, GROUP_KEY_NULL))
+
+    partials = ds.map_batches(keyed_counts, batch_format="pyarrow")
     gt = (
         partials.repartition(num_partitions)
         .groupby([group_col, "token"])
@@ -1758,10 +1762,9 @@ def keyness_terms(
         )
         if "token" not in b.column_names:
             return out_schema.empty_table()
+        b = b.filter(pc.not_equal(b[group_col], GROUP_KEY_NULL))
         ks, vs, call = ray.get(_ref)
-        gidx = pc.index_in(
-            pc.cast(b[group_col], pa.string()), value_set=ks
-        ).to_numpy(zero_copy_only=False)
+        gidx = pc.index_in(b[group_col], value_set=ks).to_numpy(zero_copy_only=False)
         cg = vs[gidx]
         c = b["c"].to_numpy(zero_copy_only=False).astype(np.float64)
         ct = b["ct"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1772,7 +1775,7 @@ def keyness_terms(
         )
         return pa.table(
             {
-                group_col: pc.cast(b[group_col], pa.string()),
+                group_col: pc.utf8_slice_codeunits(b[group_col], len(_KEY_PREFIX)),
                 "token": pc.cast(b["token"], pa.string()),
                 "score": pa.array(np.round(s, 6), pa.float64()),
             },

@@ -31,6 +31,8 @@ reference holds every pixel in driver RAM instead, ``runner.py:502-508``).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -261,6 +263,26 @@ def reduce_partials(partials_ds, *, tree_threshold: int = 1_000_000) -> pd.DataF
     )
 
 
+def _bag_percentiles(plist: list[float], *tables: pa.Table) -> dict:
+    """(group_key, value) tables → {group: np.percentile of its float32 bag}."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return {}
+    df = pa.concat_tables(tables, promote_options="permissive").to_pandas()
+    return {
+        key: list(np.percentile(g["value"].to_numpy(dtype=np.float32), plist))
+        for key, g in df.groupby("group_key", sort=False)
+    }
+
+
+@functools.cache
+def _bag_percentiles_task():
+    """``_bag_percentiles`` as one cached remote function (exported once)."""
+    import ray
+
+    return ray.remote(_bag_percentiles)
+
+
 def group_percentiles_ds(
     values_ds, plist: list[float], *, driver_threshold: int = 2_000_000
 ) -> dict[str, list[float]]:
@@ -268,8 +290,9 @@ def group_percentiles_ds(
     ``np.percentile`` (linear interpolation — matches ``runner.py:891-904``
     bit-for-bit on float32-downcast values).
 
-    Adaptive execution: below ``driver_threshold`` rows the values stream
-    to the driver (a distributed sort-shuffle costs seconds of fixed
+    Adaptive execution: up to ``driver_threshold`` rows ONE Ray task takes
+    the blocks by reference and returns just the dict, so no value row
+    reaches the driver (a distributed sort-shuffle costs seconds of fixed
     overhead to move kilobytes); above it, the SALTED two-level shuffle
     (``salted_group_percentiles``) fans each group's collect/sort over
     ``salt_buckets`` tasks — round-2 fix: the flagship large-N branch used
@@ -281,18 +304,16 @@ def group_percentiles_ds(
     reference instead holds ALL groups' values in one process
     (``runner.py:502-508``), so this is strictly more scalable.
     """
+    import ray
+
     plist = sorted(set(float(p) for p in plist))
     try:
         n = values_ds.count()
     except Exception:
         n = None
     if n is not None and n <= driver_threshold:
-        df = values_ds.to_pandas()
-        out: dict[str, list[float]] = {}
-        for key, g in df.groupby("group_key", sort=False):
-            vals = g["value"].to_numpy(dtype=np.float32)
-            out[key] = list(np.percentile(vals, plist)) if vals.size else [None] * len(plist)
-        return out
+        task = _bag_percentiles_task()
+        return ray.get(task.remote(plist, *values_ds.to_arrow_refs()))
 
     return salted_group_percentiles(values_ds, plist)
 
