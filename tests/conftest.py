@@ -28,6 +28,30 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def force_tree(monkeypatch):
+    """→ ``force(*modules, driver_rows=0)``: sets the tree-combine driver
+    budget (``guard.DRIVER_ROWS``) and spies on each module's
+    ``tree_combine``; returns the list that gets the level count of every
+    call."""
+    from zonal_stats_toolkit_ray.stages import guard
+
+    def force(*modules, driver_rows=0):
+        levels: list[int] = []
+        monkeypatch.setattr(guard, "DRIVER_ROWS", driver_rows)
+        for mod in modules:
+
+            def spy(ds, kernel, _combine=mod.tree_combine):
+                frame, n = _combine(ds, kernel)
+                levels.append(n)
+                return frame, n
+
+            monkeypatch.setattr(mod, "tree_combine", spy)
+        return levels
+
+    return force
+
+
 @pytest.fixture(scope="session")
 def ray_entry_module(ray_session):
     """__ray_entry__ loaded ONCE under its canonical module name (Ray

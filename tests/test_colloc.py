@@ -63,11 +63,12 @@ class TestBigramPmi:
 
 
 class TestKeyness:
-    def test_matches_bruteforce_logodds(self, ray_session):
+    def test_matches_bruteforce_logodds(self, ray_session, force_tree):
         import numpy as np
         import pandas as pd
         import ray.data as rd
 
+        from zonal_stats_toolkit_ray.stages import text
         from zonal_stats_toolkit_ray.stages.text import keyness_terms
 
         rng = np.random.default_rng(31)
@@ -81,14 +82,14 @@ class TestKeyness:
         # score no rows (the SQL twin's JOIN on lang drops them)
         rows += [{"lang": None, "text": "w1 w2 w2 w29"}, {"lang": None, "text": "w5"}]
         df = pd.DataFrame(rows)
+        levels = force_tree(text)  # force at least one tree level
         for parts in (1, 5):
             got = keyness_terms(
                 rd.from_pandas(df).repartition(parts),
                 group_col="lang",
                 top_n=3,
-                driver_threshold=5,  # force at least one tree level
-                fan_in=2,
             )
+            assert levels[-1] >= 1, levels
             # brute force
             toks = (
                 df.assign(tok=df["text"].str.lower().str.split())

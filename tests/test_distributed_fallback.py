@@ -155,13 +155,50 @@ def test_fallback_paths_agree(ray_session, monkeypatch):
                 assert np.isclose(float(a), float(b), rtol=1e-9), (g, k, a, b)
 
 
-def test_window_stats_tree_merge_matches_flat(ray_session):
-    """Round-3 (VERDICT #4): with tree_threshold=0 the Q4 fallback merge
-    runs through the partials reduction tree instead of one driver groupby
-    over every (window, tile) row — results must be identical, and a ~10³
-    window sweep completes without a driver blowup."""
+@pytest.mark.parametrize("percentiles", [[], [50.0]], ids=["plain", "p50"])
+def test_driver_read_and_sweep_agree(ray_session, monkeypatch, percentiles):
+    """One zero-pixel fallback window set through both Q4 branches: the
+    driver read (≤ ``_DRIVER_WINDOWS`` windows, the default here) and the
+    tile sweep (``_DRIVER_WINDOWS`` = 0).  The set includes a two-part FID,
+    so the last-part-wins overwrite runs on both.  Float64 sums add in a
+    different order on the two paths, hence the tolerance on sum/stdev."""
     import ray.data as rd
 
+    from zonal_stats_toolkit_ray.pipelines import zonal as PZ
+
+    sweeps = _record_sweeps(monkeypatch)
+    zt = synth_zones(seed=42, n_zones=24, include_subpixel=True, subpixel_size=0.01)
+    fids = zt["zone_fid"].to_numpy()
+    assert (np.bincount(fids) > 1).any()  # a multi-part FID
+    zs = ZoneSet(zt)
+    tiles = rd.from_arrow(synth_tiles_table(GRID, seed=9)).repartition(5)
+    read = zonal_stats_raster(tiles, GRID, zs, percentiles=percentiles)
+    assert sweeps == [], sweeps
+    monkeypatch.setattr(PZ, "_DRIVER_WINDOWS", 0)
+    swept = zonal_stats_raster(tiles, GRID, zs, percentiles=percentiles)
+    assert len(sweeps) == 1 and sweeps[0] >= 3, sweeps  # both parts swept
+    assert set(read) == set(swept)
+    exact = ["min", "max", "count", "nodata_count", "valid_count"]
+    exact += [f"p{int(p)}" for p in percentiles]
+    for g in read:
+        for k in exact:
+            assert read[g][k] == swept[g][k], (g, k, read[g][k], swept[g][k])
+        for k in ("sum", "stdev"):
+            a, b = read[g][k], swept[g][k]
+            if a is None or b is None:
+                assert a is b, (g, k, a, b)
+            else:
+                assert np.isclose(a, b, rtol=1e-12, atol=0), (g, k, a, b)
+
+
+def test_window_stats_tree_merge_matches_flat(ray_session, force_tree):
+    """With a zero driver budget the Q4 fallback merge runs through the
+    partials reduction tree instead of one driver groupby over every
+    (window, tile) row — results must be identical, and a ~10³ window
+    sweep completes without a driver blowup."""
+    import ray.data as rd
+
+    import zonal_stats_toolkit_ray.stages.zonal as Z
     from zonal_stats_toolkit_ray.pipelines.zonal import _window_stats_distributed
 
     rng = np.random.default_rng(3)
@@ -174,7 +211,9 @@ def test_window_stats_tree_merge_matches_flat(ray_session):
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=13)).repartition(6)
 
     flat = _window_stats_distributed(tiles, GRID, specs)
-    tree = _window_stats_distributed(tiles, GRID, specs, tree_threshold=0)
+    levels = force_tree(Z)
+    tree = _window_stats_distributed(tiles, GRID, specs)
+    assert levels == [1], levels
     assert set(flat) == set(tree) == set(range(n_win))
     for w in flat:
         for k in ("count", "nodata_count", "sum", "sumsq", "min", "max"):

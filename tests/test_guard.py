@@ -1,11 +1,17 @@
-"""Code-enforced bounded-universe guard (round 5, VERDICT r4 #4).
+"""The two driver guards of stages/guard.py.
 
-The value-universe statistics family documents a bounded-universe regime;
-these tests pin that the regime is now enforced in CODE: a continuous
-value column whose distinct universe exceeds ``max_universe`` fails fast
-with guidance naming the salted-percentile alternative, BEFORE anything
-universe-sized reaches the driver, while bounded inputs are unaffected.
+Universe cap: a continuous value column whose distinct universe exceeds
+``max_universe`` fails fast with guidance naming the salted-percentile
+alternative, BEFORE anything universe-sized reaches the driver, while
+bounded inputs are unaffected.
+
+Tree budget: ``tree_combine`` is the one repartition-and-recombine loop in
+the package; it ends on any kernel, and no other ``while`` loop
+repartitions.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -95,3 +101,48 @@ class TestUniverseGuard:
         monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 1_000)
         with pytest.raises(ValueError, match="max_universe=1,000"):
             impute_group_median(ds, **kw)
+
+
+class TestTreeCombine:
+    def test_levels_end_even_when_the_kernel_does_not_shrink(
+        self, ray_session, force_tree
+    ):
+        # an identity kernel never gets under a zero budget: the block count
+        # alone must end the loop (20 → 2 → 1 blocks), rows intact
+        from zonal_stats_toolkit_ray.stages import guard
+
+        force_tree()
+        ds = rd.from_pandas(pd.DataFrame({"x": np.arange(200)})).repartition(20)
+        frame, levels = guard.tree_combine(ds, lambda t: t)
+        assert levels == 2
+        assert sorted(frame["x"]) == list(range(200))
+
+
+def _repartitioning_while_loops(tree: ast.AST):
+    """Yield the enclosing function name of every ``while`` loop whose body
+    calls ``.repartition(``."""
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.While) and any(
+            isinstance(c, ast.Call)
+            and isinstance(c.func, ast.Attribute)
+            and c.func.attr == "repartition"
+            for c in ast.walk(node)
+        ):
+            yield fn
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+
+    yield from visit(tree, None)
+
+
+def test_tree_combine_is_the_only_repartition_loop():
+    pkg = Path(__file__).resolve().parents[1] / "zonal_stats_toolkit_ray"
+    found = [
+        (str(path.relative_to(pkg)), fn)
+        for path in sorted(pkg.rglob("*.py"))
+        for fn in _repartitioning_while_loops(ast.parse(path.read_text()))
+    ]
+    assert found == [("stages/guard.py", "tree_combine")], found

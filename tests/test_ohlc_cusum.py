@@ -50,14 +50,16 @@ class TestOHLC:
             assert row.high == w["high"] and row.low == w["low"]
             assert row.n == w["n"]
 
-    def test_tree_combine_regime(self, rd):
+    def test_tree_combine_regime(self, rd, force_tree):
         from zonal_stats_toolkit_ray.stages import ohlc as mod
 
         rng = np.random.default_rng(14)
         df = make_events(rng, n=2000)
         ds = rd.from_pandas(df).repartition(8)
         a = mod.ohlc(ds, bucket_s=86400)
-        b = mod.ohlc(ds, bucket_s=86400, driver_threshold=10, fan_in=3)
+        assert mod.LAST_OHLC_STATS["combine_rounds"] == 0
+        force_tree()
+        b = mod.ohlc(ds, bucket_s=86400)
         assert mod.LAST_OHLC_STATS["combine_rounds"] >= 1
         pd.testing.assert_frame_equal(a, b)
 

@@ -42,20 +42,20 @@ class TestSkyline:
         # frontier is strictly decreasing in y as x increases
         assert (np.diff(got["x"]) > 0).all() and (np.diff(got["y"]) < 0).all()
 
-    def test_tree_combine_regime(self, rd):
-        """driver_threshold=1 forces distributed re-reduction; result equal
-        to the driver regime."""
-        from zonal_stats_toolkit_ray.stages.pareto import (
-            LAST_SKYLINE_STATS,
-            skyline,
-        )
+    def test_tree_combine_regime(self, rd, force_tree):
+        """A zero driver budget forces distributed re-reduction; result
+        equal to the driver regime."""
+        from zonal_stats_toolkit_ray.stages import pareto
+        from zonal_stats_toolkit_ray.stages.pareto import skyline
 
         rng = np.random.default_rng(9)
         x = rng.integers(0, 25, 2000).astype(float)
         y = rng.integers(0, 1000, 2000).astype(float)
         ds = rd.from_pandas(pd.DataFrame({"a": x, "b": y})).repartition(9)
         a = skyline(ds, x_col="a", y_col="b")
-        b = skyline(ds, x_col="a", y_col="b", driver_threshold=1, fan_in=2)
+        force_tree()
+        b = skyline(ds, x_col="a", y_col="b")
+        assert pareto.LAST_SKYLINE_STATS["combine_rounds"] >= 1
         pd.testing.assert_frame_equal(a, b)
 
     def test_nan_and_single_point(self, rd):

@@ -215,10 +215,10 @@ class TestTopK:
             ), key
         assert got["rank"].tolist() == [1, 2, 3, 4, 5, 6, 7] * 3
 
-    def test_tree_combine_bounds_driver_frame(self, ray_session):
-        """Round-4 (VERDICT r3 #2): with a low driver_threshold the tree
-        combine must engage and the driver frame must stay ≤ groups × k —
-        never the unbounded blocks × groups × k."""
+    def test_tree_combine_bounds_driver_frame(self, ray_session, force_tree):
+        """With a low driver budget the tree combine must engage and the
+        driver frame must stay ≤ groups × k — never the unbounded
+        blocks × groups × k."""
         import ray.data as rd
 
         from zonal_stats_toolkit_ray.stages.rank import LAST_TOPK_STATS
@@ -233,14 +233,13 @@ class TestTopK:
                 "value": rng.normal(size=n),
             }
         )
+        force_tree(driver_rows=30_000)
         got = topk_per_group(
             rd.from_pandas(df).repartition(16),
             key_col="grp",
             value_col="value",
             id_col="event_id",
             k=k,
-            driver_threshold=30_000,
-            fan_in=4,
         )
         present = df["grp"].nunique()
         assert LAST_TOPK_STATS["tree_levels"] >= 1
@@ -606,10 +605,10 @@ class TestBivarMode:
         assert (merged["mode_value"] == merged["v"]).all()
         assert (merged["n"] == merged["size"]).all()
 
-    def test_mode_per_group_tree_combine_bounds_driver(self, ray_session):
-        # VERDICT r4 #2 stress: ≥100k keys across many blocks — the driver
-        # frame must stay ≤ max(driver_threshold, #keys), with at least one
-        # tree level applied, and the result must still be exact.
+    def test_mode_per_group_tree_combine_bounds_driver(self, ray_session, force_tree):
+        # stress: ≥100k keys across many blocks — the driver frame must
+        # stay ≤ max(driver budget, #keys), with at least one tree level
+        # applied, and the result must still be exact.
         import ray.data as rd
         from zonal_stats_toolkit_ray.stages.rank import (
             LAST_MODE_STATS,
@@ -625,15 +624,15 @@ class TestBivarMode:
         )  # value==key twice, key+1e6 once -> mode is `key`
         perm = rng.permutation(keys.size)
         df = pd.DataFrame({"k": keys[perm], "v": vals[perm]})
-        thr = 150_000
+        thr = 50_000  # below the ~100k local-mode candidates: forces a level
+        force_tree(driver_rows=thr)
         got = mode_per_group(
             rd.from_pandas(df).repartition(32),
             key_col="k",
             value_col="v",
             num_partitions=16,
-            driver_threshold=thr,
-            fan_in=4,
         )
+        assert LAST_MODE_STATS["tree_levels"] >= 1
         assert LAST_MODE_STATS["driver_rows"] <= max(thr, n_keys)
         assert len(got) == n_keys
         assert (got["mode_value"].to_numpy() == got["k"].to_numpy()).all()

@@ -99,28 +99,47 @@ def test_tree_combine_matches_driver_merge(ray_session):
         assert _rel_range_err(b[k], want, g) < 0.02, k
 
 
+def _zipf_corpus():
+    """8-block corpus of 1000 docs × 50 zipf tokens → (ds, tokens)."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(7)
+    toks = rng.zipf(1.3, 50_000).astype(str)
+    docs = [" ".join(toks[i : i + 50]) for i in range(0, 50_000, 50)]
+    return rd.from_pandas(pd.DataFrame({"text": docs})).repartition(8), toks
+
+
+def _assert_misra_gries(out, toks, m):
+    # every reported est ≤ exact, undercount ≤ N/(m+1), and every token
+    # above threshold is reported
+    assert len(out) <= m
+    exact = pd.Series(toks).value_counts()
+    n = len(toks)
+    est = dict(zip(out["token"], out["est"]))
+    for t, e in est.items():
+        assert e <= exact[t]
+        assert (exact[t] - e) * (m + 1) <= n
+    for t in exact.index[exact * (m + 1) > n]:
+        assert t in est
+
+
 class TestMisraGries:
     def test_guarantees_on_zipf(self, ray_session):
-        # random zipf stream: every reported est ≤ exact, undercount ≤
-        # N/(m+1), and every token above threshold is reported
-        import ray.data as rd
         from zonal_stats_toolkit_ray.stages.sketch import heavy_hitters
 
-        rng = np.random.default_rng(7)
-        toks = rng.zipf(1.3, 50_000).astype(str)
-        docs = [" ".join(toks[i : i + 50]) for i in range(0, 50_000, 50)]
-        ds = rd.from_pandas(pd.DataFrame({"text": docs})).repartition(8)
-        m = 32
-        out = heavy_hitters(ds, m=m)
-        assert len(out) <= m
-        exact = pd.Series(toks).value_counts()
-        n = len(toks)
-        est = dict(zip(out["token"], out["est"]))
-        for t, e in est.items():
-            assert e <= exact[t]
-            assert (exact[t] - e) * (m + 1) <= n
-        for t in exact.index[exact * (m + 1) > n]:
-            assert t in est
+        ds, toks = _zipf_corpus()
+        _assert_misra_gries(heavy_hitters(ds, m=32), toks, 32)
+
+    def test_tree_combine_ends_above_budget(self, ray_session, force_tree):
+        # a zero budget stays above the m-row summary forever; the combine
+        # must still end once the partials are down to one block
+        from zonal_stats_toolkit_ray.stages import sketch
+
+        ds, toks = _zipf_corpus()
+        levels = force_tree(sketch)
+        out = sketch.heavy_hitters(ds, m=32)
+        assert levels and levels[0] >= 1, levels
+        _assert_misra_gries(out, toks, 32)
 
     def test_decrement_kernel(self):
         from zonal_stats_toolkit_ray.stages.sketch import mg_decrement

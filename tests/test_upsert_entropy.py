@@ -35,7 +35,8 @@ class TestLatestByKey:
         assert got["ver"].tolist() == want["ver"].tolist()
         assert got["payload"].tolist() == want["payload"].tolist()
 
-    def test_tree_combine_matches_driver(self, rd):
+    def test_tree_combine_matches_driver(self, rd, force_tree):
+        from zonal_stats_toolkit_ray.stages import incremental
         from zonal_stats_toolkit_ray.stages.incremental import latest_by_key
 
         rng = np.random.default_rng(9)
@@ -48,9 +49,9 @@ class TestLatestByKey:
         )
         ds = rd.from_pandas(df).repartition(6)
         a = latest_by_key(ds, key_col="k", order_cols=["ver"])
-        b = latest_by_key(
-            ds, key_col="k", order_cols=["ver"], driver_threshold=10, fan_in=2
-        )
+        levels = force_tree(incremental)
+        b = latest_by_key(ds, key_col="k", order_cols=["ver"])
+        assert levels == [1], levels
         pd.testing.assert_frame_equal(a, b)
 
     def test_multi_column_order(self, rd):

@@ -257,24 +257,22 @@ def test_directory_raster_matches_single_file(ray_session, tmp_path):
     _stats_equal(b, a)
 
 
-def test_reduce_partials_tree_combine(ray_session, tiles_ds):
-    """tree_threshold=0 forces the pre-combine level; the merged stats must
-    be identical to the direct driver merge."""
+def test_reduce_partials_tree_combine(ray_session, tiles_ds, force_tree):
+    """A zero driver budget forces the pre-combine level; the merged stats
+    must be identical to the direct driver merge."""
     import zonal_stats_toolkit_ray.stages.zonal as Z
     from zonal_stats_toolkit_ray.pipelines.zonal import tile_fid_partials_batch
 
     zt = synth_zones(seed=42, n_zones=24)
-    partials = tiles_ds.map_batches(
+    partials = tiles_ds.repartition(4).map_batches(
         tile_fid_partials_batch,
         fn_kwargs={"zones": zt, "grid": GRID},
         batch_format="pyarrow",
     ).materialize()
     direct = Z.reduce_partials(partials).sort_values("group_key").reset_index(drop=True)
-    tree = (
-        Z.reduce_partials(partials, tree_threshold=0)
-        .sort_values("group_key")
-        .reset_index(drop=True)
-    )
+    levels = force_tree(Z)
+    tree = Z.reduce_partials(partials).sort_values("group_key").reset_index(drop=True)
+    assert levels == [1], levels
     assert np.array_equal(direct["group_key"].to_numpy(), tree["group_key"].to_numpy())
     for c in ("count", "nodata_count", "min", "max"):
         assert np.allclose(direct[c].to_numpy(), tree[c].to_numpy(), equal_nan=True)

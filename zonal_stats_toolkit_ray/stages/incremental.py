@@ -47,6 +47,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .dedup import content_hash_batch
+from .guard import tree_combine
 
 # priority bit for the corpus-precedence min: corpus entries keep their raw
 # id, shard entries are offset by 2^62, so an integer Min picks the corpus
@@ -435,8 +436,6 @@ def latest_by_key(
     *,
     key_col: str,
     order_cols: list[str],
-    driver_threshold: int = 1_000_000,
-    fan_in: int = 8,
 ):
     """Latest-record-wins compaction (the CDC / MERGE-upsert reduce):
     keep, per key, the single row with the LARGEST ``order_cols`` tuple
@@ -449,8 +448,8 @@ def latest_by_key(
     Shape: per-key ARGMAX over full rows is associative — each block
     reduces to ≤ keys-per-block winner ROWS (one lexsort per batch, rows
     carried whole, no payload reshuffle); winners re-reduce with the same
-    kernel behind ``driver_threshold`` (the rank.py tree-combine shape)
-    and the survivor set is the merged table."""
+    kernel in ``guard.tree_combine`` above the driver budget and the
+    survivor set is the merged table."""
     import pandas as pd
 
     def winners(b: pa.Table) -> pa.Table:
@@ -468,16 +467,7 @@ def latest_by_key(
         last = np.r_[ck[1:] != ck[:-1], True]
         return b.take(pa.array(order[np.flatnonzero(last)]))
 
-    cand = ds.map_batches(winners, batch_format="pyarrow").materialize()
-    n = cand.count()
-    while n > driver_threshold:
-        cand = cand.repartition(fan_in).map_batches(
-            winners, batch_format="pyarrow", batch_size=None
-        ).materialize()
-        prev, n = n, cand.count()
-        if n >= prev:
-            break
-    df = cand.to_pandas()
+    df, _ = tree_combine(ds.map_batches(winners, batch_format="pyarrow"), winners)
     if len(df.columns) == 0:
         return df
     final = (

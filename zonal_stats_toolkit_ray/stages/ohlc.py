@@ -6,9 +6,9 @@ FIRST/LAST per group are ARGMIN/ARGMAX aggregates: each block emits, per
 (ts, id) tuple plus min/max/count partials — one arrow-native grouped
 reduce per batch, vectorized by lexsort + run boundaries.  Partials are
 associative: merging keeps the value whose (ts, id) tuple wins.  The
-merge is the threshold-gated shape of stages/rank.py: a driver pandas
-merge below ``driver_threshold`` partial rows, else repartition +
-re-apply the same associative kernel (tree combine) first.
+partials collect through ``guard.tree_combine``, which re-applies the
+same merge over fanned-in blocks while they exceed the driver budget;
+the final merge is a driver pandas merge.
 
 Ties: (ts, id) tuples are unique when ``id_col`` is unique — open/close
 are deterministic, matching SQL ``ROW_NUMBER() OVER (ORDER BY ts, id)``.
@@ -19,10 +19,14 @@ Reference parity: generalizes the reference's per-zone min/max partials
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .guard import tree_combine
 
 LAST_OHLC_STATS: dict = {}
 
@@ -128,6 +132,16 @@ def _merge_partials(df: pd.DataFrame, key_col: str) -> pd.DataFrame:
     return out
 
 
+def _merge_partials_table(t: pa.Table, *, key_col: str) -> pa.Table:
+    """``_merge_partials`` as a combine kernel: the ts/id columns already
+    carry the winning tuples, so partials re-merge as-is."""
+    if key_col not in t.column_names:
+        return t
+    return pa.Table.from_pandas(
+        _merge_partials(t.to_pandas(), key_col), preserve_index=False
+    )
+
+
 def ohlc(
     ds,
     *,
@@ -136,12 +150,11 @@ def ohlc(
     id_col: str = "event_id",
     value_col: str = "value",
     bucket_s: int = 86400,
-    driver_threshold: int = 1_000_000,
-    fan_in: int = 8,
 ) -> pd.DataFrame:
     """→ DataFrame(key, bucket, open, high, low, close, n) — bucket is
     ``epoch_us // (bucket_s · 10⁶)``.  One input pass; the exchange is
-    partial rows (groups per block), never events."""
+    partial rows (groups per block), never events, tree-combined by
+    ``guard.tree_combine`` above the driver budget."""
     global LAST_OHLC_STATS
     part = ds.map_batches(
         ohlc_partials_batch,
@@ -153,29 +166,11 @@ def ohlc(
             value_col=value_col,
             bucket_s=bucket_s,
         ),
-    ).materialize()
-    rounds = 0
-    n = part.count()
-    while n > driver_threshold:
-        # associative: re-apply the same kernel on repartitioned partials
-        # (ts/id columns already carry the winning tuples)
-        def rekernel(t: pa.Table) -> pa.Table:
-            if key_col not in t.column_names:
-                return t
-            df = t.to_pandas()
-            return pa.Table.from_pandas(
-                _merge_partials(df, key_col), preserve_index=False
-            )
-
-        part = part.repartition(fan_in).map_batches(
-            rekernel, batch_format="pyarrow", batch_size=None
-        ).materialize()
-        rounds += 1
-        prev, n = n, part.count()
-        if n >= prev:
-            break
-    df = part.to_pandas()
-    LAST_OHLC_STATS = {"partial_rows": int(n), "combine_rounds": rounds}
+    )
+    df, rounds = tree_combine(
+        part, functools.partial(_merge_partials_table, key_col=key_col)
+    )
+    LAST_OHLC_STATS = {"partial_rows": len(df), "combine_rounds": rounds}
     if df.empty or len(df.columns) == 0:
         return pd.DataFrame(
             columns=[key_col, "bucket", "open", "high", "low", "close", "n"]

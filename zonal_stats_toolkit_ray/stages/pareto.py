@@ -11,10 +11,9 @@ Distributed shape: the skyline operator is ASSOCIATIVE — every global
 skyline point is a skyline point of any subset containing it, so
 ``skyline(S ∪ T) ⊆ skyline(S) ∪ skyline(T)``.  Each block reduces to its
 local frontier (one lexsort + cummax, no Python loops), candidate volume
-is Σ per-block frontier sizes (≤ distinct-x per block); above
-``driver_threshold`` candidates the associative kernel re-applies after a
-repartition (the tree-combine shape of stages/rank.py:topk_per_group)
-before the driver finalize.
+is Σ per-block frontier sizes (≤ distinct-x per block); above the driver
+budget ``guard.tree_combine`` re-applies the associative kernel over
+fanned-in blocks before the driver finalize.
 
 Reference parity: no counterpart in runner.py — part of the analytics
 surface (SURVEY §2 graft extensions).
@@ -22,10 +21,14 @@ surface (SURVEY §2 graft extensions).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .guard import tree_combine
 
 LAST_SKYLINE_STATS: dict = {}
 
@@ -62,41 +65,23 @@ def skyline_batch(b: pa.Table, *, x_col: str, y_col: str) -> pa.Table:
     )
 
 
-def skyline(
-    ds,
-    *,
-    x_col: str,
-    y_col: str,
-    driver_threshold: int = 200_000,
-    fan_in: int = 8,
-) -> pd.DataFrame:
+def skyline(ds, *, x_col: str, y_col: str) -> pd.DataFrame:
     """Global 2-D skyline → DataFrame(x, y) ascending by x.
 
     One input pass reduces every block to its local frontier; candidates
-    re-reduce distributed (repartition + re-apply, the associative
-    tree-combine shape) while they exceed ``driver_threshold``; the final
-    frontier-sized frame finalizes on the driver with the same kernel."""
+    re-reduce with the same kernel in ``guard.tree_combine`` while they
+    exceed the driver budget; the final frontier-sized frame finalizes on
+    the driver with the same kernel."""
     global LAST_SKYLINE_STATS
     cand = ds.map_batches(
         skyline_batch,
         batch_format="pyarrow",
         fn_kwargs={"x_col": x_col, "y_col": y_col},
-    ).materialize()
-    rounds = 0
-    n = cand.count()
-    while n > driver_threshold:
-        cand = cand.repartition(fan_in).map_batches(
-            skyline_batch,
-            batch_format="pyarrow",
-            fn_kwargs={"x_col": "x", "y_col": "y"},
-            batch_size=None,
-        ).materialize()
-        rounds += 1
-        prev, n = n, cand.count()
-        if n >= prev:  # frontier converged; it fits or nothing shrinks
-            break
-    df = cand.to_pandas()
-    LAST_SKYLINE_STATS = {"candidate_rows": int(n), "combine_rounds": rounds}
+    )
+    df, rounds = tree_combine(
+        cand, functools.partial(skyline_batch, x_col="x", y_col="y")
+    )
+    LAST_SKYLINE_STATS = {"candidate_rows": len(df), "combine_rounds": rounds}
     if len(df.columns) == 0:  # zero-block pipeline (sandbox lesson #27)
         return pd.DataFrame({"x": [], "y": []})
     out = skyline_batch(pa.Table.from_pandas(df), x_col="x", y_col="y").to_pandas()

@@ -5,17 +5,21 @@ language", "top N events per type".  Ray Data has ``Dataset.sort`` +
 ``limit`` (global) but no grouped top-k; a full groupby-sort would
 shuffle the corpus.  Instead each batch keeps only its LOCAL top-k per
 group (vectorized lexsort, no Python row loop); the slim local winners
-then tree-combine (the kernel is associative) until they fit a driver
-merge — round 4: the driver frame is bounded by ``driver_threshold``
-regardless of #groups × #blocks (VERDICT r3 #2).
+then tree-combine (the kernel is associative, ``guard.tree_combine``)
+until they fit a driver merge — the driver frame is bounded by the
+driver budget regardless of #groups × #blocks.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .guard import tree_combine
 
 # telemetry for tests/audits: rows the driver actually collected in the
 # last topk_per_group call, and tree-combine levels applied
@@ -93,21 +97,17 @@ def mode_per_group(
     key_col: str,
     value_col: str,
     num_partitions: int = 4,
-    driver_threshold: int = 1_000_000,
-    fan_in: int = 8,
 ) -> pd.DataFrame:
     """Most frequent ``value_col`` per ``key_col`` (the modal category —
     e.g. dominant language per source/host) → DataFrame(key, mode_value, n).
 
     Shape: in-batch (key, value) count partials (distinct pairs per block,
     never input rows) → one hash aggregate over the pair universe → a local
-    argmax kernel per output block (≤ #keys rows each) → TREE COMBINE
-    (round 5, VERDICT r4 #2: the kernel is associative, so while the
-    surviving candidate set exceeds ``driver_threshold`` rows the blocks
-    repartition by ``fan_in`` and re-apply it — mode per *host* on a web
-    corpus has 10⁷–10⁸ keys × hundreds of blocks, and the old flat driver
-    merge collected all of it) → driver merge of ≤ max(driver_threshold,
-    #keys) rows with the SAME kernel.  Ties break to the smallest value
+    argmax kernel per output block (≤ #keys rows each) → ``guard.tree_combine``
+    (the kernel is associative, so above the driver budget it re-applies
+    over fanned-in blocks — mode per *host* on a web corpus has 10⁷–10⁸
+    keys × hundreds of blocks) → driver merge of ≤ max(budget, #keys) rows
+    with the SAME kernel.  Ties break to the smallest value
     (deterministic)."""
     from ray.data.aggregate import Sum
 
@@ -129,21 +129,10 @@ def mode_per_group(
         .aggregate(Sum("n", alias_name="n"))
     )
     kw = dict(key_col=key_col, value_col=value_col)
-    local = pairs.map_batches(
-        mode_batch, fn_kwargs=kw, batch_format="pyarrow"
-    ).materialize()
-    levels = 0
-    while local.count() > driver_threshold:
-        nblocks = local.num_blocks()
-        if nblocks <= 1:
-            break  # one block already holds one row per key: exact minimum
-        local = (
-            local.repartition(max(1, nblocks // fan_in))
-            .map_batches(mode_batch, fn_kwargs=kw, batch_format="pyarrow")
-            .materialize()
-        )
-        levels += 1
-    frame = local.to_pandas()  # ≤ max(driver_threshold, #keys) rows
+    frame, levels = tree_combine(
+        pairs.map_batches(mode_batch, fn_kwargs=kw, batch_format="pyarrow"),
+        functools.partial(mode_batch, **kw),
+    )
     LAST_MODE_STATS["driver_rows"] = len(frame)
     LAST_MODE_STATS["tree_levels"] = levels
     if len(frame) == 0:
@@ -163,36 +152,22 @@ def topk_per_group(
     value_col: str,
     id_col: str,
     k: int = 10,
-    driver_threshold: int = 1_000_000,
-    fan_in: int = 8,
 ) -> pd.DataFrame:
     """Exact grouped top-k → (key, rank, id, value), rank 1-based, ties
     broken by ascending id (deterministic).
 
-    Local top-k per batch → TREE COMBINE (round 4, VERDICT r3 #2): while
-    the surviving candidate set exceeds ``driver_threshold`` rows,
-    repartition by ``fan_in`` and re-apply the (associative) local kernel —
-    each level shrinks the per-group candidates toward k, so the driver
-    frame is ≤ max(driver_threshold, #groups × k) instead of the unbounded
-    #blocks × #groups × k.  The same ``reduce_partials(tree_threshold=)``
-    shape as stages/zonal.py.  Rows with NaN ``value_col`` are excluded
-    (see :func:`topk_per_group_batch`)."""
+    Local top-k per batch → ``guard.tree_combine``: above the driver
+    budget the (associative) local kernel re-applies over fanned-in
+    blocks, each level shrinking the per-group candidates toward k, so the
+    driver frame is ≤ max(budget, #groups × k) instead of the unbounded
+    #blocks × #groups × k — the same collect as ``reduce_partials`` in
+    stages/zonal.py.  Rows with NaN ``value_col`` are excluded (see
+    :func:`topk_per_group_batch`)."""
     kw = dict(key_col=key_col, value_col=value_col, id_col=id_col, k=k)
-    local = ds.map_batches(
-        topk_per_group_batch, fn_kwargs=kw, batch_format="pyarrow"
-    ).materialize()
-    levels = 0
-    while local.count() > driver_threshold:
-        nblocks = local.num_blocks()
-        if nblocks <= 1:
-            break  # one block already holds per-group top-k: exact minimum
-        local = (
-            local.repartition(max(1, nblocks // fan_in))
-            .map_batches(topk_per_group_batch, fn_kwargs=kw, batch_format="pyarrow")
-            .materialize()
-        )
-        levels += 1
-    frame = local.to_pandas()
+    frame, levels = tree_combine(
+        ds.map_batches(topk_per_group_batch, fn_kwargs=kw, batch_format="pyarrow"),
+        functools.partial(topk_per_group_batch, **kw),
+    )
     LAST_TOPK_STATS["driver_rows"] = len(frame)
     LAST_TOPK_STATS["tree_levels"] = levels
     if len(frame) == 0:

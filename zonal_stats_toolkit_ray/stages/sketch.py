@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .guard import tree_combine
+
 
 class HistSketch:
     """Weighted centroid histogram with a fixed budget ``b``."""
@@ -335,8 +337,6 @@ def heavy_hitters(
     *,
     text_col: str = "text",
     m: int = 256,
-    fan_in: int = 8,
-    driver_threshold: int = 500_000,
 ) -> pd.DataFrame:
     """→ DataFrame(token, est) — a merged Misra–Gries summary of ≤ ``m``
     counters over the corpus's whitespace tokens (shared doc_frequency
@@ -348,9 +348,8 @@ def heavy_hitters(
 
     Shape: per-batch exact counts → per-batch MG summary (≤ m rows) →
     associative k-way summary merges.  Partial volume is blocks × m rows;
-    above ``driver_threshold`` a tree round (repartition(``fan_in``) +
-    per-block k-way merge) runs first — the ``reduce_partials`` shape.
-    The final merge folds on the driver over ≤ threshold rows."""
+    above the driver budget ``guard.tree_combine`` k-way merges fanned-in
+    blocks first.  The final merge folds on the driver."""
     import pyarrow.compute as pc
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -387,14 +386,7 @@ def heavy_hitters(
             {"token": pa.array(tk, pa.string()), "est": pa.array(ct, pa.int64())}
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    while parts.count() > driver_threshold:
-        parts = (
-            parts.repartition(max(1, parts.num_blocks() // fan_in))
-            .map_batches(merge_block, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
-    df = parts.to_pandas()
+    df, _ = tree_combine(ds.map_batches(partial, batch_format="pyarrow"), merge_block)
     if len(df) == 0:
         return pd.DataFrame(
             {"token": pd.Series(dtype=str), "est": pd.Series(dtype="int64")}

@@ -10,11 +10,14 @@ them value-for-value.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .geocode import hash64_utf8
+from .guard import tree_combine
 
 _PUNCT_RE = r"[.,!?;:]"
 _TOKEN_RE = r"\S+"
@@ -439,8 +442,6 @@ def tfidf_top_terms(
     text_col: str = "text",
     k: int = 5,
     vocab_broadcast_threshold: int = 2_000_000,
-    driver_threshold: int = 1_000_000,
-    fan_in: int = 8,
 ):
     """Per-document top-``k`` TF-IDF terms → Dataset(doc_id, rank, token,
     tfidf), tfidf = tf · ln(N/df), ties broken by token ascending.
@@ -455,8 +456,8 @@ def tfidf_top_terms(
     * larger vocabularies: the exploded (doc, token, tf) rows hash-join
       the DF Dataset on token (the join scatters a document's tokens
       across blocks), then local per-batch top-k tree-combines
-      (associative) until the surviving candidates fit ``driver_threshold``
-      — the same bounded-driver shape as ``rank.topk_per_group``.
+      (associative, ``guard.tree_combine``) until the surviving candidates
+      fit the driver budget — the same collect as ``rank.topk_per_group``.
 
     Both regimes produce identical rows (tested).  N = document count."""
     import ray
@@ -516,24 +517,14 @@ def tfidf_top_terms(
         tfidf = b["tf"].to_numpy(zero_copy_only=False) * np.log(n_docs / dfv)
         return b.append_column("tfidf", pa.array(tfidf, pa.float64()))
 
-    local = joined.map_batches(add_score, batch_format="pyarrow").map_batches(
-        lambda b: _doc_topk_tfidf(b, k), batch_format="pyarrow"
-    ).materialize()
-    while local.count() > driver_threshold:
-        nb = local.num_blocks()
-        if nb <= 1:
-            break
-        local = (
-            local.repartition(max(1, nb // fan_in))
-            .map_batches(lambda b: _doc_topk_tfidf(b, k), batch_format="pyarrow")
-            .materialize()
-        )
-    final = rd.from_arrow(
-        _doc_topk_tfidf(
-            pa.Table.from_pandas(local.to_pandas(), preserve_index=False), k
-        )
+    topk = functools.partial(_doc_topk_tfidf, k=k)
+    frame, _ = tree_combine(
+        joined.map_batches(add_score, batch_format="pyarrow").map_batches(
+            topk, batch_format="pyarrow"
+        ),
+        topk,
     )
-    return final
+    return rd.from_arrow(topk(pa.Table.from_pandas(frame, preserve_index=False)))
 
 
 def repetition_ratio_batch(
@@ -1679,8 +1670,6 @@ def keyness_terms(
     text_col: str = "text",
     top_n: int = 5,
     num_partitions: int = 4,
-    driver_threshold: int = 1_000_000,
-    fan_in: int = 8,
 ) -> "pd.DataFrame":
     """Per-group DISTINCTIVE terms by smoothed log-odds ratio (the corpus
     "keyness" analysis — which tokens characterize each language/host/
@@ -1699,8 +1688,8 @@ def keyness_terms(
     → per-row vectorized scoring with the #groups-sized totals dict
     broadcast once (documented bounded-groups regime: languages/sources/
     hosts — for 10⁸ groups swap the broadcast for a second join) → local
-    top-n per block, tree-combined (the mode_per_group fan-in shape) so
-    the driver frame is ≤ max(driver_threshold, groups × top_n).
+    top-n per block, tree-combined (``guard.tree_combine``) so the driver
+    frame is ≤ max(budget, groups × top_n).
 
     Ranking uses the 6-dp-ROUNDED score (score is a difference of logs of
     rationals — irrational, so no value can sit exactly on a decimal
@@ -1804,19 +1793,9 @@ def keyness_terms(
         keep = order[rank < top_n]
         return b.take(pa.array(np.sort(keep)))
 
-    local = scored.map_batches(local_topk, batch_format="pyarrow").materialize()
-    levels = 0
-    while local.count() > driver_threshold:
-        nblocks = local.num_blocks()
-        if nblocks <= 1:
-            break
-        local = (
-            local.repartition(max(1, nblocks // fan_in))
-            .map_batches(local_topk, batch_format="pyarrow")
-            .materialize()
-        )
-        levels += 1
-    frame = local.to_pandas()
+    frame, _ = tree_combine(
+        scored.map_batches(local_topk, batch_format="pyarrow"), local_topk
+    )
     if len(frame) == 0:
         return pd.DataFrame(columns=[group_col, "rank", "token", "score"])
     top = local_topk(pa.Table.from_pandas(frame, preserve_index=False)).to_pandas()

@@ -43,6 +43,7 @@ from ..functions.scalars import (
     encode_group_key,
     percentile_keys,
 )
+from .guard import tree_combine
 
 STAT_FIELDS = ["min", "max", "count", "nodata_count", "valid_count", "sum", "stdev"]
 
@@ -228,25 +229,17 @@ def partials_from_partials(batch: pa.Table) -> pa.Table:
     )
 
 
-def reduce_partials(partials_ds, *, tree_threshold: int = 1_000_000) -> pd.DataFrame:
+def reduce_partials(partials_ds) -> pd.DataFrame:
     """Final merge of the partials dataset (O(#groups × #blocks) rows —
     orders of magnitude smaller than the data).
 
     The partials stream to the driver and merge in one vectorized pandas
     groupby: a distributed ``groupby().map_groups`` here would pay a full
-    sort-shuffle's fixed cost (~seconds) to merge kilobytes.  Above
-    ``tree_threshold`` rows (millions of blocks × many groups) a
-    pre-combine level runs first: repartition to fewer blocks and merge
-    within each block (``partials_from_partials``) so the driver frame
-    shrinks by ~the fan-in factor before collection."""
-    mat = partials_ds.materialize()
-    if mat.count() > tree_threshold:
-        mat = (
-            mat.repartition(32)
-            .map_batches(partials_from_partials, batch_format="pyarrow")
-            .materialize()
-        )
-    df = mat.to_pandas()
+    sort-shuffle's fixed cost (~seconds) to merge kilobytes.  Above the
+    driver budget (millions of blocks × many groups) ``guard.tree_combine``
+    first merges fanned-in blocks with ``partials_from_partials``, so the
+    driver frame shrinks by ~the fan-in factor per level."""
+    df, _ = tree_combine(partials_ds, partials_from_partials)
     if len(df) == 0:
         return df
     return (
