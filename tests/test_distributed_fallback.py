@@ -115,21 +115,22 @@ def test_distributed_fallback_percentiles_match_oracle(ray_session):
     ],
 )
 def test_percentile_regimes_identical(
-    ray_session, monkeypatch, zones, swept, ignore_nodata
+    ray_session, monkeypatch, force_tree, zones, swept, ignore_nodata
 ):
-    """The driver and the salted distributed percentile reduce give the
+    """The one-task and the salted distributed percentile reduce give the
     same stats, exactly, with the fallback windows read on the driver
-    (≤16) and swept over the tiles (>16)."""
+    (≤16) and swept over the tiles (>16).  A zero driver budget forces
+    the salted shuffle (and the partials tree combine)."""
     import ray.data as rd
 
     sweeps = _record_sweeps(monkeypatch)
     zs = ZoneSet(zones())
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=9)).repartition(5)
     kw = dict(percentiles=[5.0, 50.0, 95.0], ignore_nodata=ignore_nodata)
-    forced = zonal_stats_raster(
-        tiles, GRID, zs, percentile_driver_threshold=0, **kw
-    )
-    assert forced == zonal_stats_raster(tiles, GRID, zs, **kw)
+    default = zonal_stats_raster(tiles, GRID, zs, **kw)
+    force_tree()
+    forced = zonal_stats_raster(tiles, GRID, zs, **kw)
+    assert forced == default
     assert bool(sweeps) == swept, sweeps  # the intended fallback branch ran
 
 
@@ -233,19 +234,78 @@ def test_window_stats_tree_merge_matches_flat(ray_session, force_tree):
             assert np.isclose(flat[w]["sum"], float(valid.sum(dtype=np.float64)))
 
 
+@pytest.mark.parametrize("ignore_nodata", [True, False])
+def test_window_kernels_match_dense_array(ignore_nodata):
+    """Ray-free: the Q4 window passes (``_window_partials_batch`` merged by
+    ``_merge_partials``, and ``_window_values_batch``) over tile batches
+    give every window exactly the stats and value bag of its block of the
+    dense array.  Ragged last tiles in both axes, windows crossing tile
+    edges, all-nodata windows and the whole raster are covered."""
+    import pyarrow as pa
+
+    from zonal_stats_toolkit_ray.pipelines import zonal as PZ
+    from zonal_stats_toolkit_ray.stages import zonal as Z
+
+    grid = GridSpec(
+        x0=-180.0, y0=90.0, dx=3.6, dy=-4.0, width=100, height=45,
+        nodata=-9999.0, tile_size=32,
+    )
+    arr = dense_array(grid, seed=4)
+    nodata = np.isclose(arr, grid.nodata)
+    rng = np.random.default_rng(4)
+    wins = [(0, 0, 100, 45), (30, 30, 5, 5), (60, 10, 40, 30), (96, 32, 4, 13)]
+    wins += [(int(x), int(y), 1, 1) for y, x in np.argwhere(nodata)[:5]]
+    for _ in range(40):
+        wx, wy = (int(v) for v in rng.integers(1, 40, 2))
+        wins.append((int(rng.integers(0, 101 - wx)), int(rng.integers(0, 46 - wy)), wx, wy))
+    specs = PZ._broadcast_specs([(k, *w) for k, w in enumerate(wins)])
+    tiles = synth_tiles_table(grid, seed=4)
+    batches = [tiles.slice(i, 3) for i in range(0, tiles.num_rows, 3)]
+
+    parts = [PZ._window_partials_batch(b, specs, grid, ignore_nodata) for b in batches]
+    merged = Z._merge_partials(pa.concat_tables(parts).to_pandas())
+    stats = PZ._window_stats(merged, ignore_nodata)
+    bags = pa.concat_tables(
+        [PZ._window_values_batch(b, specs, grid, ignore_nodata) for b in batches]
+    ).to_pandas()
+    rows = merged.set_index("group_key")
+    n_empty = 0
+    for k, (xoff, yoff, wx, wy) in enumerate(wins):
+        block = arr[yoff : yoff + wy, xoff : xoff + wx]
+        nd = nodata[yoff : yoff + wy, xoff : xoff + wx]
+        bag = block[~nd] if ignore_nodata else block.ravel()
+        r = rows.loc[k]
+        assert r["count"] == block.size and r["nodata_count"] == nd.sum(), k
+        got = np.sort(bags.loc[bags["group_key"] == k, "value"].to_numpy())
+        assert got.dtype == np.float32 and np.array_equal(got, np.sort(bag)), k
+        if bag.size:
+            assert r["min"] == bag.min() and r["max"] == bag.max(), k
+            assert np.isclose(r["sum"], bag.sum(dtype=np.float64), rtol=1e-12, atol=0)
+            assert stats[k]["min"] == r["min"] and stats[k]["sum"] == r["sum"], k
+        else:
+            n_empty += 1
+            assert np.isnan(r["min"]) and np.isnan(r["max"]), k
+            assert stats[k] == {
+                "count": block.size, "nodata_count": block.size,
+                "min": 0.0, "max": 0.0, "sum": 0.0, "sumsq": 0.0,
+            }, k
+    assert n_empty == (5 if ignore_nodata else 0)
+
+
 @pytest.mark.parametrize("int_keys", [False, True], ids=["string_keys", "int64_keys"])
-def test_group_percentiles_task_regime(ray_session, monkeypatch, int_keys):
-    """Below ``driver_threshold`` the percentile reduce runs in one Ray task
-    — ``to_pandas`` is never called on the driver — and gives the same
-    dict as the salted shuffle (``driver_threshold=0``), also for one-value
-    groups, an empty Dataset and two concurrent callers (the job threads
-    of ``run_config``)."""
+def test_group_percentiles_task_regime(ray_session, monkeypatch, force_tree, int_keys):
+    """Within the driver budget (``guard.DRIVER_ROWS``) the percentile
+    reduce runs in one Ray task — ``to_pandas`` is never called on the
+    driver — and gives the same dict as the salted shuffle (a zero
+    budget), also for one-value groups, an empty Dataset and two
+    concurrent callers (the job threads of ``run_config``)."""
     from concurrent.futures import ThreadPoolExecutor
 
     import pyarrow as pa
     import ray.data as rd
     from ray.data import Dataset
 
+    from zonal_stats_toolkit_ray.stages import guard
     from zonal_stats_toolkit_ray.stages import zonal as Z
 
     rng = np.random.default_rng(5)
@@ -260,14 +320,17 @@ def test_group_percentiles_task_regime(ray_session, monkeypatch, int_keys):
     )
     plist = [5.0, 50.0, 95.0]
 
-    def run(ds, **kw):
-        got = Z.group_percentiles_ds(ds, plist, **kw)
+    def run(ds):
+        got = Z.group_percentiles_ds(ds, plist)
         return {k: [float(v) for v in pv] for k, pv in got.items()}
 
     ds = rd.from_arrow(table).repartition(4)
     empty = rd.from_arrow(table.slice(0, 0))
-    salted = run(ds, driver_threshold=0)
-    salted_empty = run(empty, driver_threshold=0)
+    budget = guard.DRIVER_ROWS
+    force_tree()
+    salted = run(ds)
+    salted_empty = run(empty)
+    force_tree(driver_rows=budget)
 
     def no_driver_rows(self, *a, **kw):
         raise AssertionError("value rows collected on the driver")

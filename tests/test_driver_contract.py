@@ -1,10 +1,12 @@
 """Simulate the driver exactly: a FRESH process does ray.init, imports
 __ray_entry__, and calls entry() + sample queries.  Catches any
-library-side ray.init()/shutdown() contract violations.  A Ray-free
-guard also rejects shadowed names in the entry module."""
+library-side ray.init()/shutdown() contract violations.  Ray-free
+guards also reject shadowed names in the entry module and engine names
+that the benchmark's tracer can no longer find."""
 
 import ast
 import collections
+import importlib.util
 import os
 import subprocess
 import sys
@@ -80,3 +82,27 @@ def test_entry_module_has_no_shadowed_names():
         ]
         keys = [k.value for k in registry.keys if isinstance(k, ast.Constant)]
         assert _repeated(keys) == [], f"{name}() repeats keys"
+
+
+def test_perfbench_trace_targets_resolve():
+    """Every ``perfbench/trace.py`` ``TARGETS`` entry (module + attribute
+    path) names an existing callable, resolved the way ``install()`` looks
+    it up but without patching anything: renaming or deleting a traced
+    engine function otherwise surfaces only in a ``--trace 1`` run."""
+    path = ENTRY.parent / "perfbench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    assert trace.TARGETS
+    missing = []
+    for mod_name, attr_path, *_ in trace.TARGETS:
+        owner = importlib.import_module(mod_name)
+        *outer, attr = attr_path.split(".")
+        for name in outer:
+            owner = getattr(owner, name, None)
+        found = (
+            owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        )
+        if not callable(found):
+            missing.append(f"{mod_name}:{attr_path}")
+    assert missing == [], missing

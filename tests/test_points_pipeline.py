@@ -146,6 +146,69 @@ def test_zonal_stats_points_vs_numpy(ray_session):
     } | {None if (isinstance(g, float) and np.isnan(g)) else g for g in seen}
 
 
+def test_zonal_stats_points_regimes_identical(ray_session, monkeypatch, force_tree):
+    """Both regimes of ``zonal_stats_points`` over one joined input: the
+    driver pass (within ``guard.DRIVER_ROWS`` slim rows) and, with a zero
+    budget, the partials tree combine plus the salted percentile shuffle.
+    The input has a NULL group, (near-)nodata rows, an all-nodata group,
+    a zone group with no rows and unassigned rows; an input with only
+    unassigned rows gives the empty stats.  Float64 sums add in a
+    different order on the two paths, hence the tolerance on sum/stdev."""
+    import pandas as pd
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.sources.zones import zones_table
+    from zonal_stats_toolkit_ray.stages import zonal as Z
+
+    square = (np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+    groups = ["a", "b", None, "c", "empty"]
+    zs = ZoneSet(zones_table(list(range(5)), [0] * 5, groups, [square] * 5))
+    rng = np.random.default_rng(8)
+    n = 6000
+    fid = rng.integers(-1, 4, n)  # -1: unassigned; fid 4 ("empty") gets no rows
+    value = np.round(rng.normal(50.0, 20.0, n), 3)
+    value[rng.random(n) < 0.1] = -9999.0
+    value[rng.random(n) < 0.02] = -9999.0 * (1 + 1e-9)  # nodata under isclose
+    value[fid == 1] = -9999.0  # group "b" is all nodata
+    joined = pa.table(
+        {
+            "zone_fid": pa.array(fid, pa.int64()),
+            "group_value": pa.array([None if f < 0 else groups[f] for f in fid], pa.string()),
+            "value": pa.array(value),
+        }
+    )
+    ds = rd.from_arrow(joined).repartition(4)
+    kw = dict(nodata=-9999.0, percentiles=[5.0, 50.0, 95.0])
+    driver = zonal_stats_points(ds, "value", zs, **kw)
+    unassigned = rd.from_arrow(joined.filter(pa.array(fid < 0))).repartition(2)
+    driver_none = zonal_stats_points(unassigned, "value", zs, **kw)
+
+    salted: list[int] = []
+    salt = Z.salted_group_percentiles
+    monkeypatch.setattr(
+        Z, "salted_group_percentiles", lambda *a: salted.append(1) or salt(*a)
+    )
+    levels = force_tree(Z)
+    forced = zonal_stats_points(ds, "value", zs, **kw)
+    assert levels and levels[0] >= 1 and salted == [1], (levels, salted)
+    forced_none = zonal_stats_points(unassigned, "value", zs, **kw)
+    pd.testing.assert_frame_equal(driver_none, forced_none)
+    assert (driver_none["count"] == 0).all() and len(driver_none) == 5
+
+    assert list(driver["group_value"]) == ["a", "b", "c", "empty", None]
+    b = driver.set_index(driver["group_value"].fillna("NULL"))
+    assert b.loc["b", "nodata_count"] == b.loc["b", "count"] > 0
+    assert pd.isna(b.loc["b", "min"]) and pd.isna(b.loc["b", "p50"])
+    assert b.loc["NULL", "valid_count"] > 0 and b.loc["empty", "count"] == 0
+    exact = ["group_value", "count", "nodata_count", "valid_count", "min", "max"]
+    exact += ["p5", "p50", "p95"]
+    pd.testing.assert_frame_equal(driver[exact], forced[exact], check_exact=True)
+    for c in ("sum", "stdev"):
+        np.testing.assert_allclose(
+            forced[c].to_numpy(float), driver[c].to_numpy(float), rtol=1e-12, atol=0
+        )
+
+
 def test_zone_knn_stage(ray_session):
     import ray.data as rd
 

@@ -640,7 +640,7 @@ class TestBivarMode:
 
 
 class TestMad:
-    def test_mad_matches_pandas_both_regimes(self, ray_session):
+    def test_mad_matches_pandas_both_regimes(self, ray_session, force_tree):
         import ray.data as rd
         from zonal_stats_toolkit_ray.stages.bivar import mad_by_group
 
@@ -655,14 +655,13 @@ class TestMad:
         for k, g in df.groupby("k"):
             med = np.percentile(g["v"], 50)
             want[k] = (med, np.percentile(np.abs(g["v"] - med), 50))
-        for thr in (2_000_000, 0):  # driver regime and forced salted shuffle
+        for regime in ("one_task", "salted"):
+            if regime == "salted":
+                force_tree()  # zero driver budget: the salted shuffle
             got = mad_by_group(
-                rd.from_pandas(df).repartition(6),
-                key_col="k",
-                value_col="v",
-                driver_threshold=thr,
+                rd.from_pandas(df).repartition(6), key_col="k", value_col="v"
             )
             for _, row in got.iterrows():
                 m, d = want[row["k"]]
-                assert abs(row["median"] - m) < 1e-9, (thr, row)
-                assert abs(row["mad"] - d) < 1e-9, (thr, row)
+                assert abs(row["median"] - m) < 1e-9, (regime, row)
+                assert abs(row["mad"] - d) < 1e-9, (regime, row)

@@ -181,8 +181,8 @@ def test_api_ignore_nodata_false(ray_session, tmp_path):
     _stats_equal(got, want)
 
 
-def test_distributed_percentiles_match_driver_path(ray_session, tiles_ds):
-    """Round-2: percentile_driver_threshold=0 forces the salted distributed
+def test_distributed_percentiles_match_driver_path(ray_session, tiles_ds, force_tree):
+    """Round-2: a zero driver budget forces the salted distributed
     percentile path (no pixel value reaches the driver); results must equal
     the driver path and the golden oracle — including Q4 fallback zones
     whose window values union in as Datasets."""
@@ -191,13 +191,12 @@ def test_distributed_percentiles_match_driver_path(ray_session, tiles_ds):
     arr = dense_array(GRID, seed=42)
     pl = [5.0, 95.0, 2.5]
     want = oracle_zonal_statistics(arr, GRID, zt, pl)
-    got = zonal_stats_raster(
-        tiles_ds, GRID, zs, percentiles=pl, percentile_driver_threshold=0
-    )
+    force_tree()
+    got = zonal_stats_raster(tiles_ds, GRID, zs, percentiles=pl)
     _stats_equal(got, want)
 
 
-def test_distributed_percentiles_many_fallback_windows(ray_session):
+def test_distributed_percentiles_many_fallback_windows(ray_session, force_tree):
     """Distributed fallback sweep (>16 windows) + distributed percentiles:
     many subpixel zones all land in the tile-sweep branch."""
     import pyarrow as pa
@@ -224,9 +223,8 @@ def test_distributed_percentiles_many_fallback_windows(ray_session):
     arr = dense_array(GRID, seed=42)
     pl = [5.0, 95.0]
     want = oracle_zonal_statistics(arr, GRID, zt, pl)
-    got = zonal_stats_raster(
-        tiles, GRID, zs, percentiles=pl, percentile_driver_threshold=0
-    )
+    force_tree()
+    got = zonal_stats_raster(tiles, GRID, zs, percentiles=pl)
     _stats_equal(got, want)
 
 

@@ -23,6 +23,7 @@ import pyarrow as pa
 from ..functions.scalars import GROUP_KEY_NULL, group_label, percentile_keys
 from ..geom.window import GridSpec, envelope_to_window
 from ..sources.zones import ZoneSet
+from ..stages import guard
 from ..stages import zonal as Z
 from ..stages.geocode import geocode_batch
 from ..stages.cells import cell_encode_batch
@@ -116,7 +117,10 @@ def zonal_stats_points(
     join for each.  The joined rows are therefore first reduced to a slim
     (group_key, value, nodata) projection and THAT is materialized — a few
     bytes per row, never the wide page columns — so the join runs exactly
-    once.
+    once.  Up to ``guard.DRIVER_ROWS`` slim rows (read at call time) they
+    reduce in one driver pass (``stats_from_rows_df``); above it, through
+    the partials tree combine and ``group_percentiles_ds``.  Both regimes
+    run the same partials and percentile kernels.
 
     ``rows_sink`` (round 4, VERDICT r3 #4): write the slim joined rows to
     this Parquet directory so an external oracle (DuckDB) can reproduce
@@ -134,7 +138,7 @@ def zonal_stats_points(
         ).materialize()
         if rows_sink is not None:
             slim.write_parquet(rows_sink)
-        if slim.count() <= 2_000_000:
+        if slim.count() <= guard.DRIVER_ROWS:
             # small assigned-row set: one driver pass computes partials AND
             # percentiles (each extra Dataset execution is 10-20 ms of pure
             # fixed overhead at this size)
@@ -247,8 +251,11 @@ def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec) -> pa.Table:
 
 def _fetch_windows(tiles_ds, grid: GridSpec, windows: list[tuple[int, int, int, int]]):
     """Read only the tiles touched by the given pixel windows (small side)
-    and return a dict (tile_x, tile_y) → dense 2-D float32 tile array."""
-    from ..sources.raster import tile_window
+    → one Arrow table of those tiles."""
+    import pyarrow.compute as pc
+    import ray
+
+    from ..sources.raster import TILES_SCHEMA
 
     ts = grid.tile_size
     needed = set()
@@ -256,179 +263,115 @@ def _fetch_windows(tiles_ds, grid: GridSpec, windows: list[tuple[int, int, int, 
         for ty in range(yoff // ts, (yoff + wy - 1) // ts + 1):
             for tx in range(xoff // ts, (xoff + wx - 1) // ts + 1):
                 needed.add((tx, ty))
-    if not needed:
-        return {}
     tx_arr = pa.array([t[0] for t in needed], pa.int32())
     ty_arr = pa.array([t[1] for t in needed], pa.int32())
 
     def pick(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         m = pc.and_(pc.is_in(b["tile_x"], tx_arr), pc.is_in(b["tile_y"], ty_arr))
         return b.filter(m)
 
-    rows = tiles_ds.map_batches(pick, batch_format="pyarrow").take_all()
-    out = {}
-    for r in rows:
-        tx, ty = int(r["tile_x"]), int(r["tile_y"])
-        _, _, ncols, nrows = tile_window(grid, tx, ty)
-        out[(tx, ty)] = np.asarray(r["values"], dtype=np.float32).reshape(nrows, ncols)
-    return out
+    picked = tiles_ds.map_batches(pick, batch_format="pyarrow")
+    tables = [t for t in ray.get(picked.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tables) if tables else TILES_SCHEMA.empty_table()
 
 
-def _read_window(
-    tile_map, grid: GridSpec, xoff: int, yoff: int, wx: int, wy: int
-) -> np.ndarray:
-    ts = grid.tile_size
-    out = np.empty((wy, wx), dtype=np.float32)
-    for ty in range(yoff // ts, (yoff + wy - 1) // ts + 1):
-        for tx in range(xoff // ts, (xoff + wx - 1) // ts + 1):
-            tile = tile_map[(tx, ty)]
-            r0 = max(yoff, ty * ts)
-            r1 = min(yoff + wy, ty * ts + tile.shape[0])
-            c0 = max(xoff, tx * ts)
-            c1 = min(xoff + wx, tx * ts + tile.shape[1])
-            out[r0 - yoff : r1 - yoff, c0 - xoff : c1 - xoff] = tile[
-                r0 - ty * ts : r1 - ty * ts, c0 - tx * ts : c1 - tx * ts
-            ]
-    return out
+def _window_blocks(batch: pa.Table, specs, grid: GridSpec):
+    """Yield ``(key, float32 block)`` for every (window × tile)
+    intersection of the tiles in ``batch``.  ``specs`` is the
+    ``(key, xoff, yoff, wx, wy)`` array tuple of ``_broadcast_specs``
+    (or its ObjectRef)."""
+    from ..sources.raster import tile_window
+    from ..stages.joins import _resolve_ref
 
+    key, xoff, yoff, wx, wy = (np.asarray(a) for a in _resolve_ref(specs))
+    txs = batch["tile_x"].to_numpy()
+    tys = batch["tile_y"].to_numpy()
+    flat, offs = _list_col_buffers(batch["values"])
+    for i in range(len(batch)):
+        col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
+        hit = np.flatnonzero(
+            (xoff < col0 + ncols)
+            & (xoff + wx > col0)
+            & (yoff < row0 + nrows)
+            & (yoff + wy > row0)
+        )
+        tile = flat[offs[i] : offs[i + 1]].reshape(nrows, ncols)
+        for h in hit.tolist():
+            c0 = max(int(xoff[h]), col0) - col0
+            c1 = min(int(xoff[h] + wx[h]), col0 + ncols) - col0
+            r0 = max(int(yoff[h]), row0) - row0
+            r1 = min(int(yoff[h] + wy[h]), row0 + nrows) - row0
+            yield int(key[h]), tile[r0:r1, c0:c1]
+
+
+def _window_pixels(batch: pa.Table, specs, grid: GridSpec):
+    """→ (int64 keys, float32 values, nodata mask) of every window × tile
+    intersection in ``batch``, or None when no window touches it.  The
+    mask is taken on the float32 values, like the tile path's."""
+    blocks = list(_window_blocks(batch, specs, grid))
+    if not blocks:
+        return None
+    keys = np.concatenate([np.full(b.size, k, np.int64) for k, b in blocks])
+    values = np.concatenate([b.ravel() for _, b in blocks])
+    return keys, values, Z.nodata_mask(values, grid.nodata)
 
 
 def _window_partials_batch(
     batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True
 ) -> pa.Table:
-    """Stateless-task stage for the DISTRIBUTED Q4 fallback: for every
-    (fallback window × tile) intersection in the batch, emit one partial
-    stats row keyed by window id.  The reference runs this pass serially on
-    one process (runner.py:697-811); windows tile-partition cleanly, so the
-    window aggregates merge associatively."""
-    from ..sources.raster import tile_window
-
-    specs = specs_ref
-    try:
-        import ray
-
-        if isinstance(specs, ray.ObjectRef):
-            specs = ray.get(specs)
-    except ImportError:
-        pass
-    wid, xoff, yoff, wx, wy = (np.asarray(a) for a in specs)
-    txs = batch["tile_x"].to_numpy()
-    tys = batch["tile_y"].to_numpy()
-    flat, offs = _list_col_buffers(batch["values"])
-    out = {k: [] for k in ("win_id", "count", "nodata_count", "sum", "sumsq", "min", "max")}
-    for i in range(len(batch)):
-        col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
-        hit = np.flatnonzero(
-            (xoff < col0 + ncols)
-            & (xoff + wx > col0)
-            & (yoff < row0 + nrows)
-            & (yoff + wy > row0)
-        )
-        if hit.size == 0:
-            continue
-        tile = flat[offs[i] : offs[i + 1]].reshape(nrows, ncols)
-        for h in hit.tolist():
-            c0 = max(int(xoff[h]), col0)
-            c1 = min(int(xoff[h] + wx[h]), col0 + ncols)
-            r0 = max(int(yoff[h]), row0)
-            r1 = min(int(yoff[h] + wy[h]), row0 + nrows)
-            block = tile[r0 - row0 : r1 - row0, c0 - col0 : c1 - col0]
-            nd = Z.nodata_mask(block, grid.nodata)
-            valid = block[~nd] if ignore_nodata else block.ravel()
-            out["win_id"].append(int(wid[h]))
-            out["count"].append(block.size)
-            out["nodata_count"].append(int(np.count_nonzero(nd)))
-            if valid.size:
-                out["sum"].append(float(valid.sum(dtype=np.float64)))
-                out["sumsq"].append(float(np.sum(valid.astype(np.float64) ** 2)))
-                out["min"].append(float(valid.min()))
-                out["max"].append(float(valid.max()))
-            else:
-                out["sum"].append(0.0)
-                out["sumsq"].append(0.0)
-                out["min"].append(np.nan)
-                out["max"].append(np.nan)
-    return pa.table(
-        {
-            "win_id": pa.array(out["win_id"], pa.int64()),
-            "count": pa.array(out["count"], pa.int64()),
-            "nodata_count": pa.array(out["nodata_count"], pa.int64()),
-            "sum": pa.array(out["sum"], pa.float64()),
-            "sumsq": pa.array(out["sumsq"], pa.float64()),
-            "min": pa.array(out["min"], pa.float64()),
-            "max": pa.array(out["max"], pa.float64()),
-        }
-    )
-
+    """Q4 fallback partials: one partials row (``PARTIAL_SCHEMA_INT``,
+    ``group_key`` = the spec's key) per window touched by the batch's
+    tiles, from the zonal kernel ``_grouped_partials_masked``.  The
+    reference runs this pass serially on one process (runner.py:697-811);
+    windows tile-partition cleanly, so the window aggregates merge
+    associatively (``_merge_partials``)."""
+    px = _window_pixels(batch, specs_ref, grid)
+    if px is None:
+        return Z.PARTIAL_SCHEMA_INT.empty_table()
+    return Z._grouped_partials_masked(*px, ignore_nodata=ignore_nodata)
 
 
 def _window_values_batch(
     batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True
 ) -> pa.Table:
-    """Distributed fallback VALUES pass: (group_key, value float32) rows of
-    the valid pixels of each fallback window × tile intersection, keyed by
-    the first spec array (the window's owning fid) — feeds the percentile
-    value bags when the fallback set is large (reference appends each
-    part-window's valid pixels to the bag, runner.py:805-811; percentile
-    over the multiset is order-independent, so distributed collection is
-    exact)."""
-    from ..sources.raster import tile_window
-
-    specs = specs_ref
-    try:
-        import ray
-
-        if isinstance(specs, ray.ObjectRef):
-            specs = ray.get(specs)
-    except ImportError:
-        pass
-    key, xoff, yoff, wx, wy = (np.asarray(a) for a in specs)
-    txs = batch["tile_x"].to_numpy()
-    tys = batch["tile_y"].to_numpy()
-    flat, offs = _list_col_buffers(batch["values"])
-    out_k, out_v = [], []
-    for i in range(len(batch)):
-        col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
-        hit = np.flatnonzero(
-            (xoff < col0 + ncols)
-            & (xoff + wx > col0)
-            & (yoff < row0 + nrows)
-            & (yoff + wy > row0)
-        )
-        if hit.size == 0:
-            continue
-        tile = flat[offs[i] : offs[i + 1]].reshape(nrows, ncols)
-        for h in hit.tolist():
-            c0 = max(int(xoff[h]), col0)
-            c1 = min(int(xoff[h] + wx[h]), col0 + ncols)
-            r0 = max(int(yoff[h]), row0)
-            r1 = min(int(yoff[h] + wy[h]), row0 + nrows)
-            block = tile[r0 - row0 : r1 - row0, c0 - col0 : c1 - col0]
-            valid = (
-                block[~Z.nodata_mask(block, grid.nodata)]
-                if ignore_nodata
-                else block.ravel()
-            )
-            if valid.size:
-                out_k.append(np.full(valid.size, key[h], dtype=np.int64))
-                out_v.append(valid.astype(np.float32, copy=False).ravel())
-    if not out_k:
+    """Q4 fallback VALUES: (group_key, value float32) rows of each window
+    × tile intersection, keyed by the spec's key (the window's owning
+    fid), nodata dropped when ``ignore_nodata`` — the percentile value
+    bags (the reference appends each part-window's pixels to the bag,
+    runner.py:805-811; percentile over the multiset is
+    order-independent, so distributed collection is exact)."""
+    px = _window_pixels(batch, specs_ref, grid)
+    if px is None:
         return Z.VALUES_SCHEMA_INT.empty_table()
-    return pa.table(
-        [pa.array(np.concatenate(out_k)), pa.array(np.concatenate(out_v))],
-        schema=Z.VALUES_SCHEMA_INT,
-    )
+    keys, values, nd = px
+    if ignore_nodata:
+        keys, values = keys[~nd], values[~nd]
+    return pa.table([pa.array(keys), pa.array(values)], schema=Z.VALUES_SCHEMA_INT)
 
 
 def _broadcast_specs(win_specs):
     """``(key, xoff, yoff, wx, wy)`` window tuples → one tuple of int64
-    arrays for the window sweeps, ``ray.put`` once when a session is up."""
+    arrays for the window passes, ``ray.put`` once when a session is up."""
     import ray
 
     specs = tuple(np.array(win_specs, dtype=np.int64).T.copy())
     return ray.put(specs) if ray.is_initialized() else specs
+
+
+def _window_stats(merged: pd.DataFrame, ignore_nodata: bool) -> dict[int, dict]:
+    """Merged window partials → {key: {count, nodata_count, min, max, sum,
+    sumsq}}.  A window whose value bag is empty gets zeros (reference
+    runner.py:778-793); with ``ignore_nodata=False`` every pixel is in
+    the bag."""
+    out: dict[int, dict] = {}
+    for r in merged.to_dict("records"):
+        st = {"count": int(r["count"]), "nodata_count": int(r["nodata_count"])}
+        bag = st["count"] - st["nodata_count"] if ignore_nodata else st["count"]
+        st.update(
+            {k: float(r[k]) if bag > 0 else 0.0 for k in ("min", "max", "sum", "sumsq")}
+        )
+        out[int(r["group_key"])] = st
+    return out
 
 
 def _window_stats_distributed(
@@ -438,16 +381,11 @@ def _window_stats_distributed(
     *,
     ignore_nodata: bool = True,
 ) -> dict[int, dict]:
-    """Distributed full-window stats for the Q4 fallback windows: one pass
-    over the tiles → per-(window, tile) partial rows → associative merge.
-    Returns {win_id: {count, nodata_count, sum, sumsq, min, max}} with the
-    reference's empty-valid zeros.
-
-    The merge is ``reduce_partials``: the partial rows are keyed by
-    ``group_key`` (= win_id, an int — same schema as the zonal partials),
-    so above the driver budget its tree combine shrinks the frame before
-    the driver groupby, and 10^5 fallback windows × 10^5 tiles never
-    funnel one row each through the driver."""
+    """Q4 fallback stats of more than ``_DRIVER_WINDOWS`` windows in one
+    distributed pass over the tiles: ``_window_partials_batch`` per block,
+    then ``reduce_partials`` (above the driver budget its tree combine
+    shrinks the frame first, so 10^5 windows × 10^5 tiles never funnel
+    one row each through the driver) and ``_window_stats``."""
     parts = tiles_ds.map_batches(
         _window_partials_batch,
         fn_kwargs={
@@ -456,37 +394,8 @@ def _window_stats_distributed(
             "ignore_nodata": ignore_nodata,
         },
         batch_format="pyarrow",
-    ).map_batches(
-        # win_id → the partials schema key, renamed BY NAME (a positional
-        # rename would silently relabel a stats column if the partial
-        # table's column order ever changed)
-        lambda t: t.rename_columns(
-            ["group_key" if c == "win_id" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
     )
-    merged = Z.reduce_partials(parts)
-    out: dict[int, dict] = {}
-    for _, r in merged.iterrows():
-        count = int(r["count"])
-        ndc = int(r["nodata_count"])
-        # zeros apply when the VALUE BAG is empty: with ignore_nodata=False
-        # every pixel is in the bag (reference runner.py:778-793)
-        valid = count - ndc if ignore_nodata else count
-        st = {"count": count, "nodata_count": ndc}
-        if valid <= 0:
-            st.update({"min": 0.0, "max": 0.0, "sum": 0.0, "sumsq": 0.0})
-        else:
-            st.update(
-                {
-                    "min": float(r["min"]),
-                    "max": float(r["max"]),
-                    "sum": float(r["sum"]),
-                    "sumsq": float(r["sumsq"]),
-                }
-            )
-        out[int(r["group_key"])] = st
-    return out
+    return _window_stats(Z.reduce_partials(parts), ignore_nodata)
 
 
 def _fid_group_ordinals(
@@ -498,14 +407,12 @@ def _fid_group_ordinals(
     return pa.table([pa.array(ords[pos]), batch["value"]], schema=Z.VALUES_SCHEMA_INT)
 
 
-def _raster_group_percentiles(
-    value_parts: list, zs: ZoneSet, plist: list[float], driver_threshold: int
-) -> dict:
+def _raster_group_percentiles(value_parts: list, zs: ZoneSet, plist: list[float]) -> dict:
     """Exact percentiles per group value over the union of the (fid,
     value) Datasets in ``value_parts``.  Each fid maps to its group's
     ordinal in ``zs.unique_groups`` — an int64 key, so no per-pixel
     strings reach the shuffle — and ``group_percentiles_ds`` picks the
-    one-task reduce or the salted distributed one by ``driver_threshold``."""
+    one-task reduce or the salted distributed one by ``guard.DRIVER_ROWS``."""
     ordinal = {g: i for i, g in enumerate(zs.unique_groups)}
     ords = np.array([ordinal[zs.fid_to_group[f]] for f in zs.all_fids], np.int64)
     # map, then materialize: an empty map_batches output has no schema
@@ -522,7 +429,7 @@ def _raster_group_percentiles(
     if not parts:
         return {}
     values = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    gp = Z.group_percentiles_ds(values, plist, driver_threshold=driver_threshold)
+    gp = Z.group_percentiles_ds(values, plist)
     return {zs.unique_groups[int(k)]: [float(v) for v in pv] for k, pv in gp.items()}
 
 
@@ -547,7 +454,6 @@ def zonal_stats_raster(
     simplify_tolerance: float | None = None,
     polygons_might_overlap: bool = False,
     ignore_nodata: bool = True,
-    percentile_driver_threshold: int = 2_000_000,
     rows_sink: str | None = None,
 ) -> dict:
     """Full reference-semantics zonal statistics over a tiled raster.
@@ -570,10 +476,12 @@ def zonal_stats_raster(
     join resolves overlap per point with the same highest-FID-wins rule in
     both modes, so no disjoint-set partitioning is ever needed (SURVEY O3).
 
-    Percentile value bags — assigned pixels and fallback-window pixels
-    alike — reduce in one place (``_raster_group_percentiles``);
-    ``percentile_driver_threshold`` is its cut between one Ray task (at or
-    below it; no value row reaches the driver) and the salted shuffle.
+    Per-FID stats — assigned pixels and Q4 fallback windows alike — come
+    from the one partials kernel (``Z._grouped_partials_masked``) and merge
+    in ``Z._merge_partials``.  Percentile value bags reduce in one place
+    (``_raster_group_percentiles``): one Ray task up to
+    ``guard.DRIVER_ROWS`` values (no value row reaches the driver), the
+    salted shuffle above.
     """
     if simplify_tolerance is not None and simplify_tolerance > 0:
         # the incoming broadcast handle refers to the UNsimplified zones;
@@ -589,17 +497,7 @@ def zonal_stats_raster(
     v_maxy = float(np.max(zs.maxy))
     r_minx, r_miny, r_maxx, r_maxy = grid.bbox
     if v_maxx < r_minx or v_minx > r_maxx or v_maxy < r_miny or v_miny > r_maxy:
-        empty = {
-            "min": None,
-            "max": None,
-            "count": 0,
-            "nodata_count": 0,
-            "valid_count": 0,
-            "sum": 0.0,
-            "stdev": None,
-            **{k: None for k in pkeys},
-        }
-        return {g: dict(empty) for g in zs.unique_groups}
+        return {g: Z.empty_stats(pkeys) for g in zs.unique_groups}
 
     zones_arg = zones_ref if zones_ref is not None else zs.table
 
@@ -693,143 +591,78 @@ def zonal_stats_raster(
                     "single-part fallback windows (Q4 overwrite is not "
                     "aggregation-equivalent otherwise)"
                 )
-        if win_specs and len(win_specs) > _DRIVER_WINDOWS:
-            # DISTRIBUTED fallback (engine improvement over the reference's
-            # serial pass, runner.py:697-811): one tile sweep computes every
-            # window's stats
-            win_stats = _window_stats_distributed(
-                tiles_ds, grid, win_specs, ignore_nodata=ignore_nodata
+        if win_specs:
+            # window stats and value bags come from the zonal kernels:
+            # above _DRIVER_WINDOWS windows one distributed sweep over all
+            # tiles (engine improvement over the reference's serial pass,
+            # runner.py:697-811), else the same batch functions on the
+            # driver over the tiles the windows touch
+            # the value bags key each window's pixels by its owning fid
+            owned_ref = (
+                _broadcast_specs([(f, *w[1:]) for (f, _), w in zip(win_owner, win_specs)])
+                if plist
+                else None
             )
-            # apply per fid in part order: later parts OVERWRITE (quirk Q4)
+            if len(win_specs) > _DRIVER_WINDOWS:
+                win_stats = _window_stats_distributed(
+                    tiles_ds, grid, win_specs, ignore_nodata=ignore_nodata
+                )
+                if plist:
+                    value_parts.append(
+                        tiles_ds.map_batches(
+                            _window_values_batch,
+                            fn_kwargs={
+                                "specs_ref": owned_ref,
+                                "grid": grid,
+                                "ignore_nodata": ignore_nodata,
+                            },
+                            batch_format="pyarrow",
+                        )
+                    )
+            else:
+                tiles = _fetch_windows(tiles_ds, grid, [w[1:] for w in win_specs])
+                parts = _window_partials_batch(
+                    tiles, _broadcast_specs(win_specs), grid, ignore_nodata
+                )
+                win_stats = _window_stats(
+                    Z._merge_partials(parts.to_pandas()), ignore_nodata
+                )
+                if plist:
+                    import ray.data as rd
+
+                    bags = _window_values_batch(tiles, owned_ref, grid, ignore_nodata)
+                    if bags.num_rows:
+                        value_parts.append(rd.from_arrow(bags))
+                if rows_sink is not None:
+                    import os
+
+                    import pyarrow.parquet as pq
+
+                    keys, values, nd = _window_pixels(tiles, owned_ref, grid)
+                    pq.write_table(
+                        pa.table(
+                            [keys, values.astype(np.float64), nd],
+                            schema=Z.ROWS_SCHEMA_INT,
+                        ),
+                        os.path.join(rows_sink, "fallback_windows.parquet"),
+                    )
+            # per fid in part order: later parts OVERWRITE the stats (quirk
+            # Q4) while every part's values join the bag (runner.py:805-811)
             for (f, _order), (win_id, *_rest) in zip(win_owner, win_specs):
                 st = win_stats.get(win_id)
                 if st is not None:
                     fid_stats[f] = dict(st)
-            if plist:
-                # the fallback windows' value bags, from a second sweep that
-                # keys each window's pixels by its owning fid (exact:
-                # percentile over the multiset is append-order-independent)
-                owned = [(f, *w[1:]) for (f, _), w in zip(win_owner, win_specs)]
-                value_parts.append(
-                    tiles_ds.map_batches(
-                        _window_values_batch,
-                        fn_kwargs={
-                            "specs_ref": _broadcast_specs(owned),
-                            "grid": grid,
-                            "ignore_nodata": ignore_nodata,
-                        },
-                        batch_format="pyarrow",
-                    )
-                )
-        elif win_specs:
-            # driver path (small window sets / percentile mode, which also
-            # needs the raw valid values appended per part)
-            fb_rows: list[pa.Table] = []
-            fb_fids: list[np.ndarray] = []
-            fb_vals: list[np.ndarray] = []
-            tile_map = _fetch_windows(
-                tiles_ds, grid, [w[1:] for w in win_specs]
-            )
-            for (f, _order), (_wid, xoff, yoff, wx, wy) in zip(win_owner, win_specs):
-                block = _read_window(tile_map, grid, xoff, yoff, wx, wy)
-                nd = Z.nodata_mask(block, grid.nodata)
-                if rows_sink is not None:
-                    fb_rows.append(
-                        pa.table(
-                            {
-                                "group_key": pa.array(
-                                    np.full(block.size, f, dtype=np.int64)
-                                ),
-                                "value": pa.array(
-                                    block.ravel().astype(np.float64), pa.float64()
-                                ),
-                                "nodata": pa.array(nd.ravel()),
-                            },
-                            schema=Z.ROWS_SCHEMA_INT,
-                        )
-                    )
-                valid = block[~nd] if ignore_nodata else block.ravel()
-                st = {
-                    "count": block.size,
-                    "nodata_count": int(np.count_nonzero(nd)),
-                }
-                if valid.size == 0:
-                    st.update({"min": 0.0, "max": 0.0, "sum": 0.0, "sumsq": 0.0})
-                else:
-                    st.update(
-                        {
-                            "min": float(valid.min()),
-                            "max": float(valid.max()),
-                            "sum": float(valid.sum(dtype=np.float64)),
-                            "sumsq": float(
-                                np.sum(
-                                    valid.astype(np.float64) ** 2, dtype=np.float64
-                                )
-                            ),
-                        }
-                    )
-                fid_stats[f] = st  # overwrite (=), not accumulate — quirk Q4
-                if plist and valid.size:
-                    # stats overwrite per part, but value bags APPEND per
-                    # part (runner.py:805-811)
-                    fb_fids.append(np.full(valid.size, f, dtype=np.int64))
-                    fb_vals.append(valid.astype(np.float32, copy=False))
-            if fb_vals:
-                import ray.data as rd
-
-                value_parts.append(
-                    rd.from_arrow(
-                        pa.table(
-                            [
-                                pa.array(np.concatenate(fb_fids)),
-                                pa.array(np.concatenate(fb_vals)),
-                            ],
-                            schema=Z.VALUES_SCHEMA_INT,
-                        )
-                    )
-                )
-
-        if rows_sink is not None and win_specs and fb_rows:
-            import os as _os
-
-            import pyarrow.parquet as _pq
-
-            _pq.write_table(
-                pa.concat_tables(fb_rows),
-                _os.path.join(rows_sink, "fallback_windows.parquet"),
-            )
 
     # FIDs still unset get the zeroed default (runner.py:813-815, 491-500)
-    default_fid = {
-        "min": None,
-        "max": None,
-        "count": 0,
-        "nodata_count": 0,
-        "sum": 0.0,
-        "sumsq": 0.0,
-    }
     for f in zs.all_fids:
-        fid_stats.setdefault(f, dict(default_fid))
+        fid_stats.setdefault(f, Z.empty_stats(()))
 
     # --- FID → group rollup (runner.py:848-889) ---
     grouped: dict = {}
     for f in zs.all_fids:
         gv = zs.fid_to_group[f]
         s = fid_stats[f]
-        g = grouped.setdefault(
-            gv,
-            {
-                "min": None,
-                "max": None,
-                "count": 0,
-                "nodata_count": 0,
-                "valid_count": 0,
-                "sum": 0.0,
-                "sumsq": 0.0,
-                "stdev": None,
-                **{k: None for k in pkeys},
-            },
-        )
+        g = grouped.setdefault(gv, {**Z.empty_stats(pkeys), "sumsq": 0.0})
         g["count"] += s["count"]
         g["nodata_count"] += s["nodata_count"]
         g["sum"] += s["sum"]
@@ -843,25 +676,14 @@ def zonal_stats_raster(
                 g["max"] = max(g["max"], s["max"])
 
     if plist:
-        gp = _raster_group_percentiles(
-            value_parts, zs, plist, percentile_driver_threshold
-        )
+        gp = _raster_group_percentiles(value_parts, zs, plist)
         for gv, pv in gp.items():
             grouped[gv].update(zip(pkeys, pv))
 
     # --- finalize (runner.py:906-917) ---
-    for gv, g in grouped.items():
-        valid_count = g["count"] - g["nodata_count"]
-        g["valid_count"] = valid_count
-        if valid_count > 0:
-            mean = g["sum"] / valid_count
-            var = g["sumsq"] / valid_count - mean * mean
-            if var < 0:
-                var = 0.0
-            g["stdev"] = float(np.sqrt(var))
-        else:
-            g["stdev"] = None
-        del g["sumsq"]
+    for g in grouped.values():
+        g["valid_count"] = g["count"] - g["nodata_count"]
+        g["stdev"] = Z.pop_stdev(g["sum"], g.pop("sumsq"), g["valid_count"])
     return grouped
 
 

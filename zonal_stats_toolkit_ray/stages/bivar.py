@@ -95,20 +95,14 @@ def finalize_bivar(df: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def mad_by_group(
-    ds,
-    *,
-    key_col: str,
-    value_col: str,
-    driver_threshold: int = 2_000_000,
-) -> pd.DataFrame:
+def mad_by_group(ds, *, key_col: str, value_col: str) -> pd.DataFrame:
     """EXACT median absolute deviation per group → DataFrame(key, median,
     mad) — the robust-dispersion twin of the zonal stdev (runner.py:906-916
     computes σ; MAD is the outlier-resistant quality-filter variant).
 
     Two passes of the adaptive grouped-percentile machinery
     (stages/zonal.py:group_percentiles_ds — salted two-level shuffle above
-    ``driver_threshold``): pass 1 finds each group's median, pass 2 the
+    ``guard.DRIVER_ROWS`` rows): pass 1 finds each group's median, pass 2 the
     median of |value − median|.  The slim (group_key, value) projection is
     materialized ONCE and feeds both passes (the dedup `_slim_input`
     philosophy — never re-execute the upstream twice); group medians
@@ -124,7 +118,7 @@ def mad_by_group(
         )
 
     slim = ds.map_batches(proj, batch_format="pyarrow").materialize()
-    med = group_percentiles_ds(slim, [50.0], driver_threshold=driver_threshold)
+    med = group_percentiles_ds(slim, [50.0])
     items = sorted(med.items())
     key_arr = pa.array([k for k, _ in items], pa.string())
     med_arr = np.array([v[0] for _, v in items], dtype=np.float64)
@@ -145,11 +139,7 @@ def mad_by_group(
         d = np.abs(b["value"].to_numpy(zero_copy_only=False) - meds[idx])
         return pa.table({"group_key": b["group_key"], "value": pa.array(d)})
 
-    mad = group_percentiles_ds(
-        slim.map_batches(dev, batch_format="pyarrow"),
-        [50.0],
-        driver_threshold=driver_threshold,
-    )
+    mad = group_percentiles_ds(slim.map_batches(dev, batch_format="pyarrow"), [50.0])
     return pd.DataFrame(
         [(k, med[k][0], mad[k][0]) for k, _ in items],
         columns=[key_col, "median", "mad"],

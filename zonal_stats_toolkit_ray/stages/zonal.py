@@ -36,6 +36,7 @@ import functools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.scalars import (
     GROUP_KEY_NULL,
@@ -43,6 +44,7 @@ from ..functions.scalars import (
     encode_group_key,
     percentile_keys,
 )
+from . import guard
 from .guard import tree_combine
 
 STAT_FIELDS = ["min", "max", "count", "nodata_count", "valid_count", "sum", "stdev"]
@@ -134,6 +136,32 @@ def merge_partials_df(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def empty_stats(pkeys) -> dict:
+    """The stats of a group with no pixels or points (``runner.py:831-861``)."""
+    return {
+        "min": None,
+        "max": None,
+        "count": 0,
+        "nodata_count": 0,
+        "valid_count": 0,
+        "sum": 0.0,
+        "stdev": None,
+        **{pk: None for pk in pkeys},
+    }
+
+
+def pop_stdev(s: float, sumsq: float, valid: int) -> float | None:
+    """Population stdev from merged sums, with the reference's
+    negative-variance clamp (quirk Q3); None without valid values."""
+    if valid <= 0:
+        return None
+    mean = s / valid
+    var = sumsq / valid - mean * mean
+    if var < 0:
+        var = 0.0
+    return float(np.sqrt(var))
+
+
 def finalize_group_stats(
     merged: pd.DataFrame,
     *,
@@ -156,43 +184,24 @@ def finalize_group_stats(
 
     rows = []
     for key in sorted(keys, key=lambda k: (k == GROUP_KEY_NULL, k)):
+        rec = empty_stats(pkeys)
         r = by_key.get(key)
-        if r is None:
-            rec = {
-                "min": None,
-                "max": None,
-                "count": 0,
-                "nodata_count": 0,
-                "valid_count": 0,
-                "sum": 0.0,
-                "stdev": None,
-                **{pk: None for pk in pkeys},
-            }
-        else:
+        if r is not None:
             count = int(r["count"])
             ndc = int(r["nodata_count"])
-            valid = count - ndc
-            if valid > 0:
-                mean = r["sum"] / valid
-                var = r["sumsq"] / valid - mean * mean
-                if var < 0:
-                    var = 0.0
-                stdev = float(np.sqrt(var))
-            else:
-                stdev = None
-            rec = {
-                "min": None if pd.isna(r["min"]) else float(r["min"]),
-                "max": None if pd.isna(r["max"]) else float(r["max"]),
-                "count": count,
-                "nodata_count": ndc,
-                "valid_count": valid,
-                "sum": float(r["sum"]),
-                "stdev": stdev,
-                **{pk: None for pk in pkeys},
-            }
+            rec.update(
+                {
+                    "min": None if pd.isna(r["min"]) else float(r["min"]),
+                    "max": None if pd.isna(r["max"]) else float(r["max"]),
+                    "count": count,
+                    "nodata_count": ndc,
+                    "valid_count": count - ndc,
+                    "sum": float(r["sum"]),
+                    "stdev": pop_stdev(r["sum"], r["sumsq"], count - ndc),
+                }
+            )
             if group_percentiles and key in group_percentiles:
-                for pk, pv in zip(pkeys, group_percentiles[key]):
-                    rec[pk] = pv
+                rec.update(zip(pkeys, group_percentiles[key]))
         rows.append({"group_value": decode_group_key(key), **rec})
     df = pd.DataFrame(rows, columns=["group_value"] + STAT_FIELDS + pkeys)
     return df
@@ -202,17 +211,10 @@ def finalize_group_stats(
 # distributed drivers
 # ---------------------------------------------------------------------------
 
-def partials_from_partials(batch: pa.Table) -> pa.Table:
-    """Combine partial rows WITHIN a batch (associative merge — same
-    output schema).  Feeding repartitioned partials through this stage
-    forms a reduction tree: each level shrinks the frame toward one row
-    per (group, block-of-blocks)."""
-    key_col = batch["group_key"]
-    int_keys = pa.types.is_integer(key_col.type)
-    if len(batch) == 0:
-        return (PARTIAL_SCHEMA_INT if int_keys else PARTIAL_SCHEMA).empty_table()
-    df = batch.to_pandas()
-    g = (
+def _merge_partials(df: pd.DataFrame) -> pd.DataFrame:
+    """The one partials merge: partial rows → one row per ``group_key``
+    (counts and sums add, min/max skip NaN), first-seen key order."""
+    return (
         df.groupby("group_key", sort=False)
         .agg(
             count=("count", "sum"),
@@ -224,9 +226,19 @@ def partials_from_partials(batch: pa.Table) -> pa.Table:
         )
         .reset_index()
     )
-    return pa.Table.from_pandas(g, preserve_index=False).cast(
-        PARTIAL_SCHEMA_INT if int_keys else PARTIAL_SCHEMA
-    )
+
+
+def partials_from_partials(batch: pa.Table) -> pa.Table:
+    """Combine partial rows WITHIN a batch (associative merge — same
+    output schema).  Feeding repartitioned partials through this stage
+    forms a reduction tree: each level shrinks the frame toward one row
+    per (group, block-of-blocks)."""
+    int_keys = pa.types.is_integer(batch["group_key"].type)
+    schema = PARTIAL_SCHEMA_INT if int_keys else PARTIAL_SCHEMA
+    if len(batch) == 0:
+        return schema.empty_table()
+    merged = _merge_partials(batch.to_pandas())
+    return pa.Table.from_pandas(merged, preserve_index=False).cast(schema)
 
 
 def reduce_partials(partials_ds) -> pd.DataFrame:
@@ -240,20 +252,7 @@ def reduce_partials(partials_ds) -> pd.DataFrame:
     first merges fanned-in blocks with ``partials_from_partials``, so the
     driver frame shrinks by ~the fan-in factor per level."""
     df, _ = tree_combine(partials_ds, partials_from_partials)
-    if len(df) == 0:
-        return df
-    return (
-        df.groupby("group_key", sort=False)
-        .agg(
-            count=("count", "sum"),
-            nodata_count=("nodata_count", "sum"),
-            sum=("sum", "sum"),
-            sumsq=("sumsq", "sum"),
-            min=("min", "min"),
-            max=("max", "max"),
-        )
-        .reset_index()
-    )
+    return _merge_partials(df) if len(df) else df
 
 
 def _bag_percentiles(plist: list[float], *tables: pa.Table) -> dict:
@@ -276,26 +275,24 @@ def _bag_percentiles_task():
     return ray.remote(_bag_percentiles)
 
 
-def group_percentiles_ds(
-    values_ds, plist: list[float], *, driver_threshold: int = 2_000_000
-) -> dict[str, list[float]]:
+def group_percentiles_ds(values_ds, plist: list[float]) -> dict[str, list[float]]:
     """Exact grouped percentiles over (group_key, value) rows with
     ``np.percentile`` (linear interpolation — matches ``runner.py:891-904``
     bit-for-bit on float32-downcast values).
 
-    Adaptive execution: up to ``driver_threshold`` rows ONE Ray task takes
-    the blocks by reference and returns just the dict, so no value row
-    reaches the driver (a distributed sort-shuffle costs seconds of fixed
-    overhead to move kilobytes); above it, the SALTED two-level shuffle
-    (``salted_group_percentiles``) fans each group's collect/sort over
-    ``salt_buckets`` tasks — round-2 fix: the flagship large-N branch used
-    to land each group's whole value bag on ONE worker, the exact skew
-    failure the north_rule names.  Results are identical (np.percentile
-    over the same multiset).  Memory note (documented tradeoff, SURVEY
-    §7.3): a group's merged float32 bag must fit in the level-2 task —
-    beyond that, switch to the mergeable sketch (stages/sketch.py); the
-    reference instead holds ALL groups' values in one process
-    (``runner.py:502-508``), so this is strictly more scalable.
+    Adaptive execution: up to ``guard.DRIVER_ROWS`` rows (read at call
+    time) ONE Ray task takes the blocks by reference and returns just the
+    dict, so no value row reaches the driver (a distributed sort-shuffle
+    costs seconds of fixed overhead to move kilobytes); above it, the
+    SALTED two-level shuffle (``salted_group_percentiles``) fans each
+    group's collect/sort over ``SALT_BUCKETS`` tasks — round-2 fix: the
+    flagship large-N branch used to land each group's whole value bag on
+    ONE worker, the exact skew failure the north_rule names.  Results are
+    identical (np.percentile over the same multiset).  Memory note
+    (documented tradeoff, SURVEY §7.3): a group's merged float32 bag must
+    fit in the level-2 task — beyond that, switch to the mergeable sketch
+    (stages/sketch.py); the reference instead holds ALL groups' values in
+    one process (``runner.py:502-508``), so this is strictly more scalable.
     """
     import ray
 
@@ -304,7 +301,7 @@ def group_percentiles_ds(
         n = values_ds.count()
     except Exception:
         n = None
-    if n is not None and n <= driver_threshold:
+    if n is not None and n <= guard.DRIVER_ROWS:
         task = _bag_percentiles_task()
         return ray.get(task.remote(plist, *values_ds.to_arrow_refs()))
 
@@ -360,20 +357,16 @@ def rows_batch(
 
 
 def partials_from_rows(batch: pa.Table, *, ignore_nodata: bool = True) -> pa.Table:
-    """Slim rows → partials (same output as partial_stats_batch).
-    Key-dtype-aware: int64 FID keys read zero-copy; string group keys go
-    through object arrays (nullable-safe)."""
-    key_col = batch["group_key"]
-    int_keys = pa.types.is_integer(key_col.type)
+    """Slim rows → partials (same output as partial_stats_batch); int64
+    FID keys stay int64, string group keys stay strings."""
     if len(batch) == 0:
+        int_keys = pa.types.is_integer(batch["group_key"].type)
         return (PARTIAL_SCHEMA_INT if int_keys else PARTIAL_SCHEMA).empty_table()
-    if int_keys:
-        keys = key_col.to_numpy(zero_copy_only=False)
-    else:
-        keys = np.asarray(key_col.to_pylist(), dtype=object)
     values = batch["value"].to_numpy(zero_copy_only=False)
     nd = batch["nodata"].to_numpy(zero_copy_only=False)
-    return _grouped_partials_masked(keys, values, nd, ignore_nodata=ignore_nodata)
+    return _grouped_partials_masked(
+        batch["group_key"], values, nd, ignore_nodata=ignore_nodata
+    )
 
 
 def values_from_rows(batch: pa.Table, *, ignore_nodata: bool = True) -> pa.Table:
@@ -390,16 +383,27 @@ def values_from_rows(batch: pa.Table, *, ignore_nodata: bool = True) -> pa.Table
 
 
 def _grouped_partials_masked(
-    keys: np.ndarray,
+    keys,
     values: np.ndarray,
     nd: np.ndarray,
     *,
     ignore_nodata: bool = True,
 ) -> pa.Table:
-    """Key-dtype-aware: string keys (nullable group values, encoded) emit a
-    string key column; int64 keys (raster FID path) stay int64 end-to-end —
-    no per-pixel Python-object strings in the shuffle (round-2 fix)."""
-    uniq, codes = np.unique(keys, return_inverse=True)
+    """The one values → partials kernel: one (count, nodata_count, sum,
+    sumsq, min, max) row per distinct key, in first-seen key order.
+
+    ``keys`` is a numpy array or an Arrow column; Arrow's
+    ``dictionary_encode`` numbers the keys, so string keys never become
+    per-row Python objects.  Integer keys (the raster FID path) emit an
+    int64 key column, anything else a string one.  ``nd`` marks nodata:
+    it always counts in ``nodata_count``, and ``ignore_nodata=False``
+    keeps those values in sum/sumsq/min/max (reference
+    ``runner.py:657-660``).  Sums accumulate in float64."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    enc = pc.dictionary_encode(pa.array(keys) if isinstance(keys, np.ndarray) else keys)
+    uniq = enc.dictionary
+    codes = enc.indices.to_numpy(zero_copy_only=False)
     k = len(uniq)
     count = np.bincount(codes, minlength=k).astype(np.int64)
     nodata_count = np.bincount(codes, weights=nd, minlength=k).astype(np.int64)
@@ -408,7 +412,6 @@ def _grouped_partials_masked(
         vcodes = codes[valid]
         vvals = values[valid].astype(np.float64)
     else:
-        # reference runner.py:657-660: nodata stays in the aggregates
         vcodes = codes
         vvals = values.astype(np.float64)
     s = np.bincount(vcodes, weights=vvals, minlength=k)
@@ -419,80 +422,49 @@ def _grouped_partials_masked(
     np.maximum.at(mx, vcodes, vvals)
     mn[np.isinf(mn)] = np.nan
     mx[np.isinf(mx)] = np.nan
-    if uniq.dtype.kind in "iu":
-        key_arr = pa.array(uniq.astype(np.int64))
-        schema = PARTIAL_SCHEMA_INT
-    else:
-        key_arr = pa.array(uniq.tolist(), pa.string())
-        schema = PARTIAL_SCHEMA
+    int_keys = pa.types.is_integer(uniq.type)
     return pa.table(
         {
-            "group_key": key_arr,
-            "count": pa.array(count),
-            "nodata_count": pa.array(nodata_count),
-            "sum": pa.array(s),
-            "sumsq": pa.array(ssq),
-            "min": pa.array(mn),
-            "max": pa.array(mx),
+            "group_key": uniq,
+            "count": count,
+            "nodata_count": nodata_count,
+            "sum": s,
+            "sumsq": ssq,
+            "min": mn,
+            "max": mx,
         },
-        schema=schema,
+        schema=PARTIAL_SCHEMA_INT if int_keys else PARTIAL_SCHEMA,
     )
 
 
 def stats_from_rows_df(
     df: pd.DataFrame, plist: list[float]
 ) -> tuple[pd.DataFrame, dict[str, list[float]]]:
-    """Driver-side merge for a small slim-rows frame: returns (merged
-    partials frame, per-group percentiles) in one vectorized pass —
-    identical results to the distributed partials+values path."""
+    """Driver regime of the slim rows (group_key, value, nodata) →
+    (partials frame, per-group percentiles): the same two kernels the
+    distributed regime maps over the blocks, ``partials_from_rows`` and
+    ``_bag_percentiles`` over ``values_from_rows``, run once here."""
     plist = sorted(set(float(p) for p in plist))
-    if len(df) == 0:
-        return (
-            pd.DataFrame(
-                columns=["group_key", "count", "nodata_count", "sum", "sumsq", "min", "max"]
-            ),
-            {},
-        )
-    v = df["value"].to_numpy()
-    nd = df["nodata"].to_numpy()
-    vv = np.where(nd, np.nan, v)
-    work = pd.DataFrame(
-        {
-            "group_key": df["group_key"],
-            "nodata": nd.astype(np.int64),
-            "v": vv,
-            "v2": vv * vv,
-        }
+    # an empty Dataset's to_pandas() has no columns
+    rows = (
+        pa.Table.from_pandas(df, schema=ROWS_SCHEMA, preserve_index=False)
+        if len(df)
+        else ROWS_SCHEMA.empty_table()
     )
-    merged = (
-        work.groupby("group_key", sort=False)
-        .agg(
-            count=("nodata", "size"),
-            nodata_count=("nodata", "sum"),
-            sum=("v", "sum"),  # pandas sum skips NaN (nodata values)
-            sumsq=("v2", "sum"),
-            min=("v", "min"),
-            max=("v", "max"),
-        )
-        .reset_index()
-    )
-    gp: dict[str, list[float]] = {}
-    if plist:
-        valid = df[~nd]
-        for key, grp in valid.groupby("group_key", sort=False):
-            vals = grp["value"].to_numpy(dtype=np.float32)
-            gp[key] = list(np.percentile(vals, plist)) if vals.size else [None] * len(plist)
-    return merged, gp
+    gp = _bag_percentiles(plist, values_from_rows(rows)) if plist else {}
+    return partials_from_rows(rows).to_pandas(), gp
 
 
-def salted_group_percentiles(
-    values_ds, plist: list[float], *, salt_buckets: int = 16
-) -> dict[str, list[float]]:
+# tasks each group's collect/sort fans out over in the salted shuffle
+SALT_BUCKETS = 16
+
+
+def salted_group_percentiles(values_ds, plist: list[float]) -> dict[str, list[float]]:
     """Exact grouped percentiles with SALTED two-level shuffle — the skew
     path for few-group workloads (SURVEY §4.2): with a handful of groups
     over 10^12 rows, a plain ``groupby(group)`` lands each group's entire
     value bag on one task.  Salting first shuffles ``(group, salt)`` so the
-    heavy collect/sort work fans out over ``salt_buckets`` tasks per group;
+    heavy collect/sort work fans out over ``SALT_BUCKETS`` tasks per group;
     the second level merges the (pre-sorted, already-reduced) per-salt
     chunks and takes the exact percentile.  Results are identical to the
     unsalted path (np.percentile over the same multiset)."""
@@ -501,7 +473,7 @@ def salted_group_percentiles(
     def add_salt(b: pa.Table) -> pa.Table:
         n = len(b)
         return b.append_column(
-            "salt", pa.array((np.arange(n) % salt_buckets).astype(np.int32))
+            "salt", pa.array((np.arange(n) % SALT_BUCKETS).astype(np.int32))
         )
 
     def collect_sorted(g: pd.DataFrame) -> pd.DataFrame:
