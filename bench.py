@@ -19,7 +19,9 @@ assignment kernels (per-point R-tree + PIP vs scanline grid burn) on the
 seeded high-vertex rings of perfbench's raster_highvertex workload, then
 MB/s of the text byte-class kernel (`text_class_counts`) on perfbench's
 page texts and on a letter-free CJK variant of them, then vertices/s of
-the Douglas-Peucker kernel (`simplify_zones_table`) on the same rings.
+the Douglas-Peucker kernel (`simplify_zones_table`) on the same rings,
+then rows/s of the one-task zonal reduce bodies (grouped partials and
+exact grouped percentiles) on one raster's worth of slim pixel rows.
 """
 
 from __future__ import annotations
@@ -768,8 +770,8 @@ def _kernels():
     `ZoneSet.assign_points` (R-tree + per-part `points_in_ring`) vs
     `ZoneSet.assign_grid` (scanline burn).  Median of 3 passes over every
     tile; the two outputs must be identical.  Prints one JSON line with
-    the calibration block, then one line each for the text and simplify
-    kernels."""
+    the calibration block, then one line each for the text, simplify and
+    zonal rows kernels."""
     from perfbench import gen
     from perfbench.workloads import SIZES
     from zonal_stats_toolkit_ray.sources.raster import tile_window
@@ -829,6 +831,66 @@ def _kernels():
     )
     _text_kernels(calib)
     _simplify_kernels(calib, seed, zones, 0.5 * abs(grid.dx))
+    _zonal_rows_kernels(calib)
+
+
+def _zonal_rows_kernels(calib: dict):
+    """Fourth `--kernels` line: rows/s of the kernels the one-task zonal
+    reduces run (`rows_partials`, `_group_bag_percentiles`), median of 3,
+    on 524,288 int-keyed slim (fid, value, nodata) rows in two blocks —
+    one raster_highvertex raster's pixels: 32 fids in 8 groups, 6% nodata.
+    Partials: `partials_from_rows` per block, then one `_merge_partials`.
+    Percentiles (p5/p50/p95): `values_from_rows`, the fid → group ordinal
+    map `_fid_group_ordinals` per block, then `_bag_percentiles`."""
+    from zonal_stats_toolkit_ray.pipelines.zonal import _fid_group_ordinals
+    from zonal_stats_toolkit_ray.stages import zonal as Z
+
+    rng = np.random.default_rng(1)
+    n, n_fids, n_groups = 524_288, 32, 8
+    values = rng.normal(100.0, 25.0, n).astype(np.float32)
+    nodata = rng.random(n) < 0.06
+    values[nodata] = -9999.0
+    rows = pa.table(
+        [pa.array(rng.integers(0, n_fids, n)), pa.array(values.astype(np.float64)),
+         pa.array(nodata)],
+        schema=Z.ROWS_SCHEMA_INT,
+    )
+    blocks = [rows.slice(0, n // 2), rows.slice(n // 2)]
+    fids = np.arange(n_fids, dtype=np.int64)
+    ords = fids % n_groups
+
+    def partials():
+        parts = [Z.partials_from_rows(b) for b in blocks]
+        return Z._merge_partials(pa.concat_tables(parts).to_pandas())
+
+    def percentiles():
+        return Z._bag_percentiles(
+            [5.0, 50.0, 95.0],
+            *(_fid_group_ordinals(Z.values_from_rows(b), fids, ords) for b in blocks),
+        )
+
+    rates = {}
+    for name, body in (("partials", partials), ("percentiles", percentiles)):
+        secs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            body()
+            secs.append(time.perf_counter() - t0)
+        rates[f"{name}_rows_per_s"] = round(n / float(np.median(secs)), 1)
+    print(
+        json.dumps(
+            {
+                "metric": "zonal_rows_kernels",
+                "workload": "raster_highvertex",
+                "rows": n,
+                "blocks": len(blocks),
+                "fids": n_fids,
+                "groups": n_groups,
+                **rates,
+                "calib": {"pre": calib, "ref": CALIB_REF},
+            }
+        )
+    )
 
 
 def _simplify_kernels(calib: dict, seed: int, zones: pa.Table, tolerance: float):

@@ -266,7 +266,10 @@ def test_window_kernels_match_dense_array(ignore_nodata):
     merged = Z._merge_partials(pa.concat_tables(parts).to_pandas())
     stats = PZ._window_stats(merged, ignore_nodata)
     bags = pa.concat_tables(
-        [PZ._window_values_batch(b, specs, grid, ignore_nodata) for b in batches]
+        [
+            Z.values_from_rows(PZ._window_values_batch(b, specs, grid), ignore_nodata=ignore_nodata)
+            for b in batches
+        ]
     ).to_pandas()
     rows = merged.set_index("group_key")
     n_empty = 0

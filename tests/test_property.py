@@ -112,19 +112,14 @@ def test_partials_invariants(seed, n, k, nodata):
     # partition invariance: merging partials of two halves == one partial
     import pandas as pd
 
-    from zonal_stats_toolkit_ray.stages.zonal import merge_partials_df
+    from zonal_stats_toolkit_ray.stages.zonal import _merge_partials
 
     h1 = grouped_partials(keys[: n // 2], vals[: n // 2], nodata) if n // 2 else None
     h2 = grouped_partials(keys[n // 2 :], vals[n // 2 :], nodata)
     parts = [p.to_pandas() for p in (h1, h2) if p is not None and len(p)]
     if parts:
         both = pd.concat(parts, ignore_index=True)
-        merged = (
-            both.groupby("group_key", group_keys=False)
-            .apply(merge_partials_df)
-            .reset_index(drop=True)
-            .sort_values("group_key")
-        )
+        merged = _merge_partials(both).sort_values("group_key")
         one = t.to_pandas().sort_values("group_key").reset_index(drop=True)
         merged = merged.reset_index(drop=True)
         assert np.array_equal(merged["count"].to_numpy(), one["count"].to_numpy())

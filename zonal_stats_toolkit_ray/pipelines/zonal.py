@@ -2,14 +2,15 @@
 
 Points path (the graft's primary corpus flow, SURVEY §3.4):
     pages → geocode → cell-encode → spatial join (stateless tasks with a
-    per-worker index cache) → per-batch partials → group merge (the shuffle
-    moves only tiny partials) → finalize (+ exact percentiles via a
-    raw-value path when requested).
+    per-worker index cache) → per-batch partials → group merge (only tiny
+    partials move) → finalize; with percentiles, slim rows materialize and
+    one Ray task computes partials and percentiles from their block refs.
 
 Raster path (the reference's native flow, ``runner.py:264-926``): tiles →
 per-tile pixel-center assignment (a scanline burn of each zone part's
 edge-row crossings, ``ZoneSet.assign_grid``; no per-pixel index lookup or
-point-in-polygon loop) + per-FID partials → FID merge → quirk-Q4
+point-in-polygon loop) + per-FID partials → FID merge (one Ray task over
+the pixel rows' block refs when percentiles materialize them) → quirk-Q4
 bbox-window fallback for zero-pixel FIDs → FID→group rollup → finalize.
 Replicates quirks Q1-Q9 (SURVEY §2.9) for row-identical output.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..functions.scalars import GROUP_KEY_NULL, group_label, percentile_keys
 from ..geom.window import GridSpec, envelope_to_window
@@ -113,14 +115,16 @@ def zonal_stats_points(
     reference's stat fields / empty-group defaults / Q8 row order.
 
     When percentiles are requested there are two consumers (partials +
-    raw-value shuffle); a lazy Dataset would re-execute the whole upstream
-    join for each.  The joined rows are therefore first reduced to a slim
-    (group_key, value, nodata) projection and THAT is materialized — a few
-    bytes per row, never the wide page columns — so the join runs exactly
-    once.  Up to ``guard.DRIVER_ROWS`` slim rows (read at call time) they
-    reduce in one driver pass (``stats_from_rows_df``); above it, through
-    the partials tree combine and ``group_percentiles_ds``.  Both regimes
-    run the same partials and percentile kernels.
+    percentile value bags); a lazy Dataset would re-execute the whole
+    upstream join for each.  The joined rows are therefore first reduced
+    to a slim (group_key, value, nodata) projection and THAT is
+    materialized — a few bytes per row, never the wide page columns — so
+    the join runs exactly once.  Up to ``guard.DRIVER_ROWS`` slim rows
+    (read at call time, from block metadata) ONE Ray task over their block
+    refs computes partials and percentiles (``stats_from_rows_df``), so no
+    row reaches the driver; above it, the partials tree combine and
+    ``group_percentiles_ds``.  Both regimes run the same partials and
+    percentile kernels.
 
     ``rows_sink`` (round 4, VERDICT r3 #4): write the slim joined rows to
     this Parquet directory so an external oracle (DuckDB) can reproduce
@@ -139,10 +143,9 @@ def zonal_stats_points(
         if rows_sink is not None:
             slim.write_parquet(rows_sink)
         if slim.count() <= guard.DRIVER_ROWS:
-            # small assigned-row set: one driver pass computes partials AND
-            # percentiles (each extra Dataset execution is 10-20 ms of pure
-            # fixed overhead at this size)
-            merged, gp = Z.stats_from_rows_df(slim.to_pandas(), list(percentiles))
+            merged, gp = Z.one_task(
+                Z.stats_from_rows_df, slim.to_arrow_refs(), list(percentiles)
+            )
         else:
             merged = Z.reduce_partials(
                 slim.map_batches(Z.partials_from_rows, batch_format="pyarrow")
@@ -251,7 +254,8 @@ def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec) -> pa.Table:
 
 def _fetch_windows(tiles_ds, grid: GridSpec, windows: list[tuple[int, int, int, int]]):
     """Read only the tiles touched by the given pixel windows (small side)
-    → one Arrow table of those tiles."""
+    → one Arrow table of those tiles (materialized before ``to_arrow_refs``,
+    which on a lazy Dataset runs the pipeline again for its schema)."""
     import pyarrow.compute as pc
     import ray
 
@@ -270,7 +274,7 @@ def _fetch_windows(tiles_ds, grid: GridSpec, windows: list[tuple[int, int, int, 
         m = pc.and_(pc.is_in(b["tile_x"], tx_arr), pc.is_in(b["tile_y"], ty_arr))
         return b.filter(m)
 
-    picked = tiles_ds.map_batches(pick, batch_format="pyarrow")
+    picked = tiles_ds.map_batches(pick, batch_format="pyarrow").materialize()
     tables = [t for t in ray.get(picked.to_arrow_refs()) if t.num_rows]
     return pa.concat_tables(tables) if tables else TILES_SCHEMA.empty_table()
 
@@ -304,49 +308,36 @@ def _window_blocks(batch: pa.Table, specs, grid: GridSpec):
             yield int(key[h]), tile[r0:r1, c0:c1]
 
 
-def _window_pixels(batch: pa.Table, specs, grid: GridSpec):
-    """→ (int64 keys, float32 values, nodata mask) of every window × tile
-    intersection in ``batch``, or None when no window touches it.  The
-    mask is taken on the float32 values, like the tile path's."""
-    blocks = list(_window_blocks(batch, specs, grid))
-    if not blocks:
-        return None
-    keys = np.concatenate([np.full(b.size, k, np.int64) for k, b in blocks])
-    values = np.concatenate([b.ravel() for _, b in blocks])
-    return keys, values, Z.nodata_mask(values, grid.nodata)
-
-
 def _window_partials_batch(
     batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True
 ) -> pa.Table:
     """Q4 fallback partials: one partials row (``PARTIAL_SCHEMA_INT``,
     ``group_key`` = the spec's key) per window touched by the batch's
-    tiles, from the zonal kernel ``_grouped_partials_masked``.  The
+    tiles: ``Z.partials_from_rows`` over ``_window_values_batch``.  The
     reference runs this pass serially on one process (runner.py:697-811);
     windows tile-partition cleanly, so the window aggregates merge
     associatively (``_merge_partials``)."""
-    px = _window_pixels(batch, specs_ref, grid)
-    if px is None:
-        return Z.PARTIAL_SCHEMA_INT.empty_table()
-    return Z._grouped_partials_masked(*px, ignore_nodata=ignore_nodata)
+    rows = _window_values_batch(batch, specs_ref, grid)
+    return Z.partials_from_rows(rows, ignore_nodata=ignore_nodata)
 
 
-def _window_values_batch(
-    batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True
-) -> pa.Table:
-    """Q4 fallback VALUES: (group_key, value float32) rows of each window
-    × tile intersection, keyed by the spec's key (the window's owning
-    fid), nodata dropped when ``ignore_nodata`` — the percentile value
-    bags (the reference appends each part-window's pixels to the bag,
-    runner.py:805-811; percentile over the multiset is
-    order-independent, so distributed collection is exact)."""
-    px = _window_pixels(batch, specs_ref, grid)
-    if px is None:
-        return Z.VALUES_SCHEMA_INT.empty_table()
-    keys, values, nd = px
-    if ignore_nodata:
-        keys, values = keys[~nd], values[~nd]
-    return pa.table([pa.array(keys), pa.array(values)], schema=Z.VALUES_SCHEMA_INT)
+def _window_values_batch(batch: pa.Table, specs_ref, grid: GridSpec) -> pa.Table:
+    """Q4 fallback VALUES: slim (group_key, value, nodata) rows
+    (``ROWS_SCHEMA_INT``, like the tile pixels) of each window × tile
+    intersection, keyed by the spec's key (the window's owning fid) — the
+    percentile value bags (the reference appends each part-window's
+    pixels to the bag, runner.py:805-811; percentile over the multiset is
+    order-independent, so distributed collection is exact).
+    ``Z.values_from_rows`` drops the nodata values when ``ignore_nodata``,
+    as it does for the pixels; the mask is taken on the float32 values,
+    like the tile path's."""
+    blocks = list(_window_blocks(batch, specs_ref, grid))
+    if not blocks:
+        return Z.ROWS_SCHEMA_INT.empty_table()
+    keys = np.concatenate([np.full(b.size, k, np.int64) for k, b in blocks])
+    values = np.concatenate([b.ravel() for _, b in blocks])
+    nd = Z.nodata_mask(values, grid.nodata)
+    return pa.table([keys, values.astype(np.float64), nd], schema=Z.ROWS_SCHEMA_INT)
 
 
 def _broadcast_specs(win_specs):
@@ -407,29 +398,48 @@ def _fid_group_ordinals(
     return pa.table([pa.array(ords[pos]), batch["value"]], schema=Z.VALUES_SCHEMA_INT)
 
 
-def _raster_group_percentiles(value_parts: list, zs: ZoneSet, plist: list[float]) -> dict:
-    """Exact percentiles per group value over the union of the (fid,
-    value) Datasets in ``value_parts``.  Each fid maps to its group's
-    ordinal in ``zs.unique_groups`` — an int64 key, so no per-pixel
-    strings reach the shuffle — and ``group_percentiles_ds`` picks the
-    one-task reduce or the salted distributed one by ``guard.DRIVER_ROWS``."""
+def _group_bag_percentiles(
+    plist: list[float], fids, ords, *tables: pa.Table, ignore_nodata: bool = True
+) -> dict:
+    """One-task body of the raster percentiles: slim (fid, value, nodata)
+    row blocks → {group ordinal: percentiles}, via ``Z.values_from_rows``,
+    ``_fid_group_ordinals`` and ``Z._bag_percentiles``."""
+    return Z._bag_percentiles(plist, *(
+        _fid_group_ordinals(Z.values_from_rows(t, ignore_nodata=ignore_nodata), fids, ords)
+        for t in tables
+        if t.num_rows  # Ray Data may emit empty blocks without columns
+    ))
+
+
+def _raster_group_percentiles(
+    refs: list, n_rows: int, zs: ZoneSet, plist: list[float], ignore_nodata: bool
+) -> dict:
+    """Exact percentiles per group value over the slim (fid, value, nodata)
+    row blocks behind ``refs`` (tile pixels and Q4 window rows, ``n_rows``
+    in all), keyed by the fid's group ordinal in ``zs.unique_groups``: ONE
+    Ray task up to ``guard.DRIVER_ROWS`` rows, the salted shuffle above."""
+    if not n_rows:
+        return {}
     ordinal = {g: i for i, g in enumerate(zs.unique_groups)}
     ords = np.array([ordinal[zs.fid_to_group[f]] for f in zs.all_fids], np.int64)
-    # map, then materialize: an empty map_batches output has no schema
-    # (Ray never runs the UDF), so empty parts are dropped before the union
-    parts = [
-        p.map_batches(
+    if n_rows <= guard.DRIVER_ROWS:
+        gp = Z.one_task(
+            _group_bag_percentiles, refs, plist, zs._lut_fids, ords,
+            ignore_nodata=ignore_nodata,
+        )
+    else:
+        import ray.data as rd
+
+        values = rd.from_arrow_refs(refs).map_batches(
+            Z.values_from_rows,
+            fn_kwargs={"ignore_nodata": ignore_nodata},
+            batch_format="pyarrow",
+        ).map_batches(
             _fid_group_ordinals,
             fn_kwargs={"fids": zs._lut_fids, "ords": ords},
             batch_format="pyarrow",
-        ).materialize()
-        for p in value_parts
-    ]
-    parts = [p for p in parts if p.count() > 0]
-    if not parts:
-        return {}
-    values = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    gp = Z.group_percentiles_ds(values, plist)
+        )
+        gp = Z.salted_group_percentiles(values, plist)
     return {zs.unique_groups[int(k)]: [float(v) for v in pv] for k, pv in gp.items()}
 
 
@@ -478,10 +488,14 @@ def zonal_stats_raster(
 
     Per-FID stats — assigned pixels and Q4 fallback windows alike — come
     from the one partials kernel (``Z._grouped_partials_masked``) and merge
-    in ``Z._merge_partials``.  Percentile value bags reduce in one place
-    (``_raster_group_percentiles``): one Ray task up to
-    ``guard.DRIVER_ROWS`` values (no value row reaches the driver), the
-    salted shuffle above.
+    in ``Z._merge_partials``.  With percentiles the pixel rows materialize
+    once and, up to ``guard.DRIVER_ROWS`` rows (their count is block
+    metadata), two Ray tasks read their block refs: ``Z.rows_partials``
+    for the fid partials, then ``_raster_group_percentiles`` for the value
+    bags of the pixels plus the Q4 window rows (the swept windows' block
+    refs, or the driver-read windows' table through ``ray.put``).  No row
+    reaches the driver.  Above the budget the partials go through the tree
+    combine and the bags through the salted shuffle.
     """
     if simplify_tolerance is not None and simplify_tolerance > 0:
         # the incoming broadcast handle refers to the UNsimplified zones;
@@ -501,14 +515,17 @@ def zonal_stats_raster(
 
     zones_arg = zones_ref if zones_ref is not None else zs.table
 
-    # --- per-tile FID partials → distributed merge.  With percentiles the
-    # pixel assignment runs once into slim materialized pixel rows and both
-    # consumers derive from them; without, partials aggregate inside the
-    # task (single pass, nothing materialized). ---
+    # --- per-tile FID partials → merge.  With percentiles the pixel
+    # assignment runs once into slim materialized pixel rows, and both the
+    # fid partials and the value bags reduce from their block refs;
+    # without, partials aggregate inside the task (single pass, nothing
+    # materialized). ---
     if rows_sink is not None and not plist:
         raise ValueError("rows_sink requires percentile mode (pixels rows)")
-    # (fid, value float32) Datasets whose union is the percentile value bags
-    value_parts = []
+    # slim (fid, value, nodata) row blocks whose union is the percentile
+    # value bags, and their row count
+    value_refs: list = []
+    n_values = 0
     if plist:
         pixels = tiles_ds.map_batches(
             tile_fid_pixels_batch,
@@ -517,17 +534,12 @@ def zonal_stats_raster(
         ).materialize()
         if rows_sink is not None:
             pixels.write_parquet(rows_sink)
+        n_values = pixels.count()
+        value_refs = pixels.to_arrow_refs()
         partials = pixels.map_batches(
             Z.partials_from_rows,
             batch_format="pyarrow",
             fn_kwargs={"ignore_nodata": ignore_nodata},
-        )
-        value_parts.append(
-            pixels.map_batches(
-                Z.values_from_rows,
-                batch_format="pyarrow",
-                fn_kwargs={"ignore_nodata": ignore_nodata},
-            )
         )
     else:
         partials = tiles_ds.map_batches(
@@ -539,7 +551,10 @@ def zonal_stats_raster(
             },
             batch_format="pyarrow",
         )
-    merged = Z.reduce_partials(partials)
+    if plist and n_values <= guard.DRIVER_ROWS:
+        merged = Z.one_task(Z.rows_partials, value_refs, ignore_nodata=ignore_nodata)
+    else:
+        merged = Z.reduce_partials(partials)
 
     fid_stats: dict[int, dict] = {}
     for _, r in merged.iterrows():
@@ -608,17 +623,14 @@ def zonal_stats_raster(
                     tiles_ds, grid, win_specs, ignore_nodata=ignore_nodata
                 )
                 if plist:
-                    value_parts.append(
-                        tiles_ds.map_batches(
-                            _window_values_batch,
-                            fn_kwargs={
-                                "specs_ref": owned_ref,
-                                "grid": grid,
-                                "ignore_nodata": ignore_nodata,
-                            },
-                            batch_format="pyarrow",
-                        )
-                    )
+                    # every window pixel is one row (windows lie inside the grid)
+                    n_values += sum(w[3] * w[4] for w in win_specs)
+                    # materialized first (see _fetch_windows)
+                    value_refs += tiles_ds.map_batches(
+                        _window_values_batch,
+                        fn_kwargs={"specs_ref": owned_ref, "grid": grid},
+                        batch_format="pyarrow",
+                    ).materialize().to_arrow_refs()
             else:
                 tiles = _fetch_windows(tiles_ds, grid, [w[1:] for w in win_specs])
                 parts = _window_partials_batch(
@@ -628,24 +640,13 @@ def zonal_stats_raster(
                     Z._merge_partials(parts.to_pandas()), ignore_nodata
                 )
                 if plist:
-                    import ray.data as rd
+                    import ray
 
-                    bags = _window_values_batch(tiles, owned_ref, grid, ignore_nodata)
-                    if bags.num_rows:
-                        value_parts.append(rd.from_arrow(bags))
-                if rows_sink is not None:
-                    import os
-
-                    import pyarrow.parquet as pq
-
-                    keys, values, nd = _window_pixels(tiles, owned_ref, grid)
-                    pq.write_table(
-                        pa.table(
-                            [keys, values.astype(np.float64), nd],
-                            schema=Z.ROWS_SCHEMA_INT,
-                        ),
-                        os.path.join(rows_sink, "fallback_windows.parquet"),
-                    )
+                    rows = _window_values_batch(tiles, owned_ref, grid)
+                    n_values += rows.num_rows
+                    value_refs.append(ray.put(rows))
+                    if rows_sink is not None:
+                        pq.write_table(rows, f"{rows_sink}/fallback_windows.parquet")
             # per fid in part order: later parts OVERWRITE the stats (quirk
             # Q4) while every part's values join the bag (runner.py:805-811)
             for (f, _order), (win_id, *_rest) in zip(win_owner, win_specs):
@@ -676,7 +677,7 @@ def zonal_stats_raster(
                 g["max"] = max(g["max"], s["max"])
 
     if plist:
-        gp = _raster_group_percentiles(value_parts, zs, plist)
+        gp = _raster_group_percentiles(value_refs, n_values, zs, plist, ignore_nodata)
         for gv, pv in gp.items():
             grouped[gv].update(zip(pkeys, pv))
 

@@ -1,6 +1,6 @@
-"""Zonal statistics reduce: partial per-batch aggregates → salted shuffle of
-tiny partials → final merge → finalize, replicating the reference's
-aggregate semantics (``/root/reference/runner.py:653-685, 848-917``):
+"""Zonal statistics reduce: per-block partial aggregates → final merge →
+finalize, replicating the reference's aggregate semantics
+(``/root/reference/runner.py:653-685, 848-917``):
 
 * ``count``      = pixels/points assigned to the zone (incl. nodata)
 * ``nodata_count`` via ``np.isclose`` (quirk Q2, not ``==``)
@@ -20,13 +20,16 @@ aggregate semantics (``/root/reference/runner.py:653-685, 848-917``):
   negative-variance clamp (quirk Q3); exact percentiles via
   ``np.percentile`` over all valid values (linear interpolation, A4)
 
-Scaling shape: the per-batch partial pass emits ONE ROW PER (group, batch)
-— the all-to-all shuffle only ever moves these tiny partials, never the
-corpus.  With few groups over 10^12 rows the shuffle input is
-O(#groups × #blocks), which is why no key salting is needed for the basic
-stats; the exact-percentile path shuffles raw (group, value) rows and is
-gated behind ``percentiles=[...]`` with the memory cost documented (the
-reference holds every pixel in driver RAM instead, ``runner.py:502-508``).
+Scaling shape: the per-block partial pass emits ONE ROW PER (group,
+block), so only O(#groups × #blocks) tiny partials are ever merged, never
+the corpus.  Materialized slim rows within ``guard.DRIVER_ROWS`` reduce in
+ONE Ray task over their block refs (``one_task``: ``rows_partials``,
+``stats_from_rows_df``); above it the partials merge through
+``guard.tree_combine``.  Exact percentiles need the raw values: one task
+within the budget, the salted two-level shuffle
+(``salted_group_percentiles``) above it — the only place keys are salted
+(the reference holds every pixel in driver RAM instead,
+``runner.py:502-508``).
 """
 
 from __future__ import annotations
@@ -118,22 +121,6 @@ def partial_stats_batch(
     keys = encode_group_key(batch[group_col])
     values = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
     return grouped_partials(keys, values, nodata)
-
-
-def merge_partials_df(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-group merge of partials — associative, order-independent for the
-    integer fields; float sums accumulate in float64."""
-    return pd.DataFrame(
-        {
-            "group_key": [g["group_key"].iloc[0]],
-            "count": [int(g["count"].sum())],
-            "nodata_count": [int(g["nodata_count"].sum())],
-            "sum": [float(g["sum"].sum())],
-            "sumsq": [float(g["sumsq"].sum())],
-            "min": [g["min"].min()],  # pandas skips NaN → None-merge semantics
-            "max": [g["max"].max()],
-        }
-    )
 
 
 def empty_stats(pkeys) -> dict:
@@ -268,11 +255,22 @@ def _bag_percentiles(plist: list[float], *tables: pa.Table) -> dict:
 
 
 @functools.cache
-def _bag_percentiles_task():
-    """``_bag_percentiles`` as one cached remote function (exported once)."""
+def _remote(fn):
+    """``fn`` as a Ray remote function, created (and exported) once."""
     import ray
 
-    return ray.remote(_bag_percentiles)
+    return ray.remote(fn)
+
+
+def one_task(fn, refs, *args, **kwargs):
+    """``fn(*args, *tables, **kwargs)`` in ONE Ray task over the Arrow
+    blocks behind ``refs`` (``Dataset.to_arrow_refs()`` or ``ray.put``
+    tables): the blocks reach the task by reference and only its small
+    result returns to the driver — one task instead of a Dataset execution
+    per step, and no row collected on the driver."""
+    import ray
+
+    return ray.get(_remote(fn).remote(*args, *refs, **kwargs))
 
 
 def group_percentiles_ds(values_ds, plist: list[float]) -> dict[str, list[float]]:
@@ -280,32 +278,25 @@ def group_percentiles_ds(values_ds, plist: list[float]) -> dict[str, list[float]
     ``np.percentile`` (linear interpolation — matches ``runner.py:891-904``
     bit-for-bit on float32-downcast values).
 
-    Adaptive execution: up to ``guard.DRIVER_ROWS`` rows (read at call
-    time) ONE Ray task takes the blocks by reference and returns just the
-    dict, so no value row reaches the driver (a distributed sort-shuffle
-    costs seconds of fixed overhead to move kilobytes); above it, the
+    The values materialize once, and their row count (block metadata)
+    picks the regime: up to ``guard.DRIVER_ROWS`` rows (read at call time)
+    ``_bag_percentiles`` runs in ONE Ray task over the block refs
+    (``one_task``), so no value row reaches the driver; above it, the
     SALTED two-level shuffle (``salted_group_percentiles``) fans each
-    group's collect/sort over ``SALT_BUCKETS`` tasks — round-2 fix: the
-    flagship large-N branch used to land each group's whole value bag on
-    ONE worker, the exact skew failure the north_rule names.  Results are
-    identical (np.percentile over the same multiset).  Memory note
-    (documented tradeoff, SURVEY §7.3): a group's merged float32 bag must
-    fit in the level-2 task — beyond that, switch to the mergeable sketch
+    group's collect/sort over ``SALT_BUCKETS`` tasks, so no group's whole
+    bag lands on one worker before the final merge.  Results are identical
+    (np.percentile over the same multiset).  A failing values pipeline
+    raises here, before either regime runs.  Memory note (documented
+    tradeoff, SURVEY §7.3): a group's merged float32 bag must fit in the
+    level-2 task — beyond that, switch to the mergeable sketch
     (stages/sketch.py); the reference instead holds ALL groups' values in
     one process (``runner.py:502-508``), so this is strictly more scalable.
     """
-    import ray
-
     plist = sorted(set(float(p) for p in plist))
-    try:
-        n = values_ds.count()
-    except Exception:
-        n = None
-    if n is not None and n <= guard.DRIVER_ROWS:
-        task = _bag_percentiles_task()
-        return ray.get(task.remote(plist, *values_ds.to_arrow_refs()))
-
-    return salted_group_percentiles(values_ds, plist)
+    values = values_ds.materialize()
+    if values.count() <= guard.DRIVER_ROWS:
+        return one_task(_bag_percentiles, values.to_arrow_refs(), plist)
+    return salted_group_percentiles(values, plist)
 
 
 ROWS_SCHEMA = pa.schema(
@@ -437,22 +428,28 @@ def _grouped_partials_masked(
     )
 
 
+def rows_partials(*tables: pa.Table, ignore_nodata: bool = True) -> pd.DataFrame:
+    """Slim row blocks → merged partials frame: ``partials_from_rows`` per
+    block, then one ``_merge_partials`` — exactly the partials the tree
+    combine's driver regime merges (one partials row set per block), so
+    both regimes add the float sums in the same order.  Empty blocks are
+    skipped: Ray Data may emit them without columns."""
+    parts = [partials_from_rows(t, ignore_nodata=ignore_nodata) for t in tables if t.num_rows]
+    df = pa.concat_tables(parts or [PARTIAL_SCHEMA.empty_table()]).to_pandas()
+    return _merge_partials(df) if len(df) else df
+
+
 def stats_from_rows_df(
-    df: pd.DataFrame, plist: list[float]
+    plist: list[float], *tables: pa.Table
 ) -> tuple[pd.DataFrame, dict[str, list[float]]]:
-    """Driver regime of the slim rows (group_key, value, nodata) →
-    (partials frame, per-group percentiles): the same two kernels the
-    distributed regime maps over the blocks, ``partials_from_rows`` and
-    ``_bag_percentiles`` over ``values_from_rows``, run once here."""
+    """One-task body of the points path: slim (group_key, value, nodata)
+    row blocks → (merged partials frame, per-group percentiles), from the
+    kernels the distributed regime maps over the blocks —
+    ``rows_partials`` and ``_bag_percentiles`` over ``values_from_rows``."""
     plist = sorted(set(float(p) for p in plist))
-    # an empty Dataset's to_pandas() has no columns
-    rows = (
-        pa.Table.from_pandas(df, schema=ROWS_SCHEMA, preserve_index=False)
-        if len(df)
-        else ROWS_SCHEMA.empty_table()
-    )
-    gp = _bag_percentiles(plist, values_from_rows(rows)) if plist else {}
-    return partials_from_rows(rows).to_pandas(), gp
+    tables = [t for t in tables if t.num_rows]
+    gp = _bag_percentiles(plist, *map(values_from_rows, tables)) if plist else {}
+    return rows_partials(*tables), gp
 
 
 # tasks each group's collect/sort fans out over in the salted shuffle
