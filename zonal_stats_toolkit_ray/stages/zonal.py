@@ -448,7 +448,7 @@ def stats_from_rows_df(
     ``rows_partials`` and ``_bag_percentiles`` over ``values_from_rows``."""
     plist = sorted(set(float(p) for p in plist))
     tables = [t for t in tables if t.num_rows]
-    gp = _bag_percentiles(plist, *map(values_from_rows, tables)) if plist else {}
+    gp = _bag_percentiles(plist, *map(values_from_rows, tables))
     return rows_partials(*tables), gp
 
 
