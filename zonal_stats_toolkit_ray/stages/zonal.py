@@ -1,6 +1,6 @@
 """Zonal statistics reduce: per-block partial aggregates → final merge →
 finalize, replicating the reference's aggregate semantics
-(``/root/reference/runner.py:653-685, 848-917``):
+(``runner.py:653-685, 848-917``):
 
 * ``count``      = pixels/points assigned to the zone (incl. nodata)
 * ``nodata_count`` via ``np.isclose`` (quirk Q2, not ``==``)
