@@ -21,7 +21,9 @@ MB/s of the text byte-class kernel (`text_class_counts`) on perfbench's
 page texts and on a letter-free CJK variant of them, then vertices/s of
 the Douglas-Peucker kernel (`simplify_zones_table`) on the same rings,
 then rows/s of the one-task zonal reduce bodies (grouped partials and
-exact grouped percentiles) on one raster's worth of slim pixel rows.
+exact grouped percentiles) on one raster's worth of slim pixel rows, then
+px/s of the tile pixel pass with two rasters stacked as bands against one
+1-band pass per raster.
 """
 
 from __future__ import annotations
@@ -770,8 +772,8 @@ def _kernels():
     `ZoneSet.assign_points` (R-tree + per-part `points_in_ring`) vs
     `ZoneSet.assign_grid` (scanline burn).  Median of 3 passes over every
     tile; the two outputs must be identical.  Prints one JSON line with
-    the calibration block, then one line each for the text, simplify and
-    zonal rows kernels."""
+    the calibration block, then one line each for the text, simplify,
+    zonal rows and zonal tile kernels."""
     from perfbench import gen
     from perfbench.workloads import SIZES
     from zonal_stats_toolkit_ray.sources.raster import tile_window
@@ -832,6 +834,55 @@ def _kernels():
     _text_kernels(calib)
     _simplify_kernels(calib, seed, zones, 0.5 * abs(grid.dx))
     _zonal_rows_kernels(calib)
+    _zonal_tile_kernels(calib, seed, grid, zones)
+
+
+def _zonal_tile_kernels(calib: dict, seed: int, grid, zones: pa.Table):
+    """Fifth `--kernels` line: px/s of the pixel pass
+    (`tile_fid_pixels_batch`: burn + wide pixel rows), median of 3, on the
+    raster_highvertex grid (1024×512, 512-px tiles) with two rasters'
+    tiles stacked as two bands, against one 1-band pass per raster.  Zones
+    simplified at half a pixel, as `run_job` does; one ZoneSet serves
+    every pass, as the per-worker cache does.  px counts the pixels of
+    both rasters."""
+    from zonal_stats_toolkit_ray.geom.simplify import simplify_zones_table
+    from zonal_stats_toolkit_ray.pipelines.zonal import tile_fid_pixels_batch
+    from zonal_stats_toolkit_ray.sources.raster import synth_tiles_table
+    from zonal_stats_toolkit_ray.sources.zones import ZoneSet
+
+    zs = ZoneSet(simplify_zones_table(zones, 0.5 * abs(grid.dx)))
+    rasters = [synth_tiles_table(grid, seed=seed * 16 + i) for i in range(2)]
+    stacked = rasters[0].append_column("values_1", rasters[1]["values"])
+    px = 2 * grid.width * grid.height
+    nodata = (grid.nodata, grid.nodata)
+
+    def two_bands():
+        return tile_fid_pixels_batch(stacked, zs, grid, nodata).num_rows
+
+    def one_band_each():
+        return sum(tile_fid_pixels_batch(t, zs, grid).num_rows for t in rasters)
+
+    rates = {}
+    for name, body in (("two_band_pass", two_bands), ("one_band_passes", one_band_each)):
+        secs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            rows = body()
+            secs.append(time.perf_counter() - t0)
+        rates[name] = {"pixel_rows": rows, "px_per_s": round(px / float(np.median(secs)), 1)}
+    print(
+        json.dumps(
+            {
+                "metric": "zonal_tile_kernels",
+                "workload": "raster_highvertex",
+                "seed": seed,
+                "pixels": px,
+                "tiles_per_band": rasters[0].num_rows,
+                **rates,
+                "calib": {"pre": calib, "ref": CALIB_REF},
+            }
+        )
+    )
 
 
 def _zonal_rows_kernels(calib: dict):

@@ -162,6 +162,27 @@ class TestBroadcastJoin:
         pd.testing.assert_frame_equal(got, want)
         assert BROADCAST_JOIN_THRESHOLD >= 1_000_000  # contract: dims broadcast
 
+    @pytest.mark.parametrize("broadcast, runs", [(None, 2), (True, 1)], ids=["auto", "forced"])
+    def test_build_side_executions(self, ray_session, tmp_path, broadcast, runs):
+        """The broadcast path materializes the build side before reading
+        its block refs: the auto path runs the build UDF twice (size probe,
+        read), ``broadcast=True`` once.  ``to_arrow_refs`` on the lazy
+        Dataset would run it once more to fetch its schema."""
+        log = tmp_path / "runs"
+
+        def counted(t: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write("x")
+            return t
+
+        left = rd.from_arrow(pa.table({"k": [1, 2, 3], "a": [10, 20, 30]}))
+        right = rd.from_arrow(pa.table({"rk": [1, 2], "b": ["x", "y"]})).map_batches(
+            counted, batch_format="pyarrow"
+        )
+        got = hash_join(left, right, on="k", right_on="rk", broadcast=broadcast)
+        assert sorted(got.to_pandas()["b"]) == ["x", "y"]
+        assert log.read_text() == "x" * runs
+
     def test_broadcast_join_direct_table(self, ray_session, sides):
         left, right = sides
         build = pa.Table.from_pandas(right)

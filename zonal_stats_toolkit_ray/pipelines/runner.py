@@ -1,13 +1,15 @@
 """Multi-job driver: config → N zonal-stats jobs → pivoted CSVs.
 
 The engine's analogue of the reference's ``main()`` + ``run_zonal_stats_job``
-(``/root/reference/runner.py:929-1101``): parse/validate the INI config,
-then run each job — for every raster (tiles parquet) in the job's glob
-list, compute full-quirk zonal statistics and pivot per ``row_col_order``
-into ``<stem>_<timestamp>.csv``.  Jobs run sequentially on one Ray session
-(intra-job parallelism comes from Ray Data; the reference instead used one
-OS process per job, ``runner.py:1075-1077``).  The timestamp is injectable
-for deterministic tests (``runner.py:1079-1091`` uses wall clock).
+(``runner.py:929-1101`` in the reference): parse/validate the INI config,
+then run each job — zonal statistics of every raster (tiles parquet) in
+the job's glob list, rasters that share a grid and tile layout read,
+burned and reduced together as bands of one tile pass — and pivot per
+``row_col_order`` into ``<stem>_<timestamp>.csv``.  Jobs run as
+concurrent driver threads on one Ray session (``run_config``; the
+reference used one OS process per job, ``runner.py:1075-1077``).  The
+timestamp is injectable for deterministic tests (``runner.py:1079-1091``
+uses wall clock).
 """
 
 from __future__ import annotations
@@ -15,17 +17,20 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..sources.config import parse_and_validate_config
-from ..sources.raster import read_grid_spec
+from ..sources.raster import group_rasters, read_bands, read_grid_spec
 from ..state.metrics import StageMetrics
-from .zonal import pivot_stats, simplified_zones, write_pivot_csv, zonal_stats_raster
+
+# zonal_stats_raster: perfbench/trace.py patches it under this module too
+from .zonal import pivot_stats, simplified_zones, write_pivot_csv, zonal_stats_bands
+from .zonal import zonal_stats_raster  # noqa: F401
 
 
 def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | None = None) -> Path:
-    """One job: loop rasters → zonal stats → pivot → CSV.  Returns the CSV
-    path (timestamped like ``runner.py:1079-1091`` when a timestamp is
-    given)."""
+    """One job: rasters → band groups (``group_rasters``: same grid but
+    nodata, same tile layout) → one ``zonal_stats_bands`` pass per group
+    → pivot → CSV.  Returns the CSV path (timestamped like
+    ``runner.py:1079-1091`` when a timestamp is given)."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     metrics = metrics or StageMetrics()
     zones_table = pq.read_table(job["agg_vector"])
@@ -35,25 +40,25 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
     # simplified ZoneSet and one broadcast (workers cache it by ref).
     zones_by_tol: dict[float, tuple] = {}
 
+    paths = job["base_raster_path_list"]
+    stems = [Path(p).stem for p in paths]
     raster_stats_by_stem: dict[str, dict] = {}
-    stems: list[str] = []
-    for raster_path in job["base_raster_path_list"]:
-        stem = Path(raster_path).stem
-        stems.append(stem)
-        grid = read_grid_spec(raster_path)
+    for grid, members in group_rasters(paths):
         tol = 0.5 * abs(grid.dx)
         if tol not in zones_by_tol:
             zones_by_tol[tol] = simplified_zones(zones_table, tol)
         zs, zones_ref = zones_by_tol[tol]
-        tiles = rd.read_parquet(raster_path)
-        with metrics.timed(f"zonal:{stem}"):
-            raster_stats_by_stem[stem] = zonal_stats_raster(
-                tiles,
+        band_paths = [paths[i] for i in members]
+        with metrics.timed("zonal:" + "+".join(stems[i] for i in members)):
+            bands = zonal_stats_bands(
+                read_bands(band_paths),
                 grid,
+                [read_grid_spec(p).nodata for p in band_paths],
                 zs,
                 percentiles=job["percentile_list"],
                 zones_ref=zones_ref,
             )
+        raster_stats_by_stem.update(zip((stems[i] for i in members), bands))
 
     header, rows = pivot_stats(
         raster_stats_by_stem, stems, job["row_col_order"], job["agg_field"]

@@ -6,13 +6,15 @@ Points path (the graft's primary corpus flow, SURVEY §3.4):
     partials move) → finalize; with percentiles, slim rows materialize and
     one Ray task computes partials and percentiles from their block refs.
 
-Raster path (the reference's native flow, ``runner.py:264-926``): tiles →
-per-tile pixel-center assignment (a scanline burn of each zone part's
-edge-row crossings, ``ZoneSet.assign_grid``; no per-pixel index lookup or
-point-in-polygon loop) + per-FID partials → FID merge (one Ray task over
-the pixel rows' block refs when percentiles materialize them) → quirk-Q4
-bbox-window fallback for zero-pixel FIDs → FID→group rollup → finalize.
-Replicates quirks Q1-Q9 (SURVEY §2.9) for row-identical output.
+Raster path (the reference's native flow, ``runner.py:264-926``): tiles of
+one or more bands (rasters sharing a grid and tile layout) → per-tile
+pixel-center assignment, once for all bands (a scanline burn of each zone
+part's edge-row crossings, ``ZoneSet.assign_grid``; no per-pixel index
+lookup or point-in-polygon loop) + per-FID partials of each band → FID
+merge (one Ray task over the wide pixel rows' block refs when percentiles
+materialize them, one band at a time) → quirk-Q4 bbox-window fallback for
+zero-pixel FIDs, one window set for all bands → FID→group rollup →
+finalize.  Replicates quirks Q1-Q9 (SURVEY §2.9) for row-identical output.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pyarrow.parquet as pq
 
 from ..functions.scalars import GROUP_KEY_NULL, group_label, percentile_keys
 from ..geom.window import GridSpec, envelope_to_window
+from ..sources.raster import band_col
 from ..sources.zones import ZoneSet
 from ..stages import guard
 from ..stages import zonal as Z
@@ -190,66 +193,105 @@ def _list_col_buffers(col) -> tuple[np.ndarray, np.ndarray]:
 # string key was pure overhead (round-2 fix, VERDICT item 5).
 
 
-def _tile_fid_pixels(batch: pa.Table, zones, grid: GridSpec):
-    """Yield ``(fids, values)`` of the zone-assigned pixels of each tile in
-    the batch.  Pixel centers burn through ``ZoneSet.assign_grid`` — the
-    scanline form of the reference's FID rasterize — so a tile costs its
-    edge-row crossings plus its pixels, not pixels × edges.  The zones
-    ObjectRef resolves through the per-worker-process cache (see
-    stages/join.py)."""
+def _nodatas(grid: GridSpec, nodata) -> tuple:
+    """Per-band nodata values: ``nodata``, or one band with ``grid.nodata``."""
+    return (grid.nodata,) if nodata is None else tuple(nodata)
+
+
+def _wide_rows(chunks, nodata: tuple) -> pa.Table:
+    """``(int64 keys, [float32 values of each band])`` chunks → one table
+    of wide rows: ``group_key``, then each band's float64 ``value`` and its
+    ``nodata`` flag (``band_col`` names; the flag is taken on the float32
+    values, quirk Q2).  One band gives ``ROWS_SCHEMA_INT`` slim rows."""
+    chunks = list(chunks)
+    keys = np.concatenate([k for k, _ in chunks] + [np.empty(0, np.int64)])
+    cols = {"group_key": pa.array(keys, pa.int64())}
+    for b, nd in enumerate(nodata):
+        v = np.concatenate([vs[b] for _, vs in chunks] + [np.empty(0, np.float32)])
+        cols[band_col("value", b)] = pa.array(v.astype(np.float64))
+        cols[band_col("nodata", b)] = pa.array(Z.nodata_mask(v, nd))
+    return pa.table(cols)
+
+
+def _band_rows(rows: pa.Table, band: int) -> pa.Table:
+    """Band ``band``'s slim ``(group_key, value, nodata)`` projection of
+    wide rows (zero-copy)."""
+    return pa.table(
+        [rows["group_key"], rows[band_col("value", band)], rows[band_col("nodata", band)]],
+        schema=Z.ROWS_SCHEMA_INT,
+    )
+
+
+def _band_partials(rows: pa.Table, n_bands: int, ignore_nodata: bool = True) -> pa.Table:
+    """Wide rows → ``PARTIAL_SCHEMA_INT`` partials of every band
+    (``Z.partials_from_rows`` of each band's projection), keyed ``key ×
+    n_bands + band`` (int64) so one merge serves all bands; one band keeps
+    its keys."""
+    parts = []
+    for b in range(n_bands):
+        p = Z.partials_from_rows(_band_rows(rows, b), ignore_nodata=ignore_nodata)
+        key = p["group_key"].to_numpy() * n_bands + b
+        parts.append(p.set_column(0, "group_key", pa.array(key, pa.int64())))
+    return pa.concat_tables(parts)
+
+
+def _rows_band_partials(n_bands: int, *tables: pa.Table, ignore_nodata: bool = True):
+    """One-task body of the fid partials: ``_band_partials`` per wide row
+    block, then one ``Z._merge_partials`` — the partial rows the tree
+    combine's driver regime merges.  Empty blocks are skipped: Ray Data
+    may emit them without columns."""
+    parts = [_band_partials(t, n_bands, ignore_nodata) for t in tables if t.num_rows]
+    return Z._merge_partials(pa.concat_tables(parts).to_pandas()) if parts else pd.DataFrame()
+
+
+def _tile_fid_pixels(batch: pa.Table, zones, grid: GridSpec, n_bands: int):
+    """Yield ``(fids, [values of each band])`` of the zone-assigned pixels
+    of each tile in the batch.  Pixel centers burn through
+    ``ZoneSet.assign_grid`` — the scanline form of the reference's FID
+    rasterize — once per tile for all bands, so a tile costs its edge-row
+    crossings plus its pixels, not pixels × edges.  The zones ObjectRef
+    resolves through the per-worker-process cache (see stages/join.py)."""
     from ..sources.raster import tile_window
     from ..stages.join import _cached_zoneset
 
     zs = _cached_zoneset(zones)
     txs = batch["tile_x"].to_numpy()
     tys = batch["tile_y"].to_numpy()
-    flat, offs = _list_col_buffers(batch["values"])
+    bands = [_list_col_buffers(batch[band_col("values", b)]) for b in range(n_bands)]
     for i in range(len(batch)):
         col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
         gx, gy = grid.pixel_centers(col0, row0, ncols, nrows)
         fids = zs.assign_grid(gx[0], gy[:, 0]).ravel()
         m = fids != -1
         if m.any():
-            yield fids[m], flat[offs[i] : offs[i + 1]][m]
+            yield fids[m], [flat[offs[i] : offs[i + 1]][m] for flat, offs in bands]
 
 
 def tile_fid_partials_batch(
-    batch: pa.Table, zones, grid: GridSpec, ignore_nodata: bool = True
+    batch: pa.Table, zones, grid: GridSpec, ignore_nodata: bool = True, nodata=None
 ) -> pa.Table:
     """Stateless-task stage: raster tiles → per-(tile, FID) partial
-    aggregates.  Partials are keyed by FID (not group) because the Q4
-    fallback and the rollup's min/max-merge condition operate per FID
-    (``runner.py:848-889``)."""
+    aggregates of every band (``_band_partials``; ``nodata`` per band,
+    default one band with ``grid.nodata``).  Partials are keyed by FID
+    (not group) because the Q4 fallback and the rollup's min/max-merge
+    condition operate per FID (``runner.py:848-889``)."""
+    nodata = _nodatas(grid, nodata)
     out = [
-        Z.grouped_partials(
-            fids, v.astype(np.float64), grid.nodata, ignore_nodata=ignore_nodata
-        )
-        for fids, v in _tile_fid_pixels(batch, zones, grid)
+        _band_partials(_wide_rows([tile], nodata), len(nodata), ignore_nodata)
+        for tile in _tile_fid_pixels(batch, zones, grid, len(nodata))
     ]
     if not out:
         return Z.PARTIAL_SCHEMA_INT.empty_table()
     return pa.concat_tables(out)
 
 
-def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec) -> pa.Table:
-    """Stateless-task stage: raster tiles → slim (fid_key, value, nodata)
-    pixel rows (one assignment pass feeding both partials and
-    percentiles)."""
-    keys_out, vals_out, nd_out = [], [], []
-    for fids, v in _tile_fid_pixels(batch, zones, grid):
-        keys_out.append(fids)
-        vals_out.append(v.astype(np.float64))
-        nd_out.append(Z.nodata_mask(v, grid.nodata))
-    if not keys_out:
-        return Z.ROWS_SCHEMA_INT.empty_table()
-    return pa.table(
-        {
-            "group_key": pa.array(np.concatenate(keys_out), pa.int64()),
-            "value": pa.array(np.concatenate(vals_out), pa.float64()),
-            "nodata": pa.array(np.concatenate(nd_out)),
-        },
-        schema=Z.ROWS_SCHEMA_INT,
-    )
+def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec, nodata=None) -> pa.Table:
+    """Stateless-task stage: raster tiles → wide pixel rows
+    (``_wide_rows``: fid, then each band's value and nodata flag; one
+    band gives the slim ``(group_key, value, nodata)`` rows).  One burn
+    per tile feeds every band's partials and percentiles."""
+    nodata = _nodatas(grid, nodata)
+    return _wide_rows(_tile_fid_pixels(batch, zones, grid, len(nodata)), nodata)
 
 
 def _fetch_windows(tiles_ds, grid: GridSpec, windows: list[tuple[int, int, int, int]]):
@@ -279,18 +321,21 @@ def _fetch_windows(tiles_ds, grid: GridSpec, windows: list[tuple[int, int, int, 
     return pa.concat_tables(tables) if tables else TILES_SCHEMA.empty_table()
 
 
-def _window_blocks(batch: pa.Table, specs, grid: GridSpec):
-    """Yield ``(key, float32 block)`` for every (window × tile)
-    intersection of the tiles in ``batch``.  ``specs`` is the
-    ``(key, xoff, yoff, wx, wy)`` array tuple of ``_broadcast_specs``
-    (or its ObjectRef)."""
+def _window_blocks(batch: pa.Table, specs, grid: GridSpec, n_bands: int):
+    """Yield ``(keys, [values of each band])`` for every (window × tile)
+    intersection of the tiles in ``batch``: the spec's key once per pixel
+    and each band's row-major float32 pixels.  ``specs`` is the ``(key,
+    xoff, yoff, wx, wy)`` array tuple of ``_broadcast_specs`` (or its
+    ObjectRef)."""
     from ..sources.raster import tile_window
     from ..stages.joins import _resolve_ref
 
+    if not batch.num_rows:
+        return
     key, xoff, yoff, wx, wy = (np.asarray(a) for a in _resolve_ref(specs))
     txs = batch["tile_x"].to_numpy()
     tys = batch["tile_y"].to_numpy()
-    flat, offs = _list_col_buffers(batch["values"])
+    bands = [_list_col_buffers(batch[band_col("values", b)]) for b in range(n_bands)]
     for i in range(len(batch)):
         col0, row0, ncols, nrows = tile_window(grid, int(txs[i]), int(tys[i]))
         hit = np.flatnonzero(
@@ -299,45 +344,42 @@ def _window_blocks(batch: pa.Table, specs, grid: GridSpec):
             & (yoff < row0 + nrows)
             & (yoff + wy > row0)
         )
-        tile = flat[offs[i] : offs[i + 1]].reshape(nrows, ncols)
+        tiles = [flat[offs[i] : offs[i + 1]].reshape(nrows, ncols) for flat, offs in bands]
         for h in hit.tolist():
             c0 = max(int(xoff[h]), col0) - col0
             c1 = min(int(xoff[h] + wx[h]), col0 + ncols) - col0
             r0 = max(int(yoff[h]), row0) - row0
             r1 = min(int(yoff[h] + wy[h]), row0 + nrows) - row0
-            yield int(key[h]), tile[r0:r1, c0:c1]
+            yield (
+                np.full((r1 - r0) * (c1 - c0), key[h], np.int64),
+                [t[r0:r1, c0:c1].ravel() for t in tiles],
+            )
 
 
 def _window_partials_batch(
-    batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True
+    batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True, nodata=None
 ) -> pa.Table:
-    """Q4 fallback partials: one partials row (``PARTIAL_SCHEMA_INT``,
-    ``group_key`` = the spec's key) per window touched by the batch's
-    tiles: ``Z.partials_from_rows`` over ``_window_values_batch``.  The
-    reference runs this pass serially on one process (runner.py:697-811);
-    windows tile-partition cleanly, so the window aggregates merge
-    associatively (``_merge_partials``)."""
-    rows = _window_values_batch(batch, specs_ref, grid)
-    return Z.partials_from_rows(rows, ignore_nodata=ignore_nodata)
+    """Q4 fallback partials: one partials row (``PARTIAL_SCHEMA_INT``) per
+    window touched by the batch's tiles and band, keyed ``spec key ×
+    bands + band`` (``_band_partials`` over ``_window_values_batch``).
+    The reference runs this pass serially on one process
+    (runner.py:697-811); windows tile-partition cleanly, so the window
+    aggregates merge associatively (``_merge_partials``)."""
+    nodata = _nodatas(grid, nodata)
+    rows = _window_values_batch(batch, specs_ref, grid, nodata)
+    return _band_partials(rows, len(nodata), ignore_nodata)
 
 
-def _window_values_batch(batch: pa.Table, specs_ref, grid: GridSpec) -> pa.Table:
-    """Q4 fallback VALUES: slim (group_key, value, nodata) rows
-    (``ROWS_SCHEMA_INT``, like the tile pixels) of each window × tile
-    intersection, keyed by the spec's key (the window's owning fid) — the
-    percentile value bags (the reference appends each part-window's
-    pixels to the bag, runner.py:805-811; percentile over the multiset is
-    order-independent, so distributed collection is exact).
-    ``Z.values_from_rows`` drops the nodata values when ``ignore_nodata``,
-    as it does for the pixels; the mask is taken on the float32 values,
-    like the tile path's."""
-    blocks = list(_window_blocks(batch, specs_ref, grid))
-    if not blocks:
-        return Z.ROWS_SCHEMA_INT.empty_table()
-    keys = np.concatenate([np.full(b.size, k, np.int64) for k, b in blocks])
-    values = np.concatenate([b.ravel() for _, b in blocks])
-    nd = Z.nodata_mask(values, grid.nodata)
-    return pa.table([keys, values.astype(np.float64), nd], schema=Z.ROWS_SCHEMA_INT)
+def _window_values_batch(batch: pa.Table, specs_ref, grid: GridSpec, nodata=None) -> pa.Table:
+    """Q4 fallback VALUES: wide rows (``_wide_rows``, like the tile
+    pixels) of each window × tile intersection, keyed by the spec's key
+    (the window's owning fid) — the percentile value bags (the reference
+    appends each part-window's pixels to the bag, runner.py:805-811;
+    percentile over the multiset is order-independent, so distributed
+    collection is exact).  ``Z.values_from_rows`` drops the nodata values
+    when ``ignore_nodata``, as it does for the pixels."""
+    nodata = _nodatas(grid, nodata)
+    return _wide_rows(_window_blocks(batch, specs_ref, grid, len(nodata)), nodata)
 
 
 def _broadcast_specs(win_specs):
@@ -369,6 +411,7 @@ def _window_stats_distributed(
     tiles_ds,
     grid: GridSpec,
     win_specs,
+    nodata=None,
     *,
     ignore_nodata: bool = True,
 ) -> dict[int, dict]:
@@ -376,13 +419,15 @@ def _window_stats_distributed(
     distributed pass over the tiles: ``_window_partials_batch`` per block,
     then ``reduce_partials`` (above the driver budget its tree combine
     shrinks the frame first, so 10^5 windows × 10^5 tiles never funnel
-    one row each through the driver) and ``_window_stats``."""
+    one row each through the driver) and ``_window_stats``, keyed ``window
+    × bands + band``."""
     parts = tiles_ds.map_batches(
         _window_partials_batch,
         fn_kwargs={
             "specs_ref": _broadcast_specs(win_specs),
             "grid": grid,
             "ignore_nodata": ignore_nodata,
+            "nodata": nodata,
         },
         batch_format="pyarrow",
     )
@@ -398,49 +443,73 @@ def _fid_group_ordinals(
     return pa.table([pa.array(ords[pos]), batch["value"]], schema=Z.VALUES_SCHEMA_INT)
 
 
+def _band_values(
+    rows: pa.Table, fids, ords, n_bands: int, bands, ignore_nodata: bool = True
+) -> pa.Table:
+    """``VALUES_SCHEMA_INT`` value rows of ``bands`` of wide rows
+    (``Z.values_from_rows``, ``_fid_group_ordinals``), keyed ``group
+    ordinal × n_bands + band``."""
+    return pa.concat_tables([
+        _fid_group_ordinals(
+            Z.values_from_rows(_band_rows(rows, b), ignore_nodata=ignore_nodata),
+            fids,
+            ords * n_bands + b,
+        )
+        for b in bands
+    ])
+
+
 def _group_bag_percentiles(
-    plist: list[float], fids, ords, *tables: pa.Table, ignore_nodata: bool = True
+    plist: list[float], fids, ords, n_bands: int, *tables: pa.Table,
+    ignore_nodata: bool = True,
 ) -> dict:
-    """One-task body of the raster percentiles: slim (fid, value, nodata)
-    row blocks → {group ordinal: percentiles}, via ``Z.values_from_rows``,
-    ``_fid_group_ordinals`` and ``Z._bag_percentiles``."""
-    return Z._bag_percentiles(plist, *(
-        _fid_group_ordinals(Z.values_from_rows(t, ignore_nodata=ignore_nodata), fids, ords)
-        for t in tables
-        if t.num_rows  # Ray Data may emit empty blocks without columns
-    ))
+    """One-task body of the raster percentiles: wide row blocks → {group
+    ordinal × n_bands + band: percentiles}, one band's bags at a time
+    (``_band_values``, ``Z._bag_percentiles``)."""
+    tables = [t for t in tables if t.num_rows]  # see _rows_band_partials
+    return {
+        k: pv
+        for b in range(n_bands)
+        for k, pv in Z._bag_percentiles(
+            plist, *(_band_values(t, fids, ords, n_bands, [b], ignore_nodata) for t in tables)
+        ).items()
+    }
 
 
 def _raster_group_percentiles(
-    refs: list, n_rows: int, zs: ZoneSet, plist: list[float], ignore_nodata: bool
-) -> dict:
-    """Exact percentiles per group value over the slim (fid, value, nodata)
-    row blocks behind ``refs`` (tile pixels and Q4 window rows, ``n_rows``
-    in all), keyed by the fid's group ordinal in ``zs.unique_groups``: ONE
-    Ray task up to ``guard.DRIVER_ROWS`` rows, the salted shuffle above."""
-    if not n_rows:
-        return {}
+    refs: list, n_rows: int, zs: ZoneSet, plist: list[float], n_bands: int,
+    ignore_nodata: bool,
+) -> list[dict]:
+    """Exact percentiles per band and group value over the wide row blocks
+    behind ``refs`` (tile pixels and Q4 window rows, ``n_rows`` in all):
+    ONE Ray task up to ``guard.DRIVER_ROWS`` rows, one salted shuffle over
+    every band's values above."""
     ordinal = {g: i for i, g in enumerate(zs.unique_groups)}
     ords = np.array([ordinal[zs.fid_to_group[f]] for f in zs.all_fids], np.int64)
-    if n_rows <= guard.DRIVER_ROWS:
+    if not n_rows:
+        gp = {}
+    elif n_rows <= guard.DRIVER_ROWS:
         gp = Z.one_task(
-            _group_bag_percentiles, refs, plist, zs._lut_fids, ords,
+            _group_bag_percentiles, refs, plist, zs._lut_fids, ords, n_bands,
             ignore_nodata=ignore_nodata,
         )
     else:
         import ray.data as rd
 
         values = rd.from_arrow_refs(refs).map_batches(
-            Z.values_from_rows,
-            fn_kwargs={"ignore_nodata": ignore_nodata},
-            batch_format="pyarrow",
-        ).map_batches(
-            _fid_group_ordinals,
-            fn_kwargs={"fids": zs._lut_fids, "ords": ords},
+            _band_values,
+            fn_kwargs={
+                "fids": zs._lut_fids, "ords": ords, "n_bands": n_bands,
+                "bands": range(n_bands), "ignore_nodata": ignore_nodata,
+            },
             batch_format="pyarrow",
         )
         gp = Z.salted_group_percentiles(values, plist)
-    return {zs.unique_groups[int(k)]: [float(v) for v in pv] for k, pv in gp.items()}
+    out: list[dict] = [{} for _ in range(n_bands)]
+    for k, pv in gp.items():
+        g, b = divmod(int(k), n_bands)
+        out[b][zs.unique_groups[g]] = [float(v) for v in pv]
+    return out
 
 
 def simplified_zones(table: pa.Table, tolerance: float):
@@ -454,53 +523,83 @@ def simplified_zones(table: pa.Table, tolerance: float):
     return zs, ray.put(zs.table) if ray.is_initialized() else None
 
 
-def zonal_stats_raster(
+def _fid_stats(merged: pd.DataFrame, n_bands: int) -> list[dict[int, dict]]:
+    """Merged partials keyed ``fid × n_bands + band`` → per band {fid:
+    min, max, count, nodata_count, sum, sumsq}."""
+    out: list[dict] = [{} for _ in range(n_bands)]
+    for r in merged.to_dict("records"):
+        f, b = divmod(int(r["group_key"]), n_bands)
+        out[b][f] = {
+            "min": None if pd.isna(r["min"]) else float(r["min"]),
+            "max": None if pd.isna(r["max"]) else float(r["max"]),
+            "count": int(r["count"]),
+            "nodata_count": int(r["nodata_count"]),
+            "sum": float(r["sum"]),
+            "sumsq": float(r["sumsq"]),
+        }
+    return out
+
+
+def _group_stats(zs: ZoneSet, fid_stats: dict, group_pct: dict, pkeys: list) -> dict:
+    """One band's FID stats → {group_value: stats}: FIDs still unset get the
+    zeroed default (runner.py:813-815, 491-500), then the FID → group
+    rollup (runner.py:848-889), the percentiles and the finalize
+    (runner.py:906-917)."""
+    grouped: dict = {}
+    for f in zs.all_fids:
+        gv = zs.fid_to_group[f]
+        s = fid_stats.get(f) or Z.empty_stats(())
+        g = grouped.setdefault(gv, {**Z.empty_stats(pkeys), "sumsq": 0.0})
+        g["count"] += s["count"]
+        g["nodata_count"] += s["nodata_count"]
+        g["sum"] += s["sum"]
+        g["sumsq"] += s.get("sumsq", 0.0)
+        fid_valid = s["count"] - s["nodata_count"]
+        if fid_valid > 0:
+            if g["min"] is None:
+                g["min"], g["max"] = s["min"], s["max"]
+            else:
+                g["min"] = min(g["min"], s["min"])
+                g["max"] = max(g["max"], s["max"])
+    for gv, pv in group_pct.items():
+        grouped[gv].update(zip(pkeys, pv))
+    for g in grouped.values():
+        g["valid_count"] = g["count"] - g["nodata_count"]
+        g["stdev"] = Z.pop_stdev(g["sum"], g.pop("sumsq"), g["valid_count"])
+    return grouped
+
+
+def zonal_stats_bands(
     tiles_ds,
     grid: GridSpec,
+    nodata: list,
     zs: ZoneSet,
     *,
     percentiles: list[float] = (),
     zones_ref=None,
-    simplify_tolerance: float | None = None,
-    polygons_might_overlap: bool = False,
     ignore_nodata: bool = True,
     rows_sink: str | None = None,
-) -> dict:
-    """Full reference-semantics zonal statistics over a tiled raster.
+) -> list[dict]:
+    """Zonal statistics of the bands of one tile pass → one
+    ``zonal_stats_raster`` result per band.
 
-    Returns {group_value: {min,max,count,nodata_count,valid_count,sum,
-    stdev,p*}} exactly like ``fast_zonal_statistics`` (``runner.py:926``).
-
-    ``rows_sink`` (round 4, VERDICT r3 #4): export the per-pixel
-    (group_key=fid, value, nodata) rows — including the Q4 bbox-window
-    fallback pixels for zero-pixel FIDs — to a Parquet directory so an
-    external oracle reproduces the reduce independently.  Only supported
-    in percentile mode (pixels materialize there) with single-part
-    fallback zones on the ≤16-window driver path, where the Q4 overwrite
-    semantics degenerate to plain aggregation; raises otherwise.
-
-    ``simplify_tolerance``: reference quirk Q6 — DP-simplify rings before
-    joining (the reference always uses 0.5 × pixel width; default off here
-    because fixtures are simplification-stable).  ``polygons_might_overlap``
-    is accepted for API parity with ``fast_zonal_statistics``; the engine's
-    join resolves overlap per point with the same highest-FID-wins rule in
-    both modes, so no disjoint-set partitioning is ever needed (SURVEY O3).
-
-    Per-FID stats — assigned pixels and Q4 fallback windows alike — come
-    from the one partials kernel (``Z._grouped_partials_masked``) and merge
-    in ``Z._merge_partials``.  With percentiles the pixel rows materialize
-    once and, up to ``guard.DRIVER_ROWS`` rows (their count is block
-    metadata), two Ray tasks read their block refs: ``Z.rows_partials``
-    for the fid partials, then ``_raster_group_percentiles`` for the value
-    bags of the pixels plus the Q4 window rows (the swept windows' block
-    refs, or the driver-read windows' table through ``ray.put``).  No row
-    reaches the driver.  Above the budget the partials go through the tree
-    combine and the bags through the salted shuffle.
-    """
-    if simplify_tolerance is not None and simplify_tolerance > 0:
-        # the incoming broadcast handle refers to the UNsimplified zones;
-        # re-broadcast the simplified table so tasks still read from plasma
-        zs, zones_ref = simplified_zones(zs.table, simplify_tolerance)
+    ``tiles_ds`` holds rasters that share ``grid``'s geometry and tile
+    layout (``sources.raster.read_bands``): ``tile_x``, ``tile_y`` and one
+    values column per band (``band_col``), with one ``nodata`` per band.
+    Each tile burns once (``tile_fid_pixels_batch``) into wide pixel rows:
+    the fid, then a value and a nodata column per band.  The burn depends
+    only on the grid and the zones, so one set of quirk-Q4 windows serves
+    every band.  Up to ``guard.DRIVER_ROWS`` materialized rows (block
+    metadata) two Ray tasks over their block refs reduce one band's
+    ``(group_key, value, nodata)`` projection at a time:
+    ``_rows_band_partials``, then ``_group_bag_percentiles`` over the
+    pixels plus the Q4 window rows.  Above the budget, and without
+    percentiles, one tree combine merges the partials and one salted
+    shuffle takes the bags.  Every regime keys band b of key k as ``k ×
+    bands + b``.  ``rows_sink`` (see ``zonal_stats_raster``) writes the
+    wide rows."""
+    nodata = tuple(nodata)
+    n_bands = len(nodata)
     plist = sorted(set(float(p) for p in percentiles))
     pkeys = percentile_keys(plist)
 
@@ -511,66 +610,54 @@ def zonal_stats_raster(
     v_maxy = float(np.max(zs.maxy))
     r_minx, r_miny, r_maxx, r_maxy = grid.bbox
     if v_maxx < r_minx or v_minx > r_maxx or v_maxy < r_miny or v_miny > r_maxy:
-        return {g: Z.empty_stats(pkeys) for g in zs.unique_groups}
+        return [{g: Z.empty_stats(pkeys) for g in zs.unique_groups} for _ in nodata]
 
     zones_arg = zones_ref if zones_ref is not None else zs.table
 
     # --- per-tile FID partials → merge.  With percentiles the pixel
-    # assignment runs once into slim materialized pixel rows, and both the
+    # assignment runs once into wide materialized pixel rows, and both the
     # fid partials and the value bags reduce from their block refs;
     # without, partials aggregate inside the task (single pass, nothing
     # materialized). ---
     if rows_sink is not None and not plist:
         raise ValueError("rows_sink requires percentile mode (pixels rows)")
-    # slim (fid, value, nodata) row blocks whose union is the percentile
-    # value bags, and their row count
+    # wide row blocks whose union is the percentile value bags, and their
+    # row count
     value_refs: list = []
     n_values = 0
+    tile_kw = {"zones": zones_arg, "grid": grid, "nodata": nodata}
     if plist:
         pixels = tiles_ds.map_batches(
-            tile_fid_pixels_batch,
-            fn_kwargs={"zones": zones_arg, "grid": grid},
-            batch_format="pyarrow",
+            tile_fid_pixels_batch, fn_kwargs=tile_kw, batch_format="pyarrow"
         ).materialize()
         if rows_sink is not None:
             pixels.write_parquet(rows_sink)
         n_values = pixels.count()
         value_refs = pixels.to_arrow_refs()
-        partials = pixels.map_batches(
-            Z.partials_from_rows,
-            batch_format="pyarrow",
-            fn_kwargs={"ignore_nodata": ignore_nodata},
-        )
-    else:
-        partials = tiles_ds.map_batches(
-            tile_fid_partials_batch,
-            fn_kwargs={
-                "zones": zones_arg,
-                "grid": grid,
-                "ignore_nodata": ignore_nodata,
-            },
-            batch_format="pyarrow",
-        )
     if plist and n_values <= guard.DRIVER_ROWS:
-        merged = Z.one_task(Z.rows_partials, value_refs, ignore_nodata=ignore_nodata)
+        merged = Z.one_task(
+            _rows_band_partials, value_refs, n_bands, ignore_nodata=ignore_nodata
+        )
     else:
+        if plist:
+            partials = pixels.map_batches(
+                _band_partials,
+                fn_kwargs={"n_bands": n_bands, "ignore_nodata": ignore_nodata},
+                batch_format="pyarrow",
+            )
+        else:
+            partials = tiles_ds.map_batches(
+                tile_fid_partials_batch,
+                fn_kwargs={**tile_kw, "ignore_nodata": ignore_nodata},
+                batch_format="pyarrow",
+            )
         merged = Z.reduce_partials(partials)
-
-    fid_stats: dict[int, dict] = {}
-    for _, r in merged.iterrows():
-        fid_stats[int(r["group_key"])] = {
-            "min": None if pd.isna(r["min"]) else float(r["min"]),
-            "max": None if pd.isna(r["max"]) else float(r["max"]),
-            "count": int(r["count"]),
-            "nodata_count": int(r["nodata_count"]),
-            "sum": float(r["sum"]),
-            "sumsq": float(r["sumsq"]),
-        }
+    fid_stats = _fid_stats(merged, n_bands)
 
     # --- quirk-Q4 bbox-window fallback for zero-pixel FIDs
     #     (runner.py:697-811: whole envelope window, unmasked by geometry,
     #     per-part OVERWRITE so the last part wins) ---
-    unset = [f for f in zs.all_fids if f not in fid_stats]
+    unset = [f for f in zs.all_fids if f not in fid_stats[0]]
     if unset:
         unset_set = set(unset)
         part_rows: dict[int, list[int]] = {f: [] for f in unset}
@@ -607,12 +694,13 @@ def zonal_stats_raster(
                     "aggregation-equivalent otherwise)"
                 )
         if win_specs:
-            # window stats and value bags come from the zonal kernels:
-            # above _DRIVER_WINDOWS windows one distributed sweep over all
-            # tiles (engine improvement over the reference's serial pass,
-            # runner.py:697-811), else the same batch functions on the
-            # driver over the tiles the windows touch
-            # the value bags key each window's pixels by its owning fid
+            # window stats (keyed window × bands + band) and value bags
+            # come from the zonal kernels: above _DRIVER_WINDOWS windows
+            # one distributed sweep over all tiles (engine improvement over
+            # the reference's serial pass, runner.py:697-811), else the
+            # same batch functions on the driver over the tiles the
+            # windows touch; the value bags key each window's pixels by
+            # its owning fid
             owned_ref = (
                 _broadcast_specs([(f, *w[1:]) for (f, _), w in zip(win_owner, win_specs)])
                 if plist
@@ -620,7 +708,7 @@ def zonal_stats_raster(
             )
             if len(win_specs) > _DRIVER_WINDOWS:
                 win_stats = _window_stats_distributed(
-                    tiles_ds, grid, win_specs, ignore_nodata=ignore_nodata
+                    tiles_ds, grid, win_specs, nodata, ignore_nodata=ignore_nodata
                 )
                 if plist:
                     # every window pixel is one row (windows lie inside the grid)
@@ -628,13 +716,13 @@ def zonal_stats_raster(
                     # materialized first (see _fetch_windows)
                     value_refs += tiles_ds.map_batches(
                         _window_values_batch,
-                        fn_kwargs={"specs_ref": owned_ref, "grid": grid},
+                        fn_kwargs={"specs_ref": owned_ref, "grid": grid, "nodata": nodata},
                         batch_format="pyarrow",
                     ).materialize().to_arrow_refs()
             else:
                 tiles = _fetch_windows(tiles_ds, grid, [w[1:] for w in win_specs])
                 parts = _window_partials_batch(
-                    tiles, _broadcast_specs(win_specs), grid, ignore_nodata
+                    tiles, _broadcast_specs(win_specs), grid, ignore_nodata, nodata
                 )
                 win_stats = _window_stats(
                     Z._merge_partials(parts.to_pandas()), ignore_nodata
@@ -642,7 +730,7 @@ def zonal_stats_raster(
                 if plist:
                     import ray
 
-                    rows = _window_values_batch(tiles, owned_ref, grid)
+                    rows = _window_values_batch(tiles, owned_ref, grid, nodata)
                     n_values += rows.num_rows
                     value_refs.append(ray.put(rows))
                     if rows_sink is not None:
@@ -650,42 +738,62 @@ def zonal_stats_raster(
             # per fid in part order: later parts OVERWRITE the stats (quirk
             # Q4) while every part's values join the bag (runner.py:805-811)
             for (f, _order), (win_id, *_rest) in zip(win_owner, win_specs):
-                st = win_stats.get(win_id)
-                if st is not None:
-                    fid_stats[f] = dict(st)
+                for b, stats in enumerate(fid_stats):
+                    st = win_stats.get(win_id * n_bands + b)
+                    if st is not None:
+                        stats[f] = dict(st)
 
-    # FIDs still unset get the zeroed default (runner.py:813-815, 491-500)
-    for f in zs.all_fids:
-        fid_stats.setdefault(f, Z.empty_stats(()))
+    group_pct = (
+        _raster_group_percentiles(value_refs, n_values, zs, plist, n_bands, ignore_nodata)
+        if plist
+        else [{}] * n_bands
+    )
+    return [_group_stats(zs, s, gp, pkeys) for s, gp in zip(fid_stats, group_pct)]
 
-    # --- FID → group rollup (runner.py:848-889) ---
-    grouped: dict = {}
-    for f in zs.all_fids:
-        gv = zs.fid_to_group[f]
-        s = fid_stats[f]
-        g = grouped.setdefault(gv, {**Z.empty_stats(pkeys), "sumsq": 0.0})
-        g["count"] += s["count"]
-        g["nodata_count"] += s["nodata_count"]
-        g["sum"] += s["sum"]
-        g["sumsq"] += s.get("sumsq", 0.0)
-        fid_valid = s["count"] - s["nodata_count"]
-        if fid_valid > 0:
-            if g["min"] is None:
-                g["min"], g["max"] = s["min"], s["max"]
-            else:
-                g["min"] = min(g["min"], s["min"])
-                g["max"] = max(g["max"], s["max"])
 
-    if plist:
-        gp = _raster_group_percentiles(value_refs, n_values, zs, plist, ignore_nodata)
-        for gv, pv in gp.items():
-            grouped[gv].update(zip(pkeys, pv))
+def zonal_stats_raster(
+    tiles_ds,
+    grid: GridSpec,
+    zs: ZoneSet,
+    *,
+    percentiles: list[float] = (),
+    zones_ref=None,
+    simplify_tolerance: float | None = None,
+    polygons_might_overlap: bool = False,
+    ignore_nodata: bool = True,
+    rows_sink: str | None = None,
+) -> dict:
+    """Full reference-semantics zonal statistics over a tiled raster
+    (``(tile_x, tile_y, values)`` rows, nodata ``grid.nodata``): the
+    one-band case of ``zonal_stats_bands``.
 
-    # --- finalize (runner.py:906-917) ---
-    for g in grouped.values():
-        g["valid_count"] = g["count"] - g["nodata_count"]
-        g["stdev"] = Z.pop_stdev(g["sum"], g.pop("sumsq"), g["valid_count"])
-    return grouped
+    Returns {group_value: {min,max,count,nodata_count,valid_count,sum,
+    stdev,p*}} exactly like ``fast_zonal_statistics`` (``runner.py:926``).
+
+    ``rows_sink`` (round 4, VERDICT r3 #4): export the per-pixel
+    (group_key=fid, value, nodata) rows — including the Q4 bbox-window
+    fallback pixels for zero-pixel FIDs — to a Parquet directory so an
+    external oracle reproduces the reduce independently.  Only supported
+    in percentile mode (pixels materialize there) with single-part
+    fallback zones on the ≤16-window driver path, where the Q4 overwrite
+    semantics degenerate to plain aggregation; raises otherwise.
+
+    ``simplify_tolerance``: reference quirk Q6 — DP-simplify rings before
+    joining (the reference always uses 0.5 × pixel width; default off here
+    because fixtures are simplification-stable).  ``polygons_might_overlap``
+    is accepted for API parity with ``fast_zonal_statistics``; the engine's
+    join resolves overlap per point with the same highest-FID-wins rule in
+    both modes, so no disjoint-set partitioning is ever needed (SURVEY O3).
+    """
+    if simplify_tolerance is not None and simplify_tolerance > 0:
+        # the incoming broadcast handle refers to the UNsimplified zones;
+        # re-broadcast the simplified table so tasks still read from plasma
+        zs, zones_ref = simplified_zones(zs.table, simplify_tolerance)
+    (stats,) = zonal_stats_bands(
+        tiles_ds, grid, [grid.nodata], zs, percentiles=percentiles, zones_ref=zones_ref,
+        ignore_nodata=ignore_nodata, rows_sink=rows_sink,
+    )
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,70 @@ def read_grid_spec(path: str) -> GridSpec:
     return GridSpec(**spec)
 
 
+def band_col(name: str, band: int) -> str:
+    """Column ``name`` of band ``band`` in a band group's tiles or pixel
+    rows; band 0 keeps the one-raster name (``values``, ``value``, ...)."""
+    return name if band == 0 else f"{name}_{band}"
+
+
+def _units(path: str) -> list[tuple[str, int]]:
+    """``(file, row group)`` read units of a tiles file or shard directory,
+    files in name order."""
+    import os
+
+    files = [path]
+    if os.path.isdir(path):
+        files = [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")]
+    return [(f, rg) for f in files for rg in range(pq.ParquetFile(f).num_row_groups)]
+
+
+def group_rasters(paths: list[str]) -> list[tuple[GridSpec, list[int]]]:
+    """Rasters readable as the bands of one tile pass → (first band's
+    grid, indices into ``paths``) per group, in first-seen order: same
+    ``GridSpec`` but ``nodata``, same ``(tile_x, tile_y)`` sequence in
+    every ``(file, row group)`` unit (only those two columns are read)."""
+    import dataclasses
+
+    groups: dict[tuple, tuple[GridSpec, list[int]]] = {}
+    for i, path in enumerate(paths):
+        grid = read_grid_spec(path)
+        layout = []
+        for f, rg in _units(path):
+            t = pq.ParquetFile(f).read_row_group(rg, columns=["tile_x", "tile_y"])
+            layout.append(tuple(t[c].to_numpy().tobytes() for c in ("tile_x", "tile_y")))
+        key = (dataclasses.replace(grid, nodata=None), tuple(layout))
+        groups.setdefault(key, (grid, []))[1].append(i)
+    return list(groups.values())
+
+
+def _read_band_units(batch: pa.Table) -> pa.Table:
+    """Unit rows → the unit's tiles with each band's values column."""
+    out = []
+    for files, rgs in zip(batch["files"].to_pylist(), batch["row_groups"].to_pylist()):
+        t = pq.ParquetFile(files[0]).read_row_group(rgs[0], columns=list(TILES_SCHEMA.names))
+        for b in range(1, len(files)):
+            v = pq.ParquetFile(files[b]).read_row_group(rgs[b], columns=["values"])
+            t = t.append_column(band_col("values", b), v["values"])
+        out.append(t.replace_schema_metadata(None))
+    return pa.concat_tables(out)
+
+
+def read_bands(paths: list[str]):
+    """One band group's tiles as one Dataset with a values column per band
+    (:func:`band_col`): one block per ``(file, row group)`` unit, read for
+    every band by one task that fuses with the maps over it."""
+    import ray.data as rd
+
+    units = [_units(p) for p in paths]
+    items = [
+        {"files": [u[k][0] for u in units], "row_groups": [u[k][1] for u in units]}
+        for k in range(len(units[0]))
+    ]
+    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
+        _read_band_units, batch_format="pyarrow"
+    )
+
+
 def raster_algebra(
     tiles_a,
     tiles_b,

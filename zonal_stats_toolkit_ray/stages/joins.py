@@ -182,7 +182,8 @@ def hash_join(
     The smallness probe is ``right.limit(thr+1).count()`` — the streaming
     executor stops the build pipeline as soon as thr+1 rows exist, so a
     LARGE build side pays only a partial read, and a small one is then read
-    fully for the broadcast.  Pass ``broadcast=False`` to force the shuffle
+    fully for the broadcast: the build side runs twice on the auto path and
+    once with ``broadcast=True``.  Pass ``broadcast=False`` to force the shuffle
     path (e.g. when the build side is expensive to execute twice), or
     ``broadcast=True`` to skip the probe.
 
@@ -209,7 +210,9 @@ def hash_join(
     if broadcast:
         import ray
 
-        tabs = [t for t in ray.get(right.to_arrow_refs()) if t.num_rows]
+        # materialized first: on a lazy Dataset ``to_arrow_refs`` runs the
+        # build side once more to fetch its schema
+        tabs = [t for t in ray.get(right.materialize().to_arrow_refs()) if t.num_rows]
         if tabs:
             build = pa.concat_tables(tabs, promote_options="default")
             return broadcast_join(
