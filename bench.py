@@ -329,13 +329,13 @@ def bench_join_stage(sf_dir: str) -> dict:
     # untimed warm pass faults the plasma pages + worker heaps once
     tiles.map_batches(
         tile_fid_partials_batch,
-        fn_kwargs={"zones": zref, "grid": grid},
+        fn_kwargs={"zones": zref, "grid": grid, "nodata": (grid.nodata,)},
         batch_format="pyarrow",
     ).materialize()
     t0 = time.perf_counter()
     tiles.map_batches(
         tile_fid_partials_batch,
-        fn_kwargs={"zones": zref, "grid": grid},
+        fn_kwargs={"zones": zref, "grid": grid, "nodata": (grid.nodata,)},
         batch_format="pyarrow",
     ).materialize()
     wall = time.perf_counter() - t0
@@ -860,7 +860,7 @@ def _zonal_tile_kernels(calib: dict, seed: int, grid, zones: pa.Table):
         return tile_fid_pixels_batch(stacked, zs, grid, nodata).num_rows
 
     def one_band_each():
-        return sum(tile_fid_pixels_batch(t, zs, grid).num_rows for t in rasters)
+        return sum(tile_fid_pixels_batch(t, zs, grid, (grid.nodata,)).num_rows for t in rasters)
 
     rates = {}
     for name, body in (("two_band_pass", two_bands), ("one_band_passes", one_band_each)):

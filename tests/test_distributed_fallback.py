@@ -211,9 +211,9 @@ def test_window_stats_tree_merge_matches_flat(ray_session, force_tree):
         specs.append((i, xoff, yoff, int(rng.integers(1, 5)), int(rng.integers(1, 5))))
     tiles = rd.from_arrow(synth_tiles_table(GRID, seed=13)).repartition(6)
 
-    flat = _window_stats_distributed(tiles, GRID, specs)
+    flat = _window_stats_distributed(tiles, GRID, specs, (GRID.nodata,))
     levels = force_tree(Z)
-    tree = _window_stats_distributed(tiles, GRID, specs)
+    tree = _window_stats_distributed(tiles, GRID, specs, (GRID.nodata,))
     assert levels == [1], levels
     assert set(flat) == set(tree) == set(range(n_win))
     for w in flat:
@@ -262,12 +262,12 @@ def test_window_kernels_match_dense_array(ignore_nodata):
     tiles = synth_tiles_table(grid, seed=4)
     batches = [tiles.slice(i, 3) for i in range(0, tiles.num_rows, 3)]
 
-    parts = [PZ._window_partials_batch(b, specs, grid, ignore_nodata) for b in batches]
+    parts = [PZ._window_partials_batch(b, specs, grid, (grid.nodata,), ignore_nodata) for b in batches]
     merged = Z._merge_partials(pa.concat_tables(parts).to_pandas())
     stats = PZ._window_stats(merged, ignore_nodata)
     bags = pa.concat_tables(
         [
-            Z.values_from_rows(PZ._window_values_batch(b, specs, grid), ignore_nodata=ignore_nodata)
+            Z.values_from_rows(PZ._window_values_batch(b, specs, grid, (grid.nodata,)), ignore_nodata=ignore_nodata)
             for b in batches
         ]
     ).to_pandas()

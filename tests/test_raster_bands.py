@@ -124,7 +124,7 @@ def test_run_job_groups_rasters_by_grid_and_layout(ray_session, monkeypatch, tmp
     log = tmp_path / "burns"
     burn = PZ.tile_fid_pixels_batch
 
-    def spy(batch, zones, grid, nodata=None):
+    def spy(batch, zones, grid, nodata):
         # runs in the Ray worker: log (grid width, first pixel center) of
         # every ZoneSet.assign_grid call, i.e. every tile burned
         from zonal_stats_toolkit_ray.sources.zones import ZoneSet as ZS
@@ -174,3 +174,43 @@ def test_run_job_groups_rasters_by_grid_and_layout(ray_session, monkeypatch, tmp
         )
         _assert_same_stats(seen[p.split("/")[-1].removesuffix(".parquet")], want)
 
+
+
+def test_read_bands_splits_row_groups(ray_session, tmp_path):
+    """``read_bands`` reads each band's tiles in file order as tile ranges
+    of the ``(file, row group)`` units, with at least as many non-empty
+    blocks as ``read_parquet`` gives one band; ``_read_rows`` keeps exactly
+    its range for every split of every row group."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.sources.raster import (
+        TILES_SCHEMA, _read_rows, grid_meta_json, group_rasters, read_bands,
+    )
+
+    paths = [str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")]
+    for path, grid, seed in zip(paths, (GRID, GRID_1), (1, 2)):
+        t = synth_tiles_table(grid, seed=seed)
+        meta = {b"grid_spec": grid_meta_json(grid).encode()}
+        pq.write_table(t.replace_schema_metadata(meta), path, row_group_size=4)
+    ((grid, members, nodata, units),) = group_rasters(paths)
+    assert (grid, members, nodata) == (GRID, [0, 1], [GRID.nodata, GRID_1.nodata])
+    assert [u[1:3] for u in units[0]] == [(0, 4), (1, 2)]
+
+    blocks = [t for t in ray.get(read_bands(units).materialize().to_arrow_refs()) if t.num_rows]
+    parquet = ray.get(rd.read_parquet(paths[0]).materialize().to_arrow_refs())
+    assert len(blocks) >= sum(1 for t in parquet if t.num_rows)
+    got = pa.concat_tables(blocks)
+    for col, path in (("values", paths[0]), ("values_1", paths[1])):
+        assert got[col].to_pylist() == pq.read_table(path)["values"].to_pylist(), col
+
+    pf = pq.ParquetFile(paths[0])
+    for rg in range(pf.num_row_groups):
+        want = pf.read_row_group(rg).replace_schema_metadata(None)
+        n = want.num_rows
+        for step in (1, 3, n + 1):
+            cols = list(TILES_SCHEMA.names)
+            ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+            parts = [_read_rows(paths[0], rg, lo, hi, cols) for lo, hi in ranges]
+            assert pa.concat_tables(parts).equals(want), (rg, step)

@@ -264,7 +264,7 @@ def test_reduce_partials_tree_combine(ray_session, tiles_ds, force_tree):
     zt = synth_zones(seed=42, n_zones=24)
     partials = tiles_ds.repartition(4).map_batches(
         tile_fid_partials_batch,
-        fn_kwargs={"zones": zt, "grid": GRID},
+        fn_kwargs={"zones": zt, "grid": GRID, "nodata": (GRID.nodata,)},
         batch_format="pyarrow",
     ).materialize()
     direct = Z.reduce_partials(partials).sort_values("group_key").reset_index(drop=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..sources.config import parse_and_validate_config
-from ..sources.raster import group_rasters, read_bands, read_grid_spec
+from ..sources.raster import group_rasters, read_bands
 from ..state.metrics import StageMetrics
 
 # zonal_stats_raster: perfbench/trace.py patches it under this module too
@@ -43,20 +43,15 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
     paths = job["base_raster_path_list"]
     stems = [Path(p).stem for p in paths]
     raster_stats_by_stem: dict[str, dict] = {}
-    for grid, members in group_rasters(paths):
+    for grid, members, nodata, units in group_rasters(paths):
         tol = 0.5 * abs(grid.dx)
         if tol not in zones_by_tol:
             zones_by_tol[tol] = simplified_zones(zones_table, tol)
         zs, zones_ref = zones_by_tol[tol]
-        band_paths = [paths[i] for i in members]
         with metrics.timed("zonal:" + "+".join(stems[i] for i in members)):
             bands = zonal_stats_bands(
-                read_bands(band_paths),
-                grid,
-                [read_grid_spec(p).nodata for p in band_paths],
-                zs,
-                percentiles=job["percentile_list"],
-                zones_ref=zones_ref,
+                read_bands(units), grid, tuple(nodata), zs,
+                percentiles=job["percentile_list"], zones_ref=zones_ref,
             )
         raster_stats_by_stem.update(zip((stems[i] for i in members), bands))
 

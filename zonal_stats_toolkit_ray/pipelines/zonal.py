@@ -193,11 +193,6 @@ def _list_col_buffers(col) -> tuple[np.ndarray, np.ndarray]:
 # string key was pure overhead (round-2 fix, VERDICT item 5).
 
 
-def _nodatas(grid: GridSpec, nodata) -> tuple:
-    """Per-band nodata values: ``nodata``, or one band with ``grid.nodata``."""
-    return (grid.nodata,) if nodata is None else tuple(nodata)
-
-
 def _wide_rows(chunks, nodata: tuple) -> pa.Table:
     """``(int64 keys, [float32 values of each band])`` chunks → one table
     of wide rows: ``group_key``, then each band's float64 ``value`` and its
@@ -213,33 +208,30 @@ def _wide_rows(chunks, nodata: tuple) -> pa.Table:
     return pa.table(cols)
 
 
-def _band_rows(rows: pa.Table, band: int) -> pa.Table:
-    """Band ``band``'s slim ``(group_key, value, nodata)`` projection of
-    wide rows (zero-copy)."""
-    return pa.table(
-        [rows["group_key"], rows[band_col("value", band)], rows[band_col("nodata", band)]],
-        schema=Z.ROWS_SCHEMA_INT,
-    )
-
-
-def _band_partials(rows: pa.Table, n_bands: int, ignore_nodata: bool = True) -> pa.Table:
-    """Wide rows → ``PARTIAL_SCHEMA_INT`` partials of every band
-    (``Z.partials_from_rows`` of each band's projection), keyed ``key ×
-    n_bands + band`` (int64) so one merge serves all bands; one band keeps
-    its keys."""
+def _per_band(rows: pa.Table, n_bands: int, fn, bands=None) -> pa.Table:
+    """``fn`` of each band's slim ``(group_key, value, nodata)`` projection
+    of wide rows (zero-copy), its ``group_key`` rekeyed ``key × n_bands +
+    band`` (int64) so that one merge or shuffle serves every band; one band
+    keeps its keys."""
     parts = []
-    for b in range(n_bands):
-        p = Z.partials_from_rows(_band_rows(rows, b), ignore_nodata=ignore_nodata)
-        key = p["group_key"].to_numpy() * n_bands + b
-        parts.append(p.set_column(0, "group_key", pa.array(key, pa.int64())))
+    for b in range(n_bands) if bands is None else bands:
+        cols = [rows["group_key"], rows[band_col("value", b)], rows[band_col("nodata", b)]]
+        t = fn(pa.table(cols, schema=Z.ROWS_SCHEMA_INT))
+        if n_bands > 1:
+            key = pa.array(t["group_key"].to_numpy() * n_bands + b, pa.int64())
+            t = t.set_column(0, "group_key", key)
+        parts.append(t)
     return pa.concat_tables(parts)
 
 
+def _band_partials(rows: pa.Table, n_bands: int, ignore_nodata: bool = True) -> pa.Table:
+    """Wide rows → ``PARTIAL_SCHEMA_INT`` partials of every band."""
+    return _per_band(rows, n_bands, lambda t: Z.partials_from_rows(t, ignore_nodata=ignore_nodata))
+
+
 def _rows_band_partials(n_bands: int, *tables: pa.Table, ignore_nodata: bool = True):
-    """One-task body of the fid partials: ``_band_partials`` per wide row
-    block, then one ``Z._merge_partials`` — the partial rows the tree
-    combine's driver regime merges.  Empty blocks are skipped: Ray Data
-    may emit them without columns."""
+    """One-task body of the fid partials, the wide-row form of
+    ``Z.rows_partials``: ``_band_partials`` per block, then one merge."""
     parts = [_band_partials(t, n_bands, ignore_nodata) for t in tables if t.num_rows]
     return Z._merge_partials(pa.concat_tables(parts).to_pandas()) if parts else pd.DataFrame()
 
@@ -268,29 +260,21 @@ def _tile_fid_pixels(batch: pa.Table, zones, grid: GridSpec, n_bands: int):
 
 
 def tile_fid_partials_batch(
-    batch: pa.Table, zones, grid: GridSpec, ignore_nodata: bool = True, nodata=None
+    batch: pa.Table, zones, grid: GridSpec, nodata: tuple, ignore_nodata: bool = True
 ) -> pa.Table:
-    """Stateless-task stage: raster tiles → per-(tile, FID) partial
-    aggregates of every band (``_band_partials``; ``nodata`` per band,
-    default one band with ``grid.nodata``).  Partials are keyed by FID
-    (not group) because the Q4 fallback and the rollup's min/max-merge
-    condition operate per FID (``runner.py:848-889``)."""
-    nodata = _nodatas(grid, nodata)
-    out = [
-        _band_partials(_wide_rows([tile], nodata), len(nodata), ignore_nodata)
-        for tile in _tile_fid_pixels(batch, zones, grid, len(nodata))
-    ]
-    if not out:
-        return Z.PARTIAL_SCHEMA_INT.empty_table()
-    return pa.concat_tables(out)
+    """Stateless-task stage: raster tiles (one ``nodata`` per band) → the
+    batch's per-FID partial aggregates of every band (``_band_partials``
+    of its pixel rows).  Partials are keyed by FID (not group) because the
+    Q4 fallback and the rollup's min/max-merge condition operate per FID
+    (``runner.py:848-889``)."""
+    rows = _wide_rows(_tile_fid_pixels(batch, zones, grid, len(nodata)), nodata)
+    return _band_partials(rows, len(nodata), ignore_nodata)
 
 
-def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec, nodata=None) -> pa.Table:
-    """Stateless-task stage: raster tiles → wide pixel rows
-    (``_wide_rows``: fid, then each band's value and nodata flag; one
-    band gives the slim ``(group_key, value, nodata)`` rows).  One burn
-    per tile feeds every band's partials and percentiles."""
-    nodata = _nodatas(grid, nodata)
+def tile_fid_pixels_batch(batch: pa.Table, zones, grid: GridSpec, nodata: tuple) -> pa.Table:
+    """Stateless-task stage: raster tiles (one ``nodata`` per band) → wide
+    pixel rows (``_wide_rows``; one band gives the slim ``(group_key,
+    value, nodata)`` rows).  One burn per tile feeds every band."""
     return _wide_rows(_tile_fid_pixels(batch, zones, grid, len(nodata)), nodata)
 
 
@@ -357,7 +341,7 @@ def _window_blocks(batch: pa.Table, specs, grid: GridSpec, n_bands: int):
 
 
 def _window_partials_batch(
-    batch: pa.Table, specs_ref, grid: GridSpec, ignore_nodata: bool = True, nodata=None
+    batch: pa.Table, specs_ref, grid: GridSpec, nodata: tuple, ignore_nodata: bool = True
 ) -> pa.Table:
     """Q4 fallback partials: one partials row (``PARTIAL_SCHEMA_INT``) per
     window touched by the batch's tiles and band, keyed ``spec key ×
@@ -365,12 +349,11 @@ def _window_partials_batch(
     The reference runs this pass serially on one process
     (runner.py:697-811); windows tile-partition cleanly, so the window
     aggregates merge associatively (``_merge_partials``)."""
-    nodata = _nodatas(grid, nodata)
     rows = _window_values_batch(batch, specs_ref, grid, nodata)
     return _band_partials(rows, len(nodata), ignore_nodata)
 
 
-def _window_values_batch(batch: pa.Table, specs_ref, grid: GridSpec, nodata=None) -> pa.Table:
+def _window_values_batch(batch: pa.Table, specs_ref, grid: GridSpec, nodata: tuple) -> pa.Table:
     """Q4 fallback VALUES: wide rows (``_wide_rows``, like the tile
     pixels) of each window × tile intersection, keyed by the spec's key
     (the window's owning fid) — the percentile value bags (the reference
@@ -378,7 +361,6 @@ def _window_values_batch(batch: pa.Table, specs_ref, grid: GridSpec, nodata=None
     percentile over the multiset is order-independent, so distributed
     collection is exact).  ``Z.values_from_rows`` drops the nodata values
     when ``ignore_nodata``, as it does for the pixels."""
-    nodata = _nodatas(grid, nodata)
     return _wide_rows(_window_blocks(batch, specs_ref, grid, len(nodata)), nodata)
 
 
@@ -411,7 +393,7 @@ def _window_stats_distributed(
     tiles_ds,
     grid: GridSpec,
     win_specs,
-    nodata=None,
+    nodata: tuple,
     *,
     ignore_nodata: bool = True,
 ) -> dict[int, dict]:
@@ -443,20 +425,13 @@ def _fid_group_ordinals(
     return pa.table([pa.array(ords[pos]), batch["value"]], schema=Z.VALUES_SCHEMA_INT)
 
 
-def _band_values(
-    rows: pa.Table, fids, ords, n_bands: int, bands, ignore_nodata: bool = True
-) -> pa.Table:
-    """``VALUES_SCHEMA_INT`` value rows of ``bands`` of wide rows
-    (``Z.values_from_rows``, ``_fid_group_ordinals``), keyed ``group
-    ordinal × n_bands + band``."""
-    return pa.concat_tables([
-        _fid_group_ordinals(
-            Z.values_from_rows(_band_rows(rows, b), ignore_nodata=ignore_nodata),
-            fids,
-            ords * n_bands + b,
-        )
-        for b in bands
-    ])
+def _band_values(rows: pa.Table, fids, ords, n_bands: int, bands, ignore_nodata: bool = True):
+    """Wide rows → ``VALUES_SCHEMA_INT`` value rows of ``bands``, keyed by
+    the group ordinal (``Z.values_from_rows``, ``_fid_group_ordinals``)."""
+    def values(t: pa.Table) -> pa.Table:
+        return _fid_group_ordinals(Z.values_from_rows(t, ignore_nodata=ignore_nodata), fids, ords)
+
+    return _per_band(rows, n_bands, values, bands)
 
 
 def _group_bag_percentiles(
@@ -464,16 +439,14 @@ def _group_bag_percentiles(
     ignore_nodata: bool = True,
 ) -> dict:
     """One-task body of the raster percentiles: wide row blocks → {group
-    ordinal × n_bands + band: percentiles}, one band's bags at a time
-    (``_band_values``, ``Z._bag_percentiles``)."""
-    tables = [t for t in tables if t.num_rows]  # see _rows_band_partials
-    return {
-        k: pv
-        for b in range(n_bands)
-        for k, pv in Z._bag_percentiles(
+    ordinal × n_bands + band: percentiles}, one band's bags at a time."""
+    tables = [t for t in tables if t.num_rows]  # Ray Data may emit column-less empty blocks
+    gp: dict = {}
+    for b in range(n_bands):
+        gp.update(Z._bag_percentiles(
             plist, *(_band_values(t, fids, ords, n_bands, [b], ignore_nodata) for t in tables)
-        ).items()
-    }
+        ))
+    return gp
 
 
 def _raster_group_percentiles(
@@ -572,7 +545,7 @@ def _group_stats(zs: ZoneSet, fid_stats: dict, group_pct: dict, pkeys: list) -> 
 def zonal_stats_bands(
     tiles_ds,
     grid: GridSpec,
-    nodata: list,
+    nodata: tuple,
     zs: ZoneSet,
     *,
     percentiles: list[float] = (),
@@ -580,25 +553,18 @@ def zonal_stats_bands(
     ignore_nodata: bool = True,
     rows_sink: str | None = None,
 ) -> list[dict]:
-    """Zonal statistics of the bands of one tile pass → one
-    ``zonal_stats_raster`` result per band.
-
-    ``tiles_ds`` holds rasters that share ``grid``'s geometry and tile
-    layout (``sources.raster.read_bands``): ``tile_x``, ``tile_y`` and one
-    values column per band (``band_col``), with one ``nodata`` per band.
-    Each tile burns once (``tile_fid_pixels_batch``) into wide pixel rows:
-    the fid, then a value and a nodata column per band.  The burn depends
-    only on the grid and the zones, so one set of quirk-Q4 windows serves
-    every band.  Up to ``guard.DRIVER_ROWS`` materialized rows (block
-    metadata) two Ray tasks over their block refs reduce one band's
-    ``(group_key, value, nodata)`` projection at a time:
-    ``_rows_band_partials``, then ``_group_bag_percentiles`` over the
-    pixels plus the Q4 window rows.  Above the budget, and without
-    percentiles, one tree combine merges the partials and one salted
-    shuffle takes the bags.  Every regime keys band b of key k as ``k ×
-    bands + b``.  ``rows_sink`` (see ``zonal_stats_raster``) writes the
-    wide rows."""
-    nodata = tuple(nodata)
+    """Zonal statistics of the bands of one tile pass (``tile_x``,
+    ``tile_y`` and a ``band_col`` values column per band, one ``nodata``
+    per band: ``sources.raster.read_bands``) → a ``zonal_stats_raster``
+    result per band.  Each tile burns once into wide pixel rows (fid, then
+    a value and a nodata column per band); the burn depends only on the
+    grid and the zones, so one set of quirk-Q4 windows serves every band.
+    Up to ``guard.DRIVER_ROWS`` materialized rows (block metadata) two Ray
+    tasks over their block refs reduce one band's ``(group_key, value,
+    nodata)`` projection at a time (partials, then the pixel and Q4 window
+    bags); above it, and without percentiles, one tree combine and one
+    salted shuffle run.  Every regime keys band b of key k as ``k × bands
+    + b``.  ``rows_sink`` (see ``zonal_stats_raster``) gets the wide rows."""
     n_bands = len(nodata)
     plist = sorted(set(float(p) for p in percentiles))
     pkeys = percentile_keys(plist)
@@ -722,7 +688,7 @@ def zonal_stats_bands(
             else:
                 tiles = _fetch_windows(tiles_ds, grid, [w[1:] for w in win_specs])
                 parts = _window_partials_batch(
-                    tiles, _broadcast_specs(win_specs), grid, ignore_nodata, nodata
+                    tiles, _broadcast_specs(win_specs), grid, nodata, ignore_nodata
                 )
                 win_stats = _window_stats(
                     Z._merge_partials(parts.to_pandas()), ignore_nodata
@@ -790,7 +756,7 @@ def zonal_stats_raster(
         # re-broadcast the simplified table so tasks still read from plasma
         zs, zones_ref = simplified_zones(zs.table, simplify_tolerance)
     (stats,) = zonal_stats_bands(
-        tiles_ds, grid, [grid.nodata], zs, percentiles=percentiles, zones_ref=zones_ref,
+        tiles_ds, grid, (grid.nodata,), zs, percentiles=percentiles, zones_ref=zones_ref,
         ignore_nodata=ignore_nodata, rows_sink=rows_sink,
     )
     return stats

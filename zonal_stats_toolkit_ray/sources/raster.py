@@ -167,18 +167,22 @@ def write_tiles_dir(
         pq.write_table(t.take(idx), f"{path}/part-{s:04d}.parquet")
 
 
+def _tile_files(path: str) -> list[str]:
+    """A tiles file, or a shard directory's Parquet files in name order."""
+    import os
+
+    if not os.path.isdir(path):
+        return [path]
+    files = [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")]
+    if not files:
+        raise FileNotFoundError(f"no parquet shards in raster dir {path!r}")
+    return files
+
+
 def read_grid_spec(path: str) -> GridSpec:
     """Grid spec from Parquet key-value metadata — a single tiles file or
     a directory of shards (first shard's metadata; all shards carry it)."""
-    import os
-
-    p = path
-    if os.path.isdir(path):
-        names = sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
-        if not names:
-            raise FileNotFoundError(f"no parquet shards in raster dir {path!r}")
-        p = os.path.join(path, names[0])
-    md = pq.read_schema(p).metadata or {}
+    md = pq.read_schema(_tile_files(path)[0]).metadata or {}
     spec = json.loads(md[b"grid_spec"].decode())
     return GridSpec(**spec)
 
@@ -189,60 +193,86 @@ def band_col(name: str, band: int) -> str:
     return name if band == 0 else f"{name}_{band}"
 
 
-def _units(path: str) -> list[tuple[str, int]]:
-    """``(file, row group)`` read units of a tiles file or shard directory,
-    files in name order."""
-    import os
-
-    files = [path]
-    if os.path.isdir(path):
-        files = [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")]
-    return [(f, rg) for f in files for rg in range(pq.ParquetFile(f).num_row_groups)]
-
-
-def group_rasters(paths: list[str]) -> list[tuple[GridSpec, list[int]]]:
-    """Rasters readable as the bands of one tile pass → (first band's
-    grid, indices into ``paths``) per group, in first-seen order: same
-    ``GridSpec`` but ``nodata``, same ``(tile_x, tile_y)`` sequence in
-    every ``(file, row group)`` unit (only those two columns are read)."""
+def group_rasters(paths: list[str]) -> list[tuple[GridSpec, list[int], list, list]]:
+    """Rasters readable as the bands of one tile pass → ``(first band's
+    grid, indices into paths, nodata per band, read units per band)`` per
+    group, in first-seen order.  Bands share the ``GridSpec`` but ``nodata``
+    and the ``(tile_x, tile_y)`` sequence of every ``(file, row group,
+    tiles, uncompressed bytes)`` unit (only those two columns are read)."""
     import dataclasses
 
-    groups: dict[tuple, tuple[GridSpec, list[int]]] = {}
+    groups: dict[tuple, tuple] = {}
     for i, path in enumerate(paths):
         grid = read_grid_spec(path)
-        layout = []
-        for f, rg in _units(path):
-            t = pq.ParquetFile(f).read_row_group(rg, columns=["tile_x", "tile_y"])
-            layout.append(tuple(t[c].to_numpy().tobytes() for c in ("tile_x", "tile_y")))
+        units, layout = [], []
+        for f in _tile_files(path):
+            with pq.ParquetFile(f) as pf:
+                for rg in range(pf.num_row_groups):
+                    t = pf.read_row_group(rg, columns=["tile_x", "tile_y"])
+                    layout.append(tuple(t[c].to_numpy().tobytes() for c in ("tile_x", "tile_y")))
+                    md = pf.metadata.row_group(rg)
+                    units.append((f, rg, md.num_rows, md.total_byte_size))
         key = (dataclasses.replace(grid, nodata=None), tuple(layout))
-        groups.setdefault(key, (grid, []))[1].append(i)
+        _, members, nodata, band_units = groups.setdefault(key, (grid, [], [], []))
+        members.append(i)
+        nodata.append(grid.nodata)
+        band_units.append(units)
     return list(groups.values())
 
 
+def _read_rows(file: str, row_group: int, lo: int, hi: int, columns: list[str]) -> pa.Table:
+    """Rows ``[lo, hi)`` of one row group, decoded batch by batch so that
+    only those rows are kept."""
+    out, at = [], 0
+    with pq.ParquetFile(file) as pf:
+        for b in pf.iter_batches(batch_size=hi - lo, row_groups=[row_group], columns=columns):
+            if at + b.num_rows > lo:
+                out.append(b.slice(max(lo - at, 0), hi - max(lo, at)))
+            at += b.num_rows
+            if at >= hi:
+                break
+        schema = pa.schema([pf.schema_arrow.field(c) for c in columns])
+    return pa.Table.from_batches(out, schema)
+
+
 def _read_band_units(batch: pa.Table) -> pa.Table:
-    """Unit rows → the unit's tiles with each band's values column."""
+    """:func:`read_bands` items → their tile ranges, a values column per band."""
     out = []
-    for files, rgs in zip(batch["files"].to_pylist(), batch["row_groups"].to_pylist()):
-        t = pq.ParquetFile(files[0]).read_row_group(rgs[0], columns=list(TILES_SCHEMA.names))
+    for files, rgs, lo, hi in zip(*(batch[c].to_pylist() for c in ("files", "rgs", "lo", "hi"))):
+        t = _read_rows(files[0], rgs[0], lo, hi, list(TILES_SCHEMA.names))
         for b in range(1, len(files)):
-            v = pq.ParquetFile(files[b]).read_row_group(rgs[b], columns=["values"])
-            t = t.append_column(band_col("values", b), v["values"])
-        out.append(t.replace_schema_metadata(None))
+            v = _read_rows(files[b], rgs[b], lo, hi, ["values"])["values"]
+            t = t.append_column(band_col("values", b), v)
+        out.append(t)
     return pa.concat_tables(out)
 
 
-def read_bands(paths: list[str]):
-    """One band group's tiles as one Dataset with a values column per band
-    (:func:`band_col`): one block per ``(file, row group)`` unit, read for
-    every band by one task that fuses with the maps over it."""
+def read_bands(units: list[list[tuple]]):
+    """One band group's tiles (its :func:`group_rasters` units) as one
+    Dataset with a values column per band (:func:`band_col`).  A block is
+    a tile range of one unit, read for every band by one task that fuses
+    with the maps over it.  Units split into ranges so that there are at
+    least as many blocks as ``read_parquet`` makes of one band (Ray's read
+    parallelism) or one per tile, whichever is fewer; a split unit is
+    decoded up to its range once per range."""
+    import ray
     import ray.data as rd
 
-    units = [_units(p) for p in paths]
+    ctx = rd.DataContext.get_current()
+    nbytes = max(sum(u[3] for u in us) for us in units)
+    n_blocks = max(
+        min(ctx.read_op_min_num_blocks, nbytes // ctx.target_min_block_size),
+        nbytes // (ctx.target_max_block_size or nbytes + 1),
+        2 * int(ray.cluster_resources().get("CPU", 1)),
+    )
+    step = max(1, -(-sum(u[2] for u in units[0]) // n_blocks))
     items = [
-        {"files": [u[k][0] for u in units], "row_groups": [u[k][1] for u in units]}
-        for k in range(len(units[0]))
+        {"files": [us[k][0] for us in units], "rgs": [us[k][1] for us in units],
+         "lo": lo, "hi": min(lo + step, n)}
+        for k, (_, _, n, _) in enumerate(units[0])
+        for lo in range(0, n, step)
     ]
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
+    return rd.from_items(items, override_num_blocks=len(items) or None).map_batches(
         _read_band_units, batch_format="pyarrow"
     )
 
