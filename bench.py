@@ -24,6 +24,12 @@ then rows/s of the one-task zonal reduce bodies (grouped partials and
 exact grouped percentiles) on one raster's worth of slim pixel rows, then
 px/s of the tile pixel pass with two rasters stacked as bands against one
 1-band pass per raster.
+
+--task-sweep [seed]: the pages_points map chain (quality score → cell
+encode → join → slim rows) on perfbench's seeded page corpus in one 1-CPU
+Ray session, once per point-join task floor (`guard.TASK_ROWS`: one task
+per input block, then 2k-16k rows and the default): materialize seconds
+(median of 3), output blocks and rows/s, as one JSON line.
 """
 
 from __future__ import annotations
@@ -1015,6 +1021,96 @@ def _text_kernels(calib: dict):
     )
 
 
+SWEEP_TASK_ROWS = (2_000, 4_000, 8_000, 16_000)
+
+
+def _task_sweep():
+    """`bench.py --task-sweep [seed]`: materialize the slim rows of the
+    pages_points chain (`perfbench.workloads.PagesPointsJob` up to the
+    materialize inside `zonal_stats_points`) once per task floor: `None`
+    (no batch size, so every input block is its own task), then
+    `SWEEP_TASK_ROWS` and the default `guard.TASK_ROWS`, set on the driver,
+    where `join_points` reads it.  One untimed warm-up, then 3 rounds over the
+    floors in turn; prints one JSON line with the calibration block."""
+    import tempfile
+    from pathlib import Path
+
+    import ray
+    import ray.data as rd
+
+    from perfbench import gen
+    from perfbench.workloads import SIZES, _slim, _synth_zones
+    from zonal_stats_toolkit_ray.pipelines.zonal import join_points
+    from zonal_stats_toolkit_ray.stages import guard, text
+    from zonal_stats_toolkit_ray.stages import zonal as Z
+
+    args = [a for a in sys.argv[1:] if not a.startswith("--")]
+    seed = int(args[0]) if args else 1
+    size = SIZES["pages_points"]
+    calib = calibrate()
+    _init_ray(1)
+    default = guard.TASK_ROWS
+    floors = [None, *sorted({*SWEEP_TASK_ROWS, default})]
+    with tempfile.TemporaryDirectory() as tmp:
+        zones = _synth_zones(seed, size["n_zones"])
+        gen.pages_corpus(
+            Path(tmp), seed, zones, n_pages=size["n_pages"],
+            n_cities=size["n_cities"], n_files=size["n_files"],
+        )
+        pages = sorted(str(p) for p in Path(tmp).glob("pages-*.parquet"))
+        zones_ref = ray.put(zones)
+
+        def read():
+            return rd.read_parquet(pages, columns=["text", "lon", "lat"])
+
+        def run(task_rows):
+            guard.TASK_ROWS = task_rows
+            scored = read().map_batches(text.quality_score_batch, batch_format="pyarrow")
+            slim = scored.map_batches(_slim, batch_format="pyarrow")
+            joined = join_points(slim, zones_ref, geocode=False)
+            t0 = time.perf_counter()
+            out = joined.map_batches(
+                Z.rows_batch, batch_format="pyarrow",
+                fn_kwargs={"value_col": "quality_score", "nodata": None},
+            ).materialize()
+            return time.perf_counter() - t0, out.num_blocks()
+
+        try:
+            run(default)
+            secs, blocks = {k: [] for k in floors}, {}
+            for _ in range(3):
+                for k in floors:
+                    t, blocks[k] = run(k)
+                    secs[k].append(t)
+            input_blocks = read().materialize().num_blocks()
+        finally:
+            guard.TASK_ROWS = default
+            ray.shutdown()
+    runs = [
+        {
+            "task_rows": k,
+            "materialize_s": round(float(np.median(secs[k])), 3),
+            "blocks": blocks[k],
+            "rows_per_s": round(size["n_pages"] / float(np.median(secs[k])), 1),
+        }
+        for k in floors
+    ]
+    print(
+        json.dumps(
+            {
+                "metric": "join_task_rows_sweep",
+                "workload": "pages_points",
+                "seed": seed,
+                "rows": size["n_pages"],
+                "input_blocks": input_blocks,
+                "default_task_rows": default,
+                "runs": runs,
+                "calib": {"pre": calib, "ref": CALIB_REF},
+            }
+        )
+    )
+
+
 def _scale_demo():
     """`bench.py --scale-demo [replicate]`: the flagship zonal_pages
     pipeline end-to-end at the largest input this sandbox holds (VERDICT
@@ -1099,6 +1195,9 @@ def main():
         return
     if "--kernels" in sys.argv:
         _kernels()
+        return
+    if "--task-sweep" in sys.argv:
+        _task_sweep()
         return
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))

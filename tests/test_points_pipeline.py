@@ -209,6 +209,94 @@ def test_zonal_stats_points_regimes_identical(ray_session, monkeypatch, force_tr
         )
 
 
+def test_join_task_floor_structure(ray_session):
+    """The point join's task floor, as parallel structure: a 64-block input
+    of 9 × ``guard.TASK_ROWS`` points joins in at least 2 × CPUs tasks and
+    at most ``ceil(rows / TASK_ROWS) + 1`` (one output block per task), and
+    an input below the floor joins in one task.  This checks structure, not
+    speed: the test host's CPUs are logical and may share one core."""
+    import math
+
+    import ray
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.stages import guard
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    n = 9 * guard.TASK_ROWS
+    assert n >= 2 * cpus * guard.TASK_ROWS
+    rng = np.random.default_rng(12)
+    points = pa.table(
+        {"lon": rng.uniform(-180.0, 180.0, n), "lat": rng.uniform(-90.0, 90.0, n)}
+    )
+    zt = synth_zones(seed=5, n_zones=30)
+    joined = join_points(
+        rd.from_arrow(points).repartition(64), zt, geocode=False
+    ).materialize()
+    assert joined.count() == n
+    assert 2 * cpus <= joined.num_blocks() <= math.ceil(n / guard.TASK_ROWS) + 1
+    small = join_points(
+        rd.from_arrow(points.slice(0, guard.TASK_ROWS // 2)).repartition(8),
+        zt,
+        geocode=False,
+    ).materialize()
+    assert small.num_blocks() == 1
+
+
+@pytest.mark.parametrize("percentiles", [[5, 50, 95], []], ids=["percentiles", "plain"])
+def test_zonal_stats_points_task_floor_invariant(ray_session, monkeypatch, percentiles):
+    """``zonal_stats_points(join_points(...))`` gives the same rows whether
+    the join runs as one task (the default floor, above this input's rows)
+    or one task per input block (``guard.TASK_ROWS`` = 1), so small inputs,
+    which now join in one task, still cover the multi-block merge.  The
+    zones have a NULL group and a group with no points; some points fall
+    outside every zone and some values are nodata.  Float64 sums add in a
+    different order, hence the tolerance on sum/stdev."""
+    import pandas as pd
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.sources.zones import zones_table
+    from zonal_stats_toolkit_ray.stages import guard
+
+    def square(x0, y0):
+        return np.array([x0, x0 + 1.0, x0 + 1.0, x0]), np.array([y0, y0, y0 + 1.0, y0 + 1.0])
+
+    groups = ["a", None, "b", "empty"]
+    corners = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (10.0, 10.0)]
+    zt = zones_table(list(range(4)), [0] * 4, groups, [square(*c) for c in corners])
+    zs = ZoneSet(zt)
+    rng = np.random.default_rng(21)
+    n = 3000
+    value = np.round(rng.normal(50.0, 20.0, n), 3)
+    value[rng.random(n) < 0.1] = -9999.0
+    points = pa.table(
+        {
+            "lon": rng.uniform(-0.5, 3.5, n),
+            "lat": rng.uniform(-0.5, 3.5, n),
+            "value": pa.array(value),
+        }
+    )
+    ds = rd.from_arrow(points).repartition(6)
+    kw = dict(nodata=-9999.0, percentiles=percentiles)
+    assert n < guard.TASK_ROWS
+    default = zonal_stats_points(join_points(ds, zt, geocode=False), "value", zs, **kw)
+    monkeypatch.setattr(guard, "TASK_ROWS", 1)
+    per_block = zonal_stats_points(join_points(ds, zt, geocode=False), "value", zs, **kw)
+
+    assert list(default["group_value"]) == ["a", "b", "empty", None]
+    b = default.set_index(default["group_value"].fillna("NULL"))
+    assert b.loc["NULL", "valid_count"] > 0 and b.loc["empty", "count"] == 0
+    assert b.loc["a", "nodata_count"] > 0
+    assert int(default["count"].sum()) < n  # some points are unassigned
+    exact = ["group_value", "count", "nodata_count", "valid_count", "min", "max"]
+    exact += [f"p{p}" for p in percentiles]
+    pd.testing.assert_frame_equal(default[exact], per_block[exact], check_exact=True)
+    for c in ("sum", "stdev"):
+        np.testing.assert_allclose(
+            per_block[c].to_numpy(float), default[c].to_numpy(float), rtol=1e-12, atol=0
+        )
+
+
 def test_zone_knn_stage(ray_session):
     import ray.data as rd
 

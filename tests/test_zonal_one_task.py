@@ -139,3 +139,33 @@ def test_group_percentiles_raising_udf_never_salts(ray_session, monkeypatch):
     with pytest.raises(Exception, match="udf failed"):
         Z.group_percentiles_ds(values, [50.0])
     assert salted == []
+
+
+def test_one_task_block_refs(ray_session):
+    """``one_task`` over 0 refs, 1 ref and 40 refs (``to_arrow_refs`` of a
+    materialized Dataset mixed with ``ray.put`` tables) gives what the task
+    body gives on the driver over the same tables, in the refs' order."""
+    import ray
+    import ray.data as rd
+
+    rng = np.random.default_rng(6)
+    n = 3000
+    table = pa.table(
+        {
+            "group_key": pa.array(rng.integers(0, 7, n), pa.int64()),
+            "value": pa.array(rng.normal(0.0, 1.0, n).astype(np.float32)),
+        }
+    )
+    plist = [5.0, 50.0, 95.0]
+    assert Z.one_task(Z._bag_percentiles, [], plist) == {}
+    one = ray.put(table.slice(0, 100))
+    assert Z.one_task(Z._bag_percentiles, [one], plist) == Z._bag_percentiles(
+        plist, table.slice(0, 100)
+    )
+    ds_refs = rd.from_arrow(table.slice(0, 2000)).repartition(30).materialize().to_arrow_refs()
+    puts = [ray.put(table.slice(2000 + 100 * i, 100)) for i in range(10)]
+    refs = [r for pair in zip(ds_refs[:10], puts) for r in pair] + ds_refs[10:]
+    assert len(refs) == 40
+    got = Z.one_task(Z._bag_percentiles, refs, plist)
+    assert got == Z._bag_percentiles(plist, *ray.get(refs))
+    assert set(got) == set(range(7))

@@ -13,6 +13,9 @@ killed run resumes by skipping manifest-complete partitions (anti-join of
 the partition list vs the manifest — see state/checkpoint.py) and the
 final reduce reads only the small partials, so completed shards are never
 re-joined.
+
+A partition's shard, page and value maps fuse into ``join_points``' tasks:
+``ceil(rows read / guard.TASK_ROWS)`` of them, not one per input block.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ def join_points(
     zones,
     *,
     cell_res: int = 12,
-    batch_size: int | None = None,
     shortcut_res: int | None = 7,
     geocode: bool = True,
     zones_crs=None,
@@ -74,11 +73,10 @@ def join_points(
     with a per-process ZoneSet cache: the index builds once per worker
     process, and no actor processes are spawned.
 
-    ``batch_size=None`` (default) keeps block-sized batches: an explicit
-    batch size larger than the *input* rows-per-block would coalesce many
-    blocks into one task, collapsing the stage to a single worker
-    (observed: a 64-block input ran as ONE 11-second task with
-    batch_size=32768)."""
+    Each task gets at least ``guard.TASK_ROWS`` input rows (read at call
+    time, the task floor in ``stages/guard.py``): the caller's maps before
+    the join and the zonal maps after it fuse into ``ceil(rows /
+    TASK_ROWS)`` tasks, however small the input blocks."""
     from ..stages.join import spatial_join_batch
 
     if points_crs is not None:
@@ -101,7 +99,7 @@ def join_points(
         spatial_join_batch,
         fn_kwargs={"zones": zones, "shortcut_res": shortcut_res},
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=guard.TASK_ROWS,
     )
 
 
@@ -122,7 +120,8 @@ def zonal_stats_points(
     upstream join for each.  The joined rows are therefore first reduced
     to a slim (group_key, value, nodata) projection and THAT is
     materialized — a few bytes per row, never the wide page columns — so
-    the join runs exactly once.  Up to ``guard.DRIVER_ROWS`` slim rows
+    the join runs exactly once, fused into ``join_points``' tasks of at
+    least ``guard.TASK_ROWS`` rows.  Up to ``guard.DRIVER_ROWS`` slim rows
     (read at call time, from block metadata) ONE Ray task over their block
     refs computes partials and percentiles (``stats_from_rows_df``), so no
     row reaches the driver; above it, the partials tree combine and

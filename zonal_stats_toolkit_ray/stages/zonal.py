@@ -262,15 +262,23 @@ def _remote(fn):
     return ray.remote(fn)
 
 
+def _over_blocks(fn, refs, *args, **kwargs):
+    """Task body of ``one_task``: fetch the blocks, then call ``fn``."""
+    import ray
+
+    return fn(*args, *ray.get(refs), **kwargs)
+
+
 def one_task(fn, refs, *args, **kwargs):
     """``fn(*args, *tables, **kwargs)`` in ONE Ray task over the Arrow
     blocks behind ``refs`` (``Dataset.to_arrow_refs()`` or ``ray.put``
     tables): the blocks reach the task by reference and only its small
     result returns to the driver — one task instead of a Dataset execution
-    per step, and no row collected on the driver."""
+    per step, and no row collected on the driver.  The refs travel in one
+    list, not as top-level task arguments that Ray would inline."""
     import ray
 
-    return ray.get(_remote(fn).remote(*args, *refs, **kwargs))
+    return ray.get(_remote(_over_blocks).remote(fn, list(refs), *args, **kwargs))
 
 
 def group_percentiles_ds(values_ds, plist: list[float]) -> dict[str, list[float]]:
