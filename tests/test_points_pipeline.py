@@ -210,11 +210,14 @@ def test_zonal_stats_points_regimes_identical(ray_session, monkeypatch, force_tr
 
 
 def test_join_task_floor_structure(ray_session):
-    """The point join's task floor, as parallel structure: a 64-block input
-    of 9 × ``guard.TASK_ROWS`` points joins in at least 2 × CPUs tasks and
-    at most ``ceil(rows / TASK_ROWS) + 1`` (one output block per task), and
-    an input below the floor joins in one task.  This checks structure, not
-    speed: the test host's CPUs are logical and may share one core."""
+    """The point join's task floor, as parallel structure (one output block
+    per task).  Ray bundles whole blocks until a bundle reaches the floor,
+    so only ``ceil(rows / TASK_ROWS)`` is an upper bound: 9 × ``TASK_ROWS``
+    points in 64 blocks join in 8 bundles of 8 blocks (2 × CPUs here), in
+    10 blocks of 0.9 × ``TASK_ROWS`` in 5 bundles of 2 (each bundle
+    overshoots the floor by almost a block), and an input below the floor
+    joins in one task.  This checks structure, not speed: the test host's
+    CPUs are logical and may share one core."""
     import math
 
     import ray
@@ -235,12 +238,49 @@ def test_join_task_floor_structure(ray_session):
     ).materialize()
     assert joined.count() == n
     assert 2 * cpus <= joined.num_blocks() <= math.ceil(n / guard.TASK_ROWS) + 1
+    near_floor = join_points(
+        rd.from_arrow(points).repartition(10), zt, geocode=False
+    ).materialize()
+    assert near_floor.count() == n
+    assert near_floor.num_blocks() == 5 < math.ceil(n / guard.TASK_ROWS)
     small = join_points(
         rd.from_arrow(points.slice(0, guard.TASK_ROWS // 2)).repartition(8),
         zt,
         geocode=False,
     ).materialize()
     assert small.num_blocks() == 1
+
+
+def test_join_task_floor_keeps_read_fusion(ray_session, tmp_path):
+    """A Read that Ray runs unsplit in the tasks of the caller's maps keeps
+    that fusion through ``join_points`` (one task per read block, no row
+    floor); a split Read gets the floor.  Structure, not speed."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.pipelines.zonal import _read_fused
+    from zonal_stats_toolkit_ray.stages import guard
+
+    n = 2 * guard.TASK_ROWS
+    rng = np.random.default_rng(3)
+    for k in range(2):
+        pq.write_table(
+            pa.table({"lon": rng.uniform(-180, 180, n), "lat": rng.uniform(-90, 90, n)}),
+            tmp_path / f"p{k}.parquet",
+        )
+    zt = synth_zones(seed=5, n_zones=30)
+
+    def read(blocks):
+        ds = rd.read_parquet(str(tmp_path), override_num_blocks=blocks)
+        return ds.map_batches(lambda t: t, batch_format="pyarrow")
+
+    assert _read_fused(read(2)) and not _read_fused(read(8))
+    assert not _read_fused(rd.from_arrow(pq.read_table(tmp_path)))
+    fused = join_points(read(2), zt, geocode=False).materialize()
+    assert fused.num_blocks() == 2 and "ReadParquet->MapBatches" in fused.stats()
+    split = join_points(read(8), zt, geocode=False).materialize()
+    assert split.num_blocks() == 4 and "SplitBlocks(4):" in split.stats()
+    assert fused.count() == split.count() == 2 * n
 
 
 @pytest.mark.parametrize("percentiles", [[5, 50, 95], []], ids=["percentiles", "plain"])

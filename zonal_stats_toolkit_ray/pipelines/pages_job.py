@@ -14,8 +14,8 @@ the partition list vs the manifest — see state/checkpoint.py) and the
 final reduce reads only the small partials, so completed shards are never
 re-joined.
 
-A partition's shard, page and value maps fuse into ``join_points``' tasks:
-``ceil(rows read / guard.TASK_ROWS)`` of them, not one per input block.
+A partition's maps fuse into ``join_points``' tasks of ``guard.TASK_ROWS``
+rows read or more, not one task per read block.
 """
 
 from __future__ import annotations

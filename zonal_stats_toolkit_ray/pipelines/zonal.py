@@ -47,6 +47,21 @@ def _all_group_keys(zs: ZoneSet) -> list[str]:
     ]
 
 
+def _read_fused(ds) -> bool:
+    """Whether Ray Data's planner runs ``ds``'s Read, unsplit, in the tasks
+    of its last maps; a row floor would undo that fusion."""
+    from ray.data._internal.execution.operators.input_data_buffer import InputDataBuffer
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    if not isinstance(ds._logical_plan.sources()[0], Read):
+        return False
+    last = get_execution_plan(ds._logical_plan).dag
+    return all(isinstance(d, InputDataBuffer) for d in last.input_dependencies) and (
+        last.get_additional_split_factor() == 1
+    )
+
+
 def join_points(
     ds,
     zones,
@@ -73,10 +88,9 @@ def join_points(
     with a per-process ZoneSet cache: the index builds once per worker
     process, and no actor processes are spawned.
 
-    Each task gets at least ``guard.TASK_ROWS`` input rows (read at call
-    time, the task floor in ``stages/guard.py``): the caller's maps before
-    the join and the zonal maps after it fuse into ``ceil(rows /
-    TASK_ROWS)`` tasks, however small the input blocks."""
+    Its tasks, fused with the caller's maps and the zonal maps after it,
+    get whole blocks of ``guard.TASK_ROWS`` rows or more (the task floor,
+    ``stages/guard.py``) unless the input's Read streams into its maps."""
     from ..stages.join import spatial_join_batch
 
     if points_crs is not None:
@@ -90,16 +104,19 @@ def join_points(
                 "ZoneSet, not a pre-broadcast ObjectRef"
             )
         zones = prepare_zones(tbl, zones_crs, points_crs)
+    task_rows = None if _read_fused(ds) else guard.TASK_ROWS
     if geocode:
         ds = ds.map_batches(geocode_batch, batch_format="pyarrow")
+    # the floor rides on the encode, not the join: Ray slices that map's input
+    # to the floor and merges its output into one block for the join
     ds = ds.map_batches(
-        cell_encode_batch, batch_format="pyarrow", fn_kwargs={"res": cell_res}
+        cell_encode_batch, batch_format="pyarrow", fn_kwargs={"res": cell_res},
+        batch_size=task_rows, zero_copy_batch=True,
     )
     return ds.map_batches(
         spatial_join_batch,
         fn_kwargs={"zones": zones, "shortcut_res": shortcut_res},
         batch_format="pyarrow",
-        batch_size=guard.TASK_ROWS,
     )
 
 
@@ -120,8 +137,8 @@ def zonal_stats_points(
     upstream join for each.  The joined rows are therefore first reduced
     to a slim (group_key, value, nodata) projection and THAT is
     materialized — a few bytes per row, never the wide page columns — so
-    the join runs exactly once, fused into ``join_points``' tasks of at
-    least ``guard.TASK_ROWS`` rows.  Up to ``guard.DRIVER_ROWS`` slim rows
+    the join runs exactly once, in ``join_points``' tasks and under its
+    task floor.  Up to ``guard.DRIVER_ROWS`` slim rows
     (read at call time, from block metadata) ONE Ray task over their block
     refs computes partials and percentiles (``stats_from_rows_df``), so no
     row reaches the driver; above it, the partials tree combine and

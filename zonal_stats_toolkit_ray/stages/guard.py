@@ -22,11 +22,12 @@ over blocks merged ``FAN_IN`` at a time, then collects.  Both constants
 are the only settings; there is no per-operator threshold.
 
 **Task floor** (``TASK_ROWS``).  A Ray task costs ~15 ms of fixed
-overhead and a page row of the point join ~20 µs, so ``join_points``
-passes ``batch_size=TASK_ROWS`` to its join map: Ray bundles input blocks
-up to that many rows, and fusion carries the floor to the fused maps.
-``n`` rows run as ``ceil(n / TASK_ROWS)`` tasks, ≥ 2 × CPUs once ``n`` ≥
-2 × CPUs × ``TASK_ROWS``.  Pixel maps (~40 ns a pixel) are not covered.
+overhead and a page row of the point join ~20 µs, so the join's encode
+map gets ``batch_size=TASK_ROWS``: Ray bundles whole blocks up to that
+many rows and fusion carries the floor to the fused maps (≤ ``ceil(n /
+TASK_ROWS)`` tasks for ``n`` rows), unless the input's Read streams
+unsplit into its maps, a fusion the batch size would undo.  Pixel maps
+are not covered.
 
 Reference parity: the reference (runner.py) has no statistics operators
 at all and merges its zonal partials on the driver; both guards belong to
