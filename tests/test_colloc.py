@@ -42,12 +42,15 @@ class TestBigramPmi:
         assert out.iloc[0]["pmi"] == expect
         assert out.iloc[0]["n_ab"] == 6
 
-    def test_regime_equality(self, ray_session):
+    def test_regime_equality(self, ray_session, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import guard
+
         ds = rd.read_parquet(
             "/root/testdata/sf0.001/documents.parquet", columns=["text"]
         )
         a = bigram_pmi(ds, min_count=5, top_n=10)
-        b = bigram_pmi(ds, min_count=5, top_n=10, vocab_broadcast_threshold=0)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+        b = bigram_pmi(ds, min_count=5, top_n=10)
         pt.assert_frame_equal(a, b, check_like=True)
 
     def test_min_count_prunes(self, ray_session):

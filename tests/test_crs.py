@@ -3,6 +3,8 @@ runner.py:307-341): zones expressed in a different CRS must, after
 reprojection into the points frame, produce IDENTICAL joins and zonal
 stats to the untransformed golden path."""
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -151,7 +153,7 @@ def test_raster_pipeline_with_reprojected_zones(ray_session):
     from zonal_stats_toolkit_ray.sources.raster import dense_array, synth_tiles_table
 
     import sys as _sys
-    _sys.path.insert(0, "/root/repo/tests")
+    _sys.path.insert(0, str(Path(__file__).resolve().parent))
     from golden_oracle import oracle_zonal_statistics
 
     grid = GridSpec(

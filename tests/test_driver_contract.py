@@ -18,7 +18,7 @@ SCRIPT = r"""
 import ray
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 import importlib.util, sys
-spec = importlib.util.spec_from_file_location("__ray_entry__", "/root/repo/__ray_entry__.py")
+spec = importlib.util.spec_from_file_location("__ray_entry__", sys.argv[1])
 mod = importlib.util.module_from_spec(spec)
 sys.modules["__ray_entry__"] = mod
 spec.loader.exec_module(mod)
@@ -42,11 +42,11 @@ ray.shutdown()
 
 def test_driver_contract_fresh_process():
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, str(ENTRY)],
         capture_output=True,
         text=True,
         timeout=240,
-        cwd="/root/repo",
+        cwd=ENTRY.parent,
     )
     assert out.returncode == 0, out.stderr[-3000:]
     last = out.stdout.strip().splitlines()[-1]

@@ -66,7 +66,7 @@ class TestDupSpanCoverage:
         # boilerplate actually detected somewhere
         assert (got["covered"] > 0).any()
 
-    def test_join_regime_matches_broadcast(self, rd):
+    def test_join_regime_matches_broadcast(self, rd, monkeypatch):
         from zonal_stats_toolkit_ray.stages.dupspan import (
             LAST_DUPSPAN_STATS,
             dup_span_coverage,
@@ -79,9 +79,10 @@ class TestDupSpanCoverage:
         )
         ds = rd.from_pandas(df).repartition(5)
         a = dup_span_coverage(ds, n=8)
-        from zonal_stats_toolkit_ray.stages import dupspan
+        from zonal_stats_toolkit_ray.stages import dupspan, guard
 
-        b = dup_span_coverage(ds, n=8, dup_broadcast_threshold=0)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+        b = dup_span_coverage(ds, n=8)
         assert dupspan.LAST_DUPSPAN_STATS["regime"] == "hash_join"
         pd.testing.assert_frame_equal(a, b)
 

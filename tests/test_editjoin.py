@@ -88,8 +88,8 @@ class TestEditDistanceJoin:
         }
         assert got_pairs == want
 
-    def test_join_regime_matches_broadcast(self, rd):
-        from zonal_stats_toolkit_ray.stages import editjoin
+    def test_join_regime_matches_broadcast(self, rd, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import editjoin, guard
         from zonal_stats_toolkit_ray.stages.editjoin import edit_distance_join
 
         rng = np.random.default_rng(37)
@@ -99,9 +99,8 @@ class TestEditDistanceJoin:
         )
         ds = rd.from_pandas(df).repartition(4)
         a = edit_distance_join(ds, id_col="doc_id", str_col="s", k=2)
-        b = edit_distance_join(
-            ds, id_col="doc_id", str_col="s", k=2, payload_broadcast_threshold=0
-        )
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+        b = edit_distance_join(ds, id_col="doc_id", str_col="s", k=2)
         assert editjoin.LAST_EDITJOIN_STATS["regime"] == "join"
         pd.testing.assert_frame_equal(a, b)
 

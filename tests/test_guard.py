@@ -8,6 +8,11 @@ bounded inputs are unaffected.
 Tree budget: ``tree_combine`` is the one repartition-and-recombine loop in
 the package; it ends on any kernel, and no other ``while`` loop
 repartitions.
+
+One regime rule: no function takes a per-call ``*_threshold`` knob (a
+regime switch reads ``guard.DRIVER_ROWS`` or a module constant), except
+the guards that raise and one kernel parameter, and nothing freezes
+``DRIVER_ROWS`` before call time.
 """
 
 import ast
@@ -146,3 +151,58 @@ def test_tree_combine_is_the_only_repartition_loop():
         for fn in _repartitioning_while_loops(ast.parse(path.read_text()))
     ]
     assert found == [("stages/guard.py", "tree_combine")], found
+
+
+# (module, function, parameter) → why it may stay a per-call keyword
+_THRESHOLD_EXEMPT = {
+    ("stages/rolling.py", "rolling_window_stats", "boundary_driver_threshold"):
+        "raises past the cap: no distributed boundary path exists",
+    ("stages/text.py", "encode_corpus", "vocab_broadcast_threshold"):
+        "raises past the cap: the encoding needs the whole vocabulary",
+    ("stages/graph.py", "bfs_hops", "node_driver_threshold"):
+        "raises past the cap: the frontier state lives on the driver",
+    ("stages/triangles.py", "triangle_stats", "node_driver_threshold"):
+        "raises past the cap: the degree table lives on the driver",
+    ("sources/zones.py", "assign_points_cached", "refine_threshold"):
+        "a kernel parameter (points per hot cell), not a regime switch",
+}
+
+
+def _package_trees():
+    pkg = Path(__file__).resolve().parents[1] / "zonal_stats_toolkit_ray"
+    for path in sorted(pkg.rglob("*.py")):
+        yield str(path.relative_to(pkg)), ast.parse(path.read_text())
+
+
+def _mentions_driver_rows(node) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == "DRIVER_ROWS")
+        or (isinstance(n, ast.Attribute) and n.attr == "DRIVER_ROWS")
+        for n in ast.walk(node)
+    )
+
+
+def test_no_per_call_regime_thresholds():
+    found = set()
+    frozen = []
+    for rel, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                a.name == "DRIVER_ROWS" for a in node.names
+            ):
+                frozen.append((rel, node.lineno, "from-import"))
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [x for x in (a.vararg, a.kwarg) if x]
+            for arg in params:
+                if arg.arg.endswith(("_threshold", "_threshold_rows")):
+                    found.add((rel, getattr(node, "name", "<lambda>"), arg.arg))
+            for d in a.defaults + [d for d in a.kw_defaults if d is not None]:
+                if _mentions_driver_rows(d):
+                    frozen.append((rel, node.lineno, "default argument"))
+    assert found == set(_THRESHOLD_EXEMPT), found ^ set(_THRESHOLD_EXEMPT)
+    assert frozen == [], frozen

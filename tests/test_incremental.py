@@ -51,7 +51,8 @@ class TestIncrementalDedup:
         )
         pd.testing.assert_frame_equal(out, exp)
 
-    def test_regimes_equal(self, ray_session, tmp_path):
+    def test_regimes_equal(self, ray_session, tmp_path, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import guard
         from zonal_stats_toolkit_ray.stages.incremental import content_index_write
 
         idx = str(tmp_path / "idx")
@@ -62,7 +63,8 @@ class TestIncrementalDedup:
 
         stats_b, stats_j = {}, {}
         out_b = _run(_docs(shard_rows), idx, stats_out=stats_b)
-        out_j = _run(_docs(shard_rows), idx, broadcast_threshold=0, stats_out=stats_j)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+        out_j = _run(_docs(shard_rows), idx, stats_out=stats_j)
         assert stats_b["regime"] == "broadcast"
         assert stats_j["regime"] == "join"
         pd.testing.assert_frame_equal(out_b, out_j)
@@ -100,14 +102,19 @@ class TestIncrementalDedup:
         )
         assert stats["files_read"] < total_files
 
-    @pytest.mark.parametrize("threshold", [2_000_000, 0])
-    def test_update_index_canonical_stability(self, ray_session, tmp_path, threshold):
+    @pytest.mark.parametrize("driver_rows", [2_000_000, 0])
+    def test_update_index_canonical_stability(
+        self, ray_session, tmp_path, monkeypatch, driver_rows
+    ):
+        from zonal_stats_toolkit_ray.stages import guard
         from zonal_stats_toolkit_ray.stages.incremental import (
             content_index_write,
             incremental_dedup,
         )
 
-        idx = str(tmp_path / f"idx{threshold}")
+        # the driver budget picks the regime: broadcast (2M) or join (0)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", driver_rows)
+        idx = str(tmp_path / f"idx{driver_rows}")
         content_index_write(_docs([(1, "alpha"), (2, "beta")]), idx, num_buckets=4)
 
         # shard 1: one corpus dup, one new text — append only the new hash
@@ -115,7 +122,6 @@ class TestIncrementalDedup:
             _docs([(10, "alpha"), (11, "gamma")]),
             idx,
             update_index=True,
-            broadcast_threshold=threshold,
         )
         assert out1.loc[out1.doc_id == 10, "is_duplicate"].item()
         assert not out1.loc[out1.doc_id == 11, "is_duplicate"].item()
@@ -126,7 +132,6 @@ class TestIncrementalDedup:
         out2 = _run(
             _docs([(20, "alpha"), (21, "gamma"), (22, "delta")]),
             idx,
-            broadcast_threshold=threshold,
         )
         exp = pd.DataFrame(
             {

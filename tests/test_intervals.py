@@ -93,7 +93,7 @@ def test_interval_union_hot_key_spans_blocks(ray_session):
     )
 
 
-def test_interval_union_giant_interval_absorbs_interior_islands(ray_session):
+def test_interval_union_giant_interval_absorbs_interior_islands(ray_session, monkeypatch):
     """A huge interval near the start swallows islands that are interior
     (non-boundary) in later sorted blocks — the absorb-routing path."""
     import ray.data as rd
@@ -122,8 +122,11 @@ def test_interval_union_giant_interval_absorbs_interior_islands(ray_session):
         .sort_values(["user_id", "start"])
         .reset_index(drop=True)
     )
+    from zonal_stats_toolkit_ray.stages import guard
+
+    monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
     isl_b = (
-        interval_union(ds, stitch_driver_threshold=0)
+        interval_union(ds)
         .to_pandas()
         .sort_values(["user_id", "start"])
         .reset_index(drop=True)
@@ -202,9 +205,10 @@ def test_event_transitions_matches_brute_hot_key(ray_session):
     assert got["n"].sum() == len(pairs)
 
 
-def test_gaps_merge_above_driver_threshold(ray_session):
+def test_gaps_merge_above_driver_threshold(ray_session, monkeypatch):
     """Force the map_groups merge regime; equal to the driver regime."""
     import ray.data as rd
+    from zonal_stats_toolkit_ray.stages import guard
     from zonal_stats_toolkit_ray.stages.intervals import event_gaps
 
     rng = np.random.default_rng(5)
@@ -213,18 +217,20 @@ def test_gaps_merge_above_driver_threshold(ray_session):
     df = pd.DataFrame({"user_id": k, "ts": ts})
     ds = rd.from_pandas(df).repartition(8)
     a = event_gaps(ds).sort_values("user_id").reset_index(drop=True)
+    monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
     b = (
-        event_gaps(ds, merge_driver_threshold=0)
+        event_gaps(ds)
         .sort_values("user_id")
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b, check_dtype=False, atol=1e-12)
 
 
-def test_assign_sessions_regime_equivalence(ray_session):
+def test_assign_sessions_regime_equivalence(ray_session, monkeypatch):
     """Broadcast searchsorted regime == join-filter regime, including a
     hot user, and every event's session contains it."""
     import ray.data as rd
+    from zonal_stats_toolkit_ray.stages import guard
     from zonal_stats_toolkit_ray.stages.window import assign_sessions
 
     rng = np.random.default_rng(17)
@@ -247,8 +253,9 @@ def test_assign_sessions_regime_equivalence(ray_session):
         .sort_values("event_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
     b = (
-        assign_sessions(ds, gap_seconds=600.0, broadcast_threshold=0)
+        assign_sessions(ds, gap_seconds=600.0)
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)

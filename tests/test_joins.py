@@ -9,11 +9,8 @@ import pytest
 
 import ray.data as rd
 
-from zonal_stats_toolkit_ray.stages.joins import (
-    BROADCAST_JOIN_THRESHOLD,
-    broadcast_join,
-    hash_join,
-)
+from zonal_stats_toolkit_ray.stages import guard
+from zonal_stats_toolkit_ray.stages.joins import broadcast_join, hash_join
 
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
@@ -160,7 +157,7 @@ class TestBroadcastJoin:
         )
         got = _sorted(hash_join(lds, rds, on="k", right_on="rk").to_pandas())
         pd.testing.assert_frame_equal(got, want)
-        assert BROADCAST_JOIN_THRESHOLD >= 1_000_000  # contract: dims broadcast
+        assert guard.DRIVER_ROWS >= 1_000_000  # contract: dims broadcast
 
     @pytest.mark.parametrize("broadcast, runs", [(None, 2), (True, 1)], ids=["auto", "forced"])
     def test_build_side_executions(self, ray_session, tmp_path, broadcast, runs):
@@ -356,9 +353,11 @@ class TestExceptDistinct:
         empty = except_distinct(rd.from_pandas(b), rd.from_pandas(b), ["x", "y"])
         assert len(empty) == 0
 
-    def test_high_cardinality_streams_no_driver_universe(self, ray_session):
+    def test_high_cardinality_streams_no_driver_universe(
+        self, ray_session, monkeypatch
+    ):
         # VERDICT r4 #3 stress: a distinct universe far above the driver
-        # threshold must come back as a streaming Dataset (nothing
+        # budget must come back as a streaming Dataset (nothing
         # universe-sized collected), and the set algebra must stay exact.
         import ray.data as rd
 
@@ -378,15 +377,12 @@ class TestExceptDistinct:
             return pa.table({"x": _pc.add(t["id"], n // 2)})
 
         b = rd.range(n).map_batches(shift, batch_format="pyarrow")
-        exc = except_distinct(
-            a, b, ["x"], num_partitions=8, driver_threshold=10_000
-        )
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 10_000)
+        exc = except_distinct(a, b, ["x"], num_partitions=8)
         assert not isinstance(exc, pd.DataFrame)  # Dataset regime
         assert exc.count() == n // 2
         assert exc.max("x") == n // 2 - 1
-        inter = intersect_distinct(
-            a, b, ["x"], num_partitions=8, driver_threshold=10_000
-        )
+        inter = intersect_distinct(a, b, ["x"], num_partitions=8)
         assert not isinstance(inter, pd.DataFrame)
         assert inter.count() == n // 2
         assert inter.min("x") == n // 2 and inter.max("x") == n - 1

@@ -8,6 +8,7 @@ import pytest
 
 from zonal_stats_toolkit_ray.sources.pages import synth_pages_table
 from zonal_stats_toolkit_ray.stages import dedup as D
+from zonal_stats_toolkit_ray.stages import guard
 from zonal_stats_toolkit_ray.stages import knn as K
 from zonal_stats_toolkit_ray.stages import text as T
 from zonal_stats_toolkit_ray.stages.multimodal import (
@@ -519,7 +520,7 @@ class TestWindow:
             .reset_index(drop=True)[["user_id", "n_events", "start", "end", "duration_s"]]
         )
 
-    def test_sessions_chunked_equals_per_key(self, ray_session):
+    def test_sessions_chunked_equals_per_key(self, ray_session, monkeypatch):
         """Round-4 (VERDICT r3 #7): the sort+stitch sessionizer is exactly
         equal to the per-key map_groups one, on real events and with a
         forced distributed stitch."""
@@ -533,10 +534,9 @@ class TestWindow:
             session_windows(ev, gap_seconds=1800.0, chunked=True).to_pandas()
         )
         pd.testing.assert_frame_equal(chunked, legacy, check_dtype=False)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)  # stitch per key
         forced = self._norm_sessions(
-            session_windows(
-                ev, gap_seconds=1800.0, chunked=True, stitch_driver_threshold=0
-            ).to_pandas()
+            session_windows(ev, gap_seconds=1800.0, chunked=True).to_pandas()
         )
         pd.testing.assert_frame_equal(forced, legacy, check_dtype=False)
 
@@ -600,7 +600,9 @@ class TestDedupScale:
     """Round-2 hardening: the verify path must fetch candidate rows only,
     never the corpus (VERDICT next-round item 1)."""
 
-    def test_pairs_sink_consistent_across_regimes(self, ray_session, tmp_path):
+    def test_pairs_sink_consistent_across_regimes(
+        self, ray_session, tmp_path, monkeypatch
+    ):
         """Round 5: pairs_sink must export the SAME verified pair set from
         the driver and the distributed regimes, and the exported pairs
         must regenerate the clustering (the oracle's recursive-CC
@@ -613,10 +615,14 @@ class TestDedupScale:
         ds = rd.from_pandas(pages[["doc_id", "text"]]).repartition(4)
         sinks = [str(tmp_path / "p_driver"), str(tmp_path / "p_dist")]
         comp_a = D.minhash_dedup(ds, threshold=0.8, pairs_sink=sinks[0]).to_pandas()
+        # a budget of the candidate ids: bands and pairs stay Datasets, the
+        # candidate texts still broadcast
+        monkeypatch.setattr(guard, "DRIVER_ROWS", D.LAST_DRIVER_FETCH["rows"])
         comp_b = D.minhash_dedup(
-            ds, threshold=0.8, driver_threshold=0, pair_driver_threshold=0,
-            pairs_sink=sinks[1],
+            ds, threshold=0.8, pairs_sink=sinks[1]
         ).to_pandas()
+        assert D.LAST_DRIVER_FETCH["pair_rows"] == 0
+        assert D.LAST_DRIVER_FETCH["rows"] > 0
 
         def load_pairs(p):
             import glob
@@ -638,18 +644,23 @@ class TestDedupScale:
         for doc, cl in cc.items():
             assert got[doc] == cl
 
-    def test_minhash_distributed_path_fetches_candidates_only(self, ray_session):
+    def test_minhash_distributed_path_fetches_candidates_only(
+        self, ray_session, monkeypatch
+    ):
         import ray.data as rd
 
         pages = synth_pages_table(1000, seed=8, dup_fraction=0.1).to_pandas()
         pages["doc_id"] = np.arange(len(pages))
         ds = rd.from_pandas(pages[["doc_id", "text"]]).repartition(4)
-        # driver_threshold=0 forces the distributed bucket-groupby pairing
-        comp = D.minhash_dedup(ds, threshold=0.8, driver_threshold=0).to_pandas()
-        # accounting: the verify pulled candidate rows only, not the corpus
-        assert 0 < D.LAST_DRIVER_FETCH["rows"] < len(pages)
         # correctness identical to the driver-side path
         comp2 = D.minhash_dedup(ds, threshold=0.8).to_pandas()
+        # one row under the 8 band rows per doc: the distributed
+        # bucket-groupby pairs, and the (fewer) pairs still collect
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 8 * len(pages) - 1)
+        comp = D.minhash_dedup(ds, threshold=0.8).to_pandas()
+        assert D.LAST_DRIVER_FETCH["pair_rows"] > 0
+        # accounting: the verify pulled candidate rows only, not the corpus
+        assert 0 < D.LAST_DRIVER_FETCH["rows"] < len(pages)
         a = comp.sort_values("doc_id").reset_index(drop=True)
         b = comp2.sort_values("doc_id").reset_index(drop=True)
         assert np.array_equal(a["cluster_id"].to_numpy(), b["cluster_id"].to_numpy())
@@ -659,14 +670,21 @@ class TestDedupScale:
             if len(ids) > 1:
                 assert len({cl[i] for i in ids}) == 1
 
-    def test_simhash_and_embedding_distributed_paths(self, ray_session):
+    def test_simhash_and_embedding_distributed_paths(self, ray_session, monkeypatch):
         import ray.data as rd
 
         pages = synth_pages_table(300, seed=12, dup_fraction=0.25).to_pandas()
         pages["doc_id"] = np.arange(len(pages))
         ds = rd.from_pandas(pages[["doc_id", "text"]]).repartition(3)
-        a = D.simhash_dedup(ds, max_hamming=3, driver_threshold=0).to_pandas()
-        b = D.simhash_dedup(ds, max_hamming=3).to_pandas()
+        # templated text collides broadly in 16-bit simhash bands; a bucket
+        # cap of 8 keeps the pairs under the 4 band rows per doc, so one row
+        # under the band rows groups the bands distributed and collects the
+        # pairs (both calls use the same cap)
+        b = D.simhash_dedup(ds, max_hamming=3, bucket_cap=8).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(guard, "DRIVER_ROWS", 4 * len(pages) - 1)
+            a = D.simhash_dedup(ds, max_hamming=3, bucket_cap=8).to_pandas()
+        assert D.LAST_DRIVER_FETCH["pair_rows"] > 0
         assert np.array_equal(
             a.sort_values("doc_id")["cluster_id"].to_numpy(),
             b.sort_values("doc_id")["cluster_id"].to_numpy(),
@@ -687,10 +705,13 @@ class TestDedupScale:
                 ),
             }
         )
-        e1 = D.embedding_dedup(
-            rd.from_arrow(tbl).repartition(2), threshold=0.999, driver_threshold=0
-        ).to_pandas()
         e2 = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
+        # 13 bucket rows per vector (exact bucket + 12 single-bit probes)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 13 * len(mat) - 1)
+        e1 = D.embedding_dedup(
+            rd.from_arrow(tbl).repartition(2), threshold=0.999
+        ).to_pandas()
+        assert D.LAST_DRIVER_FETCH["pair_rows"] > 0
         assert np.array_equal(
             e1.sort_values("vec_id")["cluster_id"].to_numpy(),
             e2.sort_values("vec_id")["cluster_id"].to_numpy(),
@@ -699,7 +720,7 @@ class TestDedupScale:
         for i in range(10):
             assert cl[i] == cl[60 + i]
 
-    def test_dataset_regime_pairs_globally_unique(self, ray_session):
+    def test_dataset_regime_pairs_globally_unique(self, ray_session, monkeypatch):
         """Round-4: identical docs collide in EVERY band, so the Dataset
         pair regime must dedup cross-band duplicates before the expensive
         payload-join verify — returned pairs are globally unique and the
@@ -717,9 +738,8 @@ class TestDedupScale:
             }
         )
         band_ds = rd.from_pandas(rows).repartition(3)
-        res = D.lsh_candidate_pairs(
-            band_ds, driver_threshold=0, pair_driver_threshold=0
-        )
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+        res = D.lsh_candidate_pairs(band_ds)
         pairs = res.to_pandas()
         # all-pairs of 5 docs per band = 10; 4 bands raw = 40; unique = 10
         assert D.LAST_PAIR_STATS["dataset_pairs_raw"] == 40
@@ -727,11 +747,13 @@ class TestDedupScale:
         assert len(pairs) == 10
         assert not pairs.duplicated().any()
 
-    def test_fully_distributed_pairs_and_components(self, ray_session):
-        """Round-3 (VERDICT #2): with pair_driver_threshold=0 the pair set
-        stays a Dataset end-to-end — verify + connected components run
-        distributed, the driver never materializes a pair frame
-        (pair_rows == 0), and clusters equal the driver path exactly."""
+    def test_fully_distributed_pairs_and_components(self, ray_session, monkeypatch):
+        """Round-3 (VERDICT #2): with a driver budget of the candidate ids
+        (under the band and pair rows) the pair set stays a Dataset
+        end-to-end — verify + connected components run distributed, the
+        driver never materializes a pair frame (pair_rows == 0), the
+        candidate payloads still broadcast, and clusters equal the driver
+        path exactly."""
         import ray.data as rd
 
         pages = synth_pages_table(300, seed=9, dup_fraction=0.25).to_pandas()
@@ -744,12 +766,11 @@ class TestDedupScale:
             (D.ngram_jaccard_dedup, dict(threshold=0.9)),
         ]:
             base = fn(ds, **kw).to_pandas().sort_values("doc_id")
-            dist = (
-                fn(ds, driver_threshold=0, pair_driver_threshold=0, **kw)
-                .to_pandas()
-                .sort_values("doc_id")
-            )
+            with monkeypatch.context() as m:
+                m.setattr(guard, "DRIVER_ROWS", D.LAST_DRIVER_FETCH["rows"])
+                dist = fn(ds, **kw).to_pandas().sort_values("doc_id")
             assert D.LAST_DRIVER_FETCH["pair_rows"] == 0, fn.__name__
+            assert D.LAST_DRIVER_FETCH["rows"] > 0, fn.__name__
             assert np.array_equal(
                 base["cluster_id"].to_numpy(), dist["cluster_id"].to_numpy()
             ), fn.__name__
@@ -766,20 +787,19 @@ class TestDedupScale:
             }
         )
         e_base = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
+        monkeypatch.setattr(guard, "DRIVER_ROWS", D.LAST_DRIVER_FETCH["rows"])
         e_dist = D.embedding_dedup(
-            rd.from_arrow(tbl).repartition(2),
-            threshold=0.999,
-            driver_threshold=0,
-            pair_driver_threshold=0,
+            rd.from_arrow(tbl).repartition(2), threshold=0.999
         ).to_pandas()
         assert D.LAST_DRIVER_FETCH["pair_rows"] == 0
+        assert D.LAST_DRIVER_FETCH["rows"] > 0
         assert np.array_equal(
             e_base.sort_values("vec_id")["cluster_id"].to_numpy(),
             e_dist.sort_values("vec_id")["cluster_id"].to_numpy(),
         )
 
-    def test_join_verify_regime_matches_broadcast(self, ray_session):
-        """Round-3 (100-TB hardening): with broadcast_id_threshold=0 the
+    def test_join_verify_regime_matches_broadcast(self, ray_session, monkeypatch):
+        """Round-3 (100-TB hardening): with a zero driver budget the
         verify hash-joins per-doc payloads onto the pair Dataset — no text
         fetch, no broadcast dict — and clusters equal the default path for
         all four variants."""
@@ -788,16 +808,15 @@ class TestDedupScale:
         pages = synth_pages_table(250, seed=21, dup_fraction=0.3).to_pandas()
         pages["doc_id"] = np.arange(len(pages))
         ds = rd.from_pandas(pages[["doc_id", "text"]]).repartition(3)
-        forced = dict(
-            driver_threshold=0, pair_driver_threshold=0, broadcast_id_threshold=0
-        )
         for fn, kw in [
             (D.minhash_dedup, dict(threshold=0.8)),
             (D.simhash_dedup, dict(max_hamming=3)),
             (D.ngram_jaccard_dedup, dict(threshold=0.9)),
         ]:
             base = fn(ds, **kw).to_pandas().sort_values("doc_id")
-            joined = fn(ds, **forced, **kw).to_pandas().sort_values("doc_id")
+            with monkeypatch.context() as m:
+                m.setattr(guard, "DRIVER_ROWS", 0)
+                joined = fn(ds, **kw).to_pandas().sort_values("doc_id")
             assert D.LAST_DRIVER_FETCH["rows"] == 0, fn.__name__
             assert D.LAST_DRIVER_FETCH["pair_rows"] == 0, fn.__name__
             assert np.array_equal(
@@ -816,8 +835,9 @@ class TestDedupScale:
             }
         )
         e_base = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
         e_join = D.embedding_dedup(
-            rd.from_arrow(tbl).repartition(2), threshold=0.999, **forced
+            rd.from_arrow(tbl).repartition(2), threshold=0.999
         ).to_pandas()
         assert D.LAST_DRIVER_FETCH["rows"] == 0
         assert np.array_equal(
@@ -1025,28 +1045,18 @@ class TestSplitOps:
         assert out["contaminated"].tolist() == [True, False, True, False, False, True]
 
 
-def test_distributed_pair_verify_matches_driver(ray_session):
-    """Forcing pair_driver_threshold=0 routes Jaccard verification through
-    the distributed pair Dataset; clusters must equal the driver loop's."""
+def test_distributed_pair_verify_matches_driver(ray_session, monkeypatch):
+    """Forcing ``VERIFY_DRIVER_PAIRS`` to 0 routes Jaccard verification
+    through the distributed pair Dataset; clusters must equal the driver
+    loop's."""
     import ray.data as rd
 
     pages = synth_pages_table(300, seed=8, dup_fraction=0.25).to_pandas()
     pages["doc_id"] = np.arange(len(pages))
     ds = rd.from_pandas(pages[["doc_id", "text"]]).repartition(3)
-    import zonal_stats_toolkit_ray.stages.dedup as dd
-
-    orig = dd.jaccard_verify
-
-    def forced(texts, pairs, **kw):
-        kw["pair_driver_threshold"] = 0
-        return orig(texts, pairs, **kw)
-
-    dd.jaccard_verify = forced
-    try:
-        a = dd.minhash_dedup(ds, threshold=0.8).to_pandas()
-    finally:
-        dd.jaccard_verify = orig
-    b = dd.minhash_dedup(ds, threshold=0.8).to_pandas()
+    b = D.minhash_dedup(ds, threshold=0.8).to_pandas()
+    monkeypatch.setattr(D, "VERIFY_DRIVER_PAIRS", 0)
+    a = D.minhash_dedup(ds, threshold=0.8).to_pandas()
     assert np.array_equal(
         a.sort_values("doc_id")["cluster_id"].to_numpy(),
         b.sort_values("doc_id")["cluster_id"].to_numpy(),

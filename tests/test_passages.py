@@ -25,12 +25,15 @@ class TestCommonPassages:
         assert set(out["doc_id"]) == {2, 5}
         assert (out["n_shared"] >= 1).all()
 
-    def test_regime_equality(self, ray_session):
+    def test_regime_equality(self, ray_session, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import guard
+
         ds = rd.read_parquet(
             "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
         )
         a = common_passages(ds)
-        b = common_passages(ds, broadcast_threshold=0)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+        b = common_passages(ds)
         pt.assert_frame_equal(a, b)
 
     def test_no_shared(self, ray_session):

@@ -86,6 +86,30 @@ def test_join_matches_bruteforce(ray_session):
             )
 
 
+def test_join_points_broadcasts_table_zones_once(ray_session, monkeypatch):
+    """A zones table (or ZoneSet) is ``ray.put`` once per ``join_points``
+    call, so the join tasks of that call resolve to one cached ZoneSet
+    instead of rebuilding the index per batch; a ref passes through."""
+    import ray
+    import ray.data as rd
+
+    from zonal_stats_toolkit_ray.stages.join import _cached_zoneset
+
+    ds = rd.from_arrow(synth_pages_table(50, seed=2))
+    zt = synth_zones(seed=5, n_zones=8)
+    put = ray.put
+    refs = []
+    monkeypatch.setattr(ray, "put", lambda obj: refs.append(put(obj)) or refs[-1])
+    join_points(ds, zt)
+    join_points(ds, ZoneSet(zt))
+    assert len(refs) == 2
+    assert ray.get(refs[1]).equals(zt)
+    assert _cached_zoneset(refs[0]) is _cached_zoneset(refs[0])
+    assert _cached_zoneset(zt) is not _cached_zoneset(zt)  # a table rebuilds
+    join_points(ds, refs[0])
+    assert len(refs) == 2
+
+
 def test_shortcut_cache_equivalence(ray_session):
     """Interior-cell shortcut must not change assignments."""
     import ray.data as rd

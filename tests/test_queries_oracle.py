@@ -2,6 +2,8 @@
 oracle_sql() twin is executed at sf0.001 and compared to DuckDB —
 row count, column names, and order-insensitive values."""
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -58,7 +60,8 @@ def entrymod(ray_entry_module):
 def _oracle_pairs():
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("_re_probe", "/root/repo/__ray_entry__.py")
+    entry = Path(__file__).resolve().parents[1] / "__ray_entry__.py"
+    spec = importlib.util.spec_from_file_location("_re_probe", entry)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return sorted(mod.oracle_sql().keys())

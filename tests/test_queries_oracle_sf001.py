@@ -1,6 +1,8 @@
 """Same driver-style oracle gate at sf0.01 — the scale the driver actually
 uses for CORRECTNESS_r{N}.json."""
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -31,7 +33,8 @@ def entrymod01(ray_entry_module):
 def _names():
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("_re_probe2", "/root/repo/__ray_entry__.py")
+    entry = Path(__file__).resolve().parents[1] / "__ray_entry__.py"
+    spec = importlib.util.spec_from_file_location("_re_probe2", entry)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return sorted(mod.oracle_sql().keys())

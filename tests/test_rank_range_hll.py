@@ -294,8 +294,10 @@ class TestHLL:
                 acc = np.maximum(acc, hll_registers(p))
             assert np.array_equal(acc, regs)
 
-    def test_grouped_distributed_matches_driver(self, ray_session):
+    def test_grouped_distributed_matches_driver(self, ray_session, monkeypatch):
         import ray.data as rd
+
+        from zonal_stats_toolkit_ray.stages import sketch
 
         rng = np.random.default_rng(3)
         df = pd.DataFrame(
@@ -306,9 +308,8 @@ class TestHLL:
         )
         ds = rd.from_pandas(df).repartition(5)
         a = approx_distinct_by_group(ds, key_col="k", value_col="v")
-        b = approx_distinct_by_group(
-            ds, key_col="k", value_col="v", driver_threshold=0
-        )
+        monkeypatch.setattr(sketch, "DRIVER_SKETCH_ROWS", 0)
+        b = approx_distinct_by_group(ds, key_col="k", value_col="v")
         pd.testing.assert_frame_equal(a, b)
         exact = df.groupby("k")["v"].nunique()
         for _, r in a.iterrows():

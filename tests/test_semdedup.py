@@ -60,7 +60,8 @@ class TestSemDedupKernel:
 
 
 class TestSemDedup:
-    def test_regimes_equal_and_planted_found(self, ray_session):
+    def test_regimes_equal_and_planted_found(self, ray_session, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import semdedup as sd
         from zonal_stats_toolkit_ray.stages.semdedup import semdedup
 
         ids, mat = _random_corpus(400, 16, seed=7)
@@ -71,14 +72,9 @@ class TestSemDedup:
             .sort_values("vec_id")
             .reset_index(drop=True)
         )
+        monkeypatch.setattr(sd, "DRIVER_VECTORS", 10)
         b = (
-            semdedup(
-                _mk_ds(ids, mat),
-                nlist=8,
-                threshold=0.99,
-                driver_threshold=10,
-                stats_out=s2,
-            )
+            semdedup(_mk_ds(ids, mat), nlist=8, threshold=0.99, stats_out=s2)
             .to_pandas()
             .sort_values("vec_id")
             .reset_index(drop=True)

@@ -71,8 +71,8 @@ def test_distributed_approx_percentiles(ray_session):
         assert _rel_range_err(got[k], want, g["v"].to_numpy()) < 0.02, k
 
 
-def test_tree_combine_matches_driver_merge(ray_session):
-    """Round-3: driver_threshold=0 routes the sketch merge through the
+def test_tree_combine_matches_driver_merge(ray_session, monkeypatch):
+    """Round-3: ``DRIVER_SKETCH_ROWS = 0`` routes the sketch merge through the
     distributed per-group combine; quantiles must equal the driver path
     exactly (merge order is fixed by the groupby, same associative op)."""
     import ray.data as rd
@@ -86,7 +86,10 @@ def test_tree_combine_matches_driver_merge(ray_session):
     )
     ds = rd.from_arrow(t).repartition(8)
     a = approx_group_percentiles(ds, PL, b=256)
-    b = approx_group_percentiles(ds, PL, b=256, driver_threshold=0)
+    from zonal_stats_toolkit_ray.stages import sketch
+
+    monkeypatch.setattr(sketch, "DRIVER_SKETCH_ROWS", 0)
+    b = approx_group_percentiles(ds, PL, b=256)
     assert set(a) == set(b)
     import pandas as pd
 

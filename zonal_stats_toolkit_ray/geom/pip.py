@@ -89,12 +89,6 @@ def ring_row_crossings(
     return rows, xcross
 
 
-def ring_bbox(ring_x, ring_y) -> tuple[float, float, float, float]:
-    rx = np.asarray(ring_x, dtype=np.float64)
-    ry = np.asarray(ring_y, dtype=np.float64)
-    return float(rx.min()), float(ry.min()), float(rx.max()), float(ry.max())
-
-
 def ring_edges_intersect_bbox(
     ring_x, ring_y, minx: float, miny: float, maxx: float, maxy: float
 ) -> bool:

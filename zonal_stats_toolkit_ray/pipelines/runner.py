@@ -30,10 +30,20 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
     nodata, same tile layout) → one ``zonal_stats_bands`` pass per group
     → pivot → CSV.  Returns the CSV path (timestamped like
     ``runner.py:1079-1091`` when a timestamp is given)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     metrics = metrics or StageMetrics()
     zones_table = pq.read_table(job["agg_vector"])
+    agg = job["agg_field"]
+    if agg != "group_value":
+        # group by the job's zones column (as strings, nulls kept): the
+        # ZoneSet and the pivot read ``group_value``
+        groups = pc.cast(zones_table[agg], pa.string())
+        if "group_value" in zones_table.column_names:
+            zones_table = zones_table.drop_columns(["group_value"])
+        zones_table = zones_table.append_column("group_value", groups)
     # quirk Q6: the reference simplifies the vector at half a pixel before
     # rasterizing each raster (runner.py:297-298, 349-365).  The tolerance
     # is grid-bound, so rasters that share a pixel width share one
@@ -55,9 +65,7 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
             )
         raster_stats_by_stem.update(zip((stems[i] for i in members), bands))
 
-    header, rows = pivot_stats(
-        raster_stats_by_stem, stems, job["row_col_order"], job["agg_field"]
-    )
+    header, rows = pivot_stats(raster_stats_by_stem, stems, job["row_col_order"], agg)
     out = Path(job["output_csv"])
     if timestamp:
         out = out.with_name(f"{out.stem}_{timestamp}{out.suffix}")

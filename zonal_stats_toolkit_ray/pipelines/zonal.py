@@ -74,8 +74,10 @@ def join_points(
 ):
     """pages/points Dataset → joined Dataset with zone_fid + group_value.
 
-    ``zones`` may be a ZoneSet / Arrow table / ray.ObjectRef (broadcast once
-    with ``ray.put`` for multi-stage reuse).
+    ``zones`` may be a ZoneSet / Arrow table / ray.ObjectRef.  A table or
+    a ZoneSet's table is broadcast here with one ``ray.put`` when a Ray
+    session is up, so every join task of the call shares its worker's
+    cached ZoneSet (pass a ref to share it across calls).
 
     ``zones_crs``/``points_crs`` (geom.crs.CRS, both optional) reproduce
     the reference's M1 decision (``runner.py:307-341``): when both are
@@ -95,15 +97,18 @@ def join_points(
 
     if points_crs is not None:
         from ..geom.crs import prepare_zones
-        from ..sources.zones import ZoneSet as _ZS
 
-        tbl = zones.table if isinstance(zones, _ZS) else zones
+        tbl = zones.table if isinstance(zones, ZoneSet) else zones
         if not isinstance(tbl, pa.Table):
             raise TypeError(
                 "zones_crs/points_crs reprojection needs zones as a table or "
                 "ZoneSet, not a pre-broadcast ObjectRef"
             )
         zones = prepare_zones(tbl, zones_crs, points_crs)
+    import ray
+
+    if isinstance(zones, (pa.Table, ZoneSet)) and ray.is_initialized():
+        zones = ray.put(zones.table if isinstance(zones, ZoneSet) else zones)
     task_rows = None if _read_fused(ds) else guard.TASK_ROWS
     if geocode:
         ds = ds.map_batches(geocode_batch, batch_format="pyarrow")

@@ -20,7 +20,7 @@ Shape (all slim, one shuffle):
 3. bigrams are pruned to ``n_ab ≥ min_count`` FIRST (the mass of the
    bigram table dies here), then scored against the unigram counts:
    broadcast lookup when the vocabulary fits (``ray.put`` once, searchsorted
-   per batch), hash-join twice above ``vocab_broadcast_threshold`` — the
+   per batch), hash-join twice above ``guard.DRIVER_ROWS`` entries — the
    same dual regime as ``tfidf_top_terms``;
 4. per-batch local top-n → blocks×n driver merge (n is user-small).
 
@@ -35,6 +35,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 _PARTIAL_SCHEMA = pa.schema(
     [
@@ -105,7 +107,6 @@ def bigram_pmi(
     min_count: int = 5,
     top_n: int = 20,
     num_partitions: int | None = None,
-    vocab_broadcast_threshold: int = 5_000_000,
 ) -> pd.DataFrame:
     """→ DataFrame(a, b, n_ab, pmi): the corpus's ``top_n`` adjacent-word
     bigrams by PMI among those with count ≥ ``min_count``.
@@ -155,7 +156,7 @@ def bigram_pmi(
     big = agg.filter(expr=f"kind == 1 and n >= {int(min_count)}").materialize()
 
     n_vocab = uni.count()
-    if n_vocab <= vocab_broadcast_threshold:
+    if n_vocab <= guard.DRIVER_ROWS:
         udf = uni.to_pandas()
         order = np.argsort(udf["a"].to_numpy())
         vocab_sorted = udf["a"].to_numpy()[order]

@@ -33,6 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
 from .geocode import hash64_utf8
 
 _MERS = np.uint64((1 << 61) - 1)
@@ -51,6 +52,9 @@ LAST_PAIR_STATS = {"hot_buckets": 0, "star_pairs": 0, "dropped_reps": 0}
 # instead of all-pairs (boilerplate/empty web pages make one degenerate
 # bucket hold ~the whole corpus — all-pairs there is O(n²))
 DEFAULT_BUCKET_CAP = 512
+
+# bounds the driver's per-pair Python verify loop (its compute, not memory)
+VERIFY_DRIVER_PAIRS = 200_000
 
 
 def _slim_input(ds, cols: list[str], *, materialize: bool = True):
@@ -427,19 +431,17 @@ def lsh_candidate_pairs(
     band_ds,
     id_col: str = "doc_id",
     *,
-    driver_threshold: int = 5_000_000,
-    pair_driver_threshold: int = 2_000_000,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
 ):
     """(band, band_hash[, sig_hash], id) rows → unique candidate id pairs.
 
-    Adaptive three-regime shape:
+    Adaptive three-regime shape, both cut-offs ``guard.DRIVER_ROWS``:
 
-    * band rows ≤ ``driver_threshold``: stream to the driver, pair with
+    * band rows within the budget: stream to the driver, pair with
       vectorized NumPy (a distributed groupby costs seconds of fixed
       shuffle overhead per call) → ``pd.DataFrame``;
     * larger: pre-bucket with a distributed groupby, pair within buckets;
-      if the resulting pair count ≤ ``pair_driver_threshold`` the frame
+      if the resulting pair count is within the budget the frame
       collects to the driver (DataFrame) for the cheap verify loop;
     * above that the pairs stay a **Dataset** — verification and connected
       components then also run distributed (``verify →
@@ -458,7 +460,7 @@ def lsh_candidate_pairs(
     )
     band_ds = band_ds.materialize()
     n = band_ds.count()
-    if n <= driver_threshold:
+    if n <= guard.DRIVER_ROWS:
         df = _pairs_from_bands_df(band_ds.to_pandas(), id_col, bucket_cap=bucket_cap)
         LAST_DRIVER_FETCH["pair_rows"] = len(df)
         return df
@@ -489,7 +491,7 @@ def lsh_candidate_pairs(
         .materialize()
     )
     n_pairs = res.count()
-    if n_pairs > pair_driver_threshold:
+    if n_pairs > guard.DRIVER_ROWS:
         LAST_DRIVER_FETCH["pair_rows"] = 0
         res = _dedup_pair_dataset(res)
         LAST_PAIR_STATS["dataset_pairs_raw"] = n_pairs
@@ -500,6 +502,12 @@ def lsh_candidate_pairs(
     if len(df) == 0:
         return pd.DataFrame({"a": pd.Series(dtype=np.int64), "b": pd.Series(dtype=np.int64)})
     return df.drop_duplicates().astype(np.int64)
+
+
+def _join_verify(cand, cand_ids: np.ndarray) -> bool:
+    """Dataset-regime pairs over more than ``guard.DRIVER_ROWS`` candidate
+    ids verify by hash join instead of a candidate broadcast."""
+    return not isinstance(cand, pd.DataFrame) and cand_ids.size > guard.DRIVER_ROWS
 
 
 def _pair_node_ids(pairs) -> np.ndarray:
@@ -786,13 +794,12 @@ def jaccard_verify(
     *,
     threshold: float,
     shingle_k: int = 5,
-    pair_driver_threshold: int = 200_000,
 ) -> pd.DataFrame:
     """Exact Jaccard over char-shingle sets for each candidate pair.
     Small pair sets verify in a driver loop (with a shingle cache); above
-    ``pair_driver_threshold`` pairs the verification distributes
+    ``VERIFY_DRIVER_PAIRS`` pairs the verification distributes
     (broadcast text map + pair Dataset) — same predicate, same result."""
-    if len(pairs) > pair_driver_threshold:
+    if len(pairs) > VERIFY_DRIVER_PAIRS:
         out = _pairs_verify_distributed(
             texts_by_id, pairs, _char_jaccard_pair_fn(threshold, shingle_k)
         )
@@ -902,9 +909,6 @@ def minhash_dedup(
     bands: int = 8,
     shingle_k: int = 5,
     seed: int = 42,
-    driver_threshold: int = 5_000_000,
-    pair_driver_threshold: int = 2_000_000,
-    broadcast_id_threshold: int = 1_000_000,
     join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
     materialize_input: bool = True,
@@ -918,10 +922,10 @@ def minhash_dedup(
     is_duplicate marks rows that are NOT their cluster's min id.  Only
     candidate-pair texts are fetched to the driver for the exact-Jaccard
     verify; all other documents never leave the workers.  Above
-    ``pair_driver_threshold`` candidate pairs the whole tail — verify AND
+    ``guard.DRIVER_ROWS`` candidate pairs the whole tail — verify AND
     connected components — runs distributed over the pair Dataset, so the
     driver never holds more than O(candidate ids) rows.  And above
-    ``broadcast_id_threshold`` candidate IDS (heavy-duplication corpora,
+    ``guard.DRIVER_ROWS`` candidate IDS (heavy-duplication corpora,
     where candidates ≈ corpus) even the candidate-text broadcast is
     replaced by a hash-join verify (``_verify_pairs_via_join``) — nothing
     corpus-sized is ever put in the object store or fetched.
@@ -952,8 +956,6 @@ def minhash_dedup(
     cand = lsh_candidate_pairs(
         band_ds,
         id_col=id_col,
-        driver_threshold=driver_threshold,
-        pair_driver_threshold=pair_driver_threshold,
         bucket_cap=bucket_cap,
     )
     if isinstance(cand, pd.DataFrame):
@@ -967,7 +969,7 @@ def minhash_dedup(
         # fully-distributed regime: pairs never reach the driver
         cand_ids = _pair_node_ids(cand)
         pair_ok = _char_jaccard_pair_fn(threshold, shingle_k)
-        if cand_ids.size > broadcast_id_threshold:
+        if cand_ids.size > guard.DRIVER_ROWS:
             # heavy duplication: candidates ≈ corpus — verify by hash join,
             # no text broadcast/fetch at all
             verified_ds = _verify_pairs_via_join(
@@ -1000,9 +1002,6 @@ def simhash_dedup(
     id_col: str = "doc_id",
     text_col: str = "text",
     max_hamming: int = 3,
-    driver_threshold: int = 5_000_000,
-    pair_driver_threshold: int = 2_000_000,
-    broadcast_id_threshold: int = 1_000_000,
     join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
     materialize_input: bool = True,
@@ -1012,9 +1011,9 @@ def simhash_dedup(
     4×16-bit band buckets → Hamming-distance verify → components.  Any pair
     within Hamming ``max_hamming`` ≤ 3 on 64 bits shares at least one of the
     4 bands (pigeonhole), so recall is exact for the banded candidate
-    generation.  Band rows above ``driver_threshold`` pair up via the
+    generation.  Band rows above ``guard.DRIVER_ROWS`` pair up via the
     distributed bucket groupby (same escape hatch as minhash).  Above
-    ``pair_driver_threshold`` pairs, the Hamming filter and connected
+    ``guard.DRIVER_ROWS`` pairs, the Hamming filter and connected
     components run distributed over the pair Dataset (broadcast
     id→simhash arrays; driver holds O(candidate ids)).
 
@@ -1057,16 +1056,10 @@ def simhash_dedup(
     cand = lsh_candidate_pairs(
         band_ds,
         id_col=id_col,
-        driver_threshold=driver_threshold,
-        pair_driver_threshold=pair_driver_threshold,
         bucket_cap=bucket_cap,
     )
     cand_ids = _pair_node_ids(cand)
-    join_verify = (
-        not isinstance(cand, pd.DataFrame)
-        and cand_ids.size > broadcast_id_threshold
-    )
-    if join_verify:
+    if _join_verify(cand, cand_ids):
         # heavy duplication (candidates ≈ corpus): hash-join the slim
         # (id, simhash) projection onto the pairs — no candidate fetch, no
         # numeric broadcast, no recompute
@@ -1187,9 +1180,6 @@ def ngram_jaccard_dedup(
     num_perm: int = 64,
     bands: int = 16,
     seed: int = 7,
-    driver_threshold: int = 5_000_000,
-    pair_driver_threshold: int = 2_000_000,
-    broadcast_id_threshold: int = 1_000_000,
     join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
     materialize_input: bool = True,
@@ -1198,8 +1188,8 @@ def ngram_jaccard_dedup(
     """Near-dup on word n-gram sets → Dataset(doc_id, cluster_id,
     is_duplicate): word-shingle MinHash bands for candidates, exact
     word-n-gram Jaccard verify over the candidate texts only; above
-    ``pair_driver_threshold`` pairs, verify + components run distributed
-    over the pair Dataset (and above ``broadcast_id_threshold`` ids the
+    ``guard.DRIVER_ROWS`` pairs, verify + components run distributed
+    over the pair Dataset (and above ``guard.DRIVER_ROWS`` ids the
     verify hash-joins texts instead of broadcasting them — see
     :func:`minhash_dedup`).  The input executes once via a materialized
     slim (id, text) projection (:func:`_slim_input`); ``bucket_cap``
@@ -1232,15 +1222,10 @@ def ngram_jaccard_dedup(
     cand = lsh_candidate_pairs(
         band_ds,
         id_col=id_col,
-        driver_threshold=driver_threshold,
-        pair_driver_threshold=pair_driver_threshold,
         bucket_cap=bucket_cap,
     )
     cand_ids = _pair_node_ids(cand)
-    join_verify = (
-        not isinstance(cand, pd.DataFrame)
-        and cand_ids.size > broadcast_id_threshold
-    )
+    join_verify = _join_verify(cand, cand_ids)
     if join_verify:
         texts: dict = {}  # texts stay distributed — joined, never fetched
     else:
@@ -1277,22 +1262,15 @@ def ngram_jaccard_dedup(
         verified_ds = _sink_pairs(verified_ds, pairs_sink)
         comp = distributed_connected_components(verified_ds, id_col=id_col)
         return _attach_clusters(slim, id_col, comp)
-    if len(cand) > 200_000:
-        # distribute verification above the pair threshold (same adaptive
-        # escape hatch as jaccard_verify): pairs stream, texts broadcast
+    if len(cand) > VERIFY_DRIVER_PAIRS:
+        # same escape hatch as jaccard_verify: pairs stream, texts broadcast
         verified = _pairs_verify_distributed(texts, cand, pair_ok)
     else:
-        keep = {"a": [], "b": []}
         cache: dict[int, set] = {}
-        for a, b in zip(cand["a"], cand["b"]):
-            sa = cache.setdefault(int(a), grams(texts[int(a)]))
-            sb = cache.setdefault(int(b), grams(texts[int(b)]))
-            union = len(sa | sb)
-            jac = (len(sa & sb) / union) if union else 1.0
-            if jac >= threshold:
-                keep["a"].append(int(a))
-                keep["b"].append(int(b))
-        verified = pd.DataFrame(keep)
+        keep = [
+            pair_ok(texts, cache, int(a), int(b)) for a, b in zip(cand["a"], cand["b"])
+        ]
+        verified = cand.loc[np.asarray(keep, dtype=bool), ["a", "b"]]
     verified = _sink_pairs(verified, pairs_sink)
     comp = connected_components(verified, id_col=id_col)
     return _attach_clusters(slim, id_col, comp)
@@ -1329,9 +1307,6 @@ def embedding_dedup(
     threshold: float = 0.95,
     n_planes: int = 12,
     seed: int = 42,
-    driver_threshold: int = 5_000_000,
-    pair_driver_threshold: int = 2_000_000,
-    broadcast_id_threshold: int = 1_000_000,
     join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
     materialize_input: bool = True,
@@ -1341,9 +1316,9 @@ def embedding_dedup(
     components → Dataset(vec_id, cluster_id, is_duplicate).  Multi-probe:
     each vector lands in its exact bucket plus the n_planes single-bit-flip
     neighbors, so near-identical vectors that straddle one hyperplane still
-    collide.  Bucket rows above ``driver_threshold`` pair via the
+    collide.  Bucket rows above ``guard.DRIVER_ROWS`` pair via the
     distributed groupby; only CANDIDATE vectors are fetched for the
-    vectorized cosine verify.  Above ``pair_driver_threshold`` pairs, the
+    vectorized cosine verify.  Above ``guard.DRIVER_ROWS`` pairs, the
     cosine filter + connected components run distributed over the pair
     Dataset (broadcast candidate matrix).  The input executes once via a
     materialized slim (id, vector) projection (:func:`_slim_input`);
@@ -1389,15 +1364,10 @@ def embedding_dedup(
     cand = lsh_candidate_pairs(
         band_ds,
         id_col=id_col,
-        driver_threshold=driver_threshold,
-        pair_driver_threshold=pair_driver_threshold,
         bucket_cap=bucket_cap,
     )
     cand_ids = _pair_node_ids(cand)
-    if (
-        not isinstance(cand, pd.DataFrame)
-        and cand_ids.size > broadcast_id_threshold
-    ):
+    if _join_verify(cand, cand_ids):
         # heavy duplication: hash-join the vectors onto the pairs instead
         # of broadcasting a candidate matrix (candidate ≈ corpus there).
         # Arrow's hash join rejects list<float> payload columns, so the

@@ -18,8 +18,8 @@ Distributed shape (streams end-to-end, no corpus-sized driver state):
    correct df partial; one hash aggregate sums them (gram-vocabulary
    rows, never gram instances).  Grams with df ≥ ``min_docs`` are the
    duplicated set.
-3. Dual regime: the dup-gram set broadcasts (ray.put + ``is_in``) under
-   ``dup_broadcast_threshold``; above it, the dual-regime native hash
+3. Dual regime: the dup-gram set broadcasts (ray.put + ``is_in``) within
+   ``guard.DRIVER_ROWS`` grams; above it, the dual-regime native hash
    join on the gram string keeps everything distributed (exact — no
    sketch false positives on the dedup signal).
 4. Duplicated positions become closed intervals [pos, pos + n] and
@@ -39,6 +39,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 LAST_DUPSPAN_STATS: dict = {}
 
@@ -112,7 +114,6 @@ def dup_span_coverage(
     text_col: str = "text",
     n: int = 8,
     min_docs: int = 2,
-    dup_broadcast_threshold: int = 1_000_000,
     num_partitions: int = 4,
 ) -> pd.DataFrame:
     """→ DataFrame(doc_id, n_tokens, covered, coverage) per the module
@@ -170,7 +171,7 @@ def dup_span_coverage(
         .materialize()
     )
     n_dup = dup.count()
-    if n_dup <= dup_broadcast_threshold:
+    if n_dup <= guard.DRIVER_ROWS:
         regime = "broadcast"
         dup_set = (
             dup.to_pandas()["g"].to_numpy() if n_dup else np.array([], dtype=object)

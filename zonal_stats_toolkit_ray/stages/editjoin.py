@@ -40,6 +40,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
+
 LAST_EDITJOIN_STATS: dict = {}
 
 _KEY_SEP = "\x1f"
@@ -180,14 +182,13 @@ def edit_distance_join(
     id_col: str = "doc_id",
     str_col: str = "s",
     k: int = 2,
-    payload_broadcast_threshold: int = 2_000_000,
     num_partitions: int = 4,
 ) -> pd.DataFrame:
     """All pairs (a < b) with ``levenshtein ≤ k`` → DataFrame(a, b, dist),
     sorted.  See the module docstring for the PassJoin shape.
 
     The verify's payload attach is dual-regime: id → string dict
-    broadcasts under ``payload_broadcast_threshold`` ids; above it the
+    broadcasts within ``guard.DRIVER_ROWS`` ids; above it the
     strings hash-join onto the pair Dataset (the stages/dedup.py
     join-verify shape)."""
     import ray
@@ -258,7 +259,7 @@ def edit_distance_join(
 
     n_cand = len(pairs)
     n_ids = slim.count()
-    if n_ids <= payload_broadcast_threshold:
+    if n_ids <= guard.DRIVER_ROWS:
         regime = "broadcast"
         pl = slim.to_pandas()
         lut = dict(zip(pl[id_col].to_numpy(), pl[str_col].astype(str)))
@@ -272,7 +273,11 @@ def edit_distance_join(
         if pds is None:
             sa, sb = [], []
         else:
-            j1 = hash_join(pds, slim, on="a", right_on=id_col, how="inner")
+            # both build sides hold the n_ids > guard.DRIVER_ROWS payload
+            # rows, so hash_join's broadcast probe could only say no
+            j1 = hash_join(
+                pds, slim, on="a", right_on=id_col, how="inner", broadcast=False
+            )
             j2 = hash_join(
                 j1, slim.map_batches(
                     lambda t: t.rename_columns([id_col, f"{str_col}_b"]),
@@ -281,6 +286,7 @@ def edit_distance_join(
                 on="b",
                 right_on=id_col,
                 how="inner",
+                broadcast=False,
             ).to_pandas()
             pairs = j2[["a", "b"]].reset_index(drop=True)
             sa = j2[str_col].astype(str).tolist()

@@ -1,25 +1,36 @@
-"""The two guards on what reaches the driver, and the task floor.
+"""The regime rule: what reaches the driver, and the task floor.
 
-**Universe cap** (``collect_universe``).  The value-universe statistics
-family (weighted_median / gini / AUC / KS / quantile_transform /
-winsorized_mean / group-median impute) finalizes on the driver from a
-DISTRIBUTED ``(key, value)`` count aggregate.  That is exact and cheap
-whenever the distinct-value universe is bounded (integer quantities,
-prices in cents, categorical scores) — but for continuous inputs the
-universe approaches the row count and the driver frame becomes
-corpus-sized.  The universe dataset is materialized distributed, its row
-count (block metadata, no fetch) is checked BEFORE ``to_pandas``, and an
-over-budget universe fails fast naming the scale-safe alternative
-(``salted_group_percentiles``, stages/zonal.py — or pre-rounding/binning
-the value column, which bounds the universe by construction).
+**Driver budget** (``DRIVER_ROWS``).  Every dual-regime operator counts
+the slim rows it would hold on the driver (ids, keys, int64 pairs,
+vocabulary entries, session starts, pending islands, partial rows) and
+takes its driver regime — collect to the driver, or ``ray.put`` from it
+as a broadcast — only while that count is within ``DRIVER_ROWS``; above
+it the operator stays distributed (hash join, groupby, Dataset result).
+Collecting rows and broadcasting them cost the driver the same, so one
+budget covers both.  The value is read as ``guard.DRIVER_ROWS`` on the
+driver at call time (never bound by ``from … import`` or a default
+argument), so tests force either regime by patching it.  The cut-offs
+that bound rows which are not slim, or the driver's compute, are module
+constants next to their operators: ``dedup.VERIFY_DRIVER_PAIRS``,
+``semdedup.DRIVER_VECTORS`` and ``sketch.DRIVER_SKETCH_ROWS``.
 
-**Tree budget** (``tree_combine``).  Every partial-aggregate operator
+**Tree combine** (``tree_combine``).  Every partial-aggregate operator
 (zonal partials, OHLC, skyline, mode, top-k, TF-IDF, keyness, latest-by-key,
 Misra-Gries) reduces each block to associative partial rows and merges
-them on the driver.  One primitive bounds that merge: while the partials
-exceed ``DRIVER_ROWS`` rows it re-applies the operator's combine kernel
-over blocks merged ``FAN_IN`` at a time, then collects.  Both constants
-are the only settings; there is no per-operator threshold.
+them on the driver.  While the partials exceed ``DRIVER_ROWS`` rows it
+re-applies the operator's combine kernel over blocks merged ``FAN_IN`` at
+a time, then collects.
+
+**Guards that raise** instead of routing, where no distributed path
+exists: the universe cap (``collect_universe``, ``max_universe``) of the
+value-universe statistics family (weighted_median / gini / AUC / KS /
+quantile_transform / winsorized_mean / group-median impute), which
+finalizes on the driver from a distributed ``(key, value)`` count
+aggregate and fails fast naming ``salted_group_percentiles`` when the
+universe approaches the corpus; the boundary-row cap of
+``rolling.rolling_window_stats``; the vocabulary cap of
+``text.encode_corpus``; and the node-universe cap of ``graph.bfs_hops``
+and ``triangles.triangle_stats``.
 
 **Task floor** (``TASK_ROWS``).  A Ray task costs ~15 ms of fixed
 overhead and a page row of the point join ~20 µs, so the join's encode
@@ -28,18 +39,14 @@ many rows and fusion carries the floor to the fused maps (≤ ``ceil(n /
 TASK_ROWS)`` tasks for ``n`` rows), unless the input's Read streams
 unsplit into its maps, a fusion the batch size would undo.  Pixel maps
 are not covered.
-
-Reference parity: the reference (runner.py) has no statistics operators
-at all and merges its zonal partials on the driver; both guards belong to
-the engine's scale path.
 """
 
 from __future__ import annotations
 
 DEFAULT_MAX_UNIVERSE = 5_000_000
 
-# tree budget: partial rows the driver collects without a combine level,
-# and the number of blocks merged into one per level
+# driver budget: slim rows any operator collects to or broadcasts from the
+# driver; tree combine: blocks merged into one per level
 DRIVER_ROWS = 1_000_000
 FAN_IN = 8
 # task floor: the fewest input rows one task of the point join runs over

@@ -16,15 +16,15 @@ Semantics (corpus precedence):
   ``doc_id`` with that text.
 * ``is_duplicate`` = ``canonical_id != doc_id``.
 
-Two regimes, threshold-gated like the LSH dedup machinery
+Two regimes, gated by ``guard.DRIVER_ROWS`` like the LSH dedup machinery
 (``dedup.py:lsh_candidate_pairs``):
-* shard-distinct ≤ ``broadcast_threshold`` (the normal incremental case —
+* shard-distinct ≤ ``guard.DRIVER_ROWS`` (the normal incremental case —
   shard ≪ corpus): the distinct shard hashes are broadcast once via
   ``ray.put``; the pruned index read semi-joins against them per batch, the
   corpus-match map comes back shard-distinct-sized, and the final pass is
   one vectorized ``searchsorted`` lookup per batch.  No shuffle touches the
   corpus index beyond the pruned read.
-* above the threshold: corpus-min and shard-min maps are unioned with a
+* above the budget: corpus-min and shard-min maps are unioned with a
   priority-encoded id (corpus entries sort below shard entries), reduced by
   a hash-partitioned ``groupby().Min``, and hash-joined back onto the shard
   rows (``joins.hash_join``, ``broadcast=False`` — the canonical map is
@@ -46,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
 from .dedup import content_hash_batch
 from .guard import tree_combine
 
@@ -53,10 +54,6 @@ from .guard import tree_combine
 # id, shard entries are offset by 2^62, so an integer Min picks the corpus
 # id whenever one exists.  Requires 0 <= doc_id < 2^62.
 _SHARD_PRI = np.int64(1) << np.int64(62)
-
-# shard-distinct hash counts at or under this are resolved via broadcast
-# lookup; above it the join regime engages (mirrors dedup.py thresholds)
-DEFAULT_BROADCAST_THRESHOLD = 2_000_000
 
 
 def _meta_path(index_dir: str) -> str:
@@ -180,7 +177,6 @@ def incremental_dedup(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_threshold: int = DEFAULT_BROADCAST_THRESHOLD,
     update_index: bool = False,
     stats_out: dict | None = None,
 ):
@@ -225,7 +221,8 @@ def incremental_dedup(
         _min_partial, batch_format="pyarrow", fn_kwargs=dict(id_col=id_col)
     ).select_columns(["content_hash", id_col])
 
-    small = partial.limit(broadcast_threshold + 1).count() <= broadcast_threshold
+    thr = guard.DRIVER_ROWS
+    small = partial.limit(thr + 1).count() <= thr
 
     if stats_out is not None:
         stats_out["regime"] = "broadcast" if small else "join"

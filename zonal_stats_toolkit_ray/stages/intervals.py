@@ -17,7 +17,8 @@ Both use the scale-safe sorted-block shape proven by
 (key, ts) range-partitions the stream — a hot key SPLITS across blocks,
 unlike a hash groupby — each sorted block reduces its key runs with pure
 vectorized NumPy, and only O(1)-per-block boundary state is stitched in a
-second pass (driver under a threshold, per-key ``map_groups`` above it).
+second pass (driver within ``guard.DRIVER_ROWS``, per-key ``map_groups``
+above it).
 
 Why the boundary invariant holds for islands: within a sorted block, a
 middle island M precedes the block's last island L, and L opened because
@@ -35,6 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
 from .window import _ts_seconds
 
 
@@ -174,7 +176,6 @@ def interval_union(
     key_col: str = "user_id",
     start_col: str = "start",
     end_col: str = "end",
-    stitch_driver_threshold: int = 500_000,
 ):
     """Union the intervals [start, end] per key into connected islands.
 
@@ -193,7 +194,9 @@ def interval_union(
     stitch.  One absorb pass is exact: a final island's end is bounded
     by the next island's start in its own block (the cummax break), so
     absorbing F can never extend S far enough to newly reach an island
-    that didn't already overlap S.
+    that didn't already overlap S.  Within ``guard.DRIVER_ROWS`` pending
+    islands the stitch runs on the driver; above it, per key in one
+    ``map_groups``.
     """
     import ray.data as rd
 
@@ -234,7 +237,7 @@ def interval_union(
             ("end", pa.float64()),
         ]
     )
-    if n_pending > stitch_driver_threshold:
+    if n_pending > guard.DRIVER_ROWS:
         # Skew regime: stitch per key (<= 2 rows per block per key).  The
         # absorb routing below needs the stitched islands broadcast; at
         # this scale route via a groupby instead: tag pending + finals and
@@ -453,12 +456,11 @@ def event_gaps(
     *,
     key_col: str = "user_id",
     ts_col: str = "ts",
-    merge_driver_threshold: int = 2_000_000,
 ) -> pd.DataFrame:
     """Per-key inter-event gap statistics (count / avg / max of the LAG
     diffs) — the crawl-politeness / burstiness audit.  One sorted pass
     emits one tiny partial row per (block, key run); the merge is
-    driver-side below ``merge_driver_threshold`` partial rows and a
+    driver-side within ``guard.DRIVER_ROWS`` partial rows and a
     per-key ``map_groups`` (each key holds <= blocks rows) above.
 
     Tie robustness: rows with equal (key, ts) produce the same gap
@@ -470,7 +472,7 @@ def event_gaps(
         _block_gaps_factory(key_col, ts_col), batch_format="pyarrow"
     ).materialize()
     n = parts.count()
-    if n <= merge_driver_threshold:
+    if n <= guard.DRIVER_ROWS:
         merged = _merge_gap_partials(parts.to_pandas(), key_col)
     else:
         merged = (

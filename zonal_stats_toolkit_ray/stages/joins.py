@@ -16,6 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
+
 
 def _resolve_ref(obj):
     try:
@@ -75,12 +77,6 @@ def auto_join_partitions(cap: int = 64) -> int:
         n = 4
     return max(2, min(cap, n))
 
-
-# build sides under this many rows are broadcast instead of shuffled: the
-# native join's hash-exchange carries a multi-second fixed cost (shuffle
-# rounds + aggregator actors) that a ray.put + per-batch probe avoids
-# entirely when one side fits comfortably in a worker heap
-BROADCAST_JOIN_THRESHOLD = 2_000_000
 
 _ARROW_JOIN_TYPE = {
     "inner": "inner",
@@ -164,23 +160,23 @@ def hash_join(
     how: str = "inner",
     num_partitions: int | None = None,
     broadcast: bool | None = None,
-    broadcast_threshold_rows: int | None = None,
 ):
     """Large-side × large-side join (round-2: the missing path — everything
     else here is broadcast-small-side), with an automatic BROADCAST fallback
     (round-4, VERDICT r3 #5) when the build (right) side is small.
 
-    * build ≤ ``broadcast_threshold_rows`` (and ``how`` broadcastable):
+    * build ≤ ``guard.DRIVER_ROWS`` rows (and ``how`` broadcastable):
       collect the build side once, ``ray.put`` it, probe per left batch —
       see :func:`broadcast_join`.  Avoids the native join's multi-second
-      fixed shuffle cost, which a 3-row result never warrants.
+      fixed shuffle cost (shuffle rounds + aggregator actors), which a
+      3-row result never warrants.
     * otherwise: both datasets hash-shuffle on the key into
       ``num_partitions`` buckets and matching buckets join pairwise — Ray
       Data's native ``Dataset.join``, so the streaming executor pipelines
       and spills the exchange.
 
-    The smallness probe is ``right.limit(thr+1).count()`` — the streaming
-    executor stops the build pipeline as soon as thr+1 rows exist, so a
+    The smallness probe is ``right.limit(DRIVER_ROWS + 1).count()`` — the
+    streaming executor stops the build pipeline once that many rows exist, so a
     LARGE build side pays only a partial read, and a small one is then read
     fully for the broadcast: the build side runs twice on the auto path and
     once with ``broadcast=True``.  Pass ``broadcast=False`` to force the shuffle
@@ -194,11 +190,6 @@ def hash_join(
     pre-aggregating the hot side or salting before this join — a hash join
     cannot split one hot key across buckets."""
     right_on = right_on or on
-    thr = (
-        broadcast_threshold_rows
-        if broadcast_threshold_rows is not None
-        else BROADCAST_JOIN_THRESHOLD
-    )
     if broadcast and how not in _ARROW_JOIN_TYPE:
         # full/right outer joins must see EVERY probe batch before deciding
         # a build row is unmatched — a per-batch broadcast probe cannot
@@ -206,6 +197,7 @@ def hash_join(
             f"broadcast join cannot preserve unmatched build rows (how={how!r})"
         )
     if broadcast is None and how in _ARROW_JOIN_TYPE:
+        thr = guard.DRIVER_ROWS
         broadcast = right.limit(thr + 1).count() <= thr
     if broadcast:
         import ray
@@ -578,7 +570,6 @@ def _setop_distinct(
     *,
     keep: str,
     num_partitions: int,
-    driver_threshold: int,
     as_dataset: bool | None,
 ):
     """Shared EXCEPT/INTERSECT engine (round 5, VERDICT r4 #3) — fully
@@ -596,7 +587,7 @@ def _setop_distinct(
     ``False`` → always collect (caller asserts small); ``None`` (default)
     → collect a DataFrame only when the RESULT row count (≤ universe,
     counted on the materialized dataset — metadata, no fetch) is within
-    ``driver_threshold``, else return the Dataset."""
+    ``guard.DRIVER_ROWS``, else return the Dataset."""
     from ray.data.aggregate import Max
 
     def mark(src: int):
@@ -648,9 +639,9 @@ def _setop_distinct(
     if as_dataset is True:
         return res
     res = res.materialize()
-    if as_dataset is None and res.count() > driver_threshold:
+    if as_dataset is None and res.count() > guard.DRIVER_ROWS:
         return res
-    out = res.to_pandas()  # result-sized, ≤ driver_threshold unless forced
+    out = res.to_pandas()  # result-sized, within the budget unless forced
     if out.empty:
         out = key_schema.empty_table().to_pandas()
     return out.sort_values(cols).reset_index(drop=True)
@@ -662,12 +653,12 @@ def except_distinct(
     cols: list[str],
     *,
     num_partitions: int = 4,
-    driver_threshold: int = 2_000_000,
     as_dataset: bool | None = None,
 ):
     """SQL ``EXCEPT`` (distinct rows of ``a`` minus rows of ``b``, compared
-    on ``cols``) → DataFrame ascending when the result is driver-sized,
-    else a streaming Dataset of ``cols`` (see :func:`_setop_distinct`).
+    on ``cols``) → DataFrame ascending when the result is within
+    ``guard.DRIVER_ROWS`` rows, else a streaming Dataset of ``cols`` (see
+    :func:`_setop_distinct`).
 
     Round 5: EXCEPT over two 100-TB corpora on arbitrary columns has
     universe ≈ corpus; the former driver anti-merge is replaced by one
@@ -679,7 +670,6 @@ def except_distinct(
         cols,
         keep="except",
         num_partitions=num_partitions,
-        driver_threshold=driver_threshold,
         as_dataset=as_dataset,
     )
 
@@ -757,7 +747,6 @@ def intersect_distinct(
     cols: list[str],
     *,
     num_partitions: int = 4,
-    driver_threshold: int = 2_000_000,
     as_dataset: bool | None = None,
 ):
     """SQL ``INTERSECT`` (distinct rows present in BOTH inputs, compared on
@@ -765,14 +754,13 @@ def intersect_distinct(
     identical round-5 scale contract: ONE distributed presence-marker
     groupby (in-batch distinct combiner → union → Max markers), DataFrame
     ascending when the result is driver-sized, streaming Dataset above
-    ``driver_threshold`` (VERDICT r4 #3)."""
+    ``guard.DRIVER_ROWS`` rows (VERDICT r4 #3)."""
     return _setop_distinct(
         a,
         b,
         cols,
         keep="intersect",
         num_partitions=num_partitions,
-        driver_threshold=driver_threshold,
         as_dataset=as_dataset,
     )
 

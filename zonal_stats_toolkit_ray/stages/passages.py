@@ -16,7 +16,7 @@ Shape (slim end to end — window HASHES move, text never does):
 2. one hash aggregate counts docs per window (in-batch distinct makes the
    per-batch pairs globally unique — a doc never spans batches);
 3. windows with ≥ 2 docs feed back as a semi-join: broadcast ``pc.is_in``
-   under ``broadcast_threshold`` shared hashes, native hash join above;
+   within ``guard.DRIVER_ROWS`` shared hashes, native hash join above;
 4. a final slim aggregate counts shared windows per doc.
 """
 
@@ -26,6 +26,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 _PAIR_SCHEMA = pa.schema([("h", pa.int64()), ("doc_id", pa.int64())])
 
@@ -53,7 +55,6 @@ def common_passages(
     text_col: str = "text",
     id_col: str = "doc_id",
     n: int = 8,
-    broadcast_threshold: int = 2_000_000,
     num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """→ DataFrame(doc_id, n_shared): per document, the number of its
@@ -61,7 +62,7 @@ def common_passages(
     document.  Docs with no shared window are omitted (match the SQL
     oracle's inner join).
 
-    ``broadcast_threshold`` picks the shared-window feedback regime:
+    ``guard.DRIVER_ROWS`` picks the shared-window feedback regime:
     ``ray.put`` + per-batch ``pc.is_in`` when the shared set fits, native
     hash join on the slim (h) table above it (regime equality tested)."""
     from ray.data.aggregate import Count
@@ -88,7 +89,7 @@ def common_passages(
                 "n_shared": pd.Series(dtype="int64"),
             }
         )
-    if n_shared_windows <= broadcast_threshold:
+    if n_shared_windows <= guard.DRIVER_ROWS:
         from .joins import semi_join
 
         keys = agg.to_pandas()["h"].to_numpy()

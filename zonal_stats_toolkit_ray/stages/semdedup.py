@@ -42,8 +42,8 @@ import pyarrow as pa
 
 from .knn import _normalize, _put_maybe, _cached_ref, _stack_vectors, hash_sample, train_centroids
 
-# collected-to-driver fast path at or under this many total rows
-DEFAULT_DRIVER_THRESHOLD = 200_000
+# below guard.DRIVER_ROWS: each row the driver collects carries an embedding
+DRIVER_VECTORS = 200_000
 # sub-split a cluster's representative set above this size
 DEFAULT_MAX_CLUSTER_PAIRWISE = 8_192
 
@@ -152,7 +152,6 @@ def semdedup(
     seed: int = 42,
     sample_size: int = 4_096,
     kmeans_iters: int = 10,
-    driver_threshold: int = DEFAULT_DRIVER_THRESHOLD,
     max_cluster_pairwise: int = DEFAULT_MAX_CLUSTER_PAIRWISE,
     materialize_input: bool = True,
     stats_out: dict | None = None,
@@ -160,8 +159,8 @@ def semdedup(
     """SemDeDup over an embedding column → Dataset ``(id, cluster_id,
     canonical_id, is_duplicate)``.
 
-    Regimes (threshold-gated like the LSH dedup machinery):
-    * total rows ≤ ``driver_threshold``: the slim ``(cluster, id, vec)``
+    Regimes:
+    * total rows ≤ ``DRIVER_VECTORS``: the slim ``(cluster, id, vec)``
       frame collects to the driver and every cluster runs through the
       shared NumPy kernel locally (no shuffle at all).
     * above: one ``groupby(cluster_id).map_groups`` shuffle; each cluster
@@ -194,7 +193,7 @@ def semdedup(
     assigned = slim.map_batches(assign, batch_format="pyarrow")
 
     total = slim.count()
-    small = total <= driver_threshold
+    small = total <= DRIVER_VECTORS
     if stats_out is not None:
         stats_out.update(regime="driver" if small else "grouped", rows=int(total))
     LAST_SEMDEDUP_STATS.clear()

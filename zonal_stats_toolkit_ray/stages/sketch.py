@@ -22,6 +22,9 @@ import pyarrow.compute as pc
 
 from .guard import tree_combine
 
+# below guard.DRIVER_ROWS: each row carries a histogram or HLL register array
+DRIVER_SKETCH_ROWS = 100_000
+
 
 class HistSketch:
     """Weighted centroid histogram with a fixed budget ``b``."""
@@ -152,20 +155,20 @@ def _merge_sketch_rows(g: pd.DataFrame, b: int) -> pd.DataFrame:
 
 
 def approx_group_percentiles(
-    values_ds, plist: list[float], *, b: int = 256, driver_threshold: int = 100_000
+    values_ds, plist: list[float], *, b: int = 256
 ) -> dict[str, list[float]]:
     """Distributed approximate grouped percentiles: per-batch sketches →
     groupby merge (sketches are tiny and mergeable, so the shuffle moves
     O(groups × blocks × b) floats — never the raw values).
 
-    Above ``driver_threshold`` sketch rows (many groups × many blocks) a
+    Above ``DRIVER_SKETCH_ROWS`` sketch rows (many groups × many blocks) a
     distributed per-group combine runs first (round-3: the tree-combine
     VERDICT suggested), so the driver always merges ≤ one row per group."""
     plist = sorted(set(float(p) for p in plist))
     sketches = values_ds.map_batches(
         sketch_batch, batch_format="pyarrow", fn_kwargs={"b": b}
     ).materialize()
-    if sketches.count() > driver_threshold:
+    if sketches.count() > DRIVER_SKETCH_ROWS:
         sketches = sketches.groupby("group_key").map_groups(
             lambda g: _merge_sketch_rows(g, b), batch_format="pandas"
         )
@@ -244,13 +247,12 @@ def approx_distinct_by_group(
     key_col: str,
     value_col: str,
     b: int = HLL_B,
-    driver_threshold: int = 100_000,
 ) -> pd.DataFrame:
     """Approximate COUNT(DISTINCT value) per key → (key, approx_distinct).
 
     Per-batch HLL registers per key (constant size regardless of rows) →
     elementwise-max merge.  The shuffle moves O(groups × blocks × 2^b)
-    bytes, never the values; above ``driver_threshold`` register rows the
+    bytes, never the values; above ``DRIVER_SKETCH_ROWS`` register rows the
     merge runs as a distributed per-group ``map_groups`` first."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -285,7 +287,7 @@ def approx_distinct_by_group(
         return pd.DataFrame({"key": [g["key"].iloc[0]], "regs": [acc.tolist()]})
 
     parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    if parts.count() > driver_threshold:
+    if parts.count() > DRIVER_SKETCH_ROWS:
         parts = parts.groupby("key").map_groups(merge_rows, batch_format="pandas")
     df = parts.to_pandas()
     rows = []

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .geocode import hash64_utf8
+from . import guard
 from .guard import tree_combine
 
 _PUNCT_RE = r"[.,!?;:]"
@@ -441,14 +442,13 @@ def tfidf_top_terms(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 5,
-    vocab_broadcast_threshold: int = 2_000_000,
 ):
     """Per-document top-``k`` TF-IDF terms → Dataset(doc_id, rank, token,
     tfidf), tfidf = tf · ln(N/df), ties broken by token ascending.
 
     Two regimes on the DF (vocabulary) side:
 
-    * vocabulary ≤ ``vocab_broadcast_threshold``: the (token → df) table
+    * vocabulary ≤ ``guard.DRIVER_ROWS``: the (token → df) table
       broadcasts once via ``ray.put`` and everything — term counts, scores,
       per-doc top-k — happens in ONE ``map_batches`` pass over the
       documents (a document never spans batches, so per-batch per-doc
@@ -472,7 +472,7 @@ def tfidf_top_terms(
     df_ds = partials.groupby("token").aggregate(Sum("df", alias_name="df")).materialize()
     vocab_n = df_ds.count()
 
-    if vocab_n <= vocab_broadcast_threshold:
+    if vocab_n <= guard.DRIVER_ROWS:
         dfp = df_ds.to_pandas()
         order = np.argsort(dfp["token"].to_numpy())
         tok_sorted = dfp["token"].to_numpy()[order]

@@ -15,6 +15,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
+
 
 def tumbling_window_batch(
     batch: pa.Table,
@@ -175,7 +177,6 @@ def session_windows(
     key_col: str = "user_id",
     gap_seconds: float = 1800.0,
     chunked: bool = True,
-    stitch_driver_threshold: int = 500_000,
 ):
     """Session windowing per key: a new session starts when the gap to the
     previous event exceeds ``gap_seconds``.  Returns the per-session
@@ -189,7 +190,8 @@ def session_windows(
     its key runs with pure vectorized NumPy, and only the first/last
     session of each block — the ones that may continue in a neighboring
     block — are stitched in a second pass (two boundary sessions per
-    block, independent of event count; a session spanning a block edge
+    block, independent of event count, stitched on the driver within
+    ``guard.DRIVER_ROWS`` and per key above; a session spanning a block edge
     merges iff its gap ≤ threshold, chains across any number of blocks).
     Results are exactly equal to the single-pass sessionizer
     (tests pin equality, including a one-key stress).
@@ -316,7 +318,7 @@ def session_windows(
     n_pending = pend.count()  # ≤ 2 sessions per block, whatever the skew
     if n_pending == 0:
         return finals
-    if n_pending <= stitch_driver_threshold:
+    if n_pending <= guard.DRIVER_ROWS:
         stitched = rd.from_pandas(stitch_frame(pend.to_pandas()))
     else:
         # per-key stitch: rows per key ≤ 2 × blocks containing that key —
@@ -334,14 +336,13 @@ def assign_sessions(
     key_col: str = "user_id",
     id_col: str = "event_id",
     gap_seconds: float = 1800.0,
-    broadcast_threshold: int = 5_000_000,
 ):
     """Per-EVENT session enrichment: every event row gains its session's
     start time (the row-level inverse of :func:`session_windows`, which
     emits one row per session).  → Dataset (id, key, session_start).
 
     Regimes: sessions (from the scale-safe chunked sessionizer) are
-    session-universe-sized; under ``broadcast_threshold`` they broadcast
+    session-universe-sized; within ``guard.DRIVER_ROWS`` they broadcast
     as per-key sorted start arrays and each event batch does one
     ``searchsorted`` per key present (rightmost start ≤ ts).  Above it,
     fall back to a hash join on the key + an in-batch interval filter
@@ -353,7 +354,7 @@ def assign_sessions(
         ds, ts_col=ts_col, key_col=key_col, gap_seconds=gap_seconds
     ).materialize()
     n_sess = sess.count()
-    if n_sess <= broadcast_threshold:
+    if n_sess <= guard.DRIVER_ROWS:
         sp = sess.select_columns([key_col, "start"]).to_pandas()
         lut = {
             k: np.sort(g["start"].to_numpy())
