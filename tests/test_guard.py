@@ -206,3 +206,35 @@ def test_no_per_call_regime_thresholds():
                     frozen.append((rel, node.lineno, "default argument"))
     assert found == set(_THRESHOLD_EXEMPT), found ^ set(_THRESHOLD_EXEMPT)
     assert frozen == [], frozen
+
+
+# names only the shared LSH tail (``dedup._near_dup``) may reference
+_NEAR_DUP_TAIL = {
+    "_fetch_rows_by_id",
+    "_verify_pairs_via_join",
+    "connected_components",
+    "distributed_connected_components",
+    "lsh_candidate_pairs",
+}
+
+
+def test_dedup_variants_share_one_tail():
+    path = Path(__file__).resolve().parents[1] / "zonal_stats_toolkit_ray/stages/dedup.py"
+    fns = {
+        n.name: n
+        for n in ast.parse(path.read_text()).body
+        if isinstance(n, ast.FunctionDef)
+    }
+
+    def refs(fn) -> set:
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(fn)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    for name in ("minhash_dedup", "simhash_dedup", "ngram_jaccard_dedup", "embedding_dedup"):
+        assert refs(fns[name]) & _NEAR_DUP_TAIL == set(), name
+        assert "_near_dup" in refs(fns[name]), name
+    users = {name for name, fn in fns.items() if refs(fn) & (_NEAR_DUP_TAIL - {name})}
+    assert users == {"_near_dup"}, users

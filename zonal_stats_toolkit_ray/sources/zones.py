@@ -159,7 +159,7 @@ class ZoneSet:
     Both give the same fid for the same point, bit for bit.
     """
 
-    def __init__(self, table: pa.Table, interior_cell_res: int | None = None):
+    def __init__(self, table: pa.Table):
         self.table = table
         self.fid = table["zone_fid"].to_numpy()
         self.part_idx = table["part_idx"].to_numpy()
@@ -190,7 +190,6 @@ class ZoneSet:
             [self.fid_to_group[f] for f in self.all_fids], pa.string()
         )
 
-        self.interior_cell_res = interior_cell_res
         # cell_id → fid for cells proven interior to exactly one zone part;
         # -2 marks "boundary / multi-candidate, do per-point PIP".
         self._cell_cache: dict[int, int] = {}

@@ -14,16 +14,37 @@ Shapes (all Ray-Data-first):
 * n-gram       — word n-gram shingles through the same LSH machinery.
 * embedding    — random-hyperplane LSH buckets → in-bucket cosine ≥ τ.
 
-Scale contract (round-2 hardening): NOTHING corpus-sized ever reaches the
-driver.  Candidate-pair verification fetches ONLY the candidate rows via a
-broadcast-id semi-join (``_fetch_rows_by_id``); union-find runs over the
-ids appearing in verified pairs only (every other document is its own
-cluster by definition); and the (doc_id, cluster_id, is_duplicate) result
-is a streaming ``Dataset`` produced by broadcasting the small
-candidate→cluster map into a ``map_batches`` pass — the documented LSH
-assumption candidates ≪ corpus is now what the code actually exploits.
-``LAST_DRIVER_FETCH`` records how many rows the last verify pulled so
-tests can assert the accounting.
+The four LSH variants differ in three things only: a slim ``(id, payload)``
+projection of the input, the band rows of each document, and one
+vectorized pair predicate ``keep(vals, ia, ib) -> bool ndarray``.
+``vals`` holds the payload of each distinct id once (text → object array
+of str, simhash → uint64 array, embedding → (n, d) float64 matrix; vectors
+travel as packed float64 in every regime) and ``ia`` / ``ib`` index the
+two ends of each pair, so a text predicate builds each document's shingle
+set once per call.  Everything else is one shared tail (``_near_dup``):
+candidate pairs (``lsh_candidate_pairs``) → verify → optional pairs sink →
+connected components → cluster attach.  The verify supplies ``vals`` in
+one of three regimes:
+
+* driver    — a pair frame within ``VERIFY_DRIVER_PAIRS`` (a bound on the
+              driver's verify compute): the candidate payloads are fetched
+              by a broadcast-id semi-join (``_fetch_rows_by_id``) and
+              ``keep`` runs once over all pairs;
+* broadcast — a pair Dataset, or a larger frame, with at most
+              ``guard.DRIVER_ROWS`` candidate ids: the fetched
+              ``(sorted ids, vals)`` are ``ray.put`` once and ``keep`` runs
+              per pair batch;
+* join      — more candidate ids than that: the payloads hash-join onto
+              the pairs (``_verify_pairs_via_join``) and ``keep`` runs over
+              each joined batch's distinct ids.
+
+NOTHING corpus-sized ever reaches the driver: union-find runs over the ids
+of verified pairs only (every other document is its own cluster), on the
+driver for a pair frame and by distributed label propagation for a pair
+Dataset, and the (id, cluster_id, is_duplicate) result is a streaming
+``Dataset`` that broadcasts the small candidate→cluster map.
+``LAST_DRIVER_FETCH`` records the payload rows and pair rows the last call
+pulled to the driver so tests can assert the accounting.
 """
 
 from __future__ import annotations
@@ -57,33 +78,45 @@ DEFAULT_BUCKET_CAP = 512
 VERIFY_DRIVER_PAIRS = 200_000
 
 
-def _slim_input(ds, cols: list[str], *, materialize: bool = True):
-    """ONE slim column projection of the dedup input, materialized once
-    (round 4, VERDICT r3 #3): band generation, pair verification and
-    cluster attach all read the SAME materialized projection, so the
-    upstream pipeline executes exactly once per dedup call instead of ~3×.
-
-    Tradeoff (documented choice): the projection occupies object-store
-    memory (spilling to disk beyond capacity) in exchange for not
-    re-reading/re-computing the corpus for each consumer — at 100 TB,
-    three full corpus passes were the single biggest dedup cost.  Pass
-    ``materialize=False`` to trade back (recompute regime) when object
-    store/disk is the scarcer resource."""
+def _slim_input(ds, cols: list[str], fn=None):
+    """ONE slim column projection of the dedup input (optionally mapped by
+    the Arrow batch function ``fn``), materialized once: band generation,
+    pair verification and cluster attach all read it, so the upstream
+    pipeline executes exactly once per call.  The projection costs object
+    store memory (spilling beyond capacity) instead of ~3 corpus passes."""
     slim = ds.select_columns(cols)
-    return slim.materialize() if materialize else slim
+    if fn is not None:
+        slim = slim.map_batches(fn, batch_format="pyarrow")
+    return slim.materialize()
 
 
-def _fetch_rows_by_id(ds, id_col: str, cols: list[str], ids: np.ndarray) -> pd.DataFrame:
+def _payload_values(col) -> np.ndarray:
+    """Arrow payload column → the ``vals`` array a ``keep`` predicate
+    indexes: packed float64 vectors (fixed-size binary) → (n, d) matrix,
+    any other type → its NumPy array."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_fixed_size_binary(col.type):
+        d = col.type.byte_width // 8
+        flat = np.frombuffer(
+            col.buffers()[1], np.float64, count=(col.offset + len(col)) * d
+        )
+        return flat.reshape(-1, d)[col.offset :]
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _fetch_rows_by_id(ds, id_col: str, col: str, ids: np.ndarray):
     """Broadcast-id semi-join: collect ONLY the rows whose ``id_col`` is in
-    ``ids``.  The id set is ``ray.put`` once (zero-copy plasma reads in every
-    task); each batch filters with a vectorized ``np.isin``.  Driver traffic
-    = |ids| rows, never the corpus."""
+    ``ids`` → ``(sorted ids, their col values)``.  The id set is ``ray.put``
+    once (zero-copy plasma reads in every task); each batch filters with a
+    vectorized ``np.isin``.  Driver traffic = |ids| rows, never the
+    corpus."""
     import ray
 
     ids = np.unique(np.asarray(ids, dtype=np.int64))
     if ids.size == 0:
         LAST_DRIVER_FETCH["rows"] = 0
-        return pd.DataFrame({c: pd.Series(dtype=object) for c in [id_col, *cols]})
+        return ids, np.empty(0)
     ids_ref = ray.put(ids)
 
     def pick(b: pa.Table) -> pa.Table:
@@ -91,13 +124,12 @@ def _fetch_rows_by_id(ds, id_col: str, cols: list[str], ids: np.ndarray) -> pd.D
         m = np.isin(b[id_col].to_numpy(zero_copy_only=False), idset)
         return b.filter(pa.array(m))
 
-    out = (
-        ds.select_columns([id_col, *cols])
-        .map_batches(pick, batch_format="pyarrow")
-        .to_pandas()
-    )
-    LAST_DRIVER_FETCH["rows"] = len(out)
-    return out
+    picked = ds.select_columns([id_col, col]).map_batches(pick, batch_format="pyarrow")
+    t = pa.concat_tables(list(picked.iter_batches(batch_size=None, batch_format="pyarrow")))
+    LAST_DRIVER_FETCH["rows"] = t.num_rows
+    keys = t[id_col].to_numpy().astype(np.int64)
+    order = np.argsort(keys)
+    return keys[order], _payload_values(t[col])[order]
 
 
 def _attach_clusters(ds, id_col: str, comp: pd.DataFrame):
@@ -272,27 +304,39 @@ def minhash_band_batch(
     shingle_k: int = 5,
     seed: int = 42,
 ) -> pa.Table:
-    """map_batches stage: docs → (band, band_hash, doc_id) rows for the LSH
-    bucket shuffle."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    """map_batches stage: docs → (band, band_hash, sig_hash, doc_id) rows
+    for the LSH bucket shuffle."""
     h, d = char_shingles(batch[text_col], k=shingle_k)
     sig = minhash_signatures(h, d, len(batch), num_perm, seed)
-    rows_per_band = num_perm // bands
-    out_band, out_hash, out_id = [], [], []
-    # full-signature hash: the hot-bucket sub-split key (identical docs
-    # share it, so a degenerate bucket stars instead of all-pairs)
-    full_h = _fnv_fold(sig, 0, num_perm)
-    for bi in range(bands):
-        bh = _fnv_fold(sig, bi * rows_per_band, (bi + 1) * rows_per_band)
-        out_band.append(np.full(len(batch), bi, dtype=np.int32))
-        out_hash.append(bh)
-        out_id.append(ids)
+    return _signature_band_rows(batch[id_col], sig, bands, id_col)
+
+
+def _signature_band_rows(ids, sig: np.ndarray, bands: int, id_col: str) -> pa.Table:
+    """MinHash signatures → band rows: band ``i`` hashes signature columns
+    ``[i r, (i + 1) r)``; the full-signature hash is the hot-bucket
+    sub-split key (identical docs share it, so a degenerate bucket stars
+    instead of all-pairs)."""
+    r = sig.shape[1] // bands
+    return _band_table(
+        ids,
+        [_fnv_fold(sig, i * r, (i + 1) * r) for i in range(bands)],
+        _fnv_fold(sig, 0, sig.shape[1]),
+        id_col,
+    )
+
+
+def _band_table(ids, band_hashes: list, sig_hash: np.ndarray, id_col: str) -> pa.Table:
+    """(band, band_hash, sig_hash, id) rows, band-major: ``band_hashes[i]``
+    holds band ``i``'s hash of every document and ``sig_hash`` each
+    document's hot-bucket sub-split key."""
+    ids = np.asarray(ids)
+    nb = len(band_hashes)
     return pa.table(
         {
-            "band": pa.array(np.concatenate(out_band), pa.int32()),
-            "band_hash": pa.array(np.concatenate(out_hash), pa.uint64()),
-            "sig_hash": pa.array(np.tile(full_h, bands), pa.uint64()),
-            id_col: pa.array(np.concatenate(out_id)),
+            "band": pa.array(np.repeat(np.arange(nb, dtype=np.int32), ids.size)),
+            "band_hash": pa.array(np.concatenate(band_hashes), pa.uint64()),
+            "sig_hash": pa.array(np.tile(sig_hash, nb), pa.uint64()),
+            id_col: pa.array(np.tile(ids, nb)),
         }
     )
 
@@ -504,12 +548,6 @@ def lsh_candidate_pairs(
     return df.drop_duplicates().astype(np.int64)
 
 
-def _join_verify(cand, cand_ids: np.ndarray) -> bool:
-    """Dataset-regime pairs over more than ``guard.DRIVER_ROWS`` candidate
-    ids verify by hash join instead of a candidate broadcast."""
-    return not isinstance(cand, pd.DataFrame) and cand_ids.size > guard.DRIVER_ROWS
-
-
 def _pair_node_ids(pairs) -> np.ndarray:
     """Distinct ids appearing in a pair set (DataFrame or Dataset) — the
     driver-side frame this produces is id-sized, never pair-sized."""
@@ -625,23 +663,21 @@ def _verify_pairs_via_join(
     side_ds,
     id_col: str,
     val_col: str,
-    keep_fn,
-    *,
-    cand_ids: np.ndarray | None = None,
-    num_partitions: int | None = None,
+    keep,
+    cand_ids: np.ndarray,
 ):
     """Verify candidate pairs WITHOUT broadcasting any per-doc payload:
     the pair Dataset hash-joins the slim (id, value) side twice (once per
-    endpoint), then ``keep_fn(batch)`` filters each joined batch using the
-    ``__va`` / ``__vb`` columns.  This is the corpus-duplication-proof
-    regime: under heavy duplication candidate ids ≈ corpus ids, where a
-    ``ray.put`` dict of texts would deserialize a corpus-sized heap copy
-    into EVERY worker — the join instead co-partitions pairs and values by
-    key hash and streams.  The side is first SEMI-JOIN-PRUNED to candidate
-    ids (broadcast int set — 8 bytes/id), so a lightly-duplicated corpus
-    never shuffles its non-candidate payloads.  Returns the surviving
-    (a, b) Dataset."""
-    from .joins import hash_join, semi_join
+    endpoint), then ``keep`` runs over each joined batch's distinct ids
+    (their values from the ``__va`` / ``__vb`` columns).  This is the
+    corpus-duplication-proof regime: under heavy duplication candidate ids
+    ≈ corpus ids, where a ``ray.put`` of the candidate payloads would
+    deserialize a corpus-sized heap copy into EVERY worker — the join
+    instead co-partitions pairs and values by key hash and streams.  The
+    side is first SEMI-JOIN-PRUNED to candidate ids (broadcast int set — 8
+    bytes/id), so a lightly-duplicated corpus never shuffles its
+    non-candidate payloads.  Returns the surviving (a, b) Dataset."""
+    from .joins import auto_join_partitions, hash_join, semi_join
 
     LAST_DRIVER_FETCH["rows"] = 0  # accounting: nothing fetched in this regime
 
@@ -653,9 +689,9 @@ def _verify_pairs_via_join(
 
         return f
 
-    side = side_ds.select_columns([id_col, val_col])
-    if cand_ids is not None and cand_ids.size:
-        side = semi_join(side, pa.array(cand_ids), id_col)
+    side = semi_join(
+        side_ds.select_columns([id_col, val_col]), pa.array(cand_ids), id_col
+    )
     side_a = side.map_batches(rn("a", "a"), batch_format="pyarrow")
     side_b = side.map_batches(rn("b", "b"), batch_format="pyarrow")
     # Two Ray quirks shape this:
@@ -671,13 +707,11 @@ def _verify_pairs_via_join(
     # repartition the pair side first: a map_groups-produced Dataset can
     # carry schemaless empty blocks (empty sort partitions), and a join
     # partition assembled ONLY from those crashes the aggregator —
-    # repartition merges them into schema-ful blocks (slim 2-int rows)
-    from .joins import auto_join_partitions
-
+    # repartition merges them into schema-ful blocks (slim 2-int rows).
     # broadcast=False: hash_join's auto-broadcast probe would otherwise
     # collect a "small" pair/intermediate side to the DRIVER — j1 carries
     # the __va payload, exactly what this regime exists to keep distributed
-    np_ = num_partitions or auto_join_partitions()
+    np_ = auto_join_partitions()
     pairs_rep = pairs_ds.repartition(np_).materialize()
     j1 = hash_join(
         side_a, pairs_rep, on="a", num_partitions=np_, broadcast=False
@@ -685,146 +719,24 @@ def _verify_pairs_via_join(
     j = hash_join(side_b, j1, on="b", num_partitions=np_, broadcast=False)
 
     def verify(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(keep_fn(b))).select(["a", "b"])
+        ids = np.concatenate([np.asarray(b["a"]), np.asarray(b["b"])])
+        keys, first = np.unique(ids.astype(np.int64), return_index=True)
+        vals = np.concatenate([_payload_values(b["__va"]), _payload_values(b["__vb"])])
+        return b.select(["a", "b"]).filter(_keep_pairs(keep, keys, vals[first], b))
 
     return j.map_batches(verify, batch_format="pyarrow")
 
 
-def _text_pair_keep_fn(pair_ok):
-    """Adapt a ``pair_ok(texts, cache, a, b)`` predicate to the join-verify
-    batch layout: texts come from the joined ``__va``/``__vb`` columns and
-    the per-batch feature cache is keyed by doc id (docs recur across the
-    pairs of a batch)."""
-
-    def keep(b: pa.Table) -> np.ndarray:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        va = b["__va"].to_pylist()
-        vb = b["__vb"].to_pylist()
-        texts: dict = {}
-        for i in range(len(b)):
-            texts[int(a[i])] = va[i]
-            texts[int(bb[i])] = vb[i]
-        cache: dict = {}
-        return np.fromiter(
-            (pair_ok(texts, cache, int(x), int(y)) for x, y in zip(a, bb)),
-            dtype=bool,
-            count=len(b),
-        )
-
-    return keep
-
-
-def _pairs_verify_distributed(
-    texts_by_id: dict[int, str],
-    pairs,
-    pair_fn,
-    *,
-    batch_rows: int = 8192,
-    as_dataset: bool = False,
-):
-    """Distribute pair verification: the candidate-text map broadcasts once
-    (candidate-sized by LSH construction) and the PAIR list streams as a
-    Dataset — ``pair_fn(texts, a, b) -> keep_bool`` runs per pair inside
-    ``map_batches``, so a heavy candidate load parallelizes instead of
-    looping on the driver.  Exactly equivalent to the driver loop.
-
-    ``pairs`` may be a DataFrame (converted to a Dataset here) or already a
-    Dataset (the fully-distributed regime).  ``as_dataset=True`` returns
-    the surviving-pair **Dataset** without collecting — feed it straight to
-    :func:`distributed_connected_components`."""
-    import ray
-    import ray.data as rd
-
-    tref = ray.put(texts_by_id)
-
-    def verify(b: pa.Table) -> pa.Table:
-        texts = ray.get(tref)
-        cache: dict = {}  # per-batch feature cache: docs appear in many pairs
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        keep = np.fromiter(
-            (pair_fn(texts, cache, int(x), int(y)) for x, y in zip(a, bb)),
-            dtype=bool,
-            count=len(b),
-        )
-        return b.select(["a", "b"]).filter(pa.array(keep))
-
-    if isinstance(pairs, pd.DataFrame):
-        ds = rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array(pairs["a"].to_numpy(np.int64)),
-                    "b": pa.array(pairs["b"].to_numpy(np.int64)),
-                }
-            )
-        ).repartition(max(1, len(pairs) // batch_rows))
-    else:
-        ds = pairs
-    out = ds.map_batches(verify, batch_format="pyarrow")
-    return out if as_dataset else out.to_pandas()
-
-
-def _char_jaccard_pair_fn(threshold: float, shingle_k: int):
-    """Closure: exact char-shingle Jaccard predicate for the distributed
-    pair verify (per-batch shingle cache in ``cache``)."""
-
-    def pair_ok(texts: dict, cache: dict, a: int, b: int) -> bool:
-        def sh(i: int) -> set:
-            s_ = cache.get(i)
-            if s_ is None:
-                t_ = texts[i].encode()
-                s_ = {
-                    t_[j : j + shingle_k]
-                    for j in range(max(0, len(t_) - shingle_k + 1))
-                }
-                cache[i] = s_
-            return s_
-
-        sa, sb = sh(a), sh(b)
-        union = len(sa | sb)
-        return ((len(sa & sb) / union) if union else 1.0) >= threshold
-
-    return pair_ok
-
-
-def jaccard_verify(
-    texts_by_id: dict[int, str],
-    pairs: pd.DataFrame,
-    *,
-    threshold: float,
-    shingle_k: int = 5,
-) -> pd.DataFrame:
-    """Exact Jaccard over char-shingle sets for each candidate pair.
-    Small pair sets verify in a driver loop (with a shingle cache); above
-    ``VERIFY_DRIVER_PAIRS`` pairs the verification distributes
-    (broadcast text map + pair Dataset) — same predicate, same result."""
-    if len(pairs) > VERIFY_DRIVER_PAIRS:
-        out = _pairs_verify_distributed(
-            texts_by_id, pairs, _char_jaccard_pair_fn(threshold, shingle_k)
-        )
-        out["jaccard"] = 1.0  # retained pairs only; score unused downstream
-        return out
-    cache: dict[int, set] = {}
-
-    def sh(i: int) -> set:
-        s = cache.get(i)
-        if s is None:
-            t = texts_by_id[i].encode()
-            s = {t[j : j + shingle_k] for j in range(max(0, len(t) - shingle_k + 1))}
-            cache[i] = s
-        return s
-
-    keep_a, keep_b, j = [], [], []
-    for a, b in zip(pairs["a"], pairs["b"]):
-        sa, sb = sh(int(a)), sh(int(b))
-        union = len(sa | sb)
-        jac = (len(sa & sb) / union) if union else 1.0
-        if jac >= threshold:
-            keep_a.append(int(a))
-            keep_b.append(int(b))
-            j.append(jac)
-    return pd.DataFrame({"a": keep_a, "b": keep_b, "jaccard": j})
+def _keep_pairs(keep, keys: np.ndarray, vals, pairs) -> np.ndarray:
+    """``keep`` over the (a, b) columns of a pair frame or table, given the
+    sorted ``keys`` and their ``vals`` that cover every id in it."""
+    a = np.asarray(pairs["a"], dtype=np.int64)
+    if a.size == 0:
+        return np.zeros(0, bool)
+    b = np.asarray(pairs["b"], dtype=np.int64)
+    return np.asarray(
+        keep(vals, np.searchsorted(keys, a), np.searchsorted(keys, b)), bool
+    )
 
 
 def _sink_pairs(verified, sink: str | None):
@@ -899,6 +811,86 @@ def connected_components(pairs: pd.DataFrame, id_col: str = "doc_id") -> pd.Data
     )
 
 
+def _near_dup(
+    slim,
+    band_ds,
+    id_col: str,
+    payload_col: str,
+    keep,
+    *,
+    bucket_cap: int | None,
+    pairs_sink: str | None,
+):
+    """The one LSH tail of every near-dup variant: candidate pairs →
+    ``keep`` verify in the driver, broadcast or join regime (module
+    docstring) → optional pairs sink → connected components → cluster
+    attach → Dataset(id, cluster_id, is_duplicate).
+
+    A pair frame stays a frame: verified pairs from the broadcast or join
+    regime are collected back (they are fewer than the frame's pairs) and
+    cluster on the driver; pair Datasets cluster distributed."""
+    import ray
+    import ray.data as rd
+
+    from .joins import auto_join_partitions
+
+    cand = lsh_candidate_pairs(band_ds, id_col=id_col, bucket_cap=bucket_cap)
+    cand_ids = _pair_node_ids(cand)
+    frame = isinstance(cand, pd.DataFrame)
+    if frame and len(cand) <= VERIFY_DRIVER_PAIRS:
+        keys, vals = _fetch_rows_by_id(slim, id_col, payload_col, cand_ids)
+        verified = cand.loc[_keep_pairs(keep, keys, vals, cand), ["a", "b"]]
+    else:
+        pairs_ds = cand
+        if frame:
+            pairs_ds = rd.from_arrow(
+                pa.Table.from_pandas(cand[["a", "b"]], preserve_index=False)
+            ).repartition(auto_join_partitions())
+        if cand_ids.size > guard.DRIVER_ROWS:
+            verified = _verify_pairs_via_join(
+                pairs_ds, slim, id_col, payload_col, keep, cand_ids
+            )
+        else:
+            # the fetched (sorted ids, vals) broadcast ONCE; the verify
+            # closure carries only the ObjectRef
+            ref = ray.put(_fetch_rows_by_id(slim, id_col, payload_col, cand_ids))
+
+            def verify(b: pa.Table) -> pa.Table:
+                keys, vals = ray.get(ref)
+                return b.select(["a", "b"]).filter(_keep_pairs(keep, keys, vals, b))
+
+            verified = pairs_ds.map_batches(verify, batch_format="pyarrow")
+        if frame:
+            verified = verified.to_pandas()
+    verified = _sink_pairs(verified, pairs_sink)
+    if isinstance(verified, pd.DataFrame):
+        comp = connected_components(verified, id_col=id_col)
+    else:
+        comp = distributed_connected_components(verified, id_col=id_col)
+    return _attach_clusters(slim, id_col, comp)
+
+
+def _jaccard_keep(features, threshold: float):
+    """``keep`` of the text variants: exact Jaccard of the ``features``
+    sets of both ends ≥ ``threshold`` (two empty sets count as 1.0); each
+    distinct document's set is built once per call."""
+
+    def keep(vals, ia, ib):
+        sets = {
+            i: features(vals[i])
+            for i in np.unique(np.concatenate([ia, ib])).tolist()
+        }
+
+        def ok(x: int, y: int) -> bool:
+            sa, sb = sets[x], sets[y]
+            union = len(sa | sb)
+            return ((len(sa & sb) / union) if union else 1.0) >= threshold
+
+        return np.fromiter(map(ok, ia.tolist(), ib.tolist()), bool, count=len(ia))
+
+    return keep
+
+
 def minhash_dedup(
     ds,
     *,
@@ -909,38 +901,24 @@ def minhash_dedup(
     bands: int = 8,
     shingle_k: int = 5,
     seed: int = 42,
-    join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
-    materialize_input: bool = True,
     pairs_sink: str | None = None,
 ):
-    """Full near-dup pipeline → Dataset(doc_id, cluster_id, is_duplicate).
+    """MinHash-LSH near-dup → Dataset(doc_id, cluster_id, is_duplicate):
+    char-shingle MinHash bands for candidates, exact char-shingle Jaccard
+    ≥ ``threshold`` to verify; is_duplicate marks rows that are NOT their
+    cluster's min id.  The input executes once (:func:`_slim_input`);
+    the verify regimes are in the module docstring.
 
-    ``pairs_sink`` (round 5): write the verified duplicate pairs (a, b)
-    as parquet — the audit export the recursive-CTE oracle re-clusters.
+    ``pairs_sink``: write the verified duplicate pairs (a, b) as parquet —
+    the audit export the recursive-CTE oracle re-clusters.
 
-    is_duplicate marks rows that are NOT their cluster's min id.  Only
-    candidate-pair texts are fetched to the driver for the exact-Jaccard
-    verify; all other documents never leave the workers.  Above
-    ``guard.DRIVER_ROWS`` candidate pairs the whole tail — verify AND
-    connected components — runs distributed over the pair Dataset, so the
-    driver never holds more than O(candidate ids) rows.  And above
-    ``guard.DRIVER_ROWS`` candidate IDS (heavy-duplication corpora,
-    where candidates ≈ corpus) even the candidate-text broadcast is
-    replaced by a hash-join verify (``_verify_pairs_via_join``) — nothing
-    corpus-sized is ever put in the object store or fetched.
-
-    The input executes ONCE: a slim (id, text) projection is materialized
-    up front and feeds band generation, verify and cluster attach (see
-    :func:`_slim_input`; ``materialize_input=False`` trades object store
-    for ~3× recompute).
-
-    ``bucket_cap`` (ADVICE r3): LSH buckets larger than this are sub-split
-    into star + capped-representative pairs instead of exact all-pairs —
-    O(n) pairs for degenerate boilerplate buckets at the cost of possibly
-    missing edges between distinct-signature members beyond the cap.
-    ``None`` restores exact all-pairs in every bucket."""
-    slim = _slim_input(ds, [id_col, text_col], materialize=materialize_input)
+    ``bucket_cap``: LSH buckets larger than this are sub-split into star +
+    capped-representative pairs instead of exact all-pairs — O(n) pairs
+    for degenerate boilerplate buckets at the cost of possibly missing
+    edges between distinct-signature members beyond the cap.  ``None``
+    restores exact all-pairs in every bucket."""
+    slim = _slim_input(ds, [id_col, text_col])
     band_ds = slim.map_batches(
         minhash_band_batch,
         batch_format="pyarrow",
@@ -953,43 +931,15 @@ def minhash_dedup(
             seed=seed,
         ),
     )
-    cand = lsh_candidate_pairs(
-        band_ds,
-        id_col=id_col,
-        bucket_cap=bucket_cap,
+
+    def shingles(t: str) -> set:
+        b = t.encode()
+        return {b[j : j + shingle_k] for j in range(max(0, len(b) - shingle_k + 1))}
+
+    return _near_dup(
+        slim, band_ds, id_col, text_col, _jaccard_keep(shingles, threshold),
+        bucket_cap=bucket_cap, pairs_sink=pairs_sink,
     )
-    if isinstance(cand, pd.DataFrame):
-        cand_ids = _pair_node_ids(cand)
-        small = _fetch_rows_by_id(slim, id_col, [text_col], cand_ids)
-        texts = dict(zip(small[id_col].astype(int), small[text_col]))
-        verified = jaccard_verify(texts, cand, threshold=threshold, shingle_k=shingle_k)
-        verified = _sink_pairs(verified, pairs_sink)
-        comp = connected_components(verified, id_col=id_col)
-    else:
-        # fully-distributed regime: pairs never reach the driver
-        cand_ids = _pair_node_ids(cand)
-        pair_ok = _char_jaccard_pair_fn(threshold, shingle_k)
-        if cand_ids.size > guard.DRIVER_ROWS:
-            # heavy duplication: candidates ≈ corpus — verify by hash join,
-            # no text broadcast/fetch at all
-            verified_ds = _verify_pairs_via_join(
-                cand,
-                slim,
-                id_col,
-                text_col,
-                _text_pair_keep_fn(pair_ok),
-                cand_ids=cand_ids,
-                num_partitions=join_num_partitions,
-            )
-        else:
-            small = _fetch_rows_by_id(slim, id_col, [text_col], cand_ids)
-            texts = dict(zip(small[id_col].astype(int), small[text_col]))
-            verified_ds = _pairs_verify_distributed(
-                texts, cand, pair_ok, as_dataset=True
-            )
-        verified_ds = _sink_pairs(verified_ds, pairs_sink)
-        comp = distributed_connected_components(verified_ds, id_col=id_col)
-    return _attach_clusters(slim, id_col, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,117 +952,40 @@ def simhash_dedup(
     id_col: str = "doc_id",
     text_col: str = "text",
     max_hamming: int = 3,
-    join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
-    materialize_input: bool = True,
     pairs_sink: str | None = None,
 ):
     """SimHash near-dup → Dataset(doc_id, cluster_id, is_duplicate):
     4×16-bit band buckets → Hamming-distance verify → components.  Any pair
     within Hamming ``max_hamming`` ≤ 3 on 64 bits shares at least one of the
     4 bands (pigeonhole), so recall is exact for the banded candidate
-    generation.  Band rows above ``guard.DRIVER_ROWS`` pair up via the
-    distributed bucket groupby (same escape hatch as minhash).  Above
-    ``guard.DRIVER_ROWS`` pairs, the Hamming filter and connected
-    components run distributed over the pair Dataset (broadcast
-    id→simhash arrays; driver holds O(candidate ids)).
-
-    Single corpus pass (round 4, VERDICT r3 #3): the text is read and
-    hashed ONCE into a materialized slim (id, simhash) projection; band
-    generation, every verify regime, and cluster attach all read that
-    projection — the verify no longer recomputes simhash from text at all.
-
-    ``bucket_cap`` (ADVICE r3): buckets larger than this sub-split into
-    star + capped-representative pairs — a recall tradeoff for degenerate
-    buckets; ``None`` restores exact all-pairs."""
+    generation.  The text is hashed ONCE into the slim (id, simhash)
+    projection; every verify regime compares those hashes.  ``bucket_cap``
+    as in :func:`minhash_dedup`."""
     from .text import simhash_batch
 
-    # ONE text pass: (id, simhash) projection, materialized
-    sig_slim = ds.map_batches(
-        simhash_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
-    ).select_columns([id_col, "simhash"])
-    if materialize_input:
-        sig_slim = sig_slim.materialize()
+    def sig(b: pa.Table) -> pa.Table:
+        return simhash_batch(b, text_col=text_col).select([id_col, "simhash"])
 
     def band_rows(b: pa.Table) -> pa.Table:
         s = b["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        bands, hashes, out_ids = [], [], []
-        for bi in range(4):
-            bands.append(np.full(s.size, bi, dtype=np.int32))
-            hashes.append((s >> np.uint64(16 * bi)) & np.uint64(0xFFFF))
-            out_ids.append(ids)
-        return pa.table(
-            {
-                "band": pa.array(np.concatenate(bands), pa.int32()),
-                "band_hash": pa.array(np.concatenate(hashes), pa.uint64()),
-                # hot-bucket sub-split key = the full 64-bit simhash
-                "sig_hash": pa.array(np.tile(s, 4), pa.uint64()),
-                id_col: pa.array(np.concatenate(out_ids)),
-            }
+        # hot-bucket sub-split key = the full 64-bit simhash
+        return _band_table(
+            b[id_col],
+            [(s >> np.uint64(16 * i)) & np.uint64(0xFFFF) for i in range(4)],
+            s,
+            id_col,
         )
 
-    band_ds = sig_slim.map_batches(band_rows, batch_format="pyarrow")
-    cand = lsh_candidate_pairs(
-        band_ds,
-        id_col=id_col,
-        bucket_cap=bucket_cap,
+    def keep(vals, ia, ib):
+        return _popcount64(vals[ia] ^ vals[ib]) <= max_hamming
+
+    slim = _slim_input(ds, [id_col, text_col], sig)
+    band_ds = slim.map_batches(band_rows, batch_format="pyarrow")
+    return _near_dup(
+        slim, band_ds, id_col, "simhash", keep,
+        bucket_cap=bucket_cap, pairs_sink=pairs_sink,
     )
-    cand_ids = _pair_node_ids(cand)
-    if _join_verify(cand, cand_ids):
-        # heavy duplication (candidates ≈ corpus): hash-join the slim
-        # (id, simhash) projection onto the pairs — no candidate fetch, no
-        # numeric broadcast, no recompute
-
-        def keep(b: pa.Table) -> np.ndarray:
-            xa = b["__va"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            xb = b["__vb"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            return _popcount64(xa ^ xb) <= max_hamming
-
-        verified_ds = _verify_pairs_via_join(
-            cand, sig_slim, id_col, "simhash", keep,
-            cand_ids=cand_ids, num_partitions=join_num_partitions,
-        )
-        verified_ds = _sink_pairs(verified_ds, pairs_sink)
-        comp = distributed_connected_components(verified_ds, id_col=id_col)
-        return _attach_clusters(sig_slim, id_col, comp)
-    keys = np.empty(0, np.int64)
-    sims = np.empty(0, np.uint64)
-    if cand_ids.size:
-        small = _fetch_rows_by_id(sig_slim, id_col, ["simhash"], cand_ids)
-        keys = small[id_col].to_numpy(np.int64)
-        sims = small["simhash"].to_numpy()
-        order = np.argsort(keys)
-        keys, sims = keys[order], sims[order].astype(np.uint64)
-    if isinstance(cand, pd.DataFrame):
-        if len(cand):
-            xa = sims[np.searchsorted(keys, cand["a"].to_numpy(np.int64))]
-            xb = sims[np.searchsorted(keys, cand["b"].to_numpy(np.int64))]
-            ham = _popcount64(xa ^ xb)
-            cand = cand[ham <= max_hamming]
-        cand = _sink_pairs(cand, pairs_sink)
-        comp = connected_components(cand, id_col=id_col)
-    else:
-        # distributed Hamming filter: broadcast the id→simhash arrays
-        # (candidate-sized), filter each pair batch, then distributed CC
-        import ray
-
-        sim_ref = ray.put((keys, sims))
-
-        def ham_filter(b: pa.Table) -> pa.Table:
-            k, v = ray.get(sim_ref)
-            a = b["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            bb = b["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            xa = v[np.searchsorted(k, a)]
-            xb = v[np.searchsorted(k, bb)]
-            ham = _popcount64(xa ^ xb)
-            return b.select(["a", "b"]).filter(pa.array(ham <= max_hamming))
-
-        verified_ds = _sink_pairs(
-            cand.map_batches(ham_filter, batch_format="pyarrow"), pairs_sink
-        )
-        comp = distributed_connected_components(verified_ds, id_col=id_col)
-    return _attach_clusters(sig_slim, id_col, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1180,57 +1053,18 @@ def ngram_jaccard_dedup(
     num_perm: int = 64,
     bands: int = 16,
     seed: int = 7,
-    join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
-    materialize_input: bool = True,
     pairs_sink: str | None = None,
 ):
     """Near-dup on word n-gram sets → Dataset(doc_id, cluster_id,
     is_duplicate): word-shingle MinHash bands for candidates, exact
-    word-n-gram Jaccard verify over the candidate texts only; above
-    ``guard.DRIVER_ROWS`` pairs, verify + components run distributed
-    over the pair Dataset (and above ``guard.DRIVER_ROWS`` ids the
-    verify hash-joins texts instead of broadcasting them — see
-    :func:`minhash_dedup`).  The input executes once via a materialized
-    slim (id, text) projection (:func:`_slim_input`); ``bucket_cap``
-    caps hot-bucket pair generation (``None`` = exact all-pairs — see
-    :func:`minhash_dedup` for the recall tradeoff)."""
+    word-n-gram Jaccard ≥ ``threshold`` to verify (a doc with fewer than
+    ``n`` words is one gram).  ``bucket_cap`` as in :func:`minhash_dedup`."""
 
     def word_band_batch(batch: pa.Table) -> pa.Table:
         h, d = word_ngram_hashes(batch[text_col], n)
         sig = minhash_signatures(h, d, len(batch), num_perm, seed)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        rows_per_band = num_perm // bands
-        ob, oh, oi = [], [], []
-        full_h = _fnv_fold(sig, 0, num_perm)
-        for bi in range(bands):
-            bh = _fnv_fold(sig, bi * rows_per_band, (bi + 1) * rows_per_band)
-            ob.append(np.full(len(batch), bi, dtype=np.int32))
-            oh.append(bh)
-            oi.append(ids)
-        return pa.table(
-            {
-                "band": pa.array(np.concatenate(ob), pa.int32()),
-                "band_hash": pa.array(np.concatenate(oh), pa.uint64()),
-                "sig_hash": pa.array(np.tile(full_h, bands), pa.uint64()),
-                id_col: pa.array(np.concatenate(oi)),
-            }
-        )
-
-    slim = _slim_input(ds, [id_col, text_col], materialize=materialize_input)
-    band_ds = slim.map_batches(word_band_batch, batch_format="pyarrow")
-    cand = lsh_candidate_pairs(
-        band_ds,
-        id_col=id_col,
-        bucket_cap=bucket_cap,
-    )
-    cand_ids = _pair_node_ids(cand)
-    join_verify = _join_verify(cand, cand_ids)
-    if join_verify:
-        texts: dict = {}  # texts stay distributed — joined, never fetched
-    else:
-        small = _fetch_rows_by_id(slim, id_col, [text_col], cand_ids)
-        texts = dict(zip(small[id_col].astype(int), small[text_col]))
+        return _signature_band_rows(batch[id_col], sig, bands, id_col)
 
     def grams(t: str) -> set:
         ws = [w for w in t.lower().split() if w]
@@ -1238,66 +1072,17 @@ def ngram_jaccard_dedup(
             return {" ".join(ws)} if ws else set()
         return {" ".join(ws[j : j + n]) for j in range(len(ws) - n + 1)}
 
-    def pair_ok(tmap: dict, cache: dict, a: int, b: int) -> bool:
-        sa = cache.get(a)
-        if sa is None:
-            sa = cache[a] = grams(tmap[a])
-        sb = cache.get(b)
-        if sb is None:
-            sb = cache[b] = grams(tmap[b])
-        union = len(sa | sb)
-        return ((len(sa & sb) / union) if union else 1.0) >= threshold
-
-    if not isinstance(cand, pd.DataFrame):
-        # fully-distributed regime: verify + components over the pair Dataset
-        if join_verify:
-            verified_ds = _verify_pairs_via_join(
-                cand, slim, id_col, text_col, _text_pair_keep_fn(pair_ok),
-                cand_ids=cand_ids, num_partitions=join_num_partitions,
-            )
-        else:
-            verified_ds = _pairs_verify_distributed(
-                texts, cand, pair_ok, as_dataset=True
-            )
-        verified_ds = _sink_pairs(verified_ds, pairs_sink)
-        comp = distributed_connected_components(verified_ds, id_col=id_col)
-        return _attach_clusters(slim, id_col, comp)
-    if len(cand) > VERIFY_DRIVER_PAIRS:
-        # same escape hatch as jaccard_verify: pairs stream, texts broadcast
-        verified = _pairs_verify_distributed(texts, cand, pair_ok)
-    else:
-        cache: dict[int, set] = {}
-        keep = [
-            pair_ok(texts, cache, int(a), int(b)) for a, b in zip(cand["a"], cand["b"])
-        ]
-        verified = cand.loc[np.asarray(keep, dtype=bool), ["a", "b"]]
-    verified = _sink_pairs(verified, pairs_sink)
-    comp = connected_components(verified, id_col=id_col)
-    return _attach_clusters(slim, id_col, comp)
+    slim = _slim_input(ds, [id_col, text_col])
+    band_ds = slim.map_batches(word_band_batch, batch_format="pyarrow")
+    return _near_dup(
+        slim, band_ds, id_col, text_col, _jaccard_keep(grams, threshold),
+        bucket_cap=bucket_cap, pairs_sink=pairs_sink,
+    )
 
 
 # ---------------------------------------------------------------------------
 # embedding cosine near-dup
 # ---------------------------------------------------------------------------
-
-def _cosine_keep_mask(
-    keys: np.ndarray,
-    mat: np.ndarray,
-    norms: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """cosine(mat[a], mat[b]) ≥ threshold for id pairs (vectorized lookup
-    via searchsorted over the sorted candidate-id keys)."""
-    ia = np.searchsorted(keys, a)
-    ib = np.searchsorted(keys, b)
-    dot = np.einsum("ij,ij->i", mat[ia], mat[ib])
-    denom = norms[ia] * norms[ib]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 0, dot / denom, 0.0)
-    return cos >= threshold
-
 
 def embedding_dedup(
     ds,
@@ -1307,154 +1092,57 @@ def embedding_dedup(
     threshold: float = 0.95,
     n_planes: int = 12,
     seed: int = 42,
-    join_num_partitions: int | None = None,
     bucket_cap: int | None = DEFAULT_BUCKET_CAP,
-    materialize_input: bool = True,
     pairs_sink: str | None = None,
 ):
     """Random-hyperplane LSH buckets → in-bucket pairwise cosine ≥ τ →
     components → Dataset(vec_id, cluster_id, is_duplicate).  Multi-probe:
     each vector lands in its exact bucket plus the n_planes single-bit-flip
     neighbors, so near-identical vectors that straddle one hyperplane still
-    collide.  Bucket rows above ``guard.DRIVER_ROWS`` pair via the
-    distributed groupby; only CANDIDATE vectors are fetched for the
-    vectorized cosine verify.  Above ``guard.DRIVER_ROWS`` pairs, the
-    cosine filter + connected components run distributed over the pair
-    Dataset (broadcast candidate matrix).  The input executes once via a
-    materialized slim (id, vector) projection (:func:`_slim_input`);
-    ``bucket_cap`` caps hot-bucket pairs (``None`` = exact all-pairs —
-    recall tradeoff documented at :func:`minhash_dedup`)."""
-    slim = _slim_input(ds, [id_col, vec_col], materialize=materialize_input)
-    first = slim.take(1)[0]
-    dim = len(first[vec_col])
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((n_planes, dim))
+    collide.  The slim projection packs each vector as float64 bytes
+    (fixed-size binary: Arrow's hash join rejects list payload columns, and
+    float64 keeps every regime's cosine bit-identical — a float32
+    round-trip could flip pairs within ~1e-7 of the threshold, exactly the
+    near-identical shape this dedup targets).  ``bucket_cap`` as in
+    :func:`minhash_dedup`."""
+    from .knn import _stack_vectors
+
+    def pack(b: pa.Table) -> pa.Table:
+        mat = _stack_vectors(b[vec_col])
+        packed = pa.FixedSizeBinaryArray.from_buffers(
+            pa.binary(8 * mat.shape[1]), len(b), [None, pa.py_buffer(mat.tobytes())]
+        )
+        return pa.table({id_col: b[id_col], vec_col: packed})
 
     def bucket_rows(b: pa.Table) -> pa.Table:
-        from .knn import _stack_vectors
-
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        # zero-copy flat-buffer reshape (same kernel as knn) — not a per-row
-        # to_pandas + np.stack object path
-        mat = _stack_vectors(b[vec_col])
+        mat = _payload_values(b[vec_col])
+        planes = np.random.default_rng(seed).standard_normal((n_planes, mat.shape[1]))
         signs = (mat @ planes.T) > 0
         base = np.zeros(len(b), dtype=np.int64)
         for p in range(n_planes):
             base |= signs[:, p].astype(np.int64) << p
-        buckets = [base]
-        for p in range(n_planes):
-            buckets.append(base ^ (1 << p))
-        nb = len(buckets)
-        return pa.table(
-            {
-                "band": pa.array(np.zeros(len(b) * nb, dtype=np.int32)),
-                "band_hash": pa.array(
-                    np.concatenate(buckets).astype(np.uint64), pa.uint64()
-                ),
-                # sub-split key = the exact (un-probed) bucket code:
-                # identical vectors share it
-                "sig_hash": pa.array(
-                    np.tile(base.astype(np.uint64), nb), pa.uint64()
-                ),
-                id_col: pa.array(np.tile(ids, nb)),
-            }
+        probes = [base] + [base ^ (1 << p) for p in range(n_planes)]
+        # ONE band holding every probe; sub-split key = the exact
+        # (un-probed) bucket code: identical vectors share it
+        ids = b[id_col].to_numpy(zero_copy_only=False)
+        return _band_table(
+            np.tile(ids, len(probes)),
+            [np.concatenate(probes).astype(np.uint64)],
+            np.tile(base.astype(np.uint64), len(probes)),
+            id_col,
         )
 
+    def keep(vals, ia, ib):
+        va, vb = vals[ia], vals[ib]
+        dot = np.einsum("ij,ij->i", va, vb)
+        denom = np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos = np.where(denom > 0, dot / denom, 0.0)
+        return cos >= threshold
+
+    slim = _slim_input(ds, [id_col, vec_col], pack)
     band_ds = slim.map_batches(bucket_rows, batch_format="pyarrow")
-    cand = lsh_candidate_pairs(
-        band_ds,
-        id_col=id_col,
-        bucket_cap=bucket_cap,
+    return _near_dup(
+        slim, band_ds, id_col, vec_col, keep,
+        bucket_cap=bucket_cap, pairs_sink=pairs_sink,
     )
-    cand_ids = _pair_node_ids(cand)
-    if _join_verify(cand, cand_ids):
-        # heavy duplication: hash-join the vectors onto the pairs instead
-        # of broadcasting a candidate matrix (candidate ≈ corpus there).
-        # Arrow's hash join rejects list<float> payload columns, so the
-        # vectors ride as fixed-size binary (zero-copy pack/unpack).
-        from .knn import _stack_vectors
-
-        def pack(b: pa.Table) -> pa.Table:
-            # float64 transport: the broadcast regime computes cosine in
-            # float64, and a float32 round-trip could flip pairs whose
-            # cosine sits within ~1e-7 of the threshold (exactly the
-            # near-identical shape this dedup targets)
-            mat = _stack_vectors(b[vec_col]).astype(np.float64)
-            bin_arr = pa.FixedSizeBinaryArray.from_buffers(
-                pa.binary(8 * dim), len(b), [None, pa.py_buffer(mat.tobytes())]
-            )
-            return pa.table({id_col: b[id_col], "__vecbin": bin_arr})
-
-        def unpack(col) -> np.ndarray:
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            flat = np.frombuffer(col.buffers()[1], dtype=np.float64)
-            return flat.reshape(-1, dim)[col.offset : col.offset + len(col)]
-
-        def keep(b: pa.Table) -> np.ndarray:
-            va = unpack(b["__va"])
-            vb = unpack(b["__vb"])
-            dot = np.einsum("ij,ij->i", va, vb)
-            denom = np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cos = np.where(denom > 0, dot / denom, 0.0)
-            return cos >= threshold
-
-        side = slim.map_batches(pack, batch_format="pyarrow")
-        verified_ds = _sink_pairs(
-            _verify_pairs_via_join(
-                cand, side, id_col, "__vecbin", keep,
-                cand_ids=cand_ids, num_partitions=join_num_partitions,
-            ),
-            pairs_sink,
-        )
-        comp = distributed_connected_components(verified_ds, id_col=id_col)
-        return _attach_clusters(slim, id_col, comp)
-    keys = np.empty(0, np.int64)
-    mat = np.empty((0, dim))
-    norms = np.empty(0)
-    if cand_ids.size:
-        small = _fetch_rows_by_id(slim, id_col, [vec_col], cand_ids)
-        keys = small[id_col].to_numpy(np.int64)
-        order = np.argsort(keys)
-        keys = keys[order]
-        mat = np.stack(small[vec_col].to_numpy()[order]).astype(np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-
-    if isinstance(cand, pd.DataFrame):
-        verified = (
-            cand[
-                _cosine_keep_mask(
-                    keys,
-                    mat,
-                    norms,
-                    cand["a"].to_numpy(np.int64),
-                    cand["b"].to_numpy(np.int64),
-                    threshold,
-                )
-            ]
-            if len(cand)
-            else pd.DataFrame({"a": [], "b": []})
-        )
-        verified = _sink_pairs(verified, pairs_sink)
-        comp = connected_components(verified, id_col=id_col)
-    else:
-        import ray
-
-        # broadcast the candidate matrix ONCE; the filter closure carries
-        # only the ObjectRef + threshold, never the arrays themselves
-        payload_ref = ray.put((keys, mat, norms))
-
-        def cos_filter(b: pa.Table, *, _ref=payload_ref, _t=threshold) -> pa.Table:
-            k, m, nr = ray.get(_ref)
-            a_ = b["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b_ = b["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return b.select(["a", "b"]).filter(
-                pa.array(_cosine_keep_mask(k, m, nr, a_, b_, _t))
-            )
-
-        verified_ds = _sink_pairs(
-            cand.map_batches(cos_filter, batch_format="pyarrow"), pairs_sink
-        )
-        comp = distributed_connected_components(verified_ds, id_col=id_col)
-    return _attach_clusters(slim, id_col, comp)

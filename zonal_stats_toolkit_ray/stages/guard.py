@@ -11,8 +11,10 @@ budget covers both.  The value is read as ``guard.DRIVER_ROWS`` on the
 driver at call time (never bound by ``from … import`` or a default
 argument), so tests force either regime by patching it.  The cut-offs
 that bound rows which are not slim, or the driver's compute, are module
-constants next to their operators: ``dedup.VERIFY_DRIVER_PAIRS``,
-``semdedup.DRIVER_VECTORS`` and ``sketch.DRIVER_SKETCH_ROWS``.
+constants next to their operators: ``dedup.VERIFY_DRIVER_PAIRS`` (the
+pairs the driver verifies itself, for every LSH dedup variant — one
+shared verify tail), ``semdedup.DRIVER_VECTORS`` and
+``sketch.DRIVER_SKETCH_ROWS``.
 
 **Tree combine** (``tree_combine``).  Every partial-aggregate operator
 (zonal partials, OHLC, skyline, mode, top-k, TF-IDF, keyness, latest-by-key,

@@ -153,7 +153,6 @@ def semdedup(
     sample_size: int = 4_096,
     kmeans_iters: int = 10,
     max_cluster_pairwise: int = DEFAULT_MAX_CLUSTER_PAIRWISE,
-    materialize_input: bool = True,
     stats_out: dict | None = None,
 ):
     """SemDeDup over an embedding column → Dataset ``(id, cluster_id,
@@ -172,7 +171,7 @@ def semdedup(
     ``rows``."""
     from .dedup import _slim_input
 
-    slim = _slim_input(ds, [id_col, vec_col], materialize=materialize_input)
+    slim = _slim_input(ds, [id_col, vec_col])
 
     sample = hash_sample(slim, sample_size, id_col=id_col, vec_col=vec_col)
     cent = train_centroids(sample, nlist, seed=seed, iters=kmeans_iters)
