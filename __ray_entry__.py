@@ -365,7 +365,7 @@ def q_hash_join(sf_dir: str):
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
     )
-    j = hash_join(li, orders, on="l_orderkey", right_on="o_orderkey", num_partitions=8)
+    j = hash_join(li, orders, on="l_orderkey", right_on="o_orderkey")
 
     # rollup via per-batch partials + tiny driver merge — the join already
     # paid one hash shuffle; a second full groupby shuffle would double the

@@ -466,7 +466,7 @@ def bench_hash_join(sf_dir: str) -> dict:
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
     )
-    j = hash_join(li, orders, on="l_orderkey", right_on="o_orderkey", num_partitions=8)
+    j = hash_join(li, orders, on="l_orderkey", right_on="o_orderkey")
 
     def partial(df):
         return (

@@ -13,6 +13,12 @@ One regime rule: no function takes a per-call ``*_threshold`` knob (a
 regime switch reads ``guard.DRIVER_ROWS`` or a module constant), except
 the guards that raise and one kernel parameter, and nothing freezes
 ``DRIVER_ROWS`` before call time.
+
+One shuffle width and one grouped-sum merge: no function takes a
+``num_partitions`` knob, no ``.repartition()`` outside guard.py gets a
+literal width, and no native ``groupby(…).aggregate(Sum…)`` result is
+collected with ``.to_pandas()`` (a summed aggregate the driver collects
+merges in ``guard.group_sums``).
 """
 
 import ast
@@ -238,3 +244,98 @@ def test_dedup_variants_share_one_tail():
         assert "_near_dup" in refs(fns[name]), name
     users = {name for name, fn in fns.items() if refs(fn) & (_NEAR_DUP_TAIL - {name})}
     assert users == {"_near_dup"}, users
+
+
+def _is_sum_aggregate(node) -> bool:
+    """``<…>.aggregate(…)`` with a ``Sum(…)`` among its arguments."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "aggregate"
+        and any(
+            isinstance(n, ast.Call)
+            and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "Sum"
+            for a in node.args
+            for n in ast.walk(a)
+        )
+    )
+
+
+def _shuffle_rule_breaks(rel: str, tree: ast.AST):
+    """Yield (rule, function, line) for every ``num_partitions`` parameter,
+    literal ``.repartition(<int>)`` (outside guard.py) and summed native
+    aggregate that is ``.to_pandas()``'d — chained or through a local
+    name."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        a = fn.args
+        if any(x.arg == "num_partitions" for x in a.posonlyargs + a.args + a.kwonlyargs):
+            yield "num_partitions", name, fn.lineno
+        if isinstance(fn, ast.Lambda):
+            continue
+        summed = {
+            n.targets[0].id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Assign)
+            and len(n.targets) == 1
+            and isinstance(n.targets[0], ast.Name)
+            and _is_sum_aggregate(n.value)
+        }
+        for n in ast.walk(fn):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
+                continue
+            if (
+                n.func.attr == "repartition"
+                and rel != "stages/guard.py"
+                and any(
+                    isinstance(x, ast.Constant) and isinstance(x.value, int)
+                    for x in n.args
+                )
+            ):
+                yield "literal repartition", name, n.lineno
+            v = n.func.value
+            if n.func.attr == "to_pandas" and (
+                _is_sum_aggregate(v) or (isinstance(v, ast.Name) and v.id in summed)
+            ):
+                yield "Sum aggregate to_pandas", name, n.lineno
+
+
+def test_one_shuffle_width_and_one_grouped_sum_merge():
+    found = sorted(
+        {
+            (rel, *brk)
+            for rel, tree in _package_trees()
+            for brk in _shuffle_rule_breaks(rel, tree)
+        }
+    )
+    assert found == [], found
+
+
+def test_shuffle_rule_check_catches_each_break():
+    # the checker itself: each pattern it exists to reject is found
+    src = """
+def a(ds, *, num_partitions=4):
+    return ds
+def b(ds):
+    return ds.repartition(4)
+def c(ds):
+    return ds.groupby("k").aggregate(Sum("n", alias_name="n")).to_pandas()
+def d(ds):
+    agg = ds.repartition(guard.shuffle_partitions()).groupby("k").aggregate(
+        *[Sum(m) for m in ["n"]]
+    )
+    return agg.to_pandas()
+def e(ds):
+    return ds.groupby("k").aggregate(Count()).to_pandas()
+"""
+    got = sorted(
+        (rule, fn) for rule, fn, _ in _shuffle_rule_breaks("stages/x.py", ast.parse(src))
+    )
+    assert got == [
+        ("Sum aggregate to_pandas", "c"),
+        ("Sum aggregate to_pandas", "d"),
+        ("literal repartition", "b"),
+        ("num_partitions", "a"),
+    ]

@@ -41,8 +41,11 @@ def sides():
 
 
 class TestBroadcastJoin:
-    def test_inner_unique_build_matches_pandas_and_native(self, ray_session, sides):
+    def test_inner_unique_build_matches_pandas_and_native(
+        self, ray_session, sides, monkeypatch
+    ):
         left, right = sides
+        monkeypatch.setattr(guard, "shuffle_partitions", lambda: 4)
         lds = rd.from_pandas(left).repartition(4)
         rds = rd.from_pandas(right).repartition(2)
         want = _sorted(
@@ -53,7 +56,7 @@ class TestBroadcastJoin:
         )
         got_n = _sorted(
             hash_join(
-                lds, rds, on="k", right_on="rk", broadcast=False, num_partitions=4
+                lds, rds, on="k", right_on="rk", broadcast=False
             ).to_pandas()
         )
         pd.testing.assert_frame_equal(got_b, want)
@@ -91,8 +94,11 @@ class TestBroadcastJoin:
         )
         pd.testing.assert_frame_equal(got, want)
 
-    def test_left_outer_native_matches_broadcast(self, ray_session, sides):
+    def test_left_outer_native_matches_broadcast(
+        self, ray_session, sides, monkeypatch
+    ):
         left, right = sides
+        monkeypatch.setattr(guard, "shuffle_partitions", lambda: 4)
         right = right[right["rk"] < 20]  # force unmatched left rows
         lds = rd.from_pandas(left).repartition(3)
         rds = rd.from_pandas(right)
@@ -104,13 +110,14 @@ class TestBroadcastJoin:
         got = _sorted(
             hash_join(
                 lds, rds, on="k", right_on="rk", how="left_outer",
-                broadcast=False, num_partitions=4,
+                broadcast=False,
             ).to_pandas()
         )
         pd.testing.assert_frame_equal(got, want)
 
-    def test_full_outer_native_matches_pandas(self, ray_session, sides):
+    def test_full_outer_native_matches_pandas(self, ray_session, sides, monkeypatch):
         left, right = sides
+        monkeypatch.setattr(guard, "shuffle_partitions", lambda: 4)
         right = right[right["rk"] < 20]  # unmatched left rows
         left = left[left["k"] % 3 != 0]  # unmatched right rows too
         lds = rd.from_pandas(left).repartition(3)
@@ -120,7 +127,7 @@ class TestBroadcastJoin:
         m["k"] = m["k"].fillna(m["rk"])
         want = _sorted(m.drop(columns=["rk"]).astype({"k": "int64"}))
         got = hash_join(
-            lds, rds, on="k", right_on="rk", how="full_outer", num_partitions=4
+            lds, rds, on="k", right_on="rk", how="full_outer"
         ).to_pandas()
         got = _sorted(got.astype({"k": "int64"}))
         pd.testing.assert_frame_equal(got, want)
@@ -378,11 +385,12 @@ class TestExceptDistinct:
 
         b = rd.range(n).map_batches(shift, batch_format="pyarrow")
         monkeypatch.setattr(guard, "DRIVER_ROWS", 10_000)
-        exc = except_distinct(a, b, ["x"], num_partitions=8)
+        monkeypatch.setattr(guard, "shuffle_partitions", lambda: 8)
+        exc = except_distinct(a, b, ["x"])
         assert not isinstance(exc, pd.DataFrame)  # Dataset regime
         assert exc.count() == n // 2
         assert exc.max("x") == n // 2 - 1
-        inter = intersect_distinct(a, b, ["x"], num_partitions=8)
+        inter = intersect_distinct(a, b, ["x"])
         assert not isinstance(inter, pd.DataFrame)
         assert inter.count() == n // 2
         assert inter.min("x") == n // 2 and inter.max("x") == n - 1

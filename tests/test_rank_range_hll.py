@@ -606,7 +606,9 @@ class TestBivarMode:
         assert (merged["mode_value"] == merged["v"]).all()
         assert (merged["n"] == merged["size"]).all()
 
-    def test_mode_per_group_tree_combine_bounds_driver(self, ray_session, force_tree):
+    def test_mode_per_group_tree_combine_bounds_driver(
+        self, ray_session, force_tree, monkeypatch
+    ):
         # stress: ≥100k keys across many blocks — the driver frame must
         # stay ≤ max(driver budget, #keys), with at least one tree level
         # applied, and the result must still be exact.
@@ -627,11 +629,11 @@ class TestBivarMode:
         df = pd.DataFrame({"k": keys[perm], "v": vals[perm]})
         thr = 50_000  # below the ~100k local-mode candidates: forces a level
         force_tree(driver_rows=thr)
+        from zonal_stats_toolkit_ray.stages import guard
+
+        monkeypatch.setattr(guard, "shuffle_partitions", lambda: 16)
         got = mode_per_group(
-            rd.from_pandas(df).repartition(32),
-            key_col="k",
-            value_col="v",
-            num_partitions=16,
+            rd.from_pandas(df).repartition(32), key_col="k", value_col="v"
         )
         assert LAST_MODE_STATS["tree_levels"] >= 1
         assert LAST_MODE_STATS["driver_rows"] <= max(thr, n_keys)

@@ -106,13 +106,15 @@ class TestIntersectDistinct:
 
 
 class TestVocabularyIds:
-    def test_large_vocab_multi_block(self, rd):
+    def test_large_vocab_multi_block(self, rd, monkeypatch):
         """10k distinct tokens across 16 blocks — ids must be the global
         ROW_NUMBER over (df DESC, token ASC) even though assignment is
         block-local (stresses the block-offset scan, unlike the 31-token
         corpus fixture)."""
+        from zonal_stats_toolkit_ray.stages import guard
         from zonal_stats_toolkit_ray.stages.text import vocabulary_ids
 
+        monkeypatch.setattr(guard, "shuffle_partitions", lambda: 8)
         rng = np.random.default_rng(11)
         # token tNNNN appears in (NNNN % 37) + 1 docs → heavy df ties
         docs = []
@@ -130,7 +132,7 @@ class TestVocabularyIds:
         docs = [" ".join(b) for b in buckets]
         ds = rd.from_pandas(pd.DataFrame({"text": docs})).repartition(16)
         out = (
-            vocabulary_ids(ds, num_partitions=8)
+            vocabulary_ids(ds)
             .to_pandas()
             .sort_values("token_id")
             .reset_index(drop=True)

@@ -3,8 +3,8 @@
 The reference's zonal reduce carries (sum, sumsq) moments per group
 (runner.py:653-685); this is the bivariate extension of the same
 partial+final shape — each batch contributes per-group sums of
-(n, x, y, x², y², xy), one group-count-sized hash aggregate merges them,
-and the driver finalizes corr/slope/intercept from the moments.  The input
+(n, x, y, x², y², xy), one group-count-sized ``guard.group_sums`` merges
+them, and the driver finalizes corr/slope/intercept from the moments.  The input
 is read ONCE and nothing row-sized ever shuffles: the only exchange is the
 six-moment partial rows (#groups per block).
 
@@ -19,6 +19,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 _MOMENTS = ["n", "sx", "sy", "sxx", "syy", "sxy"]
 
@@ -152,34 +154,24 @@ def grouped_corr(
     keys: list[str],
     x_col: str,
     y_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Pearson correlation + OLS regression of y on x per key group →
     DataFrame(keys…, n, corr, slope, intercept).
 
     ONE pass over the input: in-batch moment partials (#groups rows per
-    block) → coalesce to ``num_partitions`` schema-stable blocks (sandbox
-    lesson #22) → one hash aggregate → driver finalize on the
-    group-universe-sized frame."""
-    from ray.data.aggregate import Sum
-
+    block) → ``guard.group_sums`` → driver finalize on the
+    group-universe-sized frame (keys ascending, a NULL key last)."""
     keys = list(keys)
-    merged = (
+    df = guard.group_sums(
         ds.map_batches(
             bivar_partials_batch,
             fn_kwargs=dict(keys=keys, x_col=x_col, y_col=y_col),
             batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby(keys)
-        .aggregate(*[Sum(m, alias_name=m) for m in _MOMENTS])
+        ),
+        keys,
+        _MOMENTS,
     )
-    df = merged.to_pandas()  # group-universe-sized
-    return (
-        finalize_bivar(df)
-        .sort_values(keys)
-        .reset_index(drop=True)[keys + ["n", "corr", "slope", "intercept"]]
-    )
+    return finalize_bivar(df)[keys + ["n", "corr", "slope", "intercept"]]
 
 
 def ab_test(
@@ -188,7 +180,6 @@ def ab_test(
     group_col: str,
     variant_col: str,
     value_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Welch's unequal-variance t-test per experiment group →
     DataFrame(group, n_a, n_b, mean_a, mean_b, t_stat, dof).
@@ -198,7 +189,7 @@ def ab_test(
     experiment-readout pass of an event pipeline: per (group, variant)
     three-moment partials (n, Σv, Σv²) inside each batch — the same
     partial+final decomposition as the reference's zonal reduce
-    (runner.py:653-685) — one hash aggregate over the 2×#groups universe,
+    (runner.py:653-685) — ``guard.group_sums`` over the 2×#groups universe,
     and a driver finalize.  ONE input pass, nothing row-sized shuffles,
     so it holds at any corpus size with a bounded group universe.
 
@@ -206,7 +197,6 @@ def ab_test(
     ``(Σv² − (Σv)²/n) / (n − 1)``, ``t = (mA − mB) / sqrt(vA/nA + vB/nB)``,
     Welch–Satterthwaite dof.  Groups missing a variant or with n < 2 on
     either side yield NULL t/dof (SQL division-by-NULL semantics)."""
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         v = pc.cast(b[value_col], pa.float64())
@@ -235,30 +225,28 @@ def ab_test(
             }
         )
 
-    merged = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([group_col, variant_col])
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s", alias_name="s"),
-            Sum("ss", alias_name="ss"),
-        )
-        .to_pandas()  # 2 × group-universe-sized
+    merged = guard.group_sums(  # 2 × group-universe-sized
+        ds.map_batches(partials, batch_format="pyarrow"),
+        [group_col, variant_col],
+        ["n", "s", "ss"],
     )
-    a = merged[merged[variant_col] == 0].set_index(group_col)
-    b = merged[merged[variant_col] == 1].set_index(group_col)
-    groups = sorted(set(a.index) | set(b.index))
+    # one row per group, sorted with a NULL group last; a missing variant
+    # reads n = 0
+    groups = merged[[group_col]].drop_duplicates()
+    a, b = (
+        groups.merge(merged[merged[variant_col] == v], on=group_col, how="left")
+        .fillna({"n": 0})
+        for v in (0, 1)
+    )
     rows = []
-    for g in groups:
-        na = int(a["n"].get(g, 0))
-        nb = int(b["n"].get(g, 0))
-        ma = a["s"].get(g, np.nan) / na if na else np.nan
-        mb = b["s"].get(g, np.nan) / nb if nb else np.nan
+    for g, ra, rb in zip(groups[group_col], a.itertuples(), b.itertuples()):
+        na, nb = int(ra.n), int(rb.n)
+        ma = ra.s / na if na else np.nan
+        mb = rb.s / nb if nb else np.nan
         t = dof = np.nan
         if na >= 2 and nb >= 2:
-            va = (a["ss"][g] - a["s"][g] ** 2 / na) / (na - 1)
-            vb = (b["ss"][g] - b["s"][g] ** 2 / nb) / (nb - 1)
+            va = (ra.ss - ra.s ** 2 / na) / (na - 1)
+            vb = (rb.ss - rb.s ** 2 / nb) / (nb - 1)
             se2 = va / na + vb / nb
             if se2 > 0:
                 # explicit multiplication (not pow) — bit-identical to the
@@ -285,19 +273,17 @@ def ols2_by_group(
     x1_col: str,
     x2_col: str,
     y_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Two-feature OLS per group — ``y = b0 + b1·x1 + b2·x2`` via the
     normal equations → DataFrame(key, n, b0, b1, b2).
 
     The multivariate extension of :func:`grouped_corr`: ONE input pass of
-    nine-moment partials per group, one hash aggregate, driver finalize
+    nine-moment partials per group, ``guard.group_sums``, driver finalize
     by Cramer's rule on the centered 2×2 system.  When the inputs are
     integral (cast upstream), every moment sum is an exact float64
     integer, so the finalize — written with the SAME parenthesization as
     the SQL oracle — is bit-identical to it.  Collinear groups
     (determinant 0) and n < 3 yield NULL coefficients."""
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         x1 = pc.cast(b[x1_col], pa.float64())
@@ -335,14 +321,8 @@ def ols2_by_group(
             }
         )
 
-    m = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(key_col)
-        .aggregate(*[Sum(c, alias_name=c) for c in _OLS2_MOMS])
-        .to_pandas()
-        .sort_values(key_col)
-        .reset_index(drop=True)
+    m = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), [key_col], _OLS2_MOMS
     )
     rows = []
     for r in m.itertuples(index=False):
@@ -371,7 +351,6 @@ def target_encode_loo(
     cat_col: str,
     value_col: str,
     out_col: str = "te",
-    num_partitions: int = 4,
 ):
     """Leave-one-out target (mean) encoding → Dataset(key, cat, value,
     te): each row's category encoded as the mean of the OTHER rows'
@@ -384,7 +363,6 @@ def target_encode_loo(
     streams, nothing row-sized shuffles.  Integral-ize ``value_col``
     upstream for bit-exact SQL parity (lesson #34)."""
     import ray
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         v = pc.cast(b[value_col], pa.float64())
@@ -398,12 +376,8 @@ def target_encode_loo(
             }
         )
 
-    agg = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(cat_col)
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-        .to_pandas()
+    agg = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), [cat_col], ["n", "s"]
     )
     cats = pa.array(agg[cat_col].astype(str), pa.string())
     ns = agg["n"].to_numpy(dtype=np.float64)
@@ -429,7 +403,6 @@ def auc_by_group(
     group_col: str,
     label_col: str,
     score_col: str,
-    num_partitions: int = 4,
     max_universe: int | None = None,
 ) -> pd.DataFrame:
     """ROC AUC of ``score_col`` against the binary ``label_col`` per group
@@ -471,7 +444,7 @@ def auc_by_group(
 
     uni = collect_universe(
         ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby([group_col, "s"])
         .aggregate(Sum("pos", alias_name="pos"), Sum("neg", alias_name="neg")),
         max_universe=max_universe,
@@ -499,7 +472,6 @@ def spearman_by_group(
     key_col: str,
     x_col: str,
     y_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Spearman rank correlation per group → DataFrame(key, n, rho 6dp):
     Pearson correlation of the MIDRANKS (tie-corrected, the
@@ -512,7 +484,6 @@ def spearman_by_group(
     emits six-moment partials (the grouped_corr kernel).  Degenerate
     groups yield NULL."""
     import ray
-    from ray.data.aggregate import Sum
 
     def universe(col: str) -> pd.DataFrame:
         def partials(b: pa.Table) -> pa.Table:
@@ -528,22 +499,20 @@ def spearman_by_group(
                 }
             )
 
-        return (
-            ds.select_columns([key_col, col])
-            .map_batches(partials, batch_format="pyarrow")
-            .repartition(num_partitions)
-            .groupby([key_col, "v"])
-            .aggregate(Sum("c", alias_name="c"))
-            .to_pandas()
-            .sort_values([key_col, "v"], kind="stable")
+        return guard.group_sums(
+            ds.select_columns([key_col, col]).map_batches(
+                partials, batch_format="pyarrow"
+            ),
+            [key_col, "v"],
+            ["c"],
         )
 
     def rank_map(uni: pd.DataFrame) -> dict:
         out = {}
-        for k, g in uni.groupby(key_col, sort=False):
+        for k, g in uni.groupby(key_col, sort=False, dropna=False):
             c = g["c"].to_numpy(dtype=np.float64)
             cum_before = np.concatenate([[0.0], np.cumsum(c)[:-1]])
-            out[k] = (
+            out[None if pd.isna(k) else k] = (
                 g["v"].to_numpy(dtype=np.float64),
                 cum_before + (c + 1.0) / 2.0,
             )
@@ -568,9 +537,10 @@ def spearman_by_group(
         import pandas as pd_
 
         for k in pd_.unique(keys):
-            m = keys == k
-            vx, rkx = mxx[k]
-            vy, rky = myy[k]
+            null = pd_.isna(k)
+            m = pd_.isna(keys) if null else keys == k
+            vx, rkx = mxx[None if null else k]
+            vy, rky = myy[None if null else k]
             xr[m] = rkx[np.searchsorted(vx, xv[m])]
             yr[m] = rky[np.searchsorted(vy, yv[m])]
         t = pa.table(
@@ -582,14 +552,11 @@ def spearman_by_group(
         )
         return bivar_partials_batch(t, keys=[key_col], x_col="x", y_col="y")
 
-    merged = (
-        ds.map_batches(moments, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(key_col)
-        .aggregate(*[Sum(m, alias_name=m) for m in _MOMENTS])
-        .to_pandas()
+    fin = finalize_bivar(
+        guard.group_sums(
+            ds.map_batches(moments, batch_format="pyarrow"), [key_col], _MOMENTS
+        )
     )
-    fin = finalize_bivar(merged)
     out = pd.DataFrame(
         {
             key_col: fin[key_col],
@@ -597,7 +564,7 @@ def spearman_by_group(
             "rho": np.round(fin["corr"].astype(np.float64), 6),
         }
     )
-    return out.sort_values(key_col).reset_index(drop=True)
+    return out
 
 
 def kendall_tau_by_group(
@@ -606,7 +573,6 @@ def kendall_tau_by_group(
     key_col: str,
     x_col: str,
     y_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Kendall τ-b per group → DataFrame(key, n, tau 6dp), EXACT for
     bounded (x, y) value universes (categorical/integer-graded data —
@@ -617,10 +583,6 @@ def kendall_tau_by_group(
 
     Shape: ONE (key, x, y) count-universe aggregate; the driver finalize
     is O(cells) per group (cells = |x-universe| × |y-universe|)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     def partials(b: pa.Table) -> pa.Table:
         t = pa.table(
             {
@@ -639,15 +601,11 @@ def kendall_tau_by_group(
             }
         )
 
-    uni = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([key_col, "x", "y"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
+    uni = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), [key_col, "x", "y"], ["n"]
     )
     rows = []
-    for k, g in uni.groupby(key_col, sort=True):
+    for k, g in uni.groupby(key_col, sort=False, dropna=False):
         xs = np.sort(g["x"].unique())
         ys = np.sort(g["y"].unique())
         m = np.zeros((xs.size, ys.size), dtype=np.int64)

@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import guard
 from .window import _ts_seconds
 
 _WEEK_S = 604800
@@ -62,7 +63,7 @@ def cohort_retention(
 
     cohorts = (
         weeks.map_batches(min_partial, batch_format="pyarrow")
-        .repartition(4)
+        .repartition(guard.shuffle_partitions())
         .groupby(user_col)
         .aggregate(Min("wk", alias_name="cohort_week"))
     )
@@ -98,14 +99,13 @@ def cohort_retention(
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = active.map_batches(count_partial, batch_format="pyarrow").to_pandas()
-    out = (
-        parts.groupby(["cohort_week", "week_offset"], sort=True)["n_users"]
-        .sum()
-        .reset_index()
+    out = guard.group_sums(
+        active.map_batches(count_partial, batch_format="pyarrow"),
+        ["cohort_week", "week_offset"],
+        ["n_users"],
     )
     out["n_users"] = out["n_users"].astype("int64")
-    return out.reset_index(drop=True)
+    return out
 
 
 def weekly_growth(
@@ -114,7 +114,6 @@ def weekly_growth(
     key_col: str = "user_id",
     ts_col: str = "ts",
     value_col: str = "value",
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Week-over-week deltas per key → DataFrame(key, week, total,
     prev_total, diff) — SQL ``LAG(total) OVER (PARTITION BY key ORDER BY
@@ -122,13 +121,11 @@ def weekly_growth(
     (NULL on each key's first observed week).
 
     Shape: in-batch (key, epoch-week) integer-sum partials (values floor
-    to int64, so every sum is exact) → one hash aggregate over the
+    to int64, so every sum is exact) → ``guard.group_sums`` over the
     keys × weeks universe → the LAG runs on the universe-sized frame
     (bounded: weeks are calendar-bounded, keys are the reporting
     dimension).  Events themselves never shuffle."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(b[ts_col], pa.timestamp("us")), pa.int64())
@@ -147,16 +144,10 @@ def weekly_growth(
         g = t.group_by([key_col, "week"]).aggregate([("x", "sum")])
         return g.rename_columns([key_col, "week", "x"])
 
-    uni = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([key_col, "week"])
-        .aggregate(Sum("x", alias_name="total"))
-        .to_pandas()  # keys × weeks universe
-        .sort_values([key_col, "week"], kind="stable")
-        .reset_index(drop=True)
-    )
-    prev = uni.groupby(key_col, sort=False)["total"].shift(1)
+    uni = guard.group_sums(  # keys × weeks universe
+        ds.map_batches(partials, batch_format="pyarrow"), [key_col, "week"], ["x"]
+    ).rename(columns={"x": "total"})
+    prev = uni.groupby(key_col, sort=False, dropna=False)["total"].shift(1)
     out = pd.DataFrame(
         {
             key_col: uni[key_col],
@@ -174,7 +165,6 @@ def association_rules(
     *,
     basket_col: str = "user_id",
     item_col: str = "event_type",
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Directional association rules over (basket, item) observations →
     DataFrame(antecedent, consequent, n_both, n_ante, n_cons, baskets,
@@ -188,15 +178,13 @@ def association_rules(
     partials; singles and basket totals are tiny aggregates.  Ratios are
     integer-exact on both sides (confidence = n_both/n_ante, lift =
     n_both·baskets/(n_ante·n_cons), 6 dp)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from .joins import distinct_rows, hash_join
 
     d = distinct_rows(
         ds.select_columns([basket_col, item_col]), [basket_col, item_col],
-        num_partitions=num_partitions,
     ).map_batches(
         lambda t: (
             pa.table(
@@ -244,13 +232,9 @@ def association_rules(
             }
         )
 
-    pairs = (
-        j.map_batches(pair_partials, batch_format="pyarrow")
-        .repartition(2)
-        .groupby(["a", "c"])
-        .aggregate(Sum("n", alias_name="n_both"))
-        .to_pandas()  # item-vocabulary²-sized
-    )
+    pairs = guard.group_sums(  # item-vocabulary²-sized
+        j.map_batches(pair_partials, batch_format="pyarrow"), ["a", "c"], ["n"]
+    ).rename(columns={"n": "n_both"})
     pairs["n_ante"] = pairs["a"].map(singles).astype(np.int64)
     pairs["n_cons"] = pairs["c"].map(singles).astype(np.int64)
     pairs["baskets"] = np.int64(baskets)
@@ -280,7 +264,6 @@ def kaplan_meier(
     group_col: str,
     duration_col: str,
     event_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Kaplan–Meier survival estimator per group over (duration, event)
     observations (event = 1 observed, 0 right-censored) →
@@ -289,13 +272,11 @@ def kaplan_meier(
     the risk set without a factor (the standard product-limit form;
     retention/time-to-conversion curves).
 
-    Shape: in-batch (group, duration, event) count partials → one hash
-    aggregate over the durations universe (bounded: calendar days) →
-    driver risk-set cumsums + cumprod, sequential in time order — the
-    identical operation order as the SQL window ``product()``."""
-    import pyarrow as pa
+    Shape: in-batch (group, duration, event) count partials →
+    ``guard.group_sums`` over the durations universe (bounded: calendar
+    days) → driver risk-set cumsums + cumprod, sequential in time order —
+    the identical operation order as the SQL window ``product()``."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         e = pc.cast(b[event_col], pa.int64())
@@ -310,16 +291,11 @@ def kaplan_meier(
         g = t.group_by([group_col, "t"]).aggregate([("d", "sum"), ("c", "sum")])
         return g.rename_columns([group_col, "t", "d", "c"])
 
-    uni = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([group_col, "t"])
-        .aggregate(Sum("d", alias_name="d"), Sum("c", alias_name="c"))
-        .to_pandas()
-        .sort_values([group_col, "t"], kind="stable")
+    uni = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), [group_col, "t"], ["d", "c"]
     )
     rows = []
-    for k, g in uni.groupby(group_col, sort=True):
+    for k, g in uni.groupby(group_col, sort=False, dropna=False):
         d = g["d"].to_numpy(dtype=np.int64)
         c = g["c"].to_numpy(dtype=np.int64)
         t = g["t"].to_numpy(dtype=np.int64)

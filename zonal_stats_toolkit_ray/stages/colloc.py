@@ -106,7 +106,6 @@ def bigram_pmi(
     text_col: str = "text",
     min_count: int = 5,
     top_n: int = 20,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """→ DataFrame(a, b, n_ab, pmi): the corpus's ``top_n`` adjacent-word
     bigrams by PMI among those with count ≥ ``min_count``.
@@ -121,7 +120,7 @@ def bigram_pmi(
 
     partials = ds.map_batches(
         bigram_count_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
-    ).repartition(num_partitions or 4)
+    ).repartition(guard.shuffle_partitions())
     agg = partials.groupby(["kind", "a", "b"]).aggregate(
         Sum("n", alias_name="n")
     ).materialize()
@@ -200,9 +199,7 @@ def bigram_pmi(
         ub = uni.map_batches(
             lambda t: t.rename_columns(["b", "cb"]), batch_format="pyarrow"
         )
-        from .joins import auto_join_partitions
-
-        npart = auto_join_partitions()
+        npart = guard.shuffle_partitions()
         j1 = big.select_columns(["a", "b", "n"]).join(
             ua, join_type="inner", num_partitions=npart, on=("a",)
         ).materialize()

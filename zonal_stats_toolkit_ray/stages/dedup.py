@@ -459,14 +459,12 @@ def _dedup_pair_dataset(res):
     consumers iterate it repeatedly (lesson 14)."""
     from ray.data.aggregate import Count
 
-    from .joins import auto_join_partitions
-
     return (
         res.map_batches(_distinct_pairs_batch, batch_format="pyarrow")
         .groupby(["a", "b"])
         .aggregate(Count())
         .select_columns(["a", "b"])
-        .repartition(auto_join_partitions())
+        .repartition(guard.shuffle_partitions())
         .materialize()
     )
 
@@ -677,7 +675,7 @@ def _verify_pairs_via_join(
     side is first SEMI-JOIN-PRUNED to candidate ids (broadcast int set — 8
     bytes/id), so a lightly-duplicated corpus never shuffles its
     non-candidate payloads.  Returns the surviving (a, b) Dataset."""
-    from .joins import auto_join_partitions, hash_join, semi_join
+    from .joins import hash_join, semi_join
 
     LAST_DRIVER_FETCH["rows"] = 0  # accounting: nothing fetched in this regime
 
@@ -697,7 +695,7 @@ def _verify_pairs_via_join(
     # Two Ray quirks shape this:
     # * materialize between the two joins — two JoinOperators in ONE
     #   streaming plan deadlock on small CPU budgets (observed hang at 4
-    #   CPUs regardless of num_partitions); the intermediate is pair-sized
+    #   CPUs regardless of the partition count); the intermediate is pair-sized
     #   + one value column and spills if large;
     # * the UNIFORM-keyed side goes LEFT — star pairs out of a hot bucket
     #   all share one `a` (the cluster min), and a join partition that
@@ -711,12 +709,9 @@ def _verify_pairs_via_join(
     # broadcast=False: hash_join's auto-broadcast probe would otherwise
     # collect a "small" pair/intermediate side to the DRIVER — j1 carries
     # the __va payload, exactly what this regime exists to keep distributed
-    np_ = auto_join_partitions()
-    pairs_rep = pairs_ds.repartition(np_).materialize()
-    j1 = hash_join(
-        side_a, pairs_rep, on="a", num_partitions=np_, broadcast=False
-    ).materialize()
-    j = hash_join(side_b, j1, on="b", num_partitions=np_, broadcast=False)
+    pairs_rep = pairs_ds.repartition(guard.shuffle_partitions()).materialize()
+    j1 = hash_join(side_a, pairs_rep, on="a", broadcast=False).materialize()
+    j = hash_join(side_b, j1, on="b", broadcast=False)
 
     def verify(b: pa.Table) -> pa.Table:
         ids = np.concatenate([np.asarray(b["a"]), np.asarray(b["b"])])
@@ -832,8 +827,6 @@ def _near_dup(
     import ray
     import ray.data as rd
 
-    from .joins import auto_join_partitions
-
     cand = lsh_candidate_pairs(band_ds, id_col=id_col, bucket_cap=bucket_cap)
     cand_ids = _pair_node_ids(cand)
     frame = isinstance(cand, pd.DataFrame)
@@ -845,7 +838,7 @@ def _near_dup(
         if frame:
             pairs_ds = rd.from_arrow(
                 pa.Table.from_pandas(cand[["a", "b"]], preserve_index=False)
-            ).repartition(auto_join_partitions())
+            ).repartition(guard.shuffle_partitions())
         if cand_ids.size > guard.DRIVER_ROWS:
             verified = _verify_pairs_via_join(
                 pairs_ds, slim, id_col, payload_col, keep, cand_ids

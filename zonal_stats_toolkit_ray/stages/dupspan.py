@@ -114,7 +114,6 @@ def dup_span_coverage(
     text_col: str = "text",
     n: int = 8,
     min_docs: int = 2,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """→ DataFrame(doc_id, n_tokens, covered, coverage) per the module
     docstring, sorted by doc_id.  ``coverage`` is rounded to 6 dp."""
@@ -157,7 +156,7 @@ def dup_span_coverage(
 
     dup = (
         g_rows.map_batches(df_partial, batch_format="pyarrow", batch_size=None)
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby("g")
         .aggregate(Sum("df", alias_name="df"))
         .map_batches(

@@ -182,7 +182,6 @@ def edit_distance_join(
     id_col: str = "doc_id",
     str_col: str = "s",
     k: int = 2,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """All pairs (a < b) with ``levenshtein ≤ k`` → DataFrame(a, b, dist),
     sorted.  See the module docstring for the PassJoin shape.
@@ -229,7 +228,6 @@ def edit_distance_join(
     pairs = distinct_rows(
         joined.map_batches(canon, batch_format="pyarrow"),
         ["a", "b"],
-        num_partitions=num_partitions,
     ).to_pandas()
 
     # short-string fallback: strings with len < k+1 all-pair against the

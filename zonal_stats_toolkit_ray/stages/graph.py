@@ -15,6 +15,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import guard
+
 
 def bfs_hops(
     edges,
@@ -133,16 +135,13 @@ def degree_assortativity(edges, *, src_col: str = "src", dst_col: str = "dst"):
         )
         return bivar_partials_batch(t, keys=["_g"], x_col="x", y_col="y")
 
-    from ray.data.aggregate import Sum
-
-    merged = (
-        j2.map_batches(moments, batch_format="pyarrow")
-        .repartition(2)
-        .groupby("_g")
-        .aggregate(*[Sum(m, alias_name=m) for m in ["n", "sx", "sy", "sxx", "syy", "sxy"]])
-        .to_pandas()
+    fin = finalize_bivar(
+        guard.group_sums(
+            j2.map_batches(moments, batch_format="pyarrow"),
+            ["_g"],
+            ["n", "sx", "sy", "sxx", "syy", "sxy"],
+        )
     )
-    fin = finalize_bivar(merged)
     return pd.DataFrame(
         {
             "n_edges": fin["n"].astype(np.int64),

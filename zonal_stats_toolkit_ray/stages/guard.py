@@ -1,4 +1,5 @@
-"""The regime rule: what reaches the driver, and the task floor.
+"""The regime rule: what reaches the driver, the task floor and the shuffle
+width.
 
 **Driver budget** (``DRIVER_ROWS``).  Every dual-regime operator counts
 the slim rows it would hold on the driver (ids, keys, int64 pairs,
@@ -21,7 +22,15 @@ shared verify tail), ``semdedup.DRIVER_VECTORS`` and
 Misra-Gries) reduces each block to associative partial rows and merges
 them on the driver.  While the partials exceed ``DRIVER_ROWS`` rows it
 re-applies the operator's combine kernel over blocks merged ``FAN_IN`` at
-a time, then collects.
+a time, then collects.  Operators whose partials are grouped SUMS (moment
+and count partials: bivar, cohort, graph, incremental, profile, rollup,
+sketch, text, triangles, web) merge through ``group_sums``, the tree
+combine with one Arrow ``group_by`` sum kernel: a NULL key is its own
+group, as in SQL ``GROUP BY``.  Two kinds of aggregate stay native Ray
+``groupby`` shuffles: results that stay a Dataset (vocabularies, distinct
+rows, PageRank, the ``collect_universe`` inputs, ``hash_join``), and
+aggregates filtered before the collect (boilerplate lines, similarity
+join candidates).
 
 **Guards that raise** instead of routing, where no distributed path
 exists: the universe cap (``collect_universe``, ``max_universe``) of the
@@ -41,9 +50,23 @@ many rows and fusion carries the floor to the fused maps (≤ ``ceil(n /
 TASK_ROWS)`` tasks for ``n`` rows), unless the input's Read streams
 unsplit into its maps, a fusion the batch size would undo.  Pixel maps
 are not covered.
+
+**Shuffle width** (``shuffle_partitions``).  Every native shuffle — hash
+join, distinct rows, the native ``groupby`` aggregates above — runs at one
+partition per cluster CPU (at least 2, at most 64), read at call time: a
+native join reserves one aggregator actor per partition, and far more
+aggregators than CPUs stall the scheduler (one 32-partition join never
+completed on a 4-CPU session, 8 partitions ran).  No operator takes a
+per-call partition count; tests force a width by patching
+``guard.shuffle_partitions``.
 """
 
 from __future__ import annotations
+
+import functools
+
+import pandas as pd
+import pyarrow as pa
 
 DEFAULT_MAX_UNIVERSE = 5_000_000
 
@@ -53,6 +76,18 @@ DRIVER_ROWS = 1_000_000
 FAN_IN = 8
 # task floor: the fewest input rows one task of the point join runs over
 TASK_ROWS = 6_000
+
+
+def shuffle_partitions() -> int:
+    """Partition count of a native shuffle: one per cluster CPU (4 without
+    a Ray session), at least 2 and at most 64."""
+    try:
+        import ray
+
+        n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    except ImportError:
+        n = 4
+    return max(2, min(64, n))
 
 
 def collect_universe(uni_ds, *, max_universe: int | None, what: str):
@@ -104,3 +139,34 @@ def tree_combine(ds, kernel):
         n = m.count()
         levels += 1
     return m.to_pandas(), levels
+
+
+def _group_sum_batch(t: pa.Table, *, keys: list[str], sums: list[str]) -> pa.Table:
+    """The grouped-sum kernel: rows with equal ``keys`` (NULL is a key of
+    its own) collapse to one row, every ``sums`` column summed."""
+    if not set(keys).issubset(t.column_names):  # schemaless empty block
+        return t
+    g = t.group_by(keys, use_threads=False).aggregate([(c, "sum") for c in sums])
+    return pa.table({**{k: g[k] for k in keys}, **{c: g[f"{c}_sum"] for c in sums}})
+
+
+def group_sums(partials_ds, keys, sums) -> pd.DataFrame:
+    """Merge the partial rows of ``partials_ds`` → DataFrame(keys…,
+    sums…): one row per distinct key tuple, each ``sums`` column summed,
+    sorted by ``keys`` ascending with NULLs last (SQL ``GROUP BY … ORDER
+    BY … NULLS LAST``).
+
+    The kernel merges each batch, then ``tree_combine`` merges the
+    blocks with it, and it runs once more on the collected frame.  Extra
+    columns are ignored.  An empty input gives an empty frame with the
+    key and sum columns."""
+    keys, sums = list(keys), list(sums)
+    kernel = functools.partial(_group_sum_batch, keys=keys, sums=sums)
+    frame, _ = tree_combine(
+        partials_ds.map_batches(kernel, batch_format="pyarrow"), kernel
+    )
+    if not set(keys + sums).issubset(frame.columns):
+        return pd.DataFrame({c: [] for c in keys + sums})
+    t = kernel(pa.Table.from_pandas(frame[keys + sums], preserve_index=False))
+    t = t.sort_by([(k, "ascending") for k in keys], null_placement="at_end")
+    return t.to_pandas()

@@ -355,9 +355,9 @@ def incremental_dedup(
     # SCHEMALESS empties that crash the join aggregator (sandbox lesson
     # 20/22).  Materialize: chained join-feeding plans deadlock otherwise
     # (sandbox lesson 17).
-    from .joins import auto_join_partitions, hash_join
+    from .joins import hash_join
 
-    canon_map = canon_map.repartition(auto_join_partitions()).materialize()
+    canon_map = canon_map.repartition(guard.shuffle_partitions()).materialize()
 
     joined = hash_join(
         slim.select_columns(["content_hash", id_col]),
@@ -481,7 +481,6 @@ def incremental_rollup(
     *,
     key_cols: list[str],
     value_col: str,
-    num_partitions: int = 4,
 ) -> "pd.DataFrame":
     """Incremental grouped aggregate with PERSISTED state — the
     materialized-view-maintenance shape: fold a NEW shard's (key, n,
@@ -489,9 +488,9 @@ def incremental_rollup(
     totals.  ``value_col`` is floored to int64, so totals are exact and
     two increments are bit-identical to one full recompute (tested).
 
-    The new shard aggregates DISTRIBUTED (in-batch partials → one hash
-    aggregate); only the group-universe frame touches the driver and the
-    state file.  The state write is atomic (tmp + ``os.replace``), so a
+    The new shard aggregates DISTRIBUTED (in-batch partials →
+    ``guard.group_sums``); only the group-universe frame touches the
+    driver and the state file.  The state write is atomic (tmp + ``os.replace``), so a
     crashed update never corrupts the previous state; apply-at-most-once
     per shard is the caller's checkpoint contract (pair with
     ``state/checkpoint.py`` manifests, as ``run_pages_job`` does)."""
@@ -501,7 +500,6 @@ def incremental_rollup(
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     key_cols = list(key_cols)
 
@@ -524,12 +522,8 @@ def incremental_rollup(
             }
         )
 
-    new_agg = (
-        new_ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(key_cols)
-        .aggregate(Sum("n", alias_name="n"), Sum("total", alias_name="total"))
-        .to_pandas()  # group-universe-sized
+    new_agg = guard.group_sums(  # group-universe-sized
+        new_ds.map_batches(partials, batch_format="pyarrow"), key_cols, ["n", "total"]
     )
     os.makedirs(state_dir, exist_ok=True)
     state_path = os.path.join(state_dir, "state.parquet")
@@ -537,7 +531,7 @@ def incremental_rollup(
         prev = pq.read_table(state_path).to_pandas()
         merged = (
             pd.concat([prev, new_agg], ignore_index=True)
-            .groupby(key_cols, as_index=False)[["n", "total"]]
+            .groupby(key_cols, as_index=False, dropna=False)[["n", "total"]]
             .sum()
         )
     else:

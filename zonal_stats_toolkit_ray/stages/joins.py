@@ -60,24 +60,6 @@ def semi_join(ds, keys, key_col: str, *, anti: bool = False, broadcast: bool = T
     )
 
 
-def auto_join_partitions(cap: int = 64) -> int:
-    """Partition count for the native hash join sized to the CLUSTER: the
-    join's aggregator actors each reserve a CPU slot, and requesting many
-    more aggregators than CPUs stalls the scheduler outright (observed: a
-    single 32-partition join never completes on a 4-CPU session, while 8
-    partitions run fine).  ≈ one partition per CPU, capped."""
-    try:
-        import ray
-
-        if ray.is_initialized():
-            n = int(ray.cluster_resources().get("CPU", 4))
-        else:
-            n = 4
-    except ImportError:
-        n = 4
-    return max(2, min(cap, n))
-
-
 _ARROW_JOIN_TYPE = {
     "inner": "inner",
     "left": "left outer",
@@ -158,7 +140,6 @@ def hash_join(
     on: str,
     right_on: str | None = None,
     how: str = "inner",
-    num_partitions: int | None = None,
     broadcast: bool | None = None,
 ):
     """Large-side × large-side join (round-2: the missing path — everything
@@ -170,10 +151,10 @@ def hash_join(
       see :func:`broadcast_join`.  Avoids the native join's multi-second
       fixed shuffle cost (shuffle rounds + aggregator actors), which a
       3-row result never warrants.
-    * otherwise: both datasets hash-shuffle on the key into
-      ``num_partitions`` buckets and matching buckets join pairwise — Ray
-      Data's native ``Dataset.join``, so the streaming executor pipelines
-      and spills the exchange.
+    * otherwise: both datasets hash-shuffle on the key into one bucket
+      per cluster CPU and matching buckets join pairwise — Ray Data's
+      native ``Dataset.join``, so the streaming executor pipelines and
+      spills the exchange.
 
     The smallness probe is ``right.limit(DRIVER_ROWS + 1).count()`` — the
     streaming executor stops the build pipeline once that many rows exist, so a
@@ -183,10 +164,9 @@ def hash_join(
     path (e.g. when the build side is expensive to execute twice), or
     ``broadcast=True`` to skip the probe.
 
-    Scale note: ``num_partitions`` bounds per-bucket memory (rows/partition
-    ≈ N/num_partitions must fit a worker); the default auto-sizes to the
-    cluster CPU count (see :func:`auto_join_partitions` — over-requesting
-    aggregators stalls small clusters).  For skewed keys prefer
+    Scale note: the bucket count is the cluster CPU count (the shuffle
+    width rule of stages/guard.py — over-requesting aggregators stalls
+    small clusters).  For skewed keys prefer
     pre-aggregating the hot side or salting before this join — a hash join
     cannot split one hot key across buckets."""
     right_on = right_on or on
@@ -212,8 +192,6 @@ def hash_join(
             )
         # empty build side with no schema-bearing block: fall through to
         # the native join, which handles it
-    if num_partitions is None:
-        num_partitions = auto_join_partitions()
     # Ray's native Dataset.join spells outer joins with an underscore
     # ("left_outer"); normalize the accepted aliases ("left", "left outer",
     # "full", "right")
@@ -229,7 +207,7 @@ def hash_join(
     return left.join(
         right,
         join_type=native_how,
-        num_partitions=num_partitions,
+        num_partitions=guard.shuffle_partitions(),
         on=(on,),
         right_on=(right_on,),
     )
@@ -545,7 +523,7 @@ def range_join_broadcast(
     return ds.map_batches(match, batch_format="pyarrow")
 
 
-def distinct_rows(ds, cols: list[str], *, num_partitions: int = 4):
+def distinct_rows(ds, cols: list[str]):
     """Distinct tuples of ``cols`` → Dataset, via the in-batch
     drop-duplicates combiner + one hash aggregate (the union_distinct
     shape): only the per-block distinct universe shuffles."""
@@ -556,7 +534,7 @@ def distinct_rows(ds, cols: list[str], *, num_partitions: int = 4):
 
     return (
         ds.map_batches(combiner, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby(cols)
         .aggregate(Count(alias_name="_n"))
         .select_columns(cols)
@@ -569,7 +547,6 @@ def _setop_distinct(
     cols: list[str],
     *,
     keep: str,
-    num_partitions: int,
     as_dataset: bool | None,
 ):
     """Shared EXCEPT/INTERSECT engine (round 5, VERDICT r4 #3) — fully
@@ -607,7 +584,7 @@ def _setop_distinct(
         b.map_batches(mark(1), batch_format="pyarrow")
     )
     g = (
-        u.repartition(num_partitions)
+        u.repartition(guard.shuffle_partitions())
         .groupby(cols)
         .aggregate(
             Max("__in_a", alias_name="__in_a"),
@@ -652,7 +629,6 @@ def except_distinct(
     b,
     cols: list[str],
     *,
-    num_partitions: int = 4,
     as_dataset: bool | None = None,
 ):
     """SQL ``EXCEPT`` (distinct rows of ``a`` minus rows of ``b``, compared
@@ -669,7 +645,6 @@ def except_distinct(
         b,
         cols,
         keep="except",
-        num_partitions=num_partitions,
         as_dataset=as_dataset,
     )
 
@@ -683,7 +658,6 @@ def bloom_semi_join(
     capacity: int | None = None,
     fp_rate: float = 0.01,
     exact: bool = True,
-    num_partitions: int | None = None,
 ):
     """Semi join for a build side too big to broadcast RAW: build a Bloom
     filter of the build keys DISTRIBUTED — each build block emits one
@@ -737,7 +711,7 @@ def bloom_semi_join(
         return survivors
     return hash_join(
         survivors, keys_ds, on=on, right_on=right_on,
-        how="inner", num_partitions=num_partitions,
+        how="inner",
     )
 
 
@@ -746,7 +720,6 @@ def intersect_distinct(
     b,
     cols: list[str],
     *,
-    num_partitions: int = 4,
     as_dataset: bool | None = None,
 ):
     """SQL ``INTERSECT`` (distinct rows present in BOTH inputs, compared on
@@ -760,7 +733,6 @@ def intersect_distinct(
         b,
         cols,
         keep="intersect",
-        num_partitions=num_partitions,
         as_dataset=as_dataset,
     )
 
@@ -771,7 +743,6 @@ def snapshot_diff(
     *,
     key_col: str,
     compare_cols: list[str],
-    num_partitions: int | None = None,
 ) -> "pd.DataFrame":
     """Diff two table snapshots by primary key → DataFrame(key, status ∈
     {added, removed, changed}) — the data-versioning audit between loads
@@ -802,7 +773,6 @@ def snapshot_diff(
         on=key_col,
         right_on=f"__new_{key_col}",
         how="full_outer",
-        num_partitions=num_partitions,
     )
 
     def classify(t: pa.Table) -> pa.Table:

@@ -18,17 +18,21 @@ clamp."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 
 def _dict_encode(g):
     """(codes int64, dictionary Array) of a possibly-chunked group column."""
     if isinstance(g, pa.ChunkedArray):
         g = g.combine_chunks()
-    enc = g.dictionary_encode()
+    enc = g.dictionary_encode(null_encoding="encode")  # NULL is a group
     return np.asarray(enc.indices, dtype=np.int64), enc.dictionary
 
 
@@ -56,28 +60,35 @@ def _moments_partial(batch: pa.Table, *, group_col: str, value_col: str) -> pa.T
     )
 
 
-def group_moments(ds, *, group_col: str, value_col: str) -> pd.DataFrame:
-    """(group, n, sum, sumsq, min, max) — group-sized, driver-held."""
-    from ray.data.aggregate import Max, Min, Sum
+_MOMENT_AGGS = [("n", "sum"), ("s", "sum"), ("ss", "sum"), ("mn", "min"), ("mx", "max")]
 
-    out = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(
+
+def _moments_merge(t: pa.Table, *, group_col: str) -> pa.Table:
+    """Merge moment partials of equal groups (the tree-combine kernel)."""
+    if group_col not in t.column_names:  # schemaless empty block
+        return t
+    g = t.group_by(group_col, use_threads=False).aggregate(_MOMENT_AGGS)
+    return pa.table(
+        {group_col: g[group_col], **{c: g[f"{c}_{f}"] for c, f in _MOMENT_AGGS}}
+    )
+
+
+def group_moments(ds, *, group_col: str, value_col: str) -> pa.Table:
+    """(group, n, sum, sumsq, min, max) — group-sized, driver-held: the
+    per-batch partials merge with ``guard.tree_combine``; a NULL group is
+    its own row."""
+    merge = functools.partial(_moments_merge, group_col=group_col)
+    frame, _ = guard.tree_combine(
+        ds.select_columns([group_col, value_col]).map_batches(
             _moments_partial,
             batch_format="pyarrow",
             fn_kwargs=dict(group_col=group_col, value_col=value_col),
-        )
-        .groupby(group_col)
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s", alias_name="s"),
-            Sum("ss", alias_name="ss"),
-            Min("mn", alias_name="mn"),
-            Max("mx", alias_name="mx"),
-        )
-        .to_pandas()
+        ),
+        merge,
     )
-    return out
+    if group_col not in frame.columns:  # no rows
+        frame = pd.DataFrame(columns=[group_col] + [c for c, _ in _MOMENT_AGGS])
+    return merge(pa.Table.from_pandas(frame, preserve_index=False))
 
 
 def normalize_by_group(
@@ -99,23 +110,25 @@ def normalize_by_group(
     import ray
 
     mom = group_moments(ds, group_col=group_col, value_col=value_col)
-    keys = mom[group_col].astype(str).to_numpy()
-    order = np.argsort(keys)
-    keys = keys[order]
-    n = mom["n"].to_numpy(np.float64)[order]
-    mean = mom["s"].to_numpy(np.float64)[order] / np.maximum(n, 1)
-    var = np.maximum(mom["ss"].to_numpy(np.float64)[order] / np.maximum(n, 1) - mean * mean, 0.0)
+
+    def col(name: str) -> np.ndarray:
+        return mom[name].to_numpy().astype(np.float64)
+
+    n = col("n")
+    mean = col("s") / np.maximum(n, 1)
+    var = np.maximum(col("ss") / np.maximum(n, 1) - mean * mean, 0.0)
     std = np.sqrt(var)
-    mn = mom["mn"].to_numpy(np.float64)[order]
-    rng = mom["mx"].to_numpy(np.float64)[order] - mn
-    ref = ray.put((keys, mean, std, mn, rng))
+    mn = col("mn")
+    rng = col("mx") - mn
+    ref = ray.put((mom[group_col].combine_chunks(), mean, std, mn, rng))
 
     def transform(batch: pa.Table, _r=ref) -> pa.Table:
         ks, mean_, std_, mn_, rng_ = ray.get(_r)
         codes, uniq = _dict_encode(batch[group_col])
-        # map the (small) per-batch dictionary to moment-table slots, then
-        # gather per row — O(groups) searchsorted, O(rows) gather
-        gi = np.searchsorted(ks, np.asarray(uniq.to_pylist(), dtype=str))[codes]
+        # map the (small) per-batch dictionary to moment-table slots (a
+        # NULL key matches the NULL group), then gather per row
+        slot = pc.index_in(uniq, value_set=ks.cast(uniq.type), skip_nulls=False)
+        gi = slot.to_numpy(zero_copy_only=False).astype(np.int64)[codes]
         v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             z = np.where(std_[gi] > 0, (v - mean_[gi]) / std_[gi], 0.0)
@@ -138,7 +151,6 @@ def quantile_transform(
     *,
     id_col: str = "event_id",
     value_col: str = "value",
-    num_partitions: int = 4,
     max_universe: int | None = None,
 ):
     """ECDF (rank) transform → Dataset(id, ecdf): each value maps to
@@ -170,7 +182,7 @@ def quantile_transform(
     uni = collect_universe(
         ds.select_columns([value_col])
         .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby("v")
         .aggregate(Sum("c", alias_name="c")),
         max_universe=max_universe,
@@ -202,7 +214,6 @@ def impute_group_median(
     id_col: str,
     key_col: str,
     value_col: str,
-    num_partitions: int = 4,
 ):
     """Missing-value imputation by group median → Dataset(id, key,
     v_filled): NULLs in ``value_col`` fill with their group's exact
@@ -232,7 +243,7 @@ def impute_group_median(
     uni = collect_universe(
         ds.select_columns([key_col, value_col])
         .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby([key_col, "v"])
         .aggregate(Sum("c", alias_name="c")),
         max_universe=DEFAULT_MAX_UNIVERSE,

@@ -37,6 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
+
 
 def pagerank(
     edges,
@@ -45,7 +47,6 @@ def pagerank(
     dst_col: str = "dst",
     damping: float = 0.85,
     iterations: int = 3,
-    num_partitions: int | None = None,
 ):
     """edges Dataset(src, dst int64, pre-deduplicated or not — duplicate
     edges count as parallel links, matching the SQL oracle's choice of
@@ -57,8 +58,6 @@ def pagerank(
 
     d = float(damping)
     its = int(iterations)
-    parts = num_partitions or 8
-
     def _as_node(col: str):
         def f(t: pa.Table) -> pa.Table:
             return pa.table({"node": pc.cast(t[col], pa.int64())})
@@ -70,7 +69,6 @@ def pagerank(
             edges.map_batches(_as_node(dst_col), batch_format="pyarrow")
         ),
         ["node"],
-        num_partitions=parts,
     ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
@@ -85,7 +83,7 @@ def pagerank(
             lambda t: pa.table({src_col: pc.cast(t[src_col], pa.int64())}),
             batch_format="pyarrow",
         )
-        .repartition(parts)
+        .repartition(guard.shuffle_partitions())
         .groupby(src_col)
         .aggregate(Count(alias_name="deg"))
     )
@@ -104,7 +102,6 @@ def pagerank(
         on=src_col,
         right_on=src_col,
         how="inner",
-        num_partitions=num_partitions,
     ).materialize()
 
     ranks = nodes.map_batches(
@@ -122,7 +119,6 @@ def pagerank(
             on=src_col,
             right_on="node",
             how="inner",
-            num_partitions=num_partitions,
         ).map_batches(
             lambda t: pa.table(
                 {
@@ -136,7 +132,9 @@ def pagerank(
             batch_format="pyarrow",
         )
         sums = (
-            contrib.repartition(parts).groupby("node").aggregate(Sum("c", alias_name="c"))
+            contrib.repartition(guard.shuffle_partitions())
+            .groupby("node")
+            .aggregate(Sum("c", alias_name="c"))
         ).materialize()
         contributed = sums.sum("c") if sums.count() else 0.0
         dangling = max(0.0, float(total) - float(contributed or 0.0))
@@ -148,7 +146,6 @@ def pagerank(
             on="node",
             right_on="node",
             how="left_outer",
-            num_partitions=num_partitions,
         )
 
         def update(t: pa.Table, *, _b=base, _d=d) -> pa.Table:
@@ -183,7 +180,6 @@ def hits(
     src_col: str = "src",
     dst_col: str = "dst",
     iterations: int = 2,
-    num_partitions: int | None = None,
 ):
     """HITS hubs & authorities (Kleinberg 1999), fixed iterations →
     Dataset(node, hub, authority), L2-normalized each half-step — the
@@ -198,8 +194,6 @@ def hits(
     from ray.data.aggregate import Sum
 
     from .joins import distinct_rows, hash_join
-
-    parts = num_partitions or 8
 
     def _as_node(col: str):
         def f(t: pa.Table) -> pa.Table:
@@ -221,7 +215,6 @@ def hits(
             e.map_batches(_as_node(dst_col), batch_format="pyarrow")
         ),
         ["node"],
-        num_partitions=parts,
     ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
@@ -243,7 +236,7 @@ def hits(
         OTHER endpoint → (node, emit_col) over the full node universe."""
         other = dst_col if on_col == src_col else src_col
         contrib = hash_join(
-            e, scores, on=on_col, right_on="node", num_partitions=num_partitions
+            e, scores, on=on_col, right_on="node"
         ).map_batches(
             lambda t, _o=other, _s=score_col: pa.table(
                 {"node": t[_o], "c": pc.cast(t[_s], pa.float64())}
@@ -251,13 +244,13 @@ def hits(
             batch_format="pyarrow",
         )
         sums = (
-            contrib.repartition(parts)
+            contrib.repartition(guard.shuffle_partitions())
             .groupby("node")
             .aggregate(Sum("c", alias_name="c"))
         ).materialize()
         joined = hash_join(
             nodes, sums, on="node", right_on="node",
-            how="left_outer", num_partitions=num_partitions,
+            how="left_outer",
         )
 
         def fill(t: pa.Table, *, _n=emit_col) -> pa.Table:
@@ -297,7 +290,7 @@ def hits(
         h = _l2_scale(_propagate(a, "a", dst_col, "h"), "h")
 
     out = hash_join(
-        h, a, on="node", right_on="node", num_partitions=num_partitions
+        h, a, on="node", right_on="node"
     )
     return out.map_batches(
         lambda t: pa.table(

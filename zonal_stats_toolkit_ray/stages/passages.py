@@ -55,7 +55,6 @@ def common_passages(
     text_col: str = "text",
     id_col: str = "doc_id",
     n: int = 8,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """→ DataFrame(doc_id, n_shared): per document, the number of its
     distinct word ``n``-grams that appear verbatim in at least one OTHER
@@ -74,7 +73,7 @@ def common_passages(
     ).materialize()
 
     agg = (
-        pairs.repartition(num_partitions or 8)
+        pairs.repartition(guard.shuffle_partitions())
         .groupby("h")
         .aggregate(Count(alias_name="cnt"))
         .filter(expr="cnt >= 2")
@@ -95,10 +94,8 @@ def common_passages(
         keys = agg.to_pandas()["h"].to_numpy()
         hits = semi_join(pairs, keys, "h")
     else:
-        from .joins import auto_join_partitions
-
         hits = pairs.join(
-            agg, join_type="inner", num_partitions=auto_join_partitions(),
+            agg, join_type="inner", num_partitions=guard.shuffle_partitions(),
             on=("h",),
         ).materialize()
 

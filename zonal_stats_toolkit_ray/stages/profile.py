@@ -21,6 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
+
 
 def _is_numeric(t) -> bool:
     if isinstance(t, pa.DataType):
@@ -113,19 +115,16 @@ def group_entropy(
     *,
     key_col: str = "user_id",
     cat_col: str = "event_type",
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Shannon entropy (bits) of each key's categorical distribution →
     DataFrame(key, n, entropy) — the behavioral-diversity feature
     (``−Σ p·log2 p`` over the key's category frequencies).
 
-    Shape: in-batch (key, category) count partials → one hash aggregate
+    Shape: in-batch (key, category) count partials → ``guard.group_sums``
     over the keys × categories universe → driver finalize on the
     universe-sized frame (bounded by the category vocabulary).  The same
-    algebra as the SQL oracle term-for-term."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    algebra as the SQL oracle term-for-term; a NULL key is its own group,
+    sorted last."""
 
     def partials(b: pa.Table) -> pa.Table:
         t = pa.table({key_col: b[key_col], cat_col: b[cat_col]})
@@ -138,17 +137,15 @@ def group_entropy(
             }
         )
 
-    uni = (
-        ds.select_columns([key_col, cat_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([key_col, cat_col])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-        .sort_values([key_col, cat_col], kind="stable")
+    uni = guard.group_sums(
+        ds.select_columns([key_col, cat_col]).map_batches(
+            partials, batch_format="pyarrow"
+        ),
+        [key_col, cat_col],
+        ["n"],
     )
     rows = []
-    for k, g in uni.groupby(key_col, sort=True):
+    for k, g in uni.groupby(key_col, sort=False, dropna=False):
         n = g["n"].to_numpy(dtype=np.float64)
         tot = n.sum()
         p = n / tot
@@ -248,14 +245,15 @@ def benford_digits(
             }
         )
 
-    p = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    g = p.groupby("digit", sort=True)["n"].sum()
-    total = float(g.sum())
-    exp = total * np.log10(1.0 + 1.0 / g.index.to_numpy(dtype=np.float64))
+    g = guard.group_sums(
+        ds.map_batches(partial, batch_format="pyarrow"), ["digit"], ["n"]
+    )
+    total = float(g["n"].sum())
+    exp = total * np.log10(1.0 + 1.0 / g["digit"].to_numpy(dtype=np.float64))
     return pd.DataFrame(
         {
-            "digit": g.index.to_numpy().astype(np.int64),
-            "n": g.to_numpy().astype(np.int64),
+            "digit": g["digit"].to_numpy().astype(np.int64),
+            "n": g["n"].to_numpy().astype(np.int64),
             "expected_n": np.round(exp, 6),
         }
     )
@@ -266,18 +264,14 @@ def chi2_independence(
     *,
     row_col: str,
     col_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Pearson chi-square test of independence between two categorical
     columns → DataFrame(chi2 6dp, dof, n) — the categorical A/B readout
     (does variant change the event-type mix?).
 
-    One pass of (row, col) count partials → hash aggregate over the
+    One pass of (row, col) count partials → ``guard.group_sums`` over the
     contingency universe → driver statistic with the SQL-identical
     ``(o − e)² / e`` algebra, e = row_total · col_total / n."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         t = pa.table({row_col: b[row_col], col_col: b[col_col]})
@@ -290,16 +284,16 @@ def chi2_independence(
             }
         )
 
-    uni = (
-        ds.select_columns([row_col, col_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([row_col, col_col])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
+    uni = guard.group_sums(
+        ds.select_columns([row_col, col_col]).map_batches(
+            partials, batch_format="pyarrow"
+        ),
+        [row_col, col_col],
+        ["n"],
     )
     piv = uni.pivot_table(
-        index=row_col, columns=col_col, values="n", fill_value=0, aggfunc="sum"
+        index=row_col, columns=col_col, values="n", fill_value=0, aggfunc="sum",
+        dropna=False,
     ).astype(np.float64)
     o = piv.to_numpy()
     n = o.sum()
@@ -324,7 +318,6 @@ def psi_drift(
     seg_col: str,
     ref_segment,
     n_bins: int = 10,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Population Stability Index between a reference segment and the
     rest → DataFrame(bin, na, nb, psi_term 6dp) — the standard
@@ -338,9 +331,6 @@ def psi_drift(
     winsorized-mean shape — exact for fixed-decimal data) yields both the
     interpolated boundaries AND every bin count: binning is a
     searchsorted over the universe, never a second corpus pass."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         seg = pc.equal(b[seg_col], ref_segment)
@@ -359,14 +349,12 @@ def psi_drift(
             }
         )
 
-    uni = (
-        ds.select_columns([seg_col, value_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(["is_ref", "v"])
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-        .sort_values(["is_ref", "v"], kind="stable")
+    uni = guard.group_sums(
+        ds.select_columns([seg_col, value_col]).map_batches(
+            partials, batch_format="pyarrow"
+        ),
+        ["is_ref", "v"],
+        ["c"],
     )
     a = uni[uni["is_ref"] == 1]
     b = uni[uni["is_ref"] == 0]
@@ -420,7 +408,6 @@ def mutual_information(
     *,
     row_col: str,
     col_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Mutual information (nats) between two categorical columns →
     DataFrame(mi 6dp, n) — the dependence strength behind feature
@@ -429,9 +416,6 @@ def mutual_information(
 
     Same one-pass contingency shape as :func:`chi2_independence`;
     SQL-identical term algebra."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partials(b: pa.Table) -> pa.Table:
         t = pa.table({row_col: b[row_col], col_col: b[col_col]})
@@ -444,17 +428,16 @@ def mutual_information(
             }
         )
 
-    uni = (
-        ds.select_columns([row_col, col_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([row_col, col_col])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
+    uni = guard.group_sums(
+        ds.select_columns([row_col, col_col]).map_batches(
+            partials, batch_format="pyarrow"
+        ),
+        [row_col, col_col],
+        ["n"],
     )
     n = float(uni["n"].sum())
-    ri = uni.groupby(row_col)["n"].sum()
-    ci = uni.groupby(col_col)["n"].sum()
+    ri = uni.groupby(row_col, dropna=False)["n"].sum()
+    ci = uni.groupby(col_col, dropna=False)["n"].sum()
     pij = uni["n"].to_numpy(dtype=np.float64) / n
     pi = uni[row_col].map(ri).to_numpy(dtype=np.float64) / n
     pj = uni[col_col].map(ci).to_numpy(dtype=np.float64) / n
@@ -468,7 +451,6 @@ def ks_test(
     value_col: str,
     seg_col: str,
     ref_segment,
-    num_partitions: int = 4,
     max_universe: int | None = None,
 ) -> pd.DataFrame:
     """Two-sample Kolmogorov–Smirnov statistic between a reference
@@ -512,7 +494,7 @@ def ks_test(
     uni = collect_universe(
         ds.select_columns([seg_col, value_col])
         .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby(["is_ref", "v"])
         .aggregate(Sum("c", alias_name="c")),
         max_universe=max_universe,
@@ -544,7 +526,6 @@ def cramers_v(
     *,
     row_col: str,
     col_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Cramér's V effect size → DataFrame(v 6dp, chi2, dof, n):
     ``V = sqrt(χ² / (n · min(r−1, c−1)))`` — the normalized [0, 1]
@@ -553,7 +534,7 @@ def cramers_v(
     from .joins import distinct_rows
 
     chi = chi2_independence(
-        ds, row_col=row_col, col_col=col_col, num_partitions=num_partitions
+        ds, row_col=row_col, col_col=col_col
     )
     r = distinct_rows(ds.select_columns([row_col]), [row_col]).count()
     c = distinct_rows(ds.select_columns([col_col]), [col_col]).count()

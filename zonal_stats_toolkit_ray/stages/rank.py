@@ -19,6 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
 from .guard import tree_combine
 
 # telemetry for tests/audits: rows the driver actually collected in the
@@ -96,7 +97,6 @@ def mode_per_group(
     *,
     key_col: str,
     value_col: str,
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Most frequent ``value_col`` per ``key_col`` (the modal category —
     e.g. dominant language per source/host) → DataFrame(key, mode_value, n).
@@ -124,7 +124,7 @@ def mode_per_group(
 
     pairs = (
         ds.map_batches(pair_partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby([key_col, value_col])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -197,7 +197,6 @@ def weighted_median_by_group(
     value_col: str,
     weight_col: str,
     q: float = 0.5,
-    num_partitions: int = 4,
     max_universe: int | None = None,
 ) -> "pd.DataFrame":
     """Exact lower weighted q-quantile per group → DataFrame(key, wq):
@@ -241,7 +240,7 @@ def weighted_median_by_group(
     uni = (
         collect_universe(
             ds.map_batches(partials, batch_format="pyarrow")
-            .repartition(num_partitions)
+            .repartition(guard.shuffle_partitions())
             .groupby([key_col, value_col])
             .aggregate(Sum("w", alias_name="w")),
             max_universe=max_universe,
@@ -269,7 +268,6 @@ def winsorized_mean_by_group(
     value_col: str,
     q_lo: float = 0.05,
     q_hi: float = 0.95,
-    num_partitions: int = 4,
     max_universe: int | None = None,
 ) -> "pd.DataFrame":
     """Winsorized mean per group — the robust-statistics readout: clip
@@ -313,7 +311,7 @@ def winsorized_mean_by_group(
 
     uni = collect_universe(
         ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby([key_col, value_col])
         .aggregate(Sum("c", alias_name="c")),
         max_universe=max_universe,
@@ -389,7 +387,6 @@ def gini_by_group(
     *,
     key_col: str,
     value_col: str,
-    num_partitions: int = 4,
     max_universe: int | None = None,
 ) -> "pd.DataFrame":
     """Gini coefficient per group → DataFrame(key, n, gini 6dp) — the
@@ -432,7 +429,7 @@ def gini_by_group(
 
     uni = collect_universe(
         ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
+        .repartition(guard.shuffle_partitions())
         .groupby([key_col, "v"])
         .aggregate(Sum("c", alias_name="c")),
         max_universe=max_universe,
@@ -457,7 +454,6 @@ def topk_dense_per_group(
     key_col: str,
     value_col: str,
     k: int,
-    num_partitions: int = 4,
 ):
     """ALL rows whose value is among each group's top-``k`` DISTINCT
     values — SQL ``DENSE_RANK() ≤ k`` semantics (ties included, unlike
@@ -478,7 +474,6 @@ def topk_dense_per_group(
         distinct_rows(
             ds.select_columns([key_col, value_col]),
             [key_col, value_col],
-            num_partitions=num_partitions,
         )
         .to_pandas()  # (key, value)-universe-sized
         .sort_values([key_col, value_col], ascending=[True, False], kind="stable")

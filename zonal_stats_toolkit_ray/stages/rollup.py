@@ -4,11 +4,12 @@ The reference toolkit's reporting layer emits one CSV per aggregation
 grain; SQL engines express the same need as ``GROUP BY ROLLUP(k1, k2)``.
 The scale-correct shape: the INPUT is read once — in-batch partials at the
 FINEST grain (distinct (k1,…,kn) rows per block, never input rows) feed one
-hash aggregate, and every coarser level re-aggregates the previous level's
-group-sized Dataset (distinct keys shrink monotonically), so rolling up
-adds zero passes over the corpus.  Rolled-up key positions carry a sentinel
-token (default ``"__ALL__"``) rather than NULL so downstream sorts, joins
-and the DuckDB oracle (``coalesce(k, '__ALL__')``) treat levels uniformly.
+``guard.group_sums`` merge, and every coarser level re-aggregates the
+previous level's group-sized frame (distinct keys shrink monotonically),
+so rolling up adds zero passes over the corpus.  Rolled-up key positions
+carry a sentinel token (default ``"__ALL__"``) rather than NULL so
+downstream sorts, joins and the DuckDB oracle (``coalesce(k, '__ALL__')``)
+treat levels uniformly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 ALL_TOKEN = "__ALL__"
 
@@ -27,7 +30,6 @@ def pivot_counts(
     index_col: str,
     columns_col: str,
     categories: list[str],
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Wide count pivot — ``index_col`` rows × one int64 column per category
     of ``columns_col`` (named ``n_<category>``), missing cells 0, plus a
@@ -38,9 +40,8 @@ def pivot_counts(
     call, not the data — at 100 TB a schema that depends on which values
     happen to appear is a lineage hazard (and unseen values fail fast here
     rather than silently widening).  Shape: in-batch (index, col) count
-    partials → one pair-universe hash aggregate → driver pivot of the tiny
-    pair frame."""
-    from ray.data.aggregate import Sum
+    partials → ``guard.group_sums`` over the pair universe → driver pivot
+    of the tiny pair frame (a NULL index value is its own row, last)."""
 
     def pair_partials(b: pa.Table) -> pa.Table:
         t = pa.table({"i": b[index_col], "c": b[columns_col]})
@@ -49,18 +50,17 @@ def pivot_counts(
             {"i": g["i"], "c": g["c"], "n": pc.cast(g["count_all"], pa.int64())}
         )
 
-    pairs = (
-        ds.map_batches(pair_partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(["i", "c"])
-        .aggregate(Sum("n", alias_name="n"))
-    ).to_pandas()  # pair-universe-sized
+    pairs = guard.group_sums(  # pair-universe-sized
+        ds.map_batches(pair_partials, batch_format="pyarrow"), ["i", "c"], ["n"]
+    )
     seen = set(pairs["c"].unique())
     unknown = seen - set(categories)
     if unknown:
         raise ValueError(f"values of {columns_col} outside categories: {sorted(unknown)}")
     wide = (
-        pairs.pivot_table(index="i", columns="c", values="n", aggfunc="sum", fill_value=0)
+        pairs.pivot_table(
+            index="i", columns="c", values="n", aggfunc="sum", fill_value=0, dropna=False
+        )
         .reindex(columns=categories, fill_value=0)
         .astype("int64")
     )
@@ -132,7 +132,6 @@ def cube_sum_count(
     *,
     keys: list[str],
     value_col: str,
-    num_partitions: int = 4,
     all_token: str = ALL_TOKEN,
 ) -> pd.DataFrame:
     """``GROUP BY CUBE(*keys)`` with ``sum(value_col)`` and ``count(*)`` —
@@ -143,8 +142,6 @@ def cube_sum_count(
     finest (group-universe-sized) frame in the driver — sum/count are
     associative, so no grouping set ever rereads the corpus."""
     from itertools import combinations
-
-    from ray.data.aggregate import Sum
 
     keys = list(keys)
 
@@ -161,12 +158,8 @@ def cube_sum_count(
             }
         )
 
-    finest = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(keys)
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
-        .to_pandas()
+    finest = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), keys, ["n", "sum_v"]
     )
     frames: list[pd.DataFrame] = []
     for r in range(len(keys), -1, -1):
@@ -180,7 +173,9 @@ def cube_sum_count(
                 row["sum_v"] = float(finest["sum_v"].sum())
                 frames.append(pd.DataFrame([row]))
                 continue
-            g = finest.groupby(list(kept), as_index=False)[["n", "sum_v"]].sum()
+            g = finest.groupby(list(kept), as_index=False, dropna=False)[
+                ["n", "sum_v"]
+            ].sum()
             for k in keys:
                 if k not in kept:
                     g[k] = all_token
@@ -196,7 +191,6 @@ def rollup_sum_count(
     *,
     keys: list[str],
     value_col: str,
-    num_partitions: int = 4,
     all_token: str = ALL_TOKEN,
 ) -> pd.DataFrame:
     """``GROUP BY ROLLUP(*keys)`` with ``sum(value_col)`` and ``count(*)``
@@ -208,8 +202,6 @@ def rollup_sum_count(
     the classic partial-reaggregation trick: sum and count are associative,
     so level i is exactly derivable from level i+1.  The returned frame is
     group-universe-sized (sum over levels of distinct key prefixes)."""
-    from ray.data.aggregate import Sum
-
     keys = list(keys)
 
     def partials(b: pa.Table) -> pa.Table:
@@ -225,16 +217,12 @@ def rollup_sum_count(
             }
         )
 
-    finest = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(keys)
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
-    )
-
-    frames: list[pd.DataFrame] = []
-    cur = finest.to_pandas()  # finest-grain groups — group-universe-sized
-    frames.append(cur.copy())
+    # finest-grain groups — group-universe-sized
+    frames: list[pd.DataFrame] = [
+        guard.group_sums(
+            ds.map_batches(partials, batch_format="pyarrow"), keys, ["n", "sum_v"]
+        )
+    ]
     for i in range(len(keys) - 1, -1, -1):
         # roll up keys[i:]: re-aggregate the previous (already tiny) level
         prev = frames[-1]
@@ -244,10 +232,9 @@ def rollup_sum_count(
             row["sum_v"] = float(prev["sum_v"].sum())
             frames.append(pd.DataFrame([row]))
         else:
-            g = (
-                prev.groupby(keys[:i], as_index=False)[["n", "sum_v"]]
-                .sum()
-            )
+            g = prev.groupby(keys[:i], as_index=False, dropna=False)[
+                ["n", "sum_v"]
+            ].sum()
             for k in keys[i:]:
                 g[k] = all_token
             frames.append(g[keys + ["n", "sum_v"]])
@@ -263,7 +250,6 @@ def grouping_sets_sum_count(
     keys: list[str],
     value_col: str,
     sets: list[list[str]],
-    num_partitions: int = 4,
     all_token: str = ALL_TOKEN,
 ) -> pd.DataFrame:
     """``GROUP BY GROUPING SETS (...)`` with ``sum(value_col)`` /
@@ -275,8 +261,6 @@ def grouping_sets_sum_count(
     every requested set re-aggregates the group-universe-sized finest
     frame in the driver — sum/count are associative, so no grouping set
     ever rereads the corpus."""
-    from ray.data.aggregate import Sum
-
     keys = list(keys)
     for s in sets:
         if not set(s) <= set(keys):
@@ -295,12 +279,8 @@ def grouping_sets_sum_count(
             }
         )
 
-    finest = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(keys)
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v"))
-        .to_pandas()
+    finest = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), keys, ["n", "sum_v"]
     )
     frames: list[pd.DataFrame] = []
     for kept in sets:
@@ -314,7 +294,7 @@ def grouping_sets_sum_count(
             row["sum_v"] = float(finest["sum_v"].sum())
             frames.append(pd.DataFrame([row]))
             continue
-        g = finest.groupby(kept, as_index=False)[["n", "sum_v"]].sum()
+        g = finest.groupby(kept, as_index=False, dropna=False)[["n", "sum_v"]].sum()
         for k in keys:
             if k not in kept:
                 g[k] = all_token

@@ -32,6 +32,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
+
 _SEP = "\x1f"
 
 
@@ -103,7 +105,6 @@ def similarity_join(
     id_col: str = "doc_id",
     text_col: str = "text",
     gram_df_cap: int | None = None,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """→ DataFrame(a_id, b_id, inter, na, nb, jaccard) for every cross
     pair with word-``n``-gram Jaccard ≥ ``threshold`` (6-dp rounded
@@ -140,7 +141,7 @@ def similarity_join(
             lambda t: df_partial(t, "a_id"), batch_format="pyarrow"
         ).union(gb.map_batches(lambda t: df_partial(t, "b_id"), batch_format="pyarrow"))
         hot = (
-            both.repartition(4)
+            both.repartition(guard.shuffle_partitions())
             .groupby("g")
             .aggregate(Sum("c", alias_name="df"))
             .filter(lambda r: r["df"] > gram_df_cap)

@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import guard
 from .guard import tree_combine
 
 # below guard.DRIVER_ROWS: each row carries a histogram or HLL register array
@@ -444,7 +445,6 @@ def histogram_ds(
     lo: float,
     hi: float,
     bins: int = 32,
-    num_partitions: int | None = None,
 ):
     """Exact histogram of ``value_col`` over ``bins`` equal-width bins in
     [lo, hi): Dataset of (bin:int64, n:int64), non-empty bins only,
@@ -461,7 +461,7 @@ def histogram_ds(
         histogram_batch,
         batch_format="pyarrow",
         fn_kwargs={"value_col": value_col, "lo": lo, "hi": hi, "bins": bins},
-    ).repartition(num_partitions or 4)
+    ).repartition(guard.shuffle_partitions())
     agg = partials.groupby("bin").aggregate(Sum("n", alias_name="n"))
 
     def norm(b: pa.Table) -> pa.Table:
@@ -561,7 +561,6 @@ def group_histogram(
     lo: float,
     hi: float,
     n_bins: int = 10,
-    num_partitions: int = 4,
 ) -> "pd.DataFrame":
     """Exact equi-width histogram PER GROUP → DataFrame(key, bin, n) for
     every (group, bin 0..n_bins−1) cell (zero cells included) — the 2-D
@@ -571,7 +570,8 @@ def group_histogram(
     sides).
 
     One pass of per-(group, bin) count partials (each block emits ≤
-    groups × n_bins rows) → one hash aggregate → driver grid fill."""
+    groups × n_bins rows) → ``guard.group_sums`` → driver grid fill (a
+    NULL key is its own group, last)."""
     import pandas as pd
 
     w = (hi - lo) / n_bins
@@ -583,7 +583,9 @@ def group_histogram(
         v = pc.cast(b[value_col], pa.float64()).to_numpy(zero_copy_only=False)
         bins = np.floor((v - lo) / w)
         bins = np.minimum(np.maximum(bins, 0.0), n_bins - 1).astype(np.int64)
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
+        codes = np.asarray(
+            kcol.dictionary_encode(null_encoding="encode").indices, dtype=np.int64
+        )
         packed = codes * n_bins + bins
         cnt = np.bincount(packed)
         nz = np.flatnonzero(cnt)
@@ -595,26 +597,18 @@ def group_histogram(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby([key_col, "bin"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
+    agg = guard.group_sums(
+        ds.map_batches(partials, batch_format="pyarrow"), [key_col, "bin"], ["n"]
     )
-    keys = sorted(agg[key_col].unique())
-    grid = pd.MultiIndex.from_product(
-        [keys, range(n_bins)], names=[key_col, "bin"]
+    keys = agg[key_col].drop_duplicates()
+    out = pd.DataFrame(
+        {
+            key_col: np.repeat(keys.to_numpy(), n_bins),
+            "bin": np.tile(np.arange(n_bins, dtype=np.int64), len(keys)),
+        }
     )
-    out = (
-        agg.set_index([key_col, "bin"])
-        .reindex(grid, fill_value=0)
-        .reset_index()
-    )
-    out["n"] = out["n"].astype(np.int64)
-    out["bin"] = out["bin"].astype(np.int64)
+    out = out.merge(agg, on=[key_col, "bin"], how="left")
+    out["n"] = out["n"].fillna(0).astype(np.int64)
     return out
 
 

@@ -316,7 +316,7 @@ def doc_frequency_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def document_frequency(
-    ds, *, text_col: str = "text", top_n: int = 50, num_partitions: int | None = None
+    ds, *, text_col: str = "text", top_n: int = 50
 ):
     """Corpus document-frequency table → top ``top_n`` (token, df) rows,
     df descending, token ascending on ties (deterministic).
@@ -327,12 +327,11 @@ def document_frequency(
     the standard IDF / vocabulary-statistics pass of a text-corpus
     pipeline at any scale.
 
-    The slim (token, df) partials are coalesced to ``num_partitions``
-    blocks (default ≈ cluster CPUs) before the aggregate: the aggregate's
-    partition count follows its input block count, and far more partitions
-    than distinct tokens yields empty SCHEMALESS partitions (sandbox lesson
-    #20 — mixed-schema RefBundles downstream).  At real scale pass a larger
-    ``num_partitions`` sized so vocabulary/num_partitions fits a worker."""
+    The slim (token, df) partials are coalesced to one block per cluster
+    CPU (``guard.shuffle_partitions``) before the aggregate: the
+    aggregate's partition count follows its input block count, and far
+    more partitions than distinct tokens yields empty SCHEMALESS
+    partitions (sandbox lesson #20 — mixed-schema RefBundles downstream)."""
     import pandas as pd
     from ray.data.aggregate import Sum
 
@@ -342,10 +341,8 @@ def document_frequency(
     # the sort-aggregate's partition count follows its input block count;
     # coalesce the slim partials first so partitions ≪ vocabulary (an
     # aggregate with more partitions than distinct keys emits empty
-    # SCHEMALESS partitions — sandbox lesson #20).  Default 4 suits the
-    # test/bench corpora; at real scale pass num_partitions sized so
-    # vocabulary/num_partitions fits a worker.
-    partials = partials.repartition(num_partitions or 4)
+    # SCHEMALESS partitions — sandbox lesson #20)
+    partials = partials.repartition(guard.shuffle_partitions())
     agg = partials.groupby("token").aggregate(Sum("df", alias_name="df"))
 
     def local_top(b: pa.Table) -> pa.Table:
@@ -468,7 +465,7 @@ def tfidf_top_terms(
     n_docs = ds.count()
     partials = ds.map_batches(
         doc_frequency_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
-    ).repartition(4)
+    ).repartition(guard.shuffle_partitions())
     df_ds = partials.groupby("token").aggregate(Sum("df", alias_name="df")).materialize()
     vocab_n = df_ds.count()
 
@@ -643,7 +640,6 @@ def remove_boilerplate_lines(
     id_col: str = "doc_id",
     text_col: str = "text",
     min_docs: int = 3,
-    num_partitions: int = 4,
 ):
     """→ Dataset ``(doc_id, text, n_removed)``: drop every non-empty line
     that occurs in ≥ ``min_docs`` distinct documents; remaining lines are
@@ -657,7 +653,7 @@ def remove_boilerplate_lines(
     distribution, unique lines never leave the aggregate) is broadcast
     once via ``ray.put`` and each batch filters its lines vectorized,
     rejoining with one ``binary_join`` kernel call.  Partials coalesce to
-    ``num_partitions`` blocks before the aggregate — schemaless-empty-
+    one block per cluster CPU before the aggregate — schemaless-empty-
     partition hazard (sandbox lesson 22)."""
     import ray
     from ray.data.aggregate import Sum
@@ -666,7 +662,7 @@ def remove_boilerplate_lines(
 
     partials = ds.map_batches(
         line_df_batch, batch_format="pyarrow", fn_kwargs=dict(text_col=text_col)
-    ).repartition(num_partitions)
+    ).repartition(guard.shuffle_partitions())
     df_tab = (
         partials.groupby("line_hash")
         .aggregate(Sum("ndocs", alias_name="ndocs"))
@@ -1090,7 +1086,6 @@ def doc_frequency_by_group(
     group_col: str = "lang",
     text_col: str = "text",
     top_n: int = 10,
-    num_partitions: int | None = None,
 ):
     """Top ``top_n`` tokens per group by document frequency (df desc,
     token asc) → DataFrame(group, token, df).
@@ -1108,7 +1103,7 @@ def doc_frequency_by_group(
         doc_frequency_by_group_batch,
         batch_format="pyarrow",
         fn_kwargs=dict(group_col=group_col, text_col=text_col),
-    ).repartition(num_partitions or 4)
+    ).repartition(guard.shuffle_partitions())
     agg = partials.groupby([group_col, "token"]).aggregate(Sum("df", alias_name="df"))
 
     def local_top(b: pa.Table) -> pa.Table:
@@ -1156,7 +1151,7 @@ def doc_frequency_by_group(
     return out[[group_col, "token", "df"]]
 
 
-def vocabulary_ids(ds, *, text_col: str = "text", num_partitions: int | None = None):
+def vocabulary_ids(ds, *, text_col: str = "text"):
     """Frequency-ranked vocabulary construction: the tokenizer-prep pass of
     an LLM data pipeline — every distinct whitespace token of the corpus
     gets a contiguous 1-based ``token_id`` ordered by (document frequency
@@ -1178,7 +1173,7 @@ def vocabulary_ids(ds, *, text_col: str = "text", num_partitions: int | None = N
 
     partials = ds.map_batches(
         doc_frequency_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
-    ).repartition(num_partitions or 4)
+    ).repartition(guard.shuffle_partitions())
     agg = partials.groupby("token").aggregate(Sum("df", alias_name="df"))
 
     def norm(b: pa.Table) -> pa.Table:
@@ -1248,7 +1243,6 @@ def vocab_overlap(
     *,
     group_col: str = "lang",
     text_col: str = "text",
-    num_partitions: int = 4,
 ) -> "pd.DataFrame":
     """Pairwise vocabulary overlap between document groups →
     DataFrame(group_a, group_b, inter, size_a, size_b) for every group
@@ -1258,7 +1252,7 @@ def vocab_overlap(
     half boundaries).
 
     Shape: ONE text pass emits in-batch distinct (group, token) partials
-    (the doc_frequency kernel keyed by group); one hash aggregate
+    (the doc_frequency kernel keyed by group); one distinct aggregate
     collapses them to the global (group, token) universe; the pair
     intersection is a self hash-join on token over that universe (tokens
     shared by g groups contribute C(g,2) pair rows — bounded by
@@ -1312,7 +1306,6 @@ def vocab_overlap(
         distinct_rows(
             ds.map_batches(gt_rows, batch_format="pyarrow"),
             ["g", "token"],
-            num_partitions=num_partitions,
         )
         .map_batches(norm_uni, batch_format="pyarrow")
         .materialize()
@@ -1357,15 +1350,9 @@ def vocab_overlap(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    pairs = (
-        joined.map_batches(pair_partials, batch_format="pyarrow")
-        .repartition(2)
-        .groupby(["g", "g2"])
-        .aggregate(Sum("c", alias_name="inter"))
-        .to_pandas()  # groups²-sized
-    )
+    pairs = guard.group_sums(  # groups²-sized
+        joined.map_batches(pair_partials, batch_format="pyarrow"), ["g", "g2"], ["c"]
+    ).rename(columns={"c": "inter"})
     if pairs.empty:
         return pd.DataFrame(
             columns=["group_a", "group_b", "inter", "size_a", "size_b"]
@@ -1464,7 +1451,6 @@ def encode_corpus(
     id_col: str = "doc_id",
     text_col: str = "text",
     vocab_broadcast_threshold: int = 5_000_000,
-    num_partitions: int | None = None,
 ):
     """Tokenize the corpus into frequency-ranked id sequences →
     Dataset(doc_id, n_tokens, id_seq) — the LLM-preprocessing encode pass:
@@ -1482,7 +1468,7 @@ def encode_corpus(
     shape), which trades one extra shuffle for no broadcast."""
     import ray
 
-    vocab = vocabulary_ids(ds, text_col=text_col, num_partitions=num_partitions)
+    vocab = vocabulary_ids(ds, text_col=text_col)
     vdf = vocab.to_pandas()
     if len(vdf) > vocab_broadcast_threshold:
         raise ValueError(
@@ -1546,7 +1532,6 @@ def negative_samples(
     text_col: str = "text",
     per_doc: int = 5,
     power: float = 0.75,
-    num_partitions: int | None = None,
 ):
     """Deterministic negative sampling (word2vec/NCE): ``per_doc`` tokens
     per document drawn from the unigram^``power`` distribution
@@ -1562,14 +1547,14 @@ def negative_samples(
     partials), the (tokens, cumweights) arrays broadcast once, and each
     batch draws vectorized (one searchsorted per batch)."""
     import ray
-    from ray.data.aggregate import Sum
 
-    partials = ds.map_batches(
-        doc_frequency_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
-    ).repartition(num_partitions or 4)
-    agg = partials.groupby("token").aggregate(Sum("df", alias_name="df"))
-    vdf = agg.to_pandas()  # vocabulary-sized
-    vdf = vdf.sort_values("token", kind="stable").reset_index(drop=True)
+    vdf = guard.group_sums(  # vocabulary-sized, token ascending
+        ds.map_batches(
+            doc_frequency_batch, batch_format="pyarrow", fn_kwargs={"text_col": text_col}
+        ),
+        ["token"],
+        ["df"],
+    )
     wt = np.power(vdf["df"].to_numpy(dtype=np.float64), power)
     cw = np.cumsum(wt)
     tot = float(cw[-1])
@@ -1669,7 +1654,6 @@ def keyness_terms(
     group_col: str = "lang",
     text_col: str = "text",
     top_n: int = 5,
-    num_partitions: int = 4,
 ) -> "pd.DataFrame":
     """Per-group DISTINCTIVE terms by smoothed log-odds ratio (the corpus
     "keyness" analysis — which tokens characterize each language/host/
@@ -1711,7 +1695,7 @@ def keyness_terms(
 
     partials = ds.map_batches(keyed_counts, batch_format="pyarrow")
     gt = (
-        partials.repartition(num_partitions)
+        partials.repartition(guard.shuffle_partitions())
         .groupby([group_col, "token"])
         .aggregate(Sum("c", alias_name="c"))
         .materialize()
@@ -1721,25 +1705,13 @@ def keyness_terms(
         .aggregate(Sum("c", alias_name="ct"))
     )
     # group totals: #groups-sized driver frame (bounded-groups regime)
-    gg = (
-        gt.map_batches(
-            lambda t: pa.table({group_col: t[group_col], "c": t["c"]})
-            if group_col in t.column_names
-            else pa.table(
-                {group_col: pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby(group_col)
-        .aggregate(Sum("c", alias_name="cg"))
-        .to_pandas()
-    )
+    gg = guard.group_sums(gt, [group_col], ["c"]).rename(columns={"c": "cg"})
     c_all = float(gg["cg"].sum())
     gkeys = pa.array(gg[group_col].astype(str), pa.string())
     gvals = gg["cg"].to_numpy(dtype=np.float64)
     ref = ray.put((gkeys, gvals, c_all))
 
-    joined = hash_join(gt, tt, on="token", num_partitions=num_partitions)
+    joined = hash_join(gt, tt, on="token")
 
     def score(b: pa.Table, *, _ref=ref) -> pa.Table:
         out_schema = pa.schema(

@@ -30,6 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import guard
 from .joins import distinct_rows, hash_join
 
 _PACK = np.int64(1) << np.int64(32)
@@ -59,7 +60,6 @@ def triangle_stats(
     multi-edges and self-loops are normalized away).  Node ids must fit
     int64 with ids < 2³¹ (packed closing key)."""
     import ray
-    from ray.data.aggregate import Sum
 
     ce = distinct_rows(
         edges.map_batches(_canon_factory(src_col, dst_col), batch_format="pyarrow"),
@@ -77,11 +77,8 @@ def triangle_stats(
         u, c = np.unique(nodes, return_counts=True)
         return pa.table({"node": pa.array(u), "c": pa.array(c.astype(np.int64))})
 
-    deg_df = (
-        ce.map_batches(ends, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("c", alias_name="degree"))
-        .to_pandas()
+    deg_df = guard.group_sums(  # node-ascending
+        ce.map_batches(ends, batch_format="pyarrow"), ["node"], ["c"]
     )
     n_nodes = len(deg_df)
     if n_nodes == 0:
@@ -99,9 +96,7 @@ def triangle_stats(
             "triangle_stats holds the degree vector driver-side"
         )
     nodes = deg_df["node"].to_numpy().astype(np.int64)
-    order = np.argsort(nodes)
-    nodes = nodes[order]
-    deg = deg_df["degree"].to_numpy().astype(np.int64)[order]
+    deg = deg_df["c"].to_numpy().astype(np.int64)
     if nodes.size and int(nodes[-1]) >= (1 << 31):
         raise ValueError("node ids must be < 2^31 for the packed wedge key")
     deg_ref = ray.put((nodes, deg))
@@ -163,11 +158,12 @@ def triangle_stats(
         u, c = np.unique(endpoints, return_counts=True)
         return pa.table({"node": pa.array(u), "c": pa.array(c.astype(np.int64))})
 
-    parts = tri.map_batches(tri_partial, batch_format="pyarrow").to_pandas()
+    parts = guard.group_sums(
+        tri.map_batches(tri_partial, batch_format="pyarrow"), ["node"], ["c"]
+    )
     tri_counts = np.zeros(nodes.size, dtype=np.int64)
-    if len(parts):
-        idx = np.searchsorted(nodes, parts["node"].to_numpy().astype(np.int64))
-        np.add.at(tri_counts, idx, parts["c"].to_numpy().astype(np.int64))
+    idx = np.searchsorted(nodes, parts["node"].to_numpy().astype(np.int64))
+    tri_counts[idx] = parts["c"].to_numpy().astype(np.int64)
     denom = deg.astype(np.float64) * (deg - 1).astype(np.float64)
     clustering = np.where(deg >= 2, 2.0 * tri_counts / np.maximum(denom, 1.0), 0.0)
     return pd.DataFrame(

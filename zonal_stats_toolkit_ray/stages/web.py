@@ -4,8 +4,8 @@ quality profiling) a Common-Crawl-scale pipeline runs before sampling.
 
 Shapes: host extraction is one Arrow RE2 kernel per batch; the per-domain
 rollup is a two-level grouped aggregate — in-batch (host, lang) partials →
-native hash aggregate → per-host merge — so only (host, lang)-sized rows
-ever shuffle, never pages.  Per-domain CAPS compose with
+``guard.group_sums`` → per-host merge — so only (host, lang)-sized rows
+ever leave a batch, never pages.  Per-domain CAPS compose with
 ``split.sample_n_per_group`` (deterministic smallest-hash-n per host).
 """
 
@@ -15,6 +15,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import guard
 
 _HOST_PATTERN = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<host>[^/?#]+)"
 
@@ -33,20 +35,16 @@ def host_stats(
     url_col: str = "url",
     text_col: str = "text",
     lang_col: str = "lang",
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Per-domain corpus profile → (host, n_pages, total_chars, n_langs),
     host ascending.
 
     Two-level reduce: each batch groups (host, lang) with vectorized Arrow
-    ``group_by`` (count + char sum), the native aggregate merges partials
-    by (host, lang) — rows shuffled = distinct (host, lang) per block —
-    and a final per-host combine sums pages/chars and counts distinct
-    langs.  ``num_partitions`` bounds the aggregate's partition count
-    (sandbox lesson #20: more partitions than groups emits schemaless
-    empty blocks); size it so hosts×langs/num_partitions fits a worker at
-    real scale."""
-    from ray.data.aggregate import Count, Sum
+    ``group_by`` (count + char sum), ``guard.group_sums`` merges partials
+    by (host, lang) — rows collected = distinct (host, lang) per block —
+    and a final per-host combine on the driver sums pages/chars and counts
+    distinct langs.  A NULL host (unparseable URL) or lang is its own
+    group."""
 
     def partials(b: pa.Table) -> pa.Table:
         b = url_host_batch(b, url_col=url_col)
@@ -69,25 +67,21 @@ def host_stats(
             }
         )
 
-    hl = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(["host", "lang"])
-        .aggregate(
-            Sum("n_pages", alias_name="n_pages"),
-            Sum("total_chars", alias_name="total_chars"),
+    hl = guard.group_sums(  # (host, lang)-sized, host ascending
+        ds.map_batches(partials, batch_format="pyarrow"),
+        ["host", "lang"],
+        ["n_pages", "total_chars"],
+    )
+    return (
+        hl.groupby("host", sort=False, dropna=False)
+        .agg(
+            n_pages=("n_pages", "sum"),
+            total_chars=("total_chars", "sum"),
+            n_langs=("lang", "size"),  # rows are distinct (host, lang)
         )
+        .reset_index()
+        .astype({"n_langs": np.int64})
     )
-    per_host = hl.groupby("host").aggregate(
-        Sum("n_pages", alias_name="n_pages"),
-        Sum("total_chars", alias_name="total_chars"),
-        Count(alias_name="n_langs"),  # rows are distinct (host, lang)
-    )
-    out = per_host.to_pandas()  # host-sized result frame
-    out["n_langs"] = out["n_langs"].astype(np.int64)
-    return out.sort_values("host").reset_index(drop=True)[
-        ["host", "n_pages", "total_chars", "n_langs"]
-    ]
 
 
 # --- hyperlink extraction / host link graph --------------------------------
@@ -134,16 +128,15 @@ def link_graph(
     *,
     html_col: str = "html",
     url_col: str = "url",
-    num_partitions: int = 4,
 ) -> pd.DataFrame:
     """Host-level link graph → (src_host, dst_host, n_links), ascending.
 
     One pass: per batch, explode anchors (``extract_links_batch``) and
     immediately collapse to distinct (src_host, dst_host) count partials —
     the exploded rows never leave the batch, only edge-universe-sized
-    partials shuffle into one hash aggregate.  Unparseable hrefs are
-    dropped here (no authority ⇒ not a host edge)."""
-    from ray.data.aggregate import Sum
+    partials merge in ``guard.group_sums``.  Unparseable hrefs are
+    dropped here (no authority ⇒ not a host edge); an unparseable page
+    URL gives a NULL ``src_host``, its own group, sorted last."""
 
     def partials(b: pa.Table) -> pa.Table:
         links = extract_links_batch(b, html_col=html_col, url_col=url_col)
@@ -157,17 +150,13 @@ def link_graph(
             }
         )
 
-    edges = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n_links", alias_name="n_links"))
+    out = guard.group_sums(  # edge-universe-sized
+        ds.map_batches(partials, batch_format="pyarrow"),
+        ["src_host", "dst_host"],
+        ["n_links"],
     )
-    out = edges.to_pandas()  # edge-universe-sized
     out["n_links"] = out["n_links"].astype(np.int64)
-    return out.sort_values(["src_host", "dst_host"]).reset_index(drop=True)[
-        ["src_host", "dst_host", "n_links"]
-    ]
+    return out
 
 
 # --- URL canonicalization ---------------------------------------------------
