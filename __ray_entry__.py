@@ -2373,14 +2373,14 @@ def q_inverted_lookup(sf_dir: str):
         inverted_index_write,
         token_lookup,
     )
+    from zonal_stats_toolkit_ray.state import metrics
 
     idx = "/tmp/graft_invindex"
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     inverted_index_write(ds, idx, num_buckets=16)
-    stats: dict = {}
-    out = token_lookup(
-        idx, ["spark", "merge", "window", "zzz-absent"], stats_out=stats
-    )
+    with metrics.recording() as rec:
+        out = token_lookup(idx, ["spark", "merge", "window", "zzz-absent"])
+    stats = rec.last("invindex.token_lookup")
     assert stats["buckets_probed"] <= 4 <= stats["dirs_total"]  # pruned read
     return out
 
@@ -2433,8 +2433,8 @@ def q_knn_ivf_partitioned_cert(sf_dir: str):
     """Partitioned-IVF-index certificate (round-3): build the
     hive-partitioned index on disk, query through partition-PRUNED reads
     (only probed ivf_list directories are opened; the read-pruning
-    mechanism itself is asserted via ``stats_out`` in
-    tests/TestPartitionedIVF), and assert recall@10 ≥ 0.5 vs brute force
+    mechanism itself is asserted on the ``knn.knn_ivf_partitioned`` note
+    in tests/TestPartitionedIVF), and assert recall@10 ≥ 0.5 vs brute force
     per query — same bound as knn_ivf_cert."""
     import shutil
     import tempfile
@@ -2774,6 +2774,7 @@ def q_spatial_bbox(sf_dir: str):
         spatial_bbox_query,
         spatial_write_partitioned,
     )
+    from zonal_stats_toolkit_ray.state import metrics
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
@@ -2789,11 +2790,11 @@ def q_spatial_bbox(sf_dir: str):
     spatial_write_partitioned(
         ds.map_batches(plant, batch_format="pyarrow"), idx, grid_bits=3
     )
-    stats: dict = {}
-    out = spatial_bbox_query(
-        idx, (-60.0, -30.0, 20.0, 40.0),
-        columns=["doc_id", "lon", "lat"], stats_out=stats,
-    )
+    with metrics.recording() as rec:
+        out = spatial_bbox_query(
+            idx, (-60.0, -30.0, 20.0, 40.0), columns=["doc_id", "lon", "lat"]
+        )
+    stats = rec.last("spatial_index.spatial_bbox_query")
     df = out.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert stats["buckets_probed"] < stats["dirs_total"], stats  # pruned read
     return df[["doc_id", "lon", "lat"]]
@@ -4520,6 +4521,7 @@ def q_range_layout(sf_dir: str):
         range_read,
         sorted_layout_write,
     )
+    from zonal_stats_toolkit_ray.state import metrics
     import ray.data as rd
 
     out = "/tmp/graft_sorted_layout"
@@ -4527,13 +4529,10 @@ def q_range_layout(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     )
     sorted_layout_write(ds, out, key_col="o_totalprice")
-    stats: dict = {}
-    res = (
-        range_read(out, 100_000.0, 150_000.0, stats_out=stats)
-        .to_pandas()
-        .sort_values("o_orderkey")
-        .reset_index(drop=True)
-    )
+    with metrics.recording() as rec:
+        res = range_read(out, 100_000.0, 150_000.0)
+    stats = rec.last("sorted_layout.range_read")
+    res = res.to_pandas().sort_values("o_orderkey").reset_index(drop=True)
     assert stats["files_read"] <= stats["files_total"]  # pruning telemetry
     res["o_totalprice"] = res["o_totalprice"].round(6)
     return res[["o_orderkey", "o_totalprice"]]

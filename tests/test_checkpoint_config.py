@@ -12,6 +12,7 @@ from zonal_stats_toolkit_ray.geom.window import GridSpec
 from zonal_stats_toolkit_ray.sources.config import ConfigError, parse_and_validate_config
 from zonal_stats_toolkit_ray.sources.raster import write_tiles
 from zonal_stats_toolkit_ray.sources.zones import synth_zones
+from zonal_stats_toolkit_ray.state import metrics
 from zonal_stats_toolkit_ray.state.checkpoint import CheckpointManifest, fingerprint, run_partitioned
 
 GRID = GridSpec(
@@ -215,7 +216,13 @@ base_raster_pattern = %s/rasterA.parquet
 """ % (root / "zones.parquet", root)
     two.write_text(text)
 
-    outs = run_config(str(two), timestamp="2026_01_02_00_00_00")
+    with metrics.recording() as rec:
+        outs = run_config(str(two), timestamp="2026_01_02_00_00_00")
+    # the job threads run in copies of this context: one record holds the
+    # spans of both jobs
+    spans = {(s["job"], s["stage"]) for s in rec.all("runner.run_job")}
+    assert {("biomes", "csv_write"), ("second", "csv_write")} <= spans
+    assert {job for job, _ in spans} == {"biomes", "second"}
     assert [o.name for o in outs] == [
         "biomes_2026_01_02_00_00_00.csv",
         "second_2026_01_02_00_00_00.csv",

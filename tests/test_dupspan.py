@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +68,7 @@ class TestDupSpanCoverage:
         assert (got["covered"] > 0).any()
 
     def test_join_regime_matches_broadcast(self, rd, monkeypatch):
-        from zonal_stats_toolkit_ray.stages.dupspan import (
-            LAST_DUPSPAN_STATS,
-            dup_span_coverage,
-        )
+        from zonal_stats_toolkit_ray.stages.dupspan import dup_span_coverage
 
         rng = np.random.default_rng(23)
         texts = make_corpus(rng, n_docs=40)
@@ -79,11 +77,12 @@ class TestDupSpanCoverage:
         )
         ds = rd.from_pandas(df).repartition(5)
         a = dup_span_coverage(ds, n=8)
-        from zonal_stats_toolkit_ray.stages import dupspan, guard
+        from zonal_stats_toolkit_ray.stages import guard
 
         monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
-        b = dup_span_coverage(ds, n=8)
-        assert dupspan.LAST_DUPSPAN_STATS["regime"] == "hash_join"
+        with metrics.recording() as rec:
+            b = dup_span_coverage(ds, n=8)
+        assert rec.last("dupspan.dup_span_coverage")["regime"] == "hash_join"
         pd.testing.assert_frame_equal(a, b)
 
     def test_short_docs_and_no_dups(self, rd):

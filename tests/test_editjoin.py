@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,7 @@ class TestEditDistanceJoin:
         assert got_pairs == want
 
     def test_join_regime_matches_broadcast(self, rd, monkeypatch):
-        from zonal_stats_toolkit_ray.stages import editjoin, guard
+        from zonal_stats_toolkit_ray.stages import guard
         from zonal_stats_toolkit_ray.stages.editjoin import edit_distance_join
 
         rng = np.random.default_rng(37)
@@ -100,8 +101,9 @@ class TestEditDistanceJoin:
         ds = rd.from_pandas(df).repartition(4)
         a = edit_distance_join(ds, id_col="doc_id", str_col="s", k=2)
         monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
-        b = edit_distance_join(ds, id_col="doc_id", str_col="s", k=2)
-        assert editjoin.LAST_EDITJOIN_STATS["regime"] == "join"
+        with metrics.recording() as rec:
+            b = edit_distance_join(ds, id_col="doc_id", str_col="s", k=2)
+        assert rec.last("editjoin.edit_distance_join")["regime"] == "join"
         pd.testing.assert_frame_equal(a, b)
 
     def test_k1_and_identical_strings(self, rd):

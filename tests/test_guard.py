@@ -19,6 +19,10 @@ One shuffle width and one grouped-sum merge: no function takes a
 literal width, and no native ``groupby(…).aggregate(Sum…)`` result is
 collected with ``.to_pandas()`` (a summed aggregate the driver collects
 merges in ``guard.group_sums``).
+
+One run record: telemetry goes through ``state.metrics.note``; no module
+keeps a ``LAST_*`` global, no function takes ``stats_out``, and no stage
+module rebinds a global.
 """
 
 import ast
@@ -212,6 +216,48 @@ def test_no_per_call_regime_thresholds():
                     frozen.append((rel, node.lineno, "default argument"))
     assert found == set(_THRESHOLD_EXEMPT), found ^ set(_THRESHOLD_EXEMPT)
     assert frozen == [], frozen
+
+
+def _telemetry_breaks(rel: str, tree) -> list:
+    """What bypasses the one run record (``state.metrics``): a module-level
+    ``LAST_*`` name, a ``stats_out`` parameter, any ``StageMetrics``, or a
+    ``global`` statement under ``stages/``."""
+    out = []
+    for node in tree.body:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id.startswith("LAST_"):
+                out.append((rel, node.lineno, t.id))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == "stats_out":
+            out.append((rel, node.lineno, "stats_out"))
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        name = name or getattr(node, "name", None)
+        if name == "StageMetrics":
+            out.append((rel, node.lineno, "StageMetrics"))
+        if isinstance(node, ast.Global) and rel.startswith("stages/"):
+            out.append((rel, node.lineno, "global"))
+    return out
+
+
+def test_one_run_record():
+    breaks = [b for rel, tree in _package_trees() for b in _telemetry_breaks(rel, tree)]
+    assert breaks == []
+
+
+@pytest.mark.parametrize(
+    "rel, src",
+    [
+        ("stages/x.py", "LAST_STATS: dict = {}"),
+        ("pipelines/x.py", "LAST_STATS = {}"),
+        ("stages/x.py", "def f(ds, *, stats_out=None):\n    pass"),
+        ("state/x.py", "class StageMetrics:\n    pass"),
+        ("pipelines/x.py", "from ..state.metrics import StageMetrics"),
+        ("stages/x.py", "def f():\n    global _CACHE"),
+    ],
+)
+def test_run_record_check_catches_each_break(rel, src):
+    assert _telemetry_breaks(rel, ast.parse(src))
 
 
 # names only the shared LSH tail (``dedup._near_dup``) may reference

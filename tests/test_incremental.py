@@ -8,6 +8,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 def _docs(rows):
@@ -61,10 +62,11 @@ class TestIncrementalDedup:
         shard_rows = [(int(100 + i), f"corpus text {int(rng.integers(0, 80))}") for i in range(50)]
         content_index_write(_docs(corpus_rows), idx, num_buckets=8)
 
-        stats_b, stats_j = {}, {}
-        out_b = _run(_docs(shard_rows), idx, stats_out=stats_b)
-        monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
-        out_j = _run(_docs(shard_rows), idx, stats_out=stats_j)
+        with metrics.recording() as rec:
+            out_b = _run(_docs(shard_rows), idx)
+            monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
+            out_j = _run(_docs(shard_rows), idx)
+        stats_b, stats_j = rec.all("incremental.incremental_dedup")
         assert stats_b["regime"] == "broadcast"
         assert stats_j["regime"] == "join"
         pd.testing.assert_frame_equal(out_b, out_j)
@@ -91,8 +93,9 @@ class TestIncrementalDedup:
         corpus = _docs([(i, f"doc number {i}") for i in range(300)])
         content_index_write(corpus, idx, num_buckets=32)
 
-        stats = {}
-        _run(_docs([(1000, "doc number 3")]), idx, stats_out=stats)
+        with metrics.recording() as rec:
+            _run(_docs([(1000, "doc number 3")]), idx)
+        stats = rec.last("incremental.incremental_dedup")
         assert stats["buckets_probed"] == 1
         assert stats["dirs_total"] > 16  # 300 distinct hashes fill most of 32
         total_files = sum(
@@ -147,13 +150,9 @@ class TestIncrementalDedup:
 
         idx = str(tmp_path / "idx")
         content_index_write(_docs([(1, "only corpus doc")]), idx, num_buckets=16)
-        stats = {}
-        out = _run(
-            _docs([(50, "brand new"), (51, "brand new"), (52, "other")]),
-            idx,
-            stats_out=stats,
-        )
-        assert stats["corpus_matches"] == 0
+        with metrics.recording() as rec:
+            out = _run(_docs([(50, "brand new"), (51, "brand new"), (52, "other")]), idx)
+        assert rec.last("incremental.incremental_dedup")["corpus_matches"] == 0
         exp = pd.DataFrame(
             {
                 "doc_id": [50, 51, 52],

@@ -342,6 +342,40 @@ class TestAsofChunked:
         )
         assert (out["last_click_value"] == 777.0).all()
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    @pytest.mark.parametrize("chunked", [True, False])
+    def test_nan_loses_max_value_tie(self, ray_session, chunked, nan_first):
+        """NaN is the lowest value in the max-value tie-break, like SQL
+        ``max`` ignoring NULL: a (NaN, 3.0) click tie answers 3.0, an
+        all-NaN tie answers NaN, and a NaN click that is the latest (not
+        tied) still answers NaN.  40 tied views around the clicks let the
+        range sort split the tie across blocks."""
+        from zonal_stats_toolkit_ray.stages.joins import asof_join_self
+
+        T, nan = 1_000_000, float("nan")
+        tie = [nan, 3.0] if nan_first else [3.0, nan]
+        rows = (
+            [(0, T, "view", 0.0)] * 20
+            + [(0, T, "click", v) for v in tie]
+            + [(0, T, "view", 0.0)] * 20
+            + [(0, 2 * T, "view", 0.0)]
+            + [(1, T, "click", nan), (1, T, "click", nan), (1, 2 * T, "view", 0.0)]
+            + [(2, T, "click", 5.0), (2, 2 * T, "click", nan), (2, 3 * T, "view", 0.0)]
+        )
+        df = pd.DataFrame(rows, columns=["user_id", "ts", "event_type", "value"])
+        df["ts"] = pd.to_datetime(df["ts"], unit="us")
+        df["event_id"] = np.arange(len(df), dtype=np.int64)
+        out = (
+            asof_join_self(rd.from_pandas(df).repartition(10), chunked=chunked)
+            .to_pandas()
+            .sort_values("event_id")
+        )
+        got = out.groupby("user_id")["last_click_value"]
+        assert (got.get_group(0) == 3.0).all()
+        assert got.get_group(1).isna().all()
+        assert got.get_group(2).tolist()[:1] == [5.0]
+        assert np.isnan(got.get_group(2).tolist()[1:]).all()
+
 
 class TestExceptDistinct:
     def test_except_and_empty(self, ray_session):

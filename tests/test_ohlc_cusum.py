@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +57,12 @@ class TestOHLC:
         rng = np.random.default_rng(14)
         df = make_events(rng, n=2000)
         ds = rd.from_pandas(df).repartition(8)
-        a = mod.ohlc(ds, bucket_s=86400)
-        assert mod.LAST_OHLC_STATS["combine_rounds"] == 0
-        force_tree()
-        b = mod.ohlc(ds, bucket_s=86400)
-        assert mod.LAST_OHLC_STATS["combine_rounds"] >= 1
+        with metrics.recording() as rec:
+            a = mod.ohlc(ds, bucket_s=86400)
+            force_tree()
+            b = mod.ohlc(ds, bucket_s=86400)
+        rounds = [s["combine_rounds"] for s in rec.all("ohlc.ohlc")]
+        assert rounds[0] == 0 and rounds[1] >= 1
         pd.testing.assert_frame_equal(a, b)
 
     def test_duplicate_ts_tiebreak_by_id(self, rd):

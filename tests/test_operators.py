@@ -17,6 +17,7 @@ from zonal_stats_toolkit_ray.stages.multimodal import (
     synth_media_table,
 )
 from zonal_stats_toolkit_ray.stages.window import session_windows, windowed_aggregate
+from zonal_stats_toolkit_ray.state import metrics
 
 SF = "/root/testdata/sf0.001"
 
@@ -435,13 +436,15 @@ class TestDedup:
         )
         ds = rd.from_pandas(df)
         out_capped = D.minhash_dedup(ds, bucket_cap=4).to_pandas()
-        out_exact = D.minhash_dedup(ds, bucket_cap=None).to_pandas()
+        with metrics.recording() as rec:
+            out_exact = D.minhash_dedup(ds, bucket_cap=None).to_pandas()
         # both must still cluster the verbatim dupes into one cluster
         assert out_capped["cluster_id"].nunique() == 1
         assert out_exact["cluster_id"].nunique() == 1
         # exact mode generated all-pairs (no drops recorded)
-        assert D.LAST_PAIR_STATS["hot_buckets"] == 0
-        assert D.LAST_PAIR_STATS["dropped_reps"] == 0
+        stats = rec.last("dedup.pairs_from_bands_df")
+        assert stats["hot_buckets"] == 0
+        assert stats["dropped_reps"] == 0
 
 
 class TestKNN:
@@ -652,18 +655,20 @@ class TestDedupScale:
             variant, 400, seed=9, dup_fraction=0.15, blocks=4
         )
         sinks = [str(tmp_path / "p_driver"), str(tmp_path / "p_dist")]
-        comp_a = fn(ds, pairs_sink=sinks[0], **kw).to_pandas()
+        with metrics.recording() as rec:
+            comp_a = fn(ds, pairs_sink=sinks[0], **kw).to_pandas()
         # broadcast: a budget of the candidate ids — bands and pairs stay
         # Datasets, the candidate payloads still broadcast; join: a zero
         # budget hash-joins the payloads onto the pairs
-        budget = D.LAST_DRIVER_FETCH["rows"] if regime == "broadcast" else 0
+        budget = rec.last("dedup.fetch")["rows"] if regime == "broadcast" else 0
         monkeypatch.setattr(guard, "DRIVER_ROWS", budget)
-        comp_b = fn(ds, pairs_sink=sinks[1], **kw).to_pandas()
-        assert D.LAST_DRIVER_FETCH["pair_rows"] == 0
+        with metrics.recording() as rec:
+            comp_b = fn(ds, pairs_sink=sinks[1], **kw).to_pandas()
+        assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] == 0
         if regime == "broadcast":
-            assert D.LAST_DRIVER_FETCH["rows"] > 0
+            assert rec.last("dedup.fetch")["rows"] > 0
         else:
-            assert D.LAST_DRIVER_FETCH["rows"] == 0
+            assert rec.last("dedup.fetch")["rows"] == 0
         assert np.array_equal(
             comp_a.sort_values(id_col)["cluster_id"].to_numpy(),
             comp_b.sort_values(id_col)["cluster_id"].to_numpy(),
@@ -702,10 +707,11 @@ class TestDedupScale:
         # one row under the 8 band rows per doc: the distributed
         # bucket-groupby pairs, and the (fewer) pairs still collect
         monkeypatch.setattr(guard, "DRIVER_ROWS", 8 * len(pages) - 1)
-        comp = D.minhash_dedup(ds, threshold=0.8).to_pandas()
-        assert D.LAST_DRIVER_FETCH["pair_rows"] > 0
+        with metrics.recording() as rec:
+            comp = D.minhash_dedup(ds, threshold=0.8).to_pandas()
+        assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] > 0
         # accounting: the verify pulled candidate rows only, not the corpus
-        assert 0 < D.LAST_DRIVER_FETCH["rows"] < len(pages)
+        assert 0 < rec.last("dedup.fetch")["rows"] < len(pages)
         a = comp.sort_values("doc_id").reset_index(drop=True)
         b = comp2.sort_values("doc_id").reset_index(drop=True)
         assert np.array_equal(a["cluster_id"].to_numpy(), b["cluster_id"].to_numpy())
@@ -726,10 +732,10 @@ class TestDedupScale:
         # under the band rows groups the bands distributed and collects the
         # pairs (both calls use the same cap)
         b = D.simhash_dedup(ds, max_hamming=3, bucket_cap=8).to_pandas()
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m, metrics.recording() as rec:
             m.setattr(guard, "DRIVER_ROWS", 4 * len(pages) - 1)
             a = D.simhash_dedup(ds, max_hamming=3, bucket_cap=8).to_pandas()
-        assert D.LAST_DRIVER_FETCH["pair_rows"] > 0
+        assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] > 0
         assert np.array_equal(
             a.sort_values("doc_id")["cluster_id"].to_numpy(),
             b.sort_values("doc_id")["cluster_id"].to_numpy(),
@@ -737,7 +743,7 @@ class TestDedupScale:
         # templated synthetic text collides broadly in 16-bit simhash bands,
         # so nearly all docs can be candidates here; the accounting bound is
         # exercised strictly by the minhash test above
-        assert D.LAST_DRIVER_FETCH["rows"] <= len(pages)
+        assert rec.last("dedup.fetch")["rows"] <= len(pages)
 
         rng = np.random.default_rng(5)
         base = rng.standard_normal((60, 16))
@@ -753,10 +759,11 @@ class TestDedupScale:
         e2 = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
         # 13 bucket rows per vector (exact bucket + 12 single-bit probes)
         monkeypatch.setattr(guard, "DRIVER_ROWS", 13 * len(mat) - 1)
-        e1 = D.embedding_dedup(
-            rd.from_arrow(tbl).repartition(2), threshold=0.999
-        ).to_pandas()
-        assert D.LAST_DRIVER_FETCH["pair_rows"] > 0
+        with metrics.recording() as rec:
+            e1 = D.embedding_dedup(
+                rd.from_arrow(tbl).repartition(2), threshold=0.999
+            ).to_pandas()
+        assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] > 0
         assert np.array_equal(
             e1.sort_values("vec_id")["cluster_id"].to_numpy(),
             e2.sort_values("vec_id")["cluster_id"].to_numpy(),
@@ -769,7 +776,7 @@ class TestDedupScale:
         """Round-4: identical docs collide in EVERY band, so the Dataset
         pair regime must dedup cross-band duplicates before the expensive
         payload-join verify — returned pairs are globally unique and the
-        before/after census lands in LAST_PAIR_STATS."""
+        before/after census lands in the run record."""
         import ray.data as rd
 
         # 5 docs sharing one bucket in each of 4 bands (verbatim-dup shape)
@@ -784,11 +791,14 @@ class TestDedupScale:
         )
         band_ds = rd.from_pandas(rows).repartition(3)
         monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
-        res = D.lsh_candidate_pairs(band_ds)
+        with metrics.recording() as rec:
+            res = D.lsh_candidate_pairs(band_ds)
         pairs = res.to_pandas()
         # all-pairs of 5 docs per band = 10; 4 bands raw = 40; unique = 10
-        assert D.LAST_PAIR_STATS["dataset_pairs_raw"] == 40
-        assert D.LAST_PAIR_STATS["dataset_pairs"] == 10
+        stats = rec.last("dedup.lsh_candidate_pairs")
+        assert stats["regime"] == "dataset"
+        assert stats["dataset_pairs_raw"] == 40
+        assert stats["dataset_pairs"] == 10
         assert len(pairs) == 10
         assert not pairs.duplicated().any()
 
@@ -810,12 +820,14 @@ class TestDedupScale:
             (D.simhash_dedup, dict(max_hamming=3)),
             (D.ngram_jaccard_dedup, dict(threshold=0.9)),
         ]:
-            base = fn(ds, **kw).to_pandas().sort_values("doc_id")
+            with metrics.recording() as rec:
+                base = fn(ds, **kw).to_pandas().sort_values("doc_id")
             with monkeypatch.context() as m:
-                m.setattr(guard, "DRIVER_ROWS", D.LAST_DRIVER_FETCH["rows"])
-                dist = fn(ds, **kw).to_pandas().sort_values("doc_id")
-            assert D.LAST_DRIVER_FETCH["pair_rows"] == 0, fn.__name__
-            assert D.LAST_DRIVER_FETCH["rows"] > 0, fn.__name__
+                m.setattr(guard, "DRIVER_ROWS", rec.last("dedup.fetch")["rows"])
+                with metrics.recording() as rec:
+                    dist = fn(ds, **kw).to_pandas().sort_values("doc_id")
+            assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] == 0, fn.__name__
+            assert rec.last("dedup.fetch")["rows"] > 0, fn.__name__
             assert np.array_equal(
                 base["cluster_id"].to_numpy(), dist["cluster_id"].to_numpy()
             ), fn.__name__
@@ -831,13 +843,15 @@ class TestDedupScale:
                 ),
             }
         )
-        e_base = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
-        monkeypatch.setattr(guard, "DRIVER_ROWS", D.LAST_DRIVER_FETCH["rows"])
-        e_dist = D.embedding_dedup(
-            rd.from_arrow(tbl).repartition(2), threshold=0.999
-        ).to_pandas()
-        assert D.LAST_DRIVER_FETCH["pair_rows"] == 0
-        assert D.LAST_DRIVER_FETCH["rows"] > 0
+        with metrics.recording() as rec:
+            e_base = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
+        monkeypatch.setattr(guard, "DRIVER_ROWS", rec.last("dedup.fetch")["rows"])
+        with metrics.recording() as rec:
+            e_dist = D.embedding_dedup(
+                rd.from_arrow(tbl).repartition(2), threshold=0.999
+            ).to_pandas()
+        assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] == 0
+        assert rec.last("dedup.fetch")["rows"] > 0
         assert np.array_equal(
             e_base.sort_values("vec_id")["cluster_id"].to_numpy(),
             e_dist.sort_values("vec_id")["cluster_id"].to_numpy(),
@@ -859,11 +873,11 @@ class TestDedupScale:
             (D.ngram_jaccard_dedup, dict(threshold=0.9)),
         ]:
             base = fn(ds, **kw).to_pandas().sort_values("doc_id")
-            with monkeypatch.context() as m:
+            with monkeypatch.context() as m, metrics.recording() as rec:
                 m.setattr(guard, "DRIVER_ROWS", 0)
                 joined = fn(ds, **kw).to_pandas().sort_values("doc_id")
-            assert D.LAST_DRIVER_FETCH["rows"] == 0, fn.__name__
-            assert D.LAST_DRIVER_FETCH["pair_rows"] == 0, fn.__name__
+            assert rec.last("dedup.fetch")["rows"] == 0, fn.__name__
+            assert rec.last("dedup.lsh_candidate_pairs")["pair_rows"] == 0, fn.__name__
             assert np.array_equal(
                 base["cluster_id"].to_numpy(), joined["cluster_id"].to_numpy()
             ), fn.__name__
@@ -881,10 +895,11 @@ class TestDedupScale:
         )
         e_base = D.embedding_dedup(rd.from_arrow(tbl), threshold=0.999).to_pandas()
         monkeypatch.setattr(guard, "DRIVER_ROWS", 0)
-        e_join = D.embedding_dedup(
-            rd.from_arrow(tbl).repartition(2), threshold=0.999
-        ).to_pandas()
-        assert D.LAST_DRIVER_FETCH["rows"] == 0
+        with metrics.recording() as rec:
+            e_join = D.embedding_dedup(
+                rd.from_arrow(tbl).repartition(2), threshold=0.999
+            ).to_pandas()
+        assert rec.last("dedup.fetch")["rows"] == 0
         assert np.array_equal(
             e_base.sort_values("vec_id")["cluster_id"].to_numpy(),
             e_join.sort_values("vec_id")["cluster_id"].to_numpy(),
@@ -920,26 +935,25 @@ class TestDedupScale:
                 "doc_id": ids,
             }
         )
-        D.LAST_PAIR_STATS.update(hot_buckets=0, star_pairs=0, dropped_reps=0)
-        pairs = D._pairs_from_bands_df(df, "doc_id", bucket_cap=512)
+        with metrics.recording() as rec:
+            pairs = D._pairs_from_bands_df(df, "doc_id", bucket_cap=512)
         assert len(pairs) == n - 1  # star to min id, not C(n,2) ≈ 8M
         assert (pairs["a"] == 0).all()
-        assert D.LAST_PAIR_STATS["hot_buckets"] == 1
+        assert rec.last("dedup.pairs_from_bands_df")["hot_buckets"] == 1
 
         # mixed signatures in one hot bucket: per-sig stars + rep all-pairs
         df2 = df.copy()
         df2["sig_hash"] = (ids % 3).astype(np.uint64)
-        D.LAST_PAIR_STATS.update(hot_buckets=0, star_pairs=0, dropped_reps=0)
         p2 = D._pairs_from_bands_df(df2, "doc_id", bucket_cap=512)
         # 3 groups → n-3 star pairs + C(3,2) representative pairs
         assert len(p2) == (n - 3) + 3
         # reps beyond the cap are dropped (and counted)
         df3 = df.copy()
         df3["sig_hash"] = ids.astype(np.uint64)  # all distinct signatures
-        D.LAST_PAIR_STATS.update(hot_buckets=0, star_pairs=0, dropped_reps=0)
-        p3 = D._pairs_from_bands_df(df3, "doc_id", bucket_cap=512)
+        with metrics.recording() as rec:
+            p3 = D._pairs_from_bands_df(df3, "doc_id", bucket_cap=512)
         assert len(p3) == 512 * 511 // 2
-        assert D.LAST_PAIR_STATS["dropped_reps"] == n - 512
+        assert rec.last("dedup.pairs_from_bands_df")["dropped_reps"] == n - 512
 
     def test_hot_bucket_end_to_end_100k_identical(self, ray_session):
         """Stress (VERDICT #1 'done' bar): 100k verbatim-identical docs —
@@ -955,10 +969,11 @@ class TestDedupScale:
             }
         )
         ds = rd.from_pandas(df).repartition(8)
-        comp = D.minhash_dedup(ds, threshold=0.8).to_pandas()
+        with metrics.recording() as rec:
+            comp = D.minhash_dedup(ds, threshold=0.8).to_pandas()
         # bounded: the driver pair frame is O(n), not O(n²)
-        assert 0 < D.LAST_DRIVER_FETCH["pair_rows"] <= 2 * n
-        assert D.LAST_PAIR_STATS["hot_buckets"] >= 1
+        assert 0 < rec.last("dedup.lsh_candidate_pairs")["pair_rows"] <= 2 * n
+        assert rec.last("dedup.pairs_from_bands_df")["hot_buckets"] >= 1
         assert comp["cluster_id"].nunique() == 1
         assert comp["is_duplicate"].sum() == n - 1
 
@@ -1134,10 +1149,11 @@ def test_call_without_candidates_fetches_nothing(ray_session):
         )
     )
     for fn, ds in [(D.simhash_dedup, lone_texts), (D.embedding_dedup, lone_vecs)]:
-        D.minhash_dedup(texts, threshold=0.8).to_pandas()
-        assert D.LAST_DRIVER_FETCH["rows"] > 0
-        out = fn(ds).to_pandas()
-        assert D.LAST_DRIVER_FETCH["rows"] == 0, fn.__name__
+        with metrics.recording() as rec:
+            D.minhash_dedup(texts, threshold=0.8).to_pandas()
+            assert rec.last("dedup.fetch")["rows"] > 0
+            out = fn(ds).to_pandas()
+        assert rec.last("dedup.fetch")["rows"] == 0, fn.__name__
         assert not out["is_duplicate"].any(), fn.__name__
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,6 @@ class TestSkyline:
     def test_tree_combine_regime(self, rd, force_tree):
         """A zero driver budget forces distributed re-reduction; result
         equal to the driver regime."""
-        from zonal_stats_toolkit_ray.stages import pareto
         from zonal_stats_toolkit_ray.stages.pareto import skyline
 
         rng = np.random.default_rng(9)
@@ -54,8 +54,9 @@ class TestSkyline:
         ds = rd.from_pandas(pd.DataFrame({"a": x, "b": y})).repartition(9)
         a = skyline(ds, x_col="a", y_col="b")
         force_tree()
-        b = skyline(ds, x_col="a", y_col="b")
-        assert pareto.LAST_SKYLINE_STATS["combine_rounds"] >= 1
+        with metrics.recording() as rec:
+            b = skyline(ds, x_col="a", y_col="b")
+        assert rec.last("pareto.skyline")["combine_rounds"] >= 1
         pd.testing.assert_frame_equal(a, b)
 
     def test_nan_and_single_point(self, rd):

@@ -8,6 +8,7 @@ import pytest
 
 from zonal_stats_toolkit_ray.stages.joins import range_join_broadcast
 from zonal_stats_toolkit_ray.stages.rank import topk_per_group
+from zonal_stats_toolkit_ray.state import metrics
 from zonal_stats_toolkit_ray.stages.sketch import (
     approx_distinct_by_group,
     hll_estimate,
@@ -221,8 +222,6 @@ class TestTopK:
         blocks × groups × k."""
         import ray.data as rd
 
-        from zonal_stats_toolkit_ray.stages.rank import LAST_TOPK_STATS
-
         rng = np.random.default_rng(11)
         n, n_groups, k = 120_000, 100_000, 2
         df = pd.DataFrame(
@@ -234,16 +233,18 @@ class TestTopK:
             }
         )
         force_tree(driver_rows=30_000)
-        got = topk_per_group(
-            rd.from_pandas(df).repartition(16),
-            key_col="grp",
-            value_col="value",
-            id_col="event_id",
-            k=k,
-        )
+        with metrics.recording() as rec:
+            got = topk_per_group(
+                rd.from_pandas(df).repartition(16),
+                key_col="grp",
+                value_col="value",
+                id_col="event_id",
+                k=k,
+            )
         present = df["grp"].nunique()
-        assert LAST_TOPK_STATS["tree_levels"] >= 1
-        assert LAST_TOPK_STATS["driver_rows"] <= present * k
+        stats = rec.last("rank.topk_per_group")
+        assert stats["tree_levels"] >= 1
+        assert stats["driver_rows"] <= present * k
         # exactness survives the tree: spot-check 200 random groups
         want = {
             key: g.sort_values(["value", "event_id"], ascending=[False, True])
@@ -438,10 +439,11 @@ class TestPartitionedIVF:
             assert len(a & b) / len(b) >= 0.5, qid
 
         # the READ is pruned: one query probing 3 of 8 lists must touch
-        # only those partitions (mechanism check via stats_out)
-        stats: dict = {}
+        # only those partitions (mechanism check via the run record)
         one = {"query_id": queries["query_id"][:1], "matrix": qm[:1]}
-        knn_ivf_partitioned(idx, one, k=5, nprobe=3, stats_out=stats)
+        with metrics.recording() as rec:
+            knn_ivf_partitioned(idx, one, k=5, nprobe=3)
+        stats = rec.last("knn.knn_ivf_partitioned")
         assert stats["probed_lists"] == 3
         assert stats["dirs_total"] >= stats["probed_lists"]
         assert 0 < stats["files_read"] < sum(
@@ -613,10 +615,7 @@ class TestBivarMode:
         # stay ≤ max(driver budget, #keys), with at least one tree level
         # applied, and the result must still be exact.
         import ray.data as rd
-        from zonal_stats_toolkit_ray.stages.rank import (
-            LAST_MODE_STATS,
-            mode_per_group,
-        )
+        from zonal_stats_toolkit_ray.stages.rank import mode_per_group
 
         n_keys = 100_000
         rng = np.random.default_rng(29)
@@ -632,11 +631,13 @@ class TestBivarMode:
         from zonal_stats_toolkit_ray.stages import guard
 
         monkeypatch.setattr(guard, "shuffle_partitions", lambda: 16)
-        got = mode_per_group(
-            rd.from_pandas(df).repartition(32), key_col="k", value_col="v"
-        )
-        assert LAST_MODE_STATS["tree_levels"] >= 1
-        assert LAST_MODE_STATS["driver_rows"] <= max(thr, n_keys)
+        with metrics.recording() as rec:
+            got = mode_per_group(
+                rd.from_pandas(df).repartition(32), key_col="k", value_col="v"
+            )
+        stats = rec.last("rank.mode_per_group")
+        assert stats["tree_levels"] >= 1
+        assert stats["driver_rows"] <= max(thr, n_keys)
         assert len(got) == n_keys
         assert (got["mode_value"].to_numpy() == got["k"].to_numpy()).all()
         assert (got["n"] == 2).all()

@@ -19,6 +19,7 @@ from zonal_stats_toolkit_ray.stages.rolling import (
     rolling_window_stats_ref,
     _window_sums,
 )
+from zonal_stats_toolkit_ray.state import metrics
 
 
 def _cmp(ds, window_s, **kw):
@@ -172,15 +173,11 @@ class TestEwma:
     def test_one_hot_key_cross_block_carry(self, ray_session):
         # one key split across 16 blocks: every block's carry must chain,
         # and the driver summary frame must stay O(blocks), never O(rows)
-        from zonal_stats_toolkit_ray.stages.rolling import LAST_EWMA_STATS
-
         df = _events_df(20_000, 1, seed=11)
-        self._cmp(df, 0.25, 16)
-        assert (
-            0
-            < LAST_EWMA_STATS["summary_rows"]
-            <= 2 * max(LAST_EWMA_STATS["blocks"], 1)
-        )
+        with metrics.recording() as rec:
+            self._cmp(df, 0.25, 16)
+        stats = rec.last("rolling.ewma_by_key")
+        assert 0 < stats["summary_rows"] <= 2 * max(stats["blocks"], 1)
 
     def test_long_run_chunked_scan_path(self, ray_session):
         # 6000-row single block forces the q^i-underflow chunked rescan

@@ -4,6 +4,7 @@ identical-vector flood, sub-split recall on exact dups, determinism."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 def _mk_ds(ids, mat):
@@ -65,21 +66,24 @@ class TestSemDedup:
         from zonal_stats_toolkit_ray.stages.semdedup import semdedup
 
         ids, mat = _random_corpus(400, 16, seed=7)
-        s1, s2 = {}, {}
-        a = (
-            semdedup(_mk_ds(ids, mat), nlist=8, threshold=0.99, stats_out=s1)
-            .to_pandas()
-            .sort_values("vec_id")
-            .reset_index(drop=True)
-        )
-        monkeypatch.setattr(sd, "DRIVER_VECTORS", 10)
-        b = (
-            semdedup(_mk_ds(ids, mat), nlist=8, threshold=0.99, stats_out=s2)
-            .to_pandas()
-            .sort_values("vec_id")
-            .reset_index(drop=True)
-        )
+        with metrics.recording() as rec:
+            a = (
+                semdedup(_mk_ds(ids, mat), nlist=8, threshold=0.99)
+                .to_pandas()
+                .sort_values("vec_id")
+                .reset_index(drop=True)
+            )
+            monkeypatch.setattr(sd, "DRIVER_VECTORS", 10)
+            b = (
+                semdedup(_mk_ds(ids, mat), nlist=8, threshold=0.99)
+                .to_pandas()
+                .sort_values("vec_id")
+                .reset_index(drop=True)
+            )
+        s1, s2 = rec.all("semdedup.semdedup")
         assert s1["regime"] == "driver" and s2["regime"] == "grouped"
+        assert s1["rows"] == s2["rows"] == len(ids)
+        assert 1 <= s1["n_clusters"] <= 8 and s2["n_clusters"] is None
         assert a.equals(b)
         got = dict(zip(a["vec_id"], a["canonical_id"]))
         flag = dict(zip(a["vec_id"], a["is_duplicate"]))

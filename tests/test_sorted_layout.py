@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +29,10 @@ class TestSortedLayout:
             rd.from_pandas(df).repartition(16), out, key_col="v"
         )
         assert len(m["files"]) >= 8
-        stats: dict = {}
-        got = (
-            range_read(out, 100.0, 150.0, stats_out=stats)
-            .to_pandas()
-            .sort_values("id")
-            .reset_index(drop=True)
-        )
+        with metrics.recording() as rec:
+            got = range_read(out, 100.0, 150.0)
+        stats = rec.last("sorted_layout.range_read")
+        got = got.to_pandas().sort_values("id").reset_index(drop=True)
         want = (
             df[(df["v"] >= 100.0) & (df["v"] <= 150.0)]
             .sort_values("id")
@@ -83,8 +81,9 @@ class TestSortedLayout:
         out = str(tmp_path / "layout2")
         df = pd.DataFrame({"id": [1, 2], "v": [5.0, 6.0]})
         sorted_layout_write(rd.from_pandas(df), out, key_col="v")
-        stats: dict = {}
-        got = range_read(out, 100.0, 200.0, stats_out=stats)
+        with metrics.recording() as rec:
+            got = range_read(out, 100.0, 200.0)
+        stats = rec.last("sorted_layout.range_read")
         assert got.count() == 0 and stats["files_read"] == 0
         # rebuild replaces, never duplicates
         sorted_layout_write(rd.from_pandas(df), out, key_col="v")

@@ -11,6 +11,7 @@ from zonal_stats_toolkit_ray.stages.spatial_index import (
     spatial_write_partitioned,
     zorder_bucket,
 )
+from zonal_stats_toolkit_ray.state import metrics
 
 
 def _points(n, seed=3):
@@ -62,13 +63,10 @@ class TestSpatialQuery:
             rd.from_pandas(df).repartition(8), idx, grid_bits=3
         )
         bbox = (-40.0, -20.0, 55.0, 30.0)
-        stats = {}
-        got = (
-            spatial_bbox_query(idx, bbox, columns=["pid", "lon", "lat"], stats_out=stats)
-            .to_pandas()
-            .sort_values("pid")
-            .reset_index(drop=True)
-        )
+        with metrics.recording() as rec:
+            got = spatial_bbox_query(idx, bbox, columns=["pid", "lon", "lat"])
+        stats = rec.last("spatial_index.spatial_bbox_query")
+        got = got.to_pandas().sort_values("pid").reset_index(drop=True)
         m = (
             (df["lon"] >= bbox[0]) & (df["lon"] <= bbox[2])
             & (df["lat"] >= bbox[1]) & (df["lat"] <= bbox[3])
@@ -86,10 +84,7 @@ class TestSpatialQuery:
         df = _points(2000)
         df["lon"] = np.abs(df["lon"])
         spatial_write_partitioned(rd.from_pandas(df), idx, grid_bits=2)
-        stats = {}
-        got = spatial_bbox_query(
-            idx, (-170.0, -80.0, -100.0, -40.0), stats_out=stats
-        ).to_pandas()
+        got = spatial_bbox_query(idx, (-170.0, -80.0, -100.0, -40.0)).to_pandas()
         assert len(got) == 0
         # rebuild with different points must fully replace, not append
         df2 = _points(500, seed=9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from zonal_stats_toolkit_ray.state import metrics
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +79,15 @@ class TestPhraseSearch:
                 "text": [f"common filler w{i} quick brown" for i in range(50)],
             }
         )
-        stats: dict = {}
-        got = phrase_search(
-            rd.from_pandas(df).repartition(4),
-            "quick brown",
-            index_dir=str(tmp_path / "idx2"),
-            num_buckets=32,
-            stats_out=stats,
-        )
+        with metrics.recording() as rec:
+            got = phrase_search(
+                rd.from_pandas(df).repartition(4),
+                "quick brown",
+                index_dir=str(tmp_path / "idx2"),
+                num_buckets=32,
+            )
         assert got["doc_id"].tolist() == list(range(50))
+        stats = rec.last("invindex.token_lookup")
         assert stats["buckets_probed"] <= 2 < stats["dirs_total"]
 
 

@@ -8,12 +8,9 @@ import pytest
 
 import ray.data as rd
 
-from zonal_stats_toolkit_ray.stages.split import (
-    LAST_QUANTILE_THRESHOLD,
-    global_quantile,
-    quantile_filter,
-)
+from zonal_stats_toolkit_ray.stages.split import global_quantile, quantile_filter
 from zonal_stats_toolkit_ray.stages.web import host_stats, url_host_batch
+from zonal_stats_toolkit_ray.state import metrics
 
 
 class TestUrlHost:
@@ -71,11 +68,14 @@ class TestQuantileFilter:
         vals = rng.integers(10, 5000, 20_000)
         df = pd.DataFrame({"doc_id": np.arange(vals.size), "n_chars": vals})
         ds = rd.from_pandas(df).repartition(8)
-        out = quantile_filter(ds, value_col="n_chars", q=90.0).to_pandas()
+        with metrics.recording() as rec:
+            out = quantile_filter(ds, value_col="n_chars", q=90.0).to_pandas()
         thr = np.percentile(vals.astype(np.float32), 90.0)
         want = df[df["n_chars"].astype(np.float64) >= thr]
         assert set(out["doc_id"]) == set(want["doc_id"])
-        assert LAST_QUANTILE_THRESHOLD["n_chars"] == pytest.approx(float(thr))
+        stats = rec.last("split.quantile_filter")
+        assert stats["value_col"] == "n_chars"
+        assert stats["threshold"] == pytest.approx(float(thr))
 
     def test_keep_modes_and_validation(self, ray_session):
         df = pd.DataFrame({"doc_id": np.arange(100), "v": np.arange(100.0)})
@@ -136,8 +136,9 @@ class TestInvertedIndex:
             "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
         )
         inverted_index_write(ds, idx, num_buckets=8)
-        stats = {}
-        out = token_lookup(idx, ["spark", "merge"], stats_out=stats)
+        with metrics.recording() as rec:
+            out = token_lookup(idx, ["spark", "merge"])
+        stats = rec.last("invindex.token_lookup")
         # pruned read: at most one bucket per distinct query token
         assert stats["buckets_probed"] <= 2
         assert stats["dirs_total"] >= stats["buckets_probed"]

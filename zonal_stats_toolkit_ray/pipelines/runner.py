@@ -18,23 +18,24 @@ from pathlib import Path
 
 from ..sources.config import parse_and_validate_config
 from ..sources.raster import group_rasters, read_bands
-from ..state.metrics import StageMetrics
+from ..state.metrics import span
 
 # zonal_stats_raster: perfbench/trace.py patches it under this module too
 from .zonal import pivot_stats, simplified_zones, write_pivot_csv, zonal_stats_bands
 from .zonal import zonal_stats_raster  # noqa: F401
 
 
-def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | None = None) -> Path:
+def run_job(job: dict, *, timestamp: str | None = None) -> Path:
     """One job: rasters → band groups (``group_rasters``: same grid but
     nodata, same tile layout) → one ``zonal_stats_bands`` pass per group
     → pivot → CSV.  Returns the CSV path (timestamped like
-    ``runner.py:1079-1091`` when a timestamp is given)."""
+    ``runner.py:1079-1091`` when a timestamp is given).  Notes a
+    ``runner.run_job`` span per band group and one for the CSV write."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    metrics = metrics or StageMetrics()
+    name = Path(job["output_csv"]).stem
     zones_table = pq.read_table(job["agg_vector"])
     agg = job["agg_field"]
     if agg != "group_value":
@@ -58,18 +59,19 @@ def run_job(job: dict, *, timestamp: str | None = None, metrics: StageMetrics | 
         if tol not in zones_by_tol:
             zones_by_tol[tol] = simplified_zones(zones_table, tol)
         zs, zones_ref = zones_by_tol[tol]
-        with metrics.timed("zonal:" + "+".join(stems[i] for i in members)):
+        rasters = [stems[i] for i in members]
+        with span("runner.run_job", job=name, stage="zonal", rasters=rasters):
             bands = zonal_stats_bands(
                 read_bands(units), grid, tuple(nodata), zs,
                 percentiles=job["percentile_list"], zones_ref=zones_ref,
             )
-        raster_stats_by_stem.update(zip((stems[i] for i in members), bands))
+        raster_stats_by_stem.update(zip(rasters, bands))
 
     header, rows = pivot_stats(raster_stats_by_stem, stems, job["row_col_order"], agg)
     out = Path(job["output_csv"])
     if timestamp:
         out = out.with_name(f"{out.stem}_{timestamp}{out.suffix}")
-    with metrics.timed("csv_write"):
+    with span("runner.run_job", job=name, stage="csv_write"):
         write_pivot_csv(out, header, rows)
     return out
 
@@ -88,7 +90,8 @@ def run_config(
     each driving its own Ray Data pipeline, so N small jobs overlap instead
     of serializing; the Ray scheduler interleaves their tasks.  Output
     order matches config order regardless of completion order.
-    ``concurrent_jobs=1`` restores serial execution."""
+    ``concurrent_jobs=1`` restores serial execution.  Each job runs in a
+    copy of the caller's context, so its notes reach the caller's record."""
     cfg = parse_and_validate_config(cfg_path)
     jobs = cfg["job_list"]
     if concurrent_jobs is None:
@@ -96,11 +99,12 @@ def run_config(
     if concurrent_jobs <= 1 or len(jobs) <= 1:
         return [run_job(job, timestamp=timestamp) for job in jobs]
     from concurrent.futures import ThreadPoolExecutor
+    from contextvars import copy_context
 
     from ..state.resources import warm_lazy_imports
 
     warm_lazy_imports()
 
     with ThreadPoolExecutor(max_workers=concurrent_jobs) as ex:
-        futs = [ex.submit(run_job, job, timestamp=timestamp) for job in jobs]
+        futs = [ex.submit(copy_context().run, run_job, job, timestamp=timestamp) for job in jobs]
         return [f.result() for f in futs]

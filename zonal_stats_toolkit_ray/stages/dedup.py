@@ -43,8 +43,9 @@ of verified pairs only (every other document is its own cluster), on the
 driver for a pair frame and by distributed label propagation for a pair
 Dataset, and the (id, cluster_id, is_duplicate) result is a streaming
 ``Dataset`` that broadcasts the small candidate→cluster map.
-``LAST_DRIVER_FETCH`` records the payload rows and pair rows the last call
-pulled to the driver so tests can assert the accounting.
+Each call notes (``state.metrics``) the payload rows its verify pulled to
+the driver (``dedup.fetch``) and the pair rows it materialized there
+(``dedup.lsh_candidate_pairs``), so tests can assert the accounting.
 """
 
 from __future__ import annotations
@@ -54,20 +55,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from . import guard
 from .geocode import hash64_utf8
 
 _MERS = np.uint64((1 << 61) - 1)
-
-# accounting hook: rows the last candidate-verify pass pulled to the driver
-# (tests assert this stays ≪ corpus size).  ``pair_rows`` counts candidate
-# PAIRS materialized on the driver (0 when the pipeline stays distributed).
-LAST_DRIVER_FETCH = {"rows": 0, "pair_rows": 0}
-
-# hot-bucket accounting for the last in-process pairing pass (driver path;
-# workers in the distributed bucket groupby update their own process copy,
-# so at scale treat this as best-effort telemetry, not an exact census)
-LAST_PAIR_STATS = {"hot_buckets": 0, "star_pairs": 0, "dropped_reps": 0}
 
 # a bucket larger than this generates star + capped-representative pairs
 # instead of all-pairs (boilerplate/empty web pages make one degenerate
@@ -115,7 +107,7 @@ def _fetch_rows_by_id(ds, id_col: str, col: str, ids: np.ndarray):
 
     ids = np.unique(np.asarray(ids, dtype=np.int64))
     if ids.size == 0:
-        LAST_DRIVER_FETCH["rows"] = 0
+        note("dedup.fetch", rows=0)
         return ids, np.empty(0)
     ids_ref = ray.put(ids)
 
@@ -126,7 +118,7 @@ def _fetch_rows_by_id(ds, id_col: str, col: str, ids: np.ndarray):
 
     picked = ds.select_columns([id_col, col]).map_batches(pick, batch_format="pyarrow")
     t = pa.concat_tables(list(picked.iter_batches(batch_size=None, batch_format="pyarrow")))
-    LAST_DRIVER_FETCH["rows"] = t.num_rows
+    note("dedup.fetch", rows=t.num_rows)
     keys = t[id_col].to_numpy().astype(np.int64)
     order = np.argsort(keys)
     return keys[order], _payload_values(t[col])[order]
@@ -362,9 +354,12 @@ def _pairs_from_bands_df(
       representative cap below;
     * across distinct signatures, only the per-signature representative
       (min id) joins a capped all-pairs pass — representatives beyond
-      ``bucket_cap`` are dropped and counted in ``LAST_PAIR_STATS``.
+      ``bucket_cap`` are dropped and counted.
 
     Pair count per bucket is then ≤ n + bucket_cap², never C(n, 2).
+    Notes ``hot_buckets`` / ``star_pairs`` / ``dropped_reps`` of a call on
+    the driver; in the distributed bucket ``map_groups`` they stay on the
+    workers (best-effort telemetry, not a census).
 
     ``bucket_cap=None`` disables capping entirely (exact all-pairs in every
     bucket — ADVICE r3: callers can opt out of the recall tradeoff)."""
@@ -390,6 +385,7 @@ def _pairs_from_bands_df(
     starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
     ends = np.concatenate([starts[1:], [k.size]])
     out_a, out_b = [], []
+    hot_buckets = star_pairs = dropped_reps = 0
     for s, e in zip(starts.tolist(), ends.tolist()):
         n = e - s
         if n < 2:
@@ -401,7 +397,7 @@ def _pairs_from_bands_df(
             out_b.append(bucket[ib])
             continue
         # ---- hot bucket: sub-split by full-signature hash ----
-        LAST_PAIR_STATS["hot_buckets"] += 1
+        hot_buckets += 1
         bsig = sig[s:e]
         bids = ids[s:e]
         o2 = np.lexsort((bids, bsig))  # group by sig, ids ascending within
@@ -415,16 +411,20 @@ def _pairs_from_bands_df(
         if m.any():
             out_a.append(mins_per_elem[m])
             out_b.append(bids[m])
-            LAST_PAIR_STATS["star_pairs"] += int(m.sum())
+            star_pairs += int(m.sum())
         # capped all-pairs among the (distinct-signature) representatives
         reps = np.sort(gmin)
         if reps.size > bucket_cap:
-            LAST_PAIR_STATS["dropped_reps"] += int(reps.size - bucket_cap)
+            dropped_reps += int(reps.size - bucket_cap)
             reps = reps[:bucket_cap]
         if reps.size > 1:
             ia, ib = np.triu_indices(reps.size, k=1)
             out_a.append(reps[ia])
             out_b.append(reps[ib])
+    note(
+        "dedup.pairs_from_bands_df",
+        hot_buckets=hot_buckets, star_pairs=star_pairs, dropped_reps=dropped_reps,
+    )
     if not out_a:
         return empty
     pairs = pd.DataFrame(
@@ -488,23 +488,20 @@ def lsh_candidate_pairs(
     * above that the pairs stay a **Dataset** — verification and connected
       components then also run distributed (``verify →
       distributed_connected_components``) and the driver never holds a
-      pair-sized frame (``LAST_DRIVER_FETCH['pair_rows']`` stays 0).
+      pair-sized frame (the noted ``pair_rows`` is 0).
 
     Dataset-regime pairs are GLOBALLY DEDUPLICATED (round 4): a pair of
     near-identical docs collides in ~every band, so without it the verify
     stage (payload hash-joins — the expensive part) runs up to bands×
     redundant work.  The dedup is one slim all-to-all over (a, b) int64
-    rows: in-batch distinct partials → multi-key groupby.  Before/after
-    counts land in ``LAST_PAIR_STATS['dataset_pairs_raw'/'dataset_pairs']``."""
-    LAST_PAIR_STATS.update(
-        hot_buckets=0, star_pairs=0, dropped_reps=0,
-        dataset_pairs_raw=0, dataset_pairs=0,
-    )
+    rows: in-batch distinct partials → multi-key groupby.  Notes the
+    ``regime``, the driver's ``pair_rows`` and, for a Dataset, the pairs
+    before and after the dedup (``dataset_pairs_raw`` / ``dataset_pairs``)."""
     band_ds = band_ds.materialize()
     n = band_ds.count()
     if n <= guard.DRIVER_ROWS:
         df = _pairs_from_bands_df(band_ds.to_pandas(), id_col, bucket_cap=bucket_cap)
-        LAST_DRIVER_FETCH["pair_rows"] = len(df)
+        note("dedup.lsh_candidate_pairs", regime="driver", pair_rows=len(df))
         return df
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -534,13 +531,14 @@ def lsh_candidate_pairs(
     )
     n_pairs = res.count()
     if n_pairs > guard.DRIVER_ROWS:
-        LAST_DRIVER_FETCH["pair_rows"] = 0
         res = _dedup_pair_dataset(res)
-        LAST_PAIR_STATS["dataset_pairs_raw"] = n_pairs
-        LAST_PAIR_STATS["dataset_pairs"] = res.count()
+        note(
+            "dedup.lsh_candidate_pairs", regime="dataset", pair_rows=0,
+            dataset_pairs_raw=n_pairs, dataset_pairs=res.count(),
+        )
         return res  # Dataset — caller stays distributed end-to-end
     df = res.to_pandas()
-    LAST_DRIVER_FETCH["pair_rows"] = len(df)
+    note("dedup.lsh_candidate_pairs", regime="grouped", pair_rows=len(df))
     if len(df) == 0:
         return pd.DataFrame({"a": pd.Series(dtype=np.int64), "b": pd.Series(dtype=np.int64)})
     return df.drop_duplicates().astype(np.int64)
@@ -677,7 +675,7 @@ def _verify_pairs_via_join(
     non-candidate payloads.  Returns the surviving (a, b) Dataset."""
     from .joins import hash_join, semi_join
 
-    LAST_DRIVER_FETCH["rows"] = 0  # accounting: nothing fetched in this regime
+    note("dedup.fetch", rows=0)  # accounting: nothing fetched in this regime
 
     def rn(suffix: str, key: str):
         def f(t: pa.Table) -> pa.Table:

@@ -40,9 +40,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from . import guard
-
-LAST_DUPSPAN_STATS: dict = {}
 
 _GRAM_SEP = " "  # tokens contain no whitespace, so space-join is collision-free
 
@@ -124,7 +123,6 @@ def dup_span_coverage(
     from .intervals import interval_union
     from .joins import hash_join
 
-    global LAST_DUPSPAN_STATS
     rows = docs.map_batches(
         positional_gram_rows,
         batch_format="pyarrow",
@@ -262,7 +260,7 @@ def dup_span_coverage(
         joined["covered"] = np.int64(0)
     else:
         joined = hash_join(headers, covered, on=id_col, how="left").to_pandas()
-    LAST_DUPSPAN_STATS = {"dup_grams": int(n_dup), "regime": regime}
+    note("dupspan.dup_span_coverage", dup_grams=int(n_dup), regime=regime)
     if len(joined.columns) == 0:  # zero-doc input
         return pd.DataFrame({id_col: [], "n_tokens": [], "covered": [], "coverage": []})
     joined["covered"] = joined["covered"].fillna(0).astype(np.int64)

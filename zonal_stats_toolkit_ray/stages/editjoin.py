@@ -40,9 +40,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from . import guard
-
-LAST_EDITJOIN_STATS: dict = {}
 
 _KEY_SEP = "\x1f"
 
@@ -195,7 +194,6 @@ def edit_distance_join(
 
     from .joins import distinct_rows, hash_join
 
-    global LAST_EDITJOIN_STATS
     slim = ds.select_columns([id_col, str_col]).materialize()  # one upstream read
     idx = slim.map_batches(
         _index_rows,
@@ -301,9 +299,8 @@ def edit_distance_join(
         )
     else:
         out = pd.DataFrame({"a": [], "b": [], "dist": []}, dtype=np.int64)
-    LAST_EDITJOIN_STATS = {
-        "candidate_pairs": int(n_cand),
-        "matched_pairs": int(len(out)),
-        "regime": regime,
-    }
+    note(
+        "editjoin.edit_distance_join",
+        candidate_pairs=int(n_cand), matched_pairs=len(out), regime=regime,
+    )
     return out.sort_values(["a", "b"]).reset_index(drop=True)

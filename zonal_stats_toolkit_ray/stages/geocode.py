@@ -14,29 +14,24 @@ import numpy as np
 import pyarrow as pa
 
 _P = np.uint64(31)
-_INIT_POW = 1 << 16  # initial power-table length; grows on demand
-with np.errstate(over="ignore"):
-    # powers of 31 mod 2^64 (intentional uint64 wraparound)
-    _POW31 = np.multiply.accumulate(
-        np.concatenate([[np.uint64(1)], np.full(_INIT_POW - 1, _P)]), dtype=np.uint64
-    )
+
+
+def _powers(n: int) -> np.ndarray:
+    """Powers of 31 mod 2^64 (intentional uint64 wraparound), length n."""
+    with np.errstate(over="ignore"):
+        return np.multiply.accumulate(
+            np.concatenate([[np.uint64(1)], np.full(n - 1, _P)]), dtype=np.uint64
+        )
+
+
+_POW31 = _powers(1 << 16)  # built once at import
 
 
 def _pow_table(n: int) -> np.ndarray:
-    """Powers of 31 mod 2^64 with length ≥ n, grown (and cached) on demand so
-    arbitrarily long documents hash without an index error."""
-    global _POW31
-    if n > _POW31.size:
-        grow = max(n, _POW31.size * 2)
-        with np.errstate(over="ignore"):
-            ext = _POW31[-1] * _P * np.multiply.accumulate(
-                np.concatenate(
-                    [[np.uint64(1)], np.full(grow - _POW31.size - 1, _P)]
-                ),
-                dtype=np.uint64,
-            )
-            _POW31 = np.concatenate([_POW31, ext])
-    return _POW31
+    """Powers of 31 with length ≥ n: the import-time table, or a longer one
+    built for this call, so arbitrarily long documents hash without an
+    index error."""
+    return _POW31 if n <= _POW31.size else _powers(n)
 
 
 def hash64_utf8(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:

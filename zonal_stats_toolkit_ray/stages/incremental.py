@@ -46,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from . import guard
 from .dedup import content_hash_batch
 from .guard import tree_combine
@@ -178,7 +179,6 @@ def incremental_dedup(
     id_col: str = "doc_id",
     text_col: str = "text",
     update_index: bool = False,
-    stats_out: dict | None = None,
 ):
     """Dedup a new shard against the persisted corpus content index AND
     itself → Dataset ``(doc_id, canonical_id, is_duplicate)`` (one row per
@@ -189,9 +189,9 @@ def incremental_dedup(
     shard sees this one as corpus.  Only new hashes are appended — the
     canonical id of an existing hash never changes across increments.
 
-    ``stats_out`` receives regime + pruned-read telemetry
-    (``buckets_probed`` / ``dirs_total`` / ``files_read`` /
-    ``shard_distinct`` / ``corpus_matches``)."""
+    Notes ``incremental.incremental_dedup``: ``regime`` and the pruned
+    read (``buckets_probed`` / ``dirs_total`` / ``files_read``; the
+    broadcast regime adds ``shard_distinct`` / ``corpus_matches``)."""
     import ray
     import ray.data as rd
     from ray.data.aggregate import Min
@@ -224,9 +224,6 @@ def incremental_dedup(
     thr = guard.DRIVER_ROWS
     small = partial.limit(thr + 1).count() <= thr
 
-    if stats_out is not None:
-        stats_out["regime"] = "broadcast" if small else "join"
-
     if small:
         pdf = partial.to_pandas()  # partial-rows-sized ≈ shard-distinct
         ph = pdf["content_hash"].to_numpy().astype(np.int64)
@@ -239,13 +236,6 @@ def incremental_dedup(
             (shard_hashes.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
         )
         paths, dirs_total = _index_files(index_dir, buckets)
-        if stats_out is not None:
-            stats_out.update(
-                buckets_probed=int(buckets.size),
-                dirs_total=dirs_total,
-                files_read=len(paths),
-                shard_distinct=int(shard_hashes.size),
-            )
 
         corpus = pd.DataFrame(
             {"content_hash": pd.Series(dtype=np.int64), id_col: pd.Series(dtype=np.int64)}
@@ -267,8 +257,11 @@ def incremental_dedup(
                 corpus = matches
         c_hashes = corpus["content_hash"].to_numpy().astype(np.int64)
         c_ids = corpus[id_col].to_numpy().astype(np.int64)
-        if stats_out is not None:
-            stats_out["corpus_matches"] = int(c_hashes.size)
+        note(
+            "incremental.incremental_dedup", regime="broadcast",
+            buckets_probed=int(buckets.size), dirs_total=dirs_total, files_read=len(paths),
+            shard_distinct=int(shard_hashes.size), corpus_matches=int(c_hashes.size),
+        )
 
         # canonical per distinct shard hash: corpus min wins when present
         canonical = shard_ids.copy()
@@ -309,10 +302,10 @@ def incremental_dedup(
 
     # ---- join regime: shard too big to broadcast ----------------------
     paths, dirs_total = _index_files(index_dir, None)
-    if stats_out is not None:
-        stats_out.update(
-            buckets_probed=dirs_total, dirs_total=dirs_total, files_read=len(paths)
-        )
+    note(
+        "incremental.incremental_dedup", regime="join",
+        buckets_probed=dirs_total, dirs_total=dirs_total, files_read=len(paths),
+    )
 
     def enc_corpus(batch: pa.Table) -> pa.Table:
         b = _min_partial(batch, id_col=id_col)

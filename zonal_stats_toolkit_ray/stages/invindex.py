@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from .geocode import hash64_utf8
 
 
@@ -98,12 +99,11 @@ def token_lookup(
     tokens: list[str],
     *,
     num_buckets: int | None = None,
-    stats_out: dict | None = None,
 ) -> pd.DataFrame:
     """(token, doc_id) postings for the query tokens, token/doc ascending.
     Reads ONLY the buckets the query tokens hash to (pruning at the read —
-    ``stats_out={}`` receives ``buckets_probed`` / ``dirs_total`` /
-    ``files_read`` telemetry, asserted in tests).  ``num_buckets`` defaults
+    noted as ``invindex.token_lookup``: ``buckets_probed`` / ``dirs_total``
+    / ``files_read``, asserted in tests).  ``num_buckets`` defaults
     to the index's recorded ``_meta.json`` (build/lookup must agree)."""
     import json
     import os
@@ -127,12 +127,12 @@ def token_lookup(
         for f in sorted(os.listdir(d))
         if f.endswith(".parquet")
     ]
-    if stats_out is not None:
-        stats_out["buckets_probed"] = int(buckets.size)
-        stats_out["dirs_total"] = len(
-            [d for d in os.listdir(index_dir) if d.startswith("bucket=")]
-        )
-        stats_out["files_read"] = len(paths)
+    note(
+        "invindex.token_lookup",
+        buckets_probed=int(buckets.size),
+        dirs_total=sum(d.startswith("bucket=") for d in os.listdir(index_dir)),
+        files_read=len(paths),
+    )
     if not paths:
         return pd.DataFrame({"token": pd.Series(dtype=object),
                              "doc_id": pd.Series(dtype=np.int64)})
@@ -157,7 +157,6 @@ def phrase_search(
     text_col: str = "text",
     build: bool = True,
     num_buckets: int = 16,
-    stats_out: dict | None = None,
 ) -> pd.DataFrame:
     """Exact multi-token phrase search → DataFrame(doc_id) of documents
     whose whitespace-normalized lowered token stream contains ``phrase``
@@ -177,7 +176,7 @@ def phrase_search(
             ds, index_dir, id_col=id_col, text_col=text_col, num_buckets=num_buckets
         )
     toks = sorted({t for t in phrase.lower().split() if t})
-    post = token_lookup(index_dir, toks, stats_out=stats_out)
+    post = token_lookup(index_dir, toks)
     if post.empty:
         return pd.DataFrame({id_col: pd.Series(dtype=np.int64)})
     hits = post.groupby(id_col)["token"].nunique()

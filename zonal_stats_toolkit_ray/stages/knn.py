@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..state.metrics import note
+
 
 def _stack_vectors(col) -> np.ndarray:
     """list<float> Arrow column → (n, d) float64 matrix without a Python
@@ -391,12 +393,11 @@ def knn_ivf_partitioned(
     nprobe: int = 4,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    stats_out: dict | None = None,
 ) -> pd.DataFrame:
     """Query a partitioned IVF index: read ONLY the probed lists' partition
     directories (pruning at the read — the non-probed corpus never leaves
     storage), then the same per-batch local-top-k → tiny-merge shape as
-    ``knn_ivf``.  Pass ``stats_out={}`` to receive read-pruning telemetry:
+    ``knn_ivf``.  Notes the read pruning as ``knn.knn_ivf_partitioned``:
     ``probed_lists`` / ``dirs_total`` / ``files_read`` (tests assert the
     read touched exactly the probed union)."""
     import os
@@ -421,12 +422,12 @@ def knn_ivf_partitioned(
         for f in sorted(os.listdir(d))
         if f.endswith(".parquet")
     ]
-    if stats_out is not None:
-        stats_out["probed_lists"] = int(probed_lists.size)
-        stats_out["dirs_total"] = len(
-            [d for d in os.listdir(index_dir) if d.startswith("ivf_list=")]
-        )
-        stats_out["files_read"] = len(paths)
+    note(
+        "knn.knn_ivf_partitioned",
+        probed_lists=int(probed_lists.size),
+        dirs_total=sum(d.startswith("ivf_list=") for d in os.listdir(index_dir)),
+        files_read=len(paths),
+    )
     if not paths:
         return pd.DataFrame(columns=["query_id", "rank", id_col, "score"])
     ds = rd.read_parquet(paths, columns=[id_col, vec_col])

@@ -26,9 +26,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from .guard import tree_combine
-
-LAST_OHLC_STATS: dict = {}
 
 _COLS = [
     "o_ts",
@@ -155,7 +154,6 @@ def ohlc(
     ``epoch_us // (bucket_s · 10⁶)``.  One input pass; the exchange is
     partial rows (groups per block), never events, tree-combined by
     ``guard.tree_combine`` above the driver budget."""
-    global LAST_OHLC_STATS
     part = ds.map_batches(
         ohlc_partials_batch,
         batch_format="pyarrow",
@@ -170,7 +168,7 @@ def ohlc(
     df, rounds = tree_combine(
         part, functools.partial(_merge_partials_table, key_col=key_col)
     )
-    LAST_OHLC_STATS = {"partial_rows": len(df), "combine_rounds": rounds}
+    note("ohlc.ohlc", partial_rows=len(df), combine_rounds=rounds)
     if df.empty or len(df.columns) == 0:
         return pd.DataFrame(
             columns=[key_col, "bucket", "open", "high", "low", "close", "n"]

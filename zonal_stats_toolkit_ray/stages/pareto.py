@@ -28,9 +28,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from .guard import tree_combine
-
-LAST_SKYLINE_STATS: dict = {}
 
 
 def skyline_batch(b: pa.Table, *, x_col: str, y_col: str) -> pa.Table:
@@ -72,7 +71,6 @@ def skyline(ds, *, x_col: str, y_col: str) -> pd.DataFrame:
     re-reduce with the same kernel in ``guard.tree_combine`` while they
     exceed the driver budget; the final frontier-sized frame finalizes on
     the driver with the same kernel."""
-    global LAST_SKYLINE_STATS
     cand = ds.map_batches(
         skyline_batch,
         batch_format="pyarrow",
@@ -81,7 +79,7 @@ def skyline(ds, *, x_col: str, y_col: str) -> pd.DataFrame:
     df, rounds = tree_combine(
         cand, functools.partial(skyline_batch, x_col="x", y_col="y")
     )
-    LAST_SKYLINE_STATS = {"candidate_rows": len(df), "combine_rounds": rounds}
+    note("pareto.skyline", candidate_rows=len(df), combine_rounds=rounds)
     if len(df.columns) == 0:  # zero-block pipeline (sandbox lesson #27)
         return pd.DataFrame({"x": [], "y": []})
     out = skyline_batch(pa.Table.from_pandas(df), x_col="x", y_col="y").to_pandas()

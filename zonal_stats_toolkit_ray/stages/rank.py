@@ -19,13 +19,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
 from . import guard
 from .guard import tree_combine
-
-# telemetry for tests/audits: rows the driver actually collected in the
-# last topk_per_group call, and tree-combine levels applied
-LAST_TOPK_STATS = {"driver_rows": 0, "tree_levels": 0}
-LAST_MODE_STATS = {"driver_rows": 0, "tree_levels": 0}
 
 
 def topk_per_group_batch(
@@ -133,8 +129,7 @@ def mode_per_group(
         pairs.map_batches(mode_batch, fn_kwargs=kw, batch_format="pyarrow"),
         functools.partial(mode_batch, **kw),
     )
-    LAST_MODE_STATS["driver_rows"] = len(frame)
-    LAST_MODE_STATS["tree_levels"] = levels
+    note("rank.mode_per_group", driver_rows=len(frame), tree_levels=levels)
     if len(frame) == 0:
         return pd.DataFrame(columns=[key_col, "mode_value", "n"])
     top = mode_batch(pa.Table.from_pandas(frame, preserve_index=False), **kw)
@@ -168,8 +163,7 @@ def topk_per_group(
         ds.map_batches(topk_per_group_batch, fn_kwargs=kw, batch_format="pyarrow"),
         functools.partial(topk_per_group_batch, **kw),
     )
-    LAST_TOPK_STATS["driver_rows"] = len(frame)
-    LAST_TOPK_STATS["tree_levels"] = levels
+    note("rank.topk_per_group", driver_rows=len(frame), tree_levels=levels)
     if len(frame) == 0:
         return pd.DataFrame(columns=[key_col, "rank", id_col, value_col])
     # final exact merge: one more application of the local kernel over the

@@ -42,9 +42,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# telemetry for tests/audits: rows the driver collected in the last
-# ewma_by_key carry chain (must stay O(blocks), never O(keys) or O(rows))
-LAST_EWMA_STATS = {"summary_rows": 0, "blocks": 0}
+from ..state.metrics import note
 
 
 def _ts_us(col) -> np.ndarray:
@@ -423,8 +421,9 @@ def ewma_by_key(
     sm = srt.map_batches(
         summaries, batch_size=None, batch_format="pyarrow"
     ).to_pandas()  # O(blocks) rows: ≤ 2 per block
-    LAST_EWMA_STATS["summary_rows"] = len(sm)
-    LAST_EWMA_STATS["blocks"] = srt.num_blocks()
+    # rows the driver collected for the carry chain: O(blocks), never
+    # O(keys) or O(rows)
+    note("rolling.ewma_by_key", summary_rows=len(sm), blocks=srt.num_blocks())
     # global block order = sort order of the block-identity tuple
     carries: dict = {}
     if len(sm):

@@ -40,15 +40,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..state.metrics import note
 from .knn import _normalize, _put_maybe, _cached_ref, _stack_vectors, hash_sample, train_centroids
 
 # below guard.DRIVER_ROWS: each row the driver collects carries an embedding
 DRIVER_VECTORS = 200_000
 # sub-split a cluster's representative set above this size
 DEFAULT_MAX_CLUSTER_PAIRWISE = 8_192
-
-#: accounting for tests / audits — last call's regime + cluster census
-LAST_SEMDEDUP_STATS: dict = {}
 
 
 def _dedup_cluster(
@@ -153,7 +151,6 @@ def semdedup(
     sample_size: int = 4_096,
     kmeans_iters: int = 10,
     max_cluster_pairwise: int = DEFAULT_MAX_CLUSTER_PAIRWISE,
-    stats_out: dict | None = None,
 ):
     """SemDeDup over an embedding column → Dataset ``(id, cluster_id,
     canonical_id, is_duplicate)``.
@@ -167,8 +164,9 @@ def semdedup(
       fits a worker's heap (documented partitioning assumption).
 
     Both regimes call :func:`_dedup_cluster` and are equal by construction
-    (tested).  ``stats_out`` receives ``regime`` / ``n_clusters`` /
-    ``rows``."""
+    (tested).  Notes ``semdedup.semdedup``: ``regime``, ``rows`` and
+    ``n_clusters`` (``None`` in the grouped regime, which never counts
+    them on the driver)."""
     from .dedup import _slim_input
 
     slim = _slim_input(ds, [id_col, vec_col])
@@ -193,10 +191,6 @@ def semdedup(
 
     total = slim.count()
     small = total <= DRIVER_VECTORS
-    if stats_out is not None:
-        stats_out.update(regime="driver" if small else "grouped", rows=int(total))
-    LAST_SEMDEDUP_STATS.clear()
-    LAST_SEMDEDUP_STATS.update(regime="driver" if small else "grouped", rows=int(total))
 
     if small:
         pdf = assigned.to_pandas()
@@ -204,12 +198,13 @@ def semdedup(
         cl_all = pdf["cluster_id"].to_numpy().astype(np.int32)
         mat_all = np.stack(pdf[vec_col].to_numpy()).astype(np.float64)
         canon = np.empty_like(ids_all)
-        for c in np.unique(cl_all):
+        clusters = np.unique(cl_all)
+        for c in clusters:
             sel = np.flatnonzero(cl_all == c)
             canon[sel] = _dedup_cluster(
                 ids_all[sel], mat_all[sel], threshold, max_cluster_pairwise, seed, int(c)
             )
-        LAST_SEMDEDUP_STATS["n_clusters"] = int(np.unique(cl_all).size)
+        note("semdedup.semdedup", regime="driver", rows=int(total), n_clusters=clusters.size)
         import ray.data as rd
 
         return rd.from_arrow(_result_table(ids_all, cl_all, canon, id_col))
@@ -221,4 +216,5 @@ def semdedup(
         canon = _dedup_cluster(ids, mat, threshold, max_cluster_pairwise, seed, c)
         return _result_table(ids, df["cluster_id"].to_numpy(), canon, id_col).to_pandas()
 
+    note("semdedup.semdedup", regime="grouped", rows=int(total), n_clusters=None)
     return assigned.groupby("cluster_id").map_groups(per_cluster, batch_format="pandas")

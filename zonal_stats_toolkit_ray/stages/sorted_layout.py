@@ -33,6 +33,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..state.metrics import note
+
 MANIFEST = "_manifest.json"
 
 
@@ -99,11 +101,10 @@ def range_read(
     out_dir: str,
     lo: float,
     hi: float,
-    *,
-    stats_out: dict | None = None,
 ):
     """Dataset of rows with ``lo <= key <= hi``, reading ONLY manifest
-    files whose [min, max] overlaps — pruning at the read."""
+    files whose [min, max] overlaps — pruning at the read (noted as
+    ``sorted_layout.range_read``: ``files_total`` / ``files_read``)."""
     import ray.data as rd
 
     with open(os.path.join(out_dir, MANIFEST)) as f:
@@ -111,9 +112,7 @@ def range_read(
     key_col = manifest["key_col"]
     files = manifest["files"]
     hit = [e for e in files if e["max"] >= lo and e["min"] <= hi]
-    if stats_out is not None:
-        stats_out["files_total"] = len(files)
-        stats_out["files_read"] = len(hit)
+    note("sorted_layout.range_read", files_total=len(files), files_read=len(hit))
     if not hit:
         return rd.from_items([])  # empty
     ds = rd.read_parquet([os.path.join(out_dir, e["file"]) for e in hit])

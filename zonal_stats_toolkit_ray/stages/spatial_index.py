@@ -23,6 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.metrics import note
+
 LON_RANGE = (-180.0, 180.0)
 LAT_RANGE = (-90.0, 90.0)
 
@@ -120,12 +122,11 @@ def spatial_bbox_query(
     lon_col: str = "lon",
     lat_col: str = "lat",
     grid_bits: int | None = None,
-    stats_out: dict | None = None,
 ):
     """Rows inside the (closed) bbox → Dataset.  Reads ONLY intersecting
-    ``zb=`` partitions (``stats_out={}`` receives ``buckets_probed`` /
-    ``dirs_total`` / ``files_read``, asserted in tests), then applies the
-    exact vectorized bbox filter per batch."""
+    ``zb=`` partitions (noted as ``spatial_index.spatial_bbox_query``:
+    ``buckets_probed`` / ``dirs_total`` / ``files_read``, asserted in
+    tests), then applies the exact vectorized bbox filter per batch."""
     import json
     import os
 
@@ -143,12 +144,12 @@ def spatial_bbox_query(
         for f in sorted(os.listdir(d))
         if f.endswith(".parquet")
     ]
-    if stats_out is not None:
-        stats_out["buckets_probed"] = int(buckets.size)
-        stats_out["dirs_total"] = len(
-            [d for d in os.listdir(index_dir) if d.startswith("zb=")]
-        )
-        stats_out["files_read"] = len(paths)
+    note(
+        "spatial_index.spatial_bbox_query",
+        buckets_probed=int(buckets.size),
+        dirs_total=sum(d.startswith("zb=") for d in os.listdir(index_dir)),
+        files_read=len(paths),
+    )
     if not paths:
         return rd.from_arrow(
             pa.table({lon_col: pa.array([], pa.float64()),

@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..state.metrics import note
 from .dedup import word_ngram_hashes
 
 _KNUTH = np.uint64(2654435761)
@@ -133,9 +134,6 @@ def stratified_sample(
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
-LAST_QUANTILE_THRESHOLD: dict[str, float] = {}
-
-
 def global_quantile(ds, *, value_col: str, percentiles: list[float]) -> list[float]:
     """EXACT global percentiles of a numeric column, distributed: one
     logical group fanned over salt buckets (the skew-safe
@@ -174,8 +172,8 @@ def quantile_filter(
     read) computes the exact global percentile via the salted distributed
     shuffle, then the full rows stream through a vectorized compare
     against the broadcast scalar threshold.  ``keep``: "ge" | "gt" |
-    "le" | "lt".  The threshold is recorded in
-    ``LAST_QUANTILE_THRESHOLD[value_col]`` for telemetry/tests."""
+    "le" | "lt".  The threshold is noted as ``split.quantile_filter``
+    (``value_col`` / ``threshold``)."""
     import pyarrow.compute as pc
 
     ops = {
@@ -187,7 +185,7 @@ def quantile_filter(
     if keep not in ops:
         raise ValueError(f"keep must be one of {sorted(ops)}")
     thr = global_quantile(ds, value_col=value_col, percentiles=[q])[0]
-    LAST_QUANTILE_THRESHOLD[value_col] = thr
+    note("split.quantile_filter", value_col=value_col, threshold=thr)
     cmp = ops[keep]
 
     def flt(b: pa.Table, *, _t=thr) -> pa.Table:
