@@ -165,8 +165,6 @@ def test_tree_combine_is_the_only_repartition_loop():
 
 # (module, function, parameter) → why it may stay a per-call keyword
 _THRESHOLD_EXEMPT = {
-    ("stages/rolling.py", "rolling_window_stats", "boundary_driver_threshold"):
-        "raises past the cap: no distributed boundary path exists",
     ("stages/text.py", "encode_corpus", "vocab_broadcast_threshold"):
         "raises past the cap: the encoding needs the whole vocabulary",
     ("stages/graph.py", "bfs_hops", "node_driver_threshold"):
@@ -290,6 +288,56 @@ def test_dedup_variants_share_one_tail():
         assert "_near_dup" in refs(fns[name]), name
     users = {name for name, fn in fns.items() if refs(fn) & (_NEAR_DUP_TAIL - {name})}
     assert users == {"_near_dup"}, users
+
+
+# the operators that run through the one keyed block scan (stages/scan.py)
+_SCAN_OPERATORS = {
+    "stages/cusum.py": ("cusum_by_key",),
+    "stages/winfunc.py": ("window_ranks",),
+    "stages/rolling.py": ("ewma_by_key", "rolling_rows_median"),
+    "stages/pack.py": ("attach_running_total",),
+}
+
+
+def _scan_plumbing(fn) -> list:
+    """The ``.sort(``, ``ray.put`` and ``ray.get`` calls inside ``fn``."""
+    out = []
+    for n in ast.walk(fn):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
+            continue
+        owner = n.func.value
+        on_ray = (isinstance(owner, ast.Name) and "ray" in owner.id) or (
+            isinstance(owner, ast.Call) and getattr(owner.func, "id", "") == "__import__"
+        )
+        if n.func.attr == "sort" or (n.func.attr in ("put", "get") and on_ray):
+            out.append(n.func.attr)
+    return out
+
+
+def test_scan_operators_share_one_block_scan():
+    trees = dict(_package_trees())
+    for rel, names in _SCAN_OPERATORS.items():
+        fns = {n.name: n for n in trees[rel].body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            assert _scan_plumbing(fns[name]) == [], (rel, name)
+            assert any(
+                isinstance(n, ast.Name) and n.id == "block_scan"
+                for n in ast.walk(fns[name])
+            ), (rel, name)
+    assert set(_scan_plumbing(trees["stages/scan.py"])) == {"sort", "put", "get"}
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "def f(ds):\n    return ds.sort(['k']).materialize()",
+        "def f(x):\n    import ray\n    return ray.put(x)",
+        "def f(r):\n    import ray as _ray\n    return _ray.get(r)",
+        "def f(r):\n    return __import__('ray').get(r)",
+    ],
+)
+def test_scan_check_catches_own_plumbing(src):
+    assert _scan_plumbing(ast.parse(src))
 
 
 def _is_sum_aggregate(node) -> bool:

@@ -206,7 +206,10 @@ class TestAsofChunked:
         """Round-4: the sort+carry as-of join must equal the per-key
         merge_asof form on the events fixture."""
         ds = rd.read_parquet("/root/testdata/sf0.001/events.parquet")
-        from zonal_stats_toolkit_ray.stages.joins import asof_join_self
+        from zonal_stats_toolkit_ray.stages.joins import (
+            asof_join_self,
+            asof_join_self_ref,
+        )
 
         def norm(df):
             cols = sorted(df.columns)
@@ -216,8 +219,8 @@ class TestAsofChunked:
                 .reset_index(drop=True)
             )
 
-        legacy = norm(asof_join_self(ds, chunked=False).to_pandas())
-        chunked = norm(asof_join_self(ds, chunked=True).to_pandas())
+        legacy = norm(asof_join_self_ref(ds).to_pandas())
+        chunked = norm(asof_join_self(ds).to_pandas())
         assert list(legacy.columns) == list(chunked.columns)
         pd.testing.assert_frame_equal(
             chunked, legacy[chunked.columns], check_dtype=False
@@ -242,7 +245,7 @@ class TestAsofChunked:
         )
         ds = rd.from_pandas(df).repartition(16)
         out = (
-            asof_join_self(ds, chunked=True)
+            asof_join_self(ds)
             .to_pandas()
             .sort_values("ts", kind="stable")
             .reset_index(drop=True)
@@ -279,7 +282,10 @@ class TestAsofChunked:
         click groups with different values, split across 16 blocks.  The
         default (chunked) form must be exact under the engine's
         deterministic max-value tie-break, equal to the per-key form."""
-        from zonal_stats_toolkit_ray.stages.joins import asof_join_self
+        from zonal_stats_toolkit_ray.stages.joins import (
+            asof_join_self,
+            asof_join_self_ref,
+        )
 
         n = 200_000
         rng = np.random.default_rng(41)
@@ -297,7 +303,7 @@ class TestAsofChunked:
         )
         ds = rd.from_pandas(df).repartition(16)
         out = (
-            asof_join_self(ds)  # default -> chunked, no probe
+            asof_join_self(ds)
             .to_pandas()
             .sort_values("event_id", kind="stable")
             .reset_index(drop=True)
@@ -308,7 +314,7 @@ class TestAsofChunked:
         )
         # the per-key reference form implements the SAME tie-break
         ref = (
-            asof_join_self(rd.from_pandas(df).repartition(4), chunked=False)
+            asof_join_self_ref(rd.from_pandas(df).repartition(4))
             .to_pandas()
             .sort_values("event_id", kind="stable")
             .reset_index(drop=True)
@@ -349,8 +355,12 @@ class TestAsofChunked:
         ``max`` ignoring NULL: a (NaN, 3.0) click tie answers 3.0, an
         all-NaN tie answers NaN, and a NaN click that is the latest (not
         tied) still answers NaN.  40 tied views around the clicks let the
-        range sort split the tie across blocks."""
-        from zonal_stats_toolkit_ray.stages.joins import asof_join_self
+        range sort split the tie across blocks; ``chunked=False`` runs the
+        per-key reference form."""
+        from zonal_stats_toolkit_ray.stages.joins import (
+            asof_join_self,
+            asof_join_self_ref,
+        )
 
         T, nan = 1_000_000, float("nan")
         tie = [nan, 3.0] if nan_first else [3.0, nan]
@@ -366,7 +376,9 @@ class TestAsofChunked:
         df["ts"] = pd.to_datetime(df["ts"], unit="us")
         df["event_id"] = np.arange(len(df), dtype=np.int64)
         out = (
-            asof_join_self(rd.from_pandas(df).repartition(10), chunked=chunked)
+            (asof_join_self if chunked else asof_join_self_ref)(
+                rd.from_pandas(df).repartition(10)
+            )
             .to_pandas()
             .sort_values("event_id")
         )
@@ -487,38 +499,6 @@ class TestBloomSemiJoin:
 
 
 class TestAsofAuto:
-    def test_auto_picks_chunked_when_tie_free(self, ray_session):
-        import ray.data as rd
-        import pandas as pd
-        import numpy as np
-        from zonal_stats_toolkit_ray.stages.joins import asof_join_self
-
-        rng = np.random.default_rng(3)
-        n = 500
-        df = pd.DataFrame(
-            {
-                "user_id": rng.integers(0, 10, n),
-                "ts": pd.Timestamp("2024-01-01")
-                + pd.to_timedelta(rng.permutation(n), unit="s"),  # unique ts
-                "event_type": rng.choice(["click", "view"], n),
-                "value": rng.normal(0, 1, n).round(3),
-            }
-        )
-        ds = rd.from_pandas(df).repartition(4)
-
-        def norm(f):
-            return (
-                f.sort_values(["user_id", "ts"], kind="stable")
-                .reset_index(drop=True)
-                .fillna(-999)
-            )
-
-        auto = norm(asof_join_self(ds).to_pandas())
-        chunked = norm(asof_join_self(ds, chunked=True).to_pandas())
-        pd.testing.assert_frame_equal(
-            auto[sorted(auto.columns)], chunked[sorted(chunked.columns)]
-        )
-
     def test_auto_falls_back_on_ties(self, ray_session):
         import ray.data as rd
         import pandas as pd

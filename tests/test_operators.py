@@ -16,7 +16,11 @@ from zonal_stats_toolkit_ray.stages.multimodal import (
     media_pipeline,
     synth_media_table,
 )
-from zonal_stats_toolkit_ray.stages.window import session_windows, windowed_aggregate
+from zonal_stats_toolkit_ray.stages.window import (
+    session_windows,
+    session_windows_ref,
+    windowed_aggregate,
+)
 from zonal_stats_toolkit_ray.state import metrics
 
 SF = "/root/testdata/sf0.001"
@@ -567,15 +571,15 @@ class TestWindow:
 
         ev = rd.read_parquet(f"{SF}/events.parquet")
         legacy = self._norm_sessions(
-            session_windows(ev, gap_seconds=1800.0, chunked=False).to_pandas()
+            session_windows_ref(ev, gap_seconds=1800.0).to_pandas()
         )
         chunked = self._norm_sessions(
-            session_windows(ev, gap_seconds=1800.0, chunked=True).to_pandas()
+            session_windows(ev, gap_seconds=1800.0).to_pandas()
         )
         pd.testing.assert_frame_equal(chunked, legacy, check_dtype=False)
         monkeypatch.setattr(guard, "DRIVER_ROWS", 0)  # stitch per key
         forced = self._norm_sessions(
-            session_windows(ev, gap_seconds=1800.0, chunked=True).to_pandas()
+            session_windows(ev, gap_seconds=1800.0).to_pandas()
         )
         pd.testing.assert_frame_equal(forced, legacy, check_dtype=False)
 
@@ -598,7 +602,7 @@ class TestWindow:
         )
         ds = rd.from_pandas(df).repartition(16)
         got = self._norm_sessions(
-            session_windows(ds, gap_seconds=1800.0, chunked=True).to_pandas()
+            session_windows(ds, gap_seconds=1800.0).to_pandas()
         )
         # NumPy reference (single pass over the sorted events)
         t = np.sort(ts)

@@ -19,6 +19,7 @@ from zonal_stats_toolkit_ray.stages.rolling import (
     rolling_window_stats_ref,
     _window_sums,
 )
+from zonal_stats_toolkit_ray.stages import guard
 from zonal_stats_toolkit_ray.state import metrics
 
 
@@ -130,13 +131,12 @@ class TestRollingWindow:
         assert (tied["roll_n"] == n_tied + 1).all()
         assert np.allclose(tied["roll_sum"], 100.0 + n_tied)
 
-    def test_boundary_threshold_raises(self, ray_session):
+    def test_boundary_threshold_raises(self, ray_session, monkeypatch):
         df = _events_df(2_000, 1, seed=5, span_s=10)
         ds = rd.from_pandas(df).repartition(4)
+        monkeypatch.setattr(guard, "DRIVER_ROWS", 10)
         with pytest.raises(ValueError, match="boundary rows"):
-            rolling_window_stats(
-                ds, window_s=3600.0, boundary_driver_threshold=10
-            ).to_pandas()
+            rolling_window_stats(ds, window_s=3600.0).to_pandas()
 
 
 class TestEwma:

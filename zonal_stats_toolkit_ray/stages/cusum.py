@@ -7,21 +7,17 @@ SCAN: with prefix sums ``p_i = Σ_{j≤i} x_j`` and ``p_0 = 0``,
     s_i = p_i − min_{0 ≤ j ≤ i} p_j
 
 so CUSUM is (running sum, running min of the running sum) — both
-associative.  Distributed form (the winfunc/pack block-scan shape):
+associative.  It runs as one keyed block scan (``stages/scan.py``) over
+the (key, ts, id) sort:
 
-1. ONE range sort by (key, ts, id) — a hot key splits across blocks
-   (sandbox lesson #24);
-2. a ``batch_size=None`` summary pass emits per (block, key-run): the
-   run head (key, first ts, first id — sort tuples are unique, so heads
-   order runs globally), the run's total sum S and its minimum local
-   prefix M;
-3. the driver walks each key's runs in head order carrying (P = prefix
-   sum before the run, m = min prefix so far, seeded 0 for ``p_0``):
-   run base = (P, m), then m = min(m, P + M), P += S — O(runs) ≤
-   O(blocks × keys-at-block-edges);
-4. a second block-local pass recomputes runs, takes the local cumsum
-   and local running min, adds the broadcast bases:
-   s = (P + locp) − min(m, P + locmin).
+* edge: the block's last key run's total S and minimum inclusive local
+  prefix M — one row per block;
+* chain: per key in block order, carry (P = prefix sum before the run,
+  m = min prefix so far, seeded 0 for ``p_0``), then m = min(m, P + M),
+  P += S;
+* apply: local cumsum and running min per run, the carry (P, m) added to
+  the first run: s = (P + locp) − min(m, P + locmin).  Runs that start
+  inside the block take (0, 0).
 
 All arithmetic is int64 (callers pre-scale values), so the result is
 bit-identical to the SQL window form whatever the block layout.
@@ -33,21 +29,13 @@ Reference parity: none in runner.py — streaming-analytics surface
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from .scan import block_scan
 
 
-def _ts_us(col) -> np.ndarray:
-    return pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64()).to_numpy(
-        zero_copy_only=False
-    )
-
-
-def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    new = np.r_[True, codes[1:] != codes[:-1]]
-    starts = np.flatnonzero(new)
-    return starts, np.r_[starts[1:], codes.size]
+def _i64(col) -> np.ndarray:
+    return col.to_numpy().astype(np.int64)
 
 
 def cusum_by_key(
@@ -62,84 +50,25 @@ def cusum_by_key(
     ``x_col`` per key in (ts, id) order.  ``id_col`` must be unique (the
     deterministic tiebreak); pre-scale/shift floats into ``x_col``
     upstream — integer arithmetic is what makes the scan exact."""
-    import ray
 
-    slim = ds.select_columns([key_col, ts_col, id_col, x_col])
-    srt = slim.sort([key_col, ts_col, id_col]).materialize()
+    def edge(b: pa.Table, starts, ends) -> list:
+        p = np.cumsum(_i64(b[x_col])[starts[-1]:])
+        return [(int(p[-1]), int(p.min()))]
 
-    def summ_schema(key_type) -> pa.Schema:
-        return pa.schema(
-            [
-                ("key", key_type),
-                ("first_ts", pa.int64()),
-                ("first_id", pa.int64()),
-                ("S", pa.int64()),
-                ("M", pa.int64()),
-            ]
-        )
+    def chain(blocks) -> list:
+        carries, P, m = [], 0, 0
+        for blk in blocks:
+            if not blk.cont:
+                P, m = 0, 0
+            carries.append((P, m))
+            if not blk.one_run:
+                P, m = 0, 0
+            S, M = blk.edge[0]
+            P, m = P + S, min(m, P + M)
+        return carries
 
-    def summary(b: pa.Table) -> pa.Table:
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        if len(b) == 0:
-            return summ_schema(kcol.type).empty_table()
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        ts = _ts_us(b[ts_col])
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        x = b[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        starts, ends = _runs(codes)
-        cs = np.concatenate([[0], np.cumsum(x)])
-        sums = cs[ends] - cs[starts]
-        # min INCLUSIVE local prefix per run (prefix after each row)
-        locp = cs[1:] - np.repeat(cs[starts], ends - starts)
-        mins = np.minimum.reduceat(locp, starts)
-        return pa.table(
-            {
-                "key": kcol.take(pa.array(starts)),
-                "first_ts": pa.array(ts[starts], pa.int64()),
-                "first_id": pa.array(ids[starts], pa.int64()),
-                "S": pa.array(sums, pa.int64()),
-                "M": pa.array(mins, pa.int64()),
-            },
-            schema=summ_schema(kcol.type),
-        )
-
-    summ = (
-        srt.map_batches(summary, batch_size=None, batch_format="pyarrow")
-        .to_pandas()  # O(runs)
-        .sort_values(["key", "first_ts", "first_id"], kind="stable")
-        .reset_index(drop=True)
-    )
-    # driver walk: per key in run order, carry (P, m)
-    base_map: dict = {}
-    P = np.int64(0)
-    m = np.int64(0)
-    prev_key = object()
-    for r in summ.itertuples(index=False):
-        if r.key != prev_key:
-            P, m = np.int64(0), np.int64(0)
-            prev_key = r.key
-        base_map[(r.key, int(r.first_id))] = (int(P), int(m))
-        m = min(m, P + r.M)
-        P = P + r.S
-    ref = ray.put(base_map)
-
-    def out_schema(key_type) -> pa.Schema:
-        return pa.schema(
-            [(id_col, pa.int64()), (key_col, key_type), ("cusum", pa.int64())]
-        )
-
-    def block_cusum(b: pa.Table, *, _ref=ref) -> pa.Table:
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        if len(b) == 0:
-            return out_schema(kcol.type).empty_table()
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        x = b[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        starts, ends = _runs(codes)
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        x = _i64(b[x_col])
         cs = np.concatenate([[0], np.cumsum(x)])
         locp = cs[1:] - np.repeat(cs[starts], ends - starts)
         # running min of local prefix within each run: cummin with resets —
@@ -148,7 +77,7 @@ def cusum_by_key(
         # range; if runs × step would overflow int64 (huge sums AND many
         # runs), fall back to an O(runs) loop of vectorized accumulates.
         seg = np.repeat(np.arange(starts.size, dtype=np.int64), ends - starts)
-        rng = int(locp.max()) - min(int(locp.min()), 0) + 1 if locp.size else 1
+        rng = int(locp.max()) - min(int(locp.min()), 0) + 1
         if starts.size * rng < (1 << 62):
             BIG = np.int64(rng)
             shifted = locp - seg * BIG
@@ -157,23 +86,25 @@ def cusum_by_key(
             locmin = np.empty_like(locp)
             for st, en in zip(starts, ends):
                 locmin[st:en] = np.minimum.accumulate(locp[st:en])
-        bases = ray.get(_ref)
-        keys_py = kcol.to_pandas().to_numpy()
-        Ps = np.empty(starts.size, dtype=np.int64)
-        Ms = np.empty(starts.size, dtype=np.int64)
-        for k_i, st in enumerate(starts):
-            Ps[k_i], Ms[k_i] = bases[(keys_py[st], int(ids[st]))]
-        Pr = np.repeat(Ps, ends - starts)
-        Mr = np.repeat(Ms, ends - starts)
-        p = Pr + locp
+        Pr = np.zeros(x.size, dtype=np.int64)
+        Mr = np.zeros(x.size, dtype=np.int64)
+        Pr[: ends[0]], Mr[: ends[0]] = carry
         mn = np.minimum(Mr, Pr + locmin)
         return pa.table(
             {
-                id_col: pa.array(ids, pa.int64()),
-                key_col: kcol,
-                "cusum": pa.array(p - mn, pa.int64()),
-            },
-            schema=out_schema(kcol.type),
+                id_col: pa.array(_i64(b[id_col]), pa.int64()),
+                key_col: b[key_col],
+                "cusum": pa.array(Pr + locp - mn, pa.int64()),
+            }
         )
 
-    return srt.map_batches(block_cusum, batch_size=None, batch_format="pyarrow")
+    return block_scan(
+        ds,
+        op="cusum.cusum_by_key",
+        key=key_col,
+        order=[ts_col, id_col],
+        cols=[key_col, ts_col, id_col, x_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
+    )

@@ -38,10 +38,10 @@ value-universe statistics family (weighted_median / gini / AUC / KS /
 quantile_transform / winsorized_mean / group-median impute), which
 finalizes on the driver from a distributed ``(key, value)`` count
 aggregate and fails fast naming ``salted_group_percentiles`` when the
-universe approaches the corpus; the boundary-row cap of
-``rolling.rolling_window_stats``; the vocabulary cap of
-``text.encode_corpus``; and the node-universe cap of ``graph.bfs_hops``
-and ``triangles.triangle_stats``.
+universe approaches the corpus; the boundary rows of
+``rolling.rolling_window_stats``, which raise above ``DRIVER_ROWS``; the
+vocabulary cap of ``text.encode_corpus``; and the node-universe cap of
+``graph.bfs_hops`` and ``triangles.triangle_stats``.
 
 **Task floor** (``TASK_ROWS``).  A Ray task costs ~15 ms of fixed
 overhead and a page row of the point join ~20 µs, so the join's encode

@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 
 from ..state.metrics import note
 from .guard import tree_combine
+from .scan import ts_us as _ts_us
 
 _COLS = [
     "o_ts",
@@ -40,12 +41,6 @@ _COLS = [
     "high",
     "n",
 ]
-
-
-def _ts_us(col) -> np.ndarray:
-    return pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64()).to_numpy(
-        zero_copy_only=False
-    )
 
 
 def ohlc_partials_batch(

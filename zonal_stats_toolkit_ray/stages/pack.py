@@ -17,21 +17,14 @@ packing pipelines actually use, and it is exactly reproducible in SQL
 (`SUM() OVER (ORDER BY ...)`), which gives the operator a full value
 oracle.
 
-The underlying :func:`attach_running_total` is the classic two-pass
-distributed scan:
-
-1. range-sort by ``order_col`` (the only shuffle; Ray's sort is the skew
-   weapon — but order keys must be UNIQUE, asserted, because equal keys
-   may split across block boundaries and would make block bases ambiguous);
-2. one ``batch_size=None`` pass emits ``(min_key, total)`` per block —
-   block-count-sized partials to the driver;
-3. exclusive prefix over the block totals → per-block base offsets,
-   broadcast once; a second ``batch_size=None`` pass adds
-   ``base + in-block exclusive cumsum``.
-
-``batch_size=None`` makes map_batches process whole blocks, so pass-2
-batches are exactly pass-1 blocks and the base lookup (searchsorted on the
-block min keys) is exact.  Driver traffic = O(blocks), never the corpus.
+The underlying :func:`attach_running_total` is the unkeyed case of the
+keyed block scan (``stages/scan.py``) over the ``order_col`` sort: each
+block's edge is its size total, whether it holds a duplicate order key,
+and its first and last order key (one row per block); the chain is the
+exclusive prefix of the totals, and it raises on an order key shared by
+two blocks (equal keys may split across a block boundary and would make
+the bases ambiguous); the apply pass adds ``base + in-block exclusive
+cumsum``.  Driver traffic = O(blocks), never the corpus.
 
 Reference parity: the reference toolkit has no ordering-sensitive
 operators beyond output sort (``runner.py:981-997``); this is
@@ -43,66 +36,53 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .scan import block_scan
+
 
 def attach_running_total(ds, *, size_col: str, order_col: str):
     """Adds ``cum_before`` (int64): the sum of ``size_col`` over all rows
     strictly before this row in ``order_col`` order.  Returns the dataset
-    sorted by ``order_col``.  Requires unique order keys (asserted via the
-    block summaries: overlapping block ranges → ValueError)."""
-    import ray
+    sorted by ``order_col``.  Requires unique order keys (ValueError)."""
 
-    sorted_ds = ds.sort(order_col).materialize()
-
-    def summary(b: pa.Table) -> pa.Table:
-        keys = b[order_col].to_numpy(zero_copy_only=False)
-        sizes = b[size_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(b) == 0:
-            return pa.table(
-                {
-                    "min_key": pa.array([], pa.int64()),
-                    "max_key": pa.array([], pa.int64()),
-                    "total": pa.array([], pa.int64()),
-                    "has_dup": pa.array([], pa.bool_()),
-                }
+    def edge(b: pa.Table, starts, ends) -> list:
+        keys = b[order_col].to_numpy()
+        return [
+            (
+                int(b[size_col].to_numpy().astype(np.int64).sum()),
+                bool(np.any(keys[1:] == keys[:-1])),  # sorted: dups adjacent
+                b[order_col][0].as_py(),
+                b[order_col][-1].as_py(),
             )
-        return pa.table(
-            {
-                "min_key": pa.array([np.int64(keys.min())]),
-                "max_key": pa.array([np.int64(keys.max())]),
-                "total": pa.array([np.int64(sizes.sum())]),
-                # keys arrive sorted → in-block duplicates are adjacent;
-                # the cross-block case is the range-overlap check below
-                "has_dup": pa.array([bool(np.any(keys[1:] == keys[:-1]))]),
-            }
-        )
+        ]
 
-    blocks = (
-        sorted_ds.map_batches(summary, batch_size=None, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("min_key")
-        .reset_index(drop=True)
-    )
-    mins = blocks["min_key"].to_numpy(np.int64)
-    maxs = blocks["max_key"].to_numpy(np.int64)
-    if np.any(mins[1:] <= maxs[:-1]) or blocks["has_dup"].any():
-        raise ValueError(
-            f"attach_running_total requires unique {order_col!r} keys: "
-            "duplicates within or across sorted blocks"
-        )
-    bases = np.concatenate([[0], np.cumsum(blocks["total"].to_numpy(np.int64))[:-1]])
-    ref = ray.put((mins, bases))
+    def chain(blocks) -> list:
+        bases, total, prev_hi = [], 0, None
+        for blk in blocks:
+            size, dup, lo, hi = blk.edge[0]
+            if dup or (prev_hi is not None and lo <= prev_hi):
+                raise ValueError(
+                    f"attach_running_total requires unique {order_col!r} keys: "
+                    "duplicates within or across sorted blocks"
+                )
+            bases.append(total)
+            total, prev_hi = total + size, hi
+        return bases
 
-    def attach(b: pa.Table, _r=ref) -> pa.Table:
-        if len(b) == 0:
-            return b.append_column("cum_before", pa.array([], pa.int64()))
-        m, ba = ray.get(_r)
-        keys = b[order_col].to_numpy(zero_copy_only=False)
-        sizes = b[size_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        base = ba[np.searchsorted(m, np.int64(keys.min()), side="right") - 1]
+    def apply(b: pa.Table, starts, ends, base) -> pa.Table:
+        sizes = b[size_col].to_numpy().astype(np.int64)
         cum = base + np.concatenate([[0], np.cumsum(sizes)[:-1]])
         return b.append_column("cum_before", pa.array(cum.astype(np.int64)))
 
-    return sorted_ds.map_batches(attach, batch_size=None, batch_format="pyarrow")
+    return block_scan(
+        ds,
+        op="pack.attach_running_total",
+        key=None,
+        order=[order_col],
+        cols=None,
+        edge=edge,
+        chain=chain,
+        apply=apply,
+    )
 
 
 def pack_sequences(

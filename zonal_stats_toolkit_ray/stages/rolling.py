@@ -42,15 +42,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.metrics import note
-
-
-def _ts_us(col) -> np.ndarray:
-    """timestamp column → int64 epoch microseconds (explicit unit
-    normalization — arrow may surface [us] or [ns] depending on version)."""
-    return pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64()).to_numpy(
-        zero_copy_only=False
-    )
+from . import guard
+from .scan import block_scan, ts_us as _ts_us
 
 
 def _combined(col):
@@ -113,7 +106,6 @@ def rolling_window_stats(
     value_col: str = "value",
     id_col: str = "event_id",
     window_s: float = 3600.0,
-    boundary_driver_threshold: int = 2_000_000,
 ):
     """→ Dataset(id, key, roll_n, roll_sum): per-row trailing-window count
     and sum over same-key rows with ts ∈ [t − window, t] (inclusive,
@@ -124,12 +116,10 @@ def rolling_window_stats(
 
     Scale notes: the sort is the one all-to-all; both window passes are
     block-local.  The boundary table is O(blocks × window-density) and
-    broadcasts once — ``boundary_driver_threshold`` guards the driver
-    collect (raise it or widen blocks if a corpus has > 2M boundary rows;
-    the bound is per-block, never per-key).
+    broadcasts once; past ``guard.DRIVER_ROWS`` boundary rows the call
+    raises (widen blocks: the bound is per-block, never per-key).
     """
     import ray
-    import ray.data as rd
 
     window_us = int(round(float(window_s) * 1e6))
 
@@ -170,12 +160,11 @@ def rolling_window_stats(
         boundary, batch_size=None, batch_format="pyarrow"
     ).materialize()
     n_bnd = bnd.count()
-    if n_bnd > boundary_driver_threshold:
+    if n_bnd > guard.DRIVER_ROWS:
         raise ValueError(
-            f"boundary rows ({n_bnd}) exceed boundary_driver_threshold "
-            f"({boundary_driver_threshold}); widen blocks or raise the "
-            "threshold — the bound grows with blocks × window density, "
-            "not with corpus size"
+            f"boundary rows ({n_bnd}) exceed guard.DRIVER_ROWS "
+            f"({guard.DRIVER_ROWS}); widen blocks — the bound grows with "
+            "blocks × window density, not with corpus size"
         )
     bdf = bnd.to_pandas()
     b_ref = ray.put(
@@ -305,37 +294,24 @@ def ewma_by_key(
     ``y_i = α·x_i + (1−α)·y_{i−1}``, ``y_0 = x_0``) over (ts, id) order →
     Dataset(id, key, ewma) — round-5 operator.
 
-    Distributed EXACT affine scan (the linear recurrence composes:
-    ``y_end = S + P·c`` with ``P = (1−α)^n`` and S the zero-carry local
-    scan), with the rolling.py head/tail boundary shape: a range sort
-    splits hot keys across blocks; each block's INTERIOR key runs are
-    self-contained (carry = own first x, since ``y_0 = x_0`` ⇔ carrying
-    the first value itself), so only the FIRST and LAST run of each block
-    export an (n, S, x_first) summary — O(blocks) rows, never O(keys).
-    The driver chains carries across consecutive blocks of the same key
-    (O(blocks) work), broadcasts {block → carry}, and one second pass
-    computes every row as ``l_i + (1−α)^{i+1}·c`` with a vectorized
-    zero-carry scan per run (float64 cumprod/cumsum — exact formulation,
-    no Python row loops).
+    An EXACT affine scan: the recurrence composes, ``y_end = S + q^n·c``
+    with ``q = 1−α`` and S the zero-carry local scan of n rows.  It runs
+    as one keyed block scan (``stages/scan.py``) over the (key, ts, id)
+    sort:
+
+    * edge: the block's last key run's (n, S, first x) — one row per block;
+    * chain: the carry into a block is the previous block's y_end when its
+      first run continues that key; y_end chains the carry through a
+      one-run block, else restarts at the last run's first x (``y_0 =
+      x_0`` ⇔ carrying the first value itself);
+    * apply: every run computes ``l_i + q^{i+1}·c`` from a vectorized
+      zero-carry scan (float64 rescaled cumsum), c = the carry for the
+      first run and the run's own first x otherwise.
 
     Reference parity: no streaming operator exists in the reference
     (runner.py aggregates whole zones); SURVEY §2 extension family."""
-    import ray
-
     a = float(alpha)
     q = 1.0 - a
-
-    slim = ds.select_columns([key_col, ts_col, value_col, id_col])
-    srt = slim.sort([key_col, ts_col, id_col]).materialize()
-
-    def _run_bounds(b: pa.Table):
-        kcol = _combined(b[key_col])
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        starts = np.flatnonzero(
-            np.concatenate([[True], codes[1:] != codes[:-1]])
-        )
-        ends = np.concatenate([starts[1:], [len(b)]])
-        return kcol, starts, ends
 
     def _zero_scan(x: np.ndarray) -> np.ndarray:
         """l_i = α·x_i + q·l_{i−1}, l_{−1} = 0, vectorized:
@@ -365,137 +341,54 @@ def ewma_by_key(
                 c = out[e0 - 1]
         return out
 
-    def _summ_schema(key_type: pa.DataType) -> pa.Schema:
-        return pa.schema(
-            [
-                ("blk_key", key_type),
-                ("blk_ts", pa.int64()),
-                ("blk_id", pa.int64()),
-                ("pos", pa.string()),  # 'first' | 'last'
-                ("ri", pa.int64()),  # run index within block (first==last ⇔ 1 run)
-                ("key", key_type),
-                ("n", pa.int64()),
-                ("s_end", pa.float64()),
-                ("x_first", pa.float64()),
-            ]
-        )
+    def _x(b: pa.Table) -> np.ndarray:
+        return _combined(b[value_col]).to_numpy(zero_copy_only=False).astype(np.float64)
 
-    def summaries(b: pa.Table) -> pa.Table:
-        kcol = _combined(b[key_col])
-        if len(b) == 0:
-            return _summ_schema(kcol.type).empty_table()
-        _, starts, ends = _run_bounds(b)
-        ts = _ts_us(b[ts_col])
-        ids = _combined(b[id_col]).to_numpy(zero_copy_only=False).astype(np.int64)
-        x = (
-            _combined(b[value_col]).to_numpy(zero_copy_only=False).astype(np.float64)
-        )
-        rows = {k: [] for k in ("pos_i", "pos", "ri", "n", "s_end", "x_first")}
-        take = [(0, "first"), (len(starts) - 1, "last")]
-        for ri, pos in take:
-            s, e = starts[ri], ends[ri]
-            l = _zero_scan(x[s:e])
-            rows["pos_i"].append(s)
-            rows["pos"].append(pos)
-            rows["ri"].append(ri)
-            rows["n"].append(e - s)
-            rows["s_end"].append(float(l[-1]))
-            rows["x_first"].append(float(x[s]))
-        idx = pa.array(np.asarray(rows["pos_i"], np.int64))
-        m = len(rows["pos"])
-        return pa.table(
-            {
-                "blk_key": kcol.take(pa.array(np.zeros(m, np.int64))),
-                "blk_ts": pa.array(np.full(m, ts[0]), pa.int64()),
-                "blk_id": pa.array(np.full(m, ids[0]), pa.int64()),
-                "pos": pa.array(rows["pos"], pa.string()),
-                "ri": pa.array(rows["ri"], pa.int64()),
-                "key": kcol.take(idx),
-                "n": pa.array(rows["n"], pa.int64()),
-                "s_end": pa.array(rows["s_end"], pa.float64()),
-                "x_first": pa.array(rows["x_first"], pa.float64()),
-            },
-            schema=_summ_schema(kcol.type),
-        )
+    def edge(b: pa.Table, starts, ends) -> list:
+        x = _x(b)[starts[-1]:]
+        return [(x.size, float(_zero_scan(x)[-1]), float(x[0]))]
 
-    sm = srt.map_batches(
-        summaries, batch_size=None, batch_format="pyarrow"
-    ).to_pandas()  # O(blocks) rows: ≤ 2 per block
-    # rows the driver collected for the carry chain: O(blocks), never
-    # O(keys) or O(rows)
-    note("rolling.ewma_by_key", summary_rows=len(sm), blocks=srt.num_blocks())
-    # global block order = sort order of the block-identity tuple
-    carries: dict = {}
-    if len(sm):
-        sm = sm.sort_values(
-            ["blk_key", "blk_ts", "blk_id"], kind="stable"
-        ).reset_index(drop=True)
-        blocks = list(
-            sm.groupby(["blk_key", "blk_ts", "blk_id"], sort=False)
-        )
-        prev_key = None
-        prev_y_end = None
-        for ident, g in blocks:
-            first = g[g["pos"] == "first"].iloc[0]
-            last = g[g["pos"] == "last"].iloc[0]
-            # carry INTO this block's first run
-            if prev_key is not None and first["key"] == prev_key:
-                c_in = float(prev_y_end)
-                carries[ident] = c_in
-            else:
-                c_in = float(first["x_first"])  # global run start: y_0 = x_0
-            # y at the end of this block's LAST run: same run as the first
-            # (single-run block) ⇒ chain the incoming carry through it,
-            # else the last run starts inside this block (fresh y_0 = x_0)
-            c_last = c_in if int(last["ri"]) == int(first["ri"]) else float(
-                last["x_first"]
-            )
+    def chain(blocks) -> list:
+        carries, y_end = [], None
+        for blk in blocks:
+            n, s_end, x_first = blk.edge[0]
+            c_in = y_end if blk.cont else None
+            carries.append(c_in)
+            c_last = c_in if blk.one_run and c_in is not None else x_first
             # y_end = l_{n−1} + q^n · c  (y_i = l_i + q^{i+1} c at i = n−1)
-            prev_y_end = float(last["s_end"]) + (q ** int(last["n"])) * c_last
-            prev_key = last["key"]
-    import ray as _ray
+            y_end = s_end + (q ** n) * c_last
+        return carries
 
-    carry_ref = _ray.put(carries) if _ray.is_initialized() else carries
-
-    def _out_schema(key_type: pa.DataType) -> pa.Schema:
-        return pa.schema(
-            [(id_col, pa.int64()), (key_col, key_type), ("ewma", pa.float64())]
-        )
-
-    def block_ewma(b: pa.Table, *, _ref=carry_ref) -> pa.Table:
-        kcol = _combined(b[key_col])
-        if len(b) == 0:
-            return _out_schema(kcol.type).empty_table()
-        cmap = _ref if isinstance(_ref, dict) else __import__("ray").get(_ref)
-        _, starts, ends = _run_bounds(b)
-        ts = _ts_us(b[ts_col])
-        ids = _combined(b[id_col]).to_numpy(zero_copy_only=False).astype(np.int64)
-        x = (
-            _combined(b[value_col]).to_numpy(zero_copy_only=False).astype(np.float64)
-        )
-        keys_py = kcol.to_pylist()
-        ident = (keys_py[0], int(ts[0]), int(ids[0]))
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        x = _x(b)
         out = np.empty(len(b), dtype=np.float64)
         for ri, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
             seg = x[s:e]
-            l = _zero_scan(seg)
-            if ri == 0 and ident in cmap:
-                c = cmap[ident]
-            else:
-                c = seg[0]  # global run start: y_{-1} := x_0 gives y_0 = x_0
+            # a run starting here: y_{-1} := x_0 gives y_0 = x_0
+            c = carry if ri == 0 and carry is not None else seg[0]
             i = np.arange(seg.size, dtype=np.float64)
             with np.errstate(under="ignore"):
-                out[s:e] = l + (q ** (i + 1.0)) * c
+                out[s:e] = _zero_scan(seg) + (q ** (i + 1.0)) * c
         return pa.table(
             {
-                id_col: pa.array(ids, pa.int64()),
-                key_col: kcol,
+                id_col: pa.array(
+                    _combined(b[id_col]).to_numpy(zero_copy_only=False), pa.int64()
+                ),
+                key_col: b[key_col],
                 "ewma": pa.array(out, pa.float64()),
-            },
-            schema=_out_schema(kcol.type),
+            }
         )
 
-    return srt.map_batches(block_ewma, batch_size=None, batch_format="pyarrow")
+    return block_scan(
+        ds,
+        op="rolling.ewma_by_key",
+        key=key_col,
+        order=[ts_col, id_col],
+        cols=[key_col, ts_col, value_col, id_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
+    )
 
 
 def rolling_rows_median(
@@ -514,167 +407,61 @@ def rolling_rows_median(
     deterministic tiebreak).
 
     Unlike the RANGE-frame sums above, a ROWS frame needs exactly the
-    k−1 predecessor ROWS of each row's key, so the boundary context is
-    even cheaper: every block exports its last min(k−1, len) rows; the
-    driver chains, per block, the trailing same-key rows of PRECEDING
-    blocks (walking back across blocks smaller than k−1) — O(blocks × k)
-    rows total, whatever the key skew, because the range sort splits a
-    hot key across blocks (sandbox lesson #24).  The second block-local
-    pass prepends the context to the block's first key run and computes
-    the rolling median per run with pandas' C kernel (mean-of-two-middles
-    on even windows, the quantile_cont 0.5 convention DuckDB uses)."""
-    import ray
+    k−1 predecessor ROWS of each row's key.  It runs as one keyed block
+    scan (``stages/scan.py``) over the (key, ts, id) sort: each block's
+    edge is the last min(k−1, run length) values of its last key run; the
+    driver chains, per block, the last k−1 values of the key it opens
+    with (across blocks shorter than k−1) — O(blocks × k) rows whatever
+    the key skew; the apply pass prepends them to the block's first run
+    and computes the rolling median per run with pandas' C kernel
+    (mean-of-two-middles on even windows, the quantile_cont 0.5
+    convention DuckDB uses)."""
 
-    slim = ds.select_columns([key_col, ts_col, id_col, value_col])
-    srt = slim.sort([key_col, ts_col, id_col]).materialize()
+    def _v(b: pa.Table) -> np.ndarray:
+        return pc.cast(b[value_col], pa.float64()).to_numpy(zero_copy_only=False)
 
-    def tail_schema(key_type: pa.DataType) -> pa.Schema:
-        return pa.schema(
-            [
-                ("blk_key", key_type),
-                ("blk_ts", pa.int64()),
-                ("blk_id", pa.int64()),
-                ("key", key_type),
-                ("ts_us", pa.int64()),
-                ("id", pa.int64()),
-                ("v", pa.float64()),
-                ("blk_len", pa.int64()),
-            ]
-        )
+    def edge(b: pa.Table, starts, ends) -> list:
+        return _v(b)[max(starts[-1], len(b) - (k - 1)) :].tolist()
 
-    def tails(b: pa.Table) -> pa.Table:
-        kcol = _combined(b[key_col])
-        if len(b) == 0:
-            return tail_schema(kcol.type).empty_table()
-        ts = _ts_us(b[ts_col])
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        vals = (
-            pc.cast(b[value_col], pa.float64()).to_numpy(zero_copy_only=False)
-        )
-        m = min(k - 1, len(b)) if k > 1 else 0
-        sl = slice(len(b) - m, len(b))
-        n_rows = max(m, 1) if m else 0
-        # always emit at least ONE row per block (m may be 0 when k == 1)
-        # so the block-order census sees every block
-        if m == 0:
-            idx = [0]
-            return pa.table(
+    def chain(blocks) -> list:
+        carries, tail = [], []
+        for blk in blocks:
+            carries.append(np.asarray(tail) if blk.cont and tail else None)
+            if not (blk.cont and blk.one_run):
+                tail = []
+            tail = (tail + blk.edge)[-(k - 1) :] if k > 1 else []
+        return carries
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        ctx = np.empty(0) if carry is None else carry
+        runs = np.repeat(np.arange(starts.size), ends - starts)
+        med = (
+            pd.DataFrame(
                 {
-                    "blk_key": kcol.take(pa.array([0])),
-                    "blk_ts": pa.array([ts[0]], pa.int64()),
-                    "blk_id": pa.array([ids[0]], pa.int64()),
-                    "key": kcol.take(pa.array([0])),
-                    "ts_us": pa.array([ts[0]], pa.int64()),
-                    "id": pa.array([ids[0]], pa.int64()),
-                    "v": pa.array([np.nan], pa.float64()),
-                    "blk_len": pa.array([0], pa.int64()),
-                },
-                schema=tail_schema(kcol.type),
+                    "r": np.concatenate([np.zeros(ctx.size, np.int64), runs]),
+                    "v": np.concatenate([ctx, _v(b)]),
+                }
             )
-        return pa.table(
-            {
-                "blk_key": kcol.take(pa.array(np.zeros(m, dtype=np.int64))),
-                "blk_ts": pa.array(np.full(m, ts[0]), pa.int64()),
-                "blk_id": pa.array(np.full(m, ids[0]), pa.int64()),
-                "key": kcol.take(pa.array(np.arange(len(b) - m, len(b)))),
-                "ts_us": pa.array(ts[sl], pa.int64()),
-                "id": pa.array(ids[sl], pa.int64()),
-                "v": pa.array(vals[sl], pa.float64()),
-                "blk_len": pa.array(np.full(m, m), pa.int64()),
-            },
-            schema=tail_schema(kcol.type),
-        )
-
-    tl = (
-        srt.map_batches(tails, batch_size=None, batch_format="pyarrow")
-        .to_pandas()  # O(blocks × k)
-    )
-    # global block order = sort order of the block-identity tuple
-    blocks = (
-        tl[["blk_key", "blk_ts", "blk_id"]]
-        .drop_duplicates()
-        .sort_values(["blk_key", "blk_ts", "blk_id"], kind="stable")
-        .reset_index(drop=True)
-    )
-    tl = tl[tl["blk_len"] > 0]
-    by_blk = {
-        t: g.sort_values(["key", "ts_us", "id"], kind="stable")
-        for t, g in tl.groupby(["blk_key", "blk_ts", "blk_id"], sort=False)
-    }
-    order = [tuple(r) for r in blocks.itertuples(index=False)]
-    ctx_map: dict = {}
-    for i, ident in enumerate(order):
-        first_key = ident[0]
-        need = k - 1
-        chunks = []
-        j = i - 1
-        while j >= 0 and need > 0:
-            tail = by_blk.get(order[j])
-            if tail is None:
-                break
-            # same-key rows form a SUFFIX of the tail (sorted order); the
-            # tail always covers the block END, so "no same-key row in the
-            # tail" ⇒ no same-key row anywhere earlier
-            same = tail[tail["key"] == first_key]
-            if len(same) == 0:
-                break
-            take = same.tail(need)
-            chunks.insert(0, take)
-            need -= len(take)
-            if len(same) < len(tail):
-                break  # the key run starts inside block j — nothing earlier
-            if len(tail) < k - 1:
-                j -= 1  # tail == a short whole block, all same-key → keep walking
-                continue
-            break  # full k−1 all-same-key tail → need is 0 here
-        ctx_map[ident] = (
-            pd.concat(chunks, ignore_index=True)
-            if chunks
-            else pd.DataFrame(columns=["key", "ts_us", "id", "v"])
-        )
-    ref = ray.put(ctx_map)
-
-    def out_schema(key_type: pa.DataType) -> pa.Schema:
-        return pa.schema(
-            [(id_col, pa.int64()), (key_col, key_type), ("roll_med", pa.float64())]
-        )
-
-    def block_median(b: pa.Table, *, _ref=ref) -> pa.Table:
-        kcol = _combined(b[key_col])
-        if len(b) == 0:
-            return out_schema(kcol.type).empty_table()
-        ts = _ts_us(b[ts_col])
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        vals = pc.cast(b[value_col], pa.float64()).to_numpy(zero_copy_only=False)
-        keys = kcol.to_pandas().to_numpy()
-        ident = (keys[0], int(ts[0]), int(ids[0]))
-        ctx = ray.get(_ref).get(ident)
-        n_ctx = 0
-        if ctx is not None and len(ctx):
-            # context belongs to the block's FIRST key run only
-            cvals = ctx["v"].to_numpy(dtype=np.float64)
-            ckeys = ctx["key"].to_numpy()
-            keep = ckeys == keys[0]
-            cvals = cvals[keep]
-            n_ctx = cvals.size
-            vals = np.concatenate([cvals, vals])
-            keys = np.concatenate([ckeys[keep], keys])
-        codes = pd.factorize(keys)[0]
-        s = (
-            pd.DataFrame({"r": codes, "v": vals})
             .groupby("r", sort=False)["v"]
             .rolling(k, min_periods=1)
             .median()
-            .to_numpy()
+            .to_numpy()[ctx.size :]
         )
-        med = s[n_ctx:]
         return pa.table(
             {
-                id_col: pa.array(ids, pa.int64()),
-                key_col: kcol,
+                id_col: pa.array(b[id_col].to_numpy().astype(np.int64), pa.int64()),
+                key_col: b[key_col],
                 "roll_med": pa.array(med, pa.float64()),
-            },
-            schema=out_schema(kcol.type),
+            }
         )
 
-    return srt.map_batches(block_median, batch_size=None, batch_format="pyarrow")
+    return block_scan(
+        ds,
+        op="rolling.rolling_rows_median",
+        key=key_col,
+        order=[ts_col, id_col],
+        cols=[key_col, ts_col, id_col, value_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
+    )

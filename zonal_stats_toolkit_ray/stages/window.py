@@ -176,28 +176,23 @@ def session_windows(
     ts_col: str = "ts",
     key_col: str = "user_id",
     gap_seconds: float = 1800.0,
-    chunked: bool = True,
 ):
     """Session windowing per key: a new session starts when the gap to the
     previous event exceeds ``gap_seconds``.  Returns the per-session
     **Dataset** (one row per session — corpus-sized, so it streams).
 
-    Round 4 (VERDICT r3 #7), default ``chunked=True`` — the SCALE-SAFE
-    form: a distributed sort by (key, ts) range-partitions the events (a
-    hot key SPLITS across blocks — the range partitioner cuts between
-    equal keys at different timestamps, unlike a hash groupby which lands
-    a 10^8-event bot user on one worker), each sorted block sessionizes
-    its key runs with pure vectorized NumPy, and only the first/last
-    session of each block — the ones that may continue in a neighboring
-    block — are stitched in a second pass (two boundary sessions per
-    block, independent of event count, stitched on the driver within
-    ``guard.DRIVER_ROWS`` and per key above; a session spanning a block edge
-    merges iff its gap ≤ threshold, chains across any number of blocks).
-    Results are exactly equal to the single-pass sessionizer
-    (tests pin equality, including a one-key stress).
-
-    ``chunked=False`` keeps the round-2 per-key ``map_groups`` shape
-    (fine when no key is pathologically hot)."""
+    A distributed sort by (key, ts) range-partitions the events (a hot
+    key SPLITS across blocks — the range partitioner cuts between equal
+    keys at different timestamps, unlike a hash groupby which lands a
+    10^8-event bot user on one worker), each sorted block sessionizes its
+    key runs with pure vectorized NumPy, and only the first/last session
+    of each block — the ones that may continue in a neighboring block —
+    are stitched in a second pass (two boundary sessions per block,
+    independent of event count, stitched on the driver within
+    ``guard.DRIVER_ROWS`` and per key above; a session spanning a block
+    edge merges iff its gap ≤ threshold, chains across any number of
+    blocks).  Results are exactly equal to :func:`session_windows_ref`
+    (tests pin equality, including a one-key stress)."""
 
     def finalize(b: pa.Table) -> pa.Table:
         dur = pc.subtract(b["end"], b["start"])
@@ -210,27 +205,6 @@ def session_windows(
                 "duration_s": dur,
             }
         )
-
-    if not chunked:
-
-        def sessions(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(ts_col)
-            ts = _ts_seconds(g[ts_col])
-            new = np.ones(len(g), dtype=bool)
-            if len(g) > 1:
-                new[1:] = (ts[1:] - ts[:-1]) > gap_seconds
-            sid = np.cumsum(new)
-            out = (
-                pd.DataFrame({"sid": sid, "ts": ts})
-                .groupby("sid")
-                .agg(n_events=("ts", "size"), start=("ts", "min"), end=("ts", "max"))
-                .reset_index(drop=True)
-            )
-            out[key_col] = g[key_col].iloc[0]
-            out["duration_s"] = out["end"] - out["start"]
-            return out[[key_col, "n_events", "start", "end", "duration_s"]]
-
-        return ds.groupby(key_col).map_groups(sessions, batch_format="pandas")
 
     srt = ds.select_columns([key_col, ts_col]).sort([key_col, ts_col])
 
@@ -327,6 +301,36 @@ def session_windows(
             stitch_frame, batch_format="pandas"
         )
     return finals.union(stitched)
+
+
+def session_windows_ref(
+    ds,
+    *,
+    ts_col: str = "ts",
+    key_col: str = "user_id",
+    gap_seconds: float = 1800.0,
+):
+    """Per-key ``map_groups`` reference of :func:`session_windows` for
+    tests (O(key) materialization)."""
+
+    def sessions(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(ts_col)
+        ts = _ts_seconds(g[ts_col])
+        new = np.ones(len(g), dtype=bool)
+        if len(g) > 1:
+            new[1:] = (ts[1:] - ts[:-1]) > gap_seconds
+        sid = np.cumsum(new)
+        out = (
+            pd.DataFrame({"sid": sid, "ts": ts})
+            .groupby("sid")
+            .agg(n_events=("ts", "size"), start=("ts", "min"), end=("ts", "max"))
+            .reset_index(drop=True)
+        )
+        out[key_col] = g[key_col].iloc[0]
+        out["duration_s"] = out["end"] - out["start"]
+        return out[[key_col, "n_events", "start", "end", "duration_s"]]
+
+    return ds.groupby(key_col).map_groups(sessions, batch_format="pandas")
 
 
 def assign_sessions(

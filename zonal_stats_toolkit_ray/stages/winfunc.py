@@ -1,26 +1,20 @@
 """Distributed SQL window functions: per-key ROW_NUMBER / RANK /
 PERCENT_RANK / running SUM.
 
-Ray Data has no window-function operator; the engine supplies the sorted
-per-partition ranks the same way sessionize/asof/pack do — the range
-sort is the one all-to-all, everything after is block-local:
+Ray Data has no window-function operator.  These run as one keyed block
+scan (``stages/scan.py``) over the (key, value, id) sort:
 
-1. ``sort([key, value, id])`` — a hot key SPLITS across blocks (range
-   partitioner, sandbox lesson #24), so no per-key materialization ever
-   happens;
-2. one ``batch_size=None`` summary pass emits per-(block, key-run) stitch
-   facts: row count, value sum, head/tail values, the tail's tied-row
-   count, and the block's first id (the block's identity — ids are the
-   unique sort tiebreak);
-3. the driver walks each key's runs in global order (O(runs), runs ≤
-   blocks × keys-per-block-boundary) accumulating prefix row counts,
-   prefix value sums, partition totals, and the count of earlier rows
-   TIED with a run's head value — the only cross-block fact RANK needs;
-   ties chain across any number of single-valued runs;
-4. a second ``batch_size=None`` pass re-derives the same runs locally,
-   computes all four outputs fully vectorized (run/value group boundaries
-   by diff+cumsum, no Python loop over rows or runs), and adds the
-   broadcast per-run bases.
+* edge: per block, the first and the last key run's row count, value
+  sum, head and tail values and the tail's tied-row count — at most two
+  rows per block;
+* chain: per key in block order, the prefix row count, prefix value sum
+  and the count of earlier rows TIED with a run's head value (the only
+  cross-block fact RANK needs; ties chain across any number of
+  single-valued runs), plus the partition size of the block's first and
+  last run;
+* apply: run and value-group boundaries by diff+cumsum, all outputs
+  vectorized, the carry added to the first run; a run that starts and
+  ends inside the block is its own partition.
 
 Exact SQL semantics: ROW_NUMBER orders by (value, id); RANK /
 PERCENT_RANK order by value alone (ties share the min rank,
@@ -33,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from .scan import block_scan
 
 
 def _np(col):
@@ -55,18 +50,6 @@ def _ntile(row_num: np.ndarray, n: np.ndarray, t: int) -> np.ndarray:
     ).astype(np.int64) + 1
 
 
-_SUMMARY_FIELDS = [
-    ("first_id", pa.int64()),
-    ("run_first_id", pa.int64()),
-    ("run_idx", pa.int64()),
-    ("count", pa.int64()),
-    ("sum_v", pa.float64()),
-    ("head_v", pa.float64()),
-    ("tail_v", pa.float64()),
-    ("tail_eq", pa.int64()),
-]
-
-
 def window_ranks(
     ds,
     *,
@@ -82,184 +65,107 @@ def window_ranks(
     NTILE(``ntile``) is SQL-exact over the (value, id) row order: the
     first n%t buckets get n//t+1 rows — a pure elementwise function of
     (row_num, partition size), so it adds zero shuffle or stitch state."""
-    import ray
 
-    slim = ds.select_columns([key_col, value_col, id_col])
-    srt = slim.sort([key_col, value_col, id_col]).materialize()
-
-    def summary(b: pa.Table) -> pa.Table:
-        schema = pa.schema([("key", b[key_col].type)] + _SUMMARY_FIELDS)
-        if len(b) == 0:
-            return schema.empty_table()
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
+    def edge(b: pa.Table, starts, ends) -> list:
         vals = _np(b[value_col]).astype(np.float64)
-        ids = _np(b[id_col]).astype(np.int64)
-        new_run = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(new_run)
-        ends = np.concatenate([starts[1:], [len(b)]])
         cs = np.concatenate([[0.0], np.cumsum(vals)])
-        sums = cs[ends] - cs[starts]
-        # tail tie count per run: rows at the run end tied with the last
-        # value — distance from the run end back to the first row of the
-        # trailing (run, value) group
-        new_vg = np.concatenate(
-            [[True], (codes[1:] != codes[:-1]) | (vals[1:] != vals[:-1])]
-        )
-        vg_first = np.flatnonzero(new_vg)[np.cumsum(new_vg) - 1]
-        tail_eq = (ends - 1) - vg_first[ends - 1] + 1
-        return pa.table(
-            {
-                "key": kcol.take(pa.array(starts)),
-                "first_id": pa.array(np.full(starts.size, ids[0]), pa.int64()),
-                "run_first_id": pa.array(ids[starts], pa.int64()),
-                "run_idx": pa.array(np.arange(starts.size), pa.int64()),
-                "count": pa.array(ends - starts, pa.int64()),
-                "sum_v": pa.array(sums, pa.float64()),
-                "head_v": pa.array(vals[starts], pa.float64()),
-                "tail_v": pa.array(vals[ends - 1], pa.float64()),
-                "tail_eq": pa.array(tail_eq, pa.int64()),
-            },
-            schema=schema,
-        )
+        rows = []
+        for s, e in sorted({(starts[0], ends[0]), (starts[-1], ends[-1])}):
+            # tail tie count: the run is value-sorted, so the rows tied
+            # with its last value are its last rows
+            tail_eq = e - s - np.searchsorted(vals[s:e], vals[e - 1])
+            rows.append(
+                (int(e - s), float(cs[e] - cs[s]), vals[s], vals[e - 1], int(tail_eq))
+            )
+        return rows
 
-    summ = (
-        srt.map_batches(summary, batch_size=None, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(summ) == 0:
-        empty = {
-            id_col: pd.Series(dtype="int64"),
-            key_col: pd.Series(dtype="object"),
-            "row_num": pd.Series(dtype="int64"),
-            "rnk": pd.Series(dtype="int64"),
-            "pct_rank": pd.Series(dtype="float64"),
-            "run_sum": pd.Series(dtype="float64"),
-            "ntile": pd.Series(dtype="int64"),
-        }
-        import ray.data as rd
+    def chain(blocks) -> list:
+        """Per block [prefix rows, prefix rows tied with the first run's
+        head value, prefix value sum, partition size of the first run,
+        partition size of the last run]."""
+        carries, open_slots = [], []
+        cnt, tot, tie_v, tie_n = 0, 0.0, None, 0
 
-        return rd.from_pandas(pd.DataFrame(empty))
+        def restart():
+            """Close the open partition: its size fills the waiting slots."""
+            nonlocal cnt, tot, tie_v, tie_n
+            for c, i in open_slots:
+                c[i] = cnt
+            open_slots.clear()
+            cnt, tot, tie_v, tie_n = 0, 0.0, None, 0
 
-    # global run order within a key: (head value, head row id) — for a tie
-    # spanning a block edge the two runs' head rows share the value, and
-    # the sort tiebreak (the row id) orders them exactly as the global
-    # sort did.  The BLOCK first_id cannot do this (it belongs to a
-    # different key's row whenever the block opens mid-key).
-    summ = summ.sort_values(
-        ["key", "head_v", "run_first_id"], kind="stable"
-    ).reset_index(drop=True)
-
-    n = len(summ)
-    prefix_cnt = np.zeros(n, dtype=np.int64)
-    prefix_sum = np.zeros(n, dtype=np.float64)
-    prefix_eq = np.zeros(n, dtype=np.int64)
-    key_total = np.zeros(n, dtype=np.int64)
-    keys_arr = summ["key"].to_numpy()
-    head_v = summ["head_v"].to_numpy()
-    tail_v = summ["tail_v"].to_numpy()
-    cnt = summ["count"].to_numpy()
-    sum_v = summ["sum_v"].to_numpy()
-    tail_eq = summ["tail_eq"].to_numpy()
-
-    i = 0
-    while i < n:
-        j = i
-        cum_c, cum_s = 0, 0.0
-        chain_val, chain_eq = None, 0
-        while j < n and keys_arr[j] == keys_arr[i]:
-            prefix_cnt[j] = cum_c
-            prefix_sum[j] = cum_s
-            prefix_eq[j] = chain_eq if chain_val == head_v[j] else 0
-            if chain_val == tail_v[j] and tail_eq[j] == cnt[j]:
-                chain_eq += int(cnt[j])
+        def fold(run):
+            nonlocal cnt, tot, tie_v, tie_n
+            n, s, _, tail_v, tail_eq = run
+            # ties chain across any number of single-valued runs
+            if tie_v == tail_v and tail_eq == n:
+                tie_n += n
             else:
-                chain_val, chain_eq = tail_v[j], int(tail_eq[j])
-            cum_c += int(cnt[j])
-            cum_s += float(sum_v[j])
-            j += 1
-        key_total[i:j] = cum_c
-        i = j
+                tie_v, tie_n = tail_v, tail_eq
+            cnt, tot = cnt + n, tot + s
 
-    # per-block lookup: run bases in LOCAL run order
-    by_block: dict[int, np.ndarray] = {}
-    order = np.lexsort((summ["run_idx"].to_numpy(), summ["first_id"].to_numpy()))
-    fid = summ["first_id"].to_numpy()[order]
-    packed = np.stack(
-        [
-            prefix_cnt[order].astype(np.float64),
-            prefix_eq[order].astype(np.float64),
-            prefix_sum[order],
-            key_total[order].astype(np.float64),
-        ],
-        axis=1,
-    )
-    starts = np.flatnonzero(np.concatenate([[True], fid[1:] != fid[:-1]]))
-    ends = np.concatenate([starts[1:], [fid.size]])
-    for s, e in zip(starts, ends):
-        by_block[int(fid[s])] = packed[s:e]
-    ref = ray.put(by_block)
+        for blk in blocks:
+            if not blk.cont:
+                restart()
+            first = blk.edge[0]
+            c = [cnt, tie_n if tie_v == first[2] else 0, tot, 0, 0]
+            carries.append(c)
+            open_slots.append((c, 3))
+            fold(first)
+            if not blk.one_run:
+                restart()
+                fold(blk.edge[-1])
+            open_slots.append((c, 4))
+        restart()
+        return carries
 
-    def ranks(b: pa.Table, *, _r=ref) -> pa.Table:
-        out_schema = pa.schema(
-            [
-                (id_col, pa.int64()),
-                (key_col, b[key_col].type),
-                ("row_num", pa.int64()),
-                ("rnk", pa.int64()),
-                ("pct_rank", pa.float64()),
-                ("run_sum", pa.float64()),
-                ("ntile", pa.int64()),
-            ]
-        )
-        if len(b) == 0:
-            return out_schema.empty_table()
-        lut = ray.get(_r)
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        p_cnt, p_eq, p_sum, n_first, n_last = carry
         vals = _np(b[value_col]).astype(np.float64)
         ids = _np(b[id_col]).astype(np.int64)
-        bases = lut[int(ids[0])]
-        new_run = np.concatenate([[True], codes[1:] != codes[:-1]])
-        run_of = np.cumsum(new_run) - 1
-        run_start = np.flatnonzero(new_run)
-        idx = np.arange(len(b))
-        local_rn = idx - run_start[run_of]
+        # the prefix is 0 but for the first run; the partition size is the
+        # run length but for the edge runs
+        n_k = ends - starts
+        n_k[-1], n_k[0] = n_last, n_first
+        run_of = np.repeat(np.arange(starts.size), ends - starts)
+        local_rn = np.arange(len(b)) - starts[run_of]
         new_vg = np.concatenate(
-            [[True], (codes[1:] != codes[:-1]) | (vals[1:] != vals[:-1])]
+            [[True], (run_of[1:] != run_of[:-1]) | (vals[1:] != vals[:-1])]
         )
         vg_first = np.flatnonzero(new_vg)[np.cumsum(new_vg) - 1]
-        local_lt = vg_first - run_start[run_of]
+        local_lt = vg_first - starts[run_of]
         cs = np.cumsum(vals)
-        run_cs_base = cs[run_start] - vals[run_start]
-        p_cnt = bases[run_of, 0].astype(np.int64)
-        p_eq = bases[run_of, 1].astype(np.int64)
-        p_sum = bases[run_of, 2]
-        n_k = bases[run_of, 3]
-        at_head = vals == vals[run_start][run_of]
+        run_cs_base = cs[starts] - vals[starts]
+        first = run_of == 0
+        p_cnt, p_eq = np.where(first, p_cnt, 0), np.where(first, p_eq, 0)
+        p_sum, n_k = np.where(first, p_sum, 0.0), n_k[run_of]
+        at_head = vals == vals[starts][run_of]
         rnk = p_cnt - np.where(at_head, p_eq, 0) + local_lt + 1
         row_num = p_cnt + local_rn + 1
         pct = np.where(n_k > 1, (rnk - 1) / np.maximum(n_k - 1, 1), 0.0)
         run_sum = p_sum + (cs - run_cs_base[run_of])
-        nt = _ntile(row_num, n_k.astype(np.int64), ntile)
         return pa.table(
             {
                 id_col: pa.array(ids, pa.int64()),
-                key_col: kcol,
+                key_col: b[key_col],
                 "row_num": pa.array(row_num, pa.int64()),
                 "rnk": pa.array(rnk, pa.int64()),
                 "pct_rank": pa.array(pct, pa.float64()),
                 "run_sum": pa.array(run_sum, pa.float64()),
-                "ntile": pa.array(nt, pa.int64()),
-            },
-            schema=out_schema,
+                "ntile": pa.array(_ntile(row_num, n_k, ntile), pa.int64()),
+            }
         )
 
-    return srt.map_batches(ranks, batch_size=None, batch_format="pyarrow")
+    return block_scan(
+        ds,
+        op="winfunc.window_ranks",
+        key=key_col,
+        order=[value_col, id_col],
+        cols=[key_col, value_col, id_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
+    )
 
 
 def window_ranks_ref(
