@@ -1390,8 +1390,8 @@ def q_pca_project(sf_dir: str):
 def q_twap(sf_dir: str):
     """Time-weighted average value per user (stages/intervals.py:
     twap_by_key — step-function integral over the event stream): per-run
-    partials with a last-value carry, boundary segments stitched in
-    block-adjacency order.  Oracle = LEAD window integral."""
+    partials on the keyed block scan, the open key's partial carried into
+    the next block.  Oracle = LEAD window integral."""
     from zonal_stats_toolkit_ray.stages.intervals import twap_by_key
     import ray.data as rd
 
@@ -1486,7 +1486,7 @@ def q_profile_events(sf_dir: str):
 def q_event_transitions(sf_dir: str):
     """Markov transition matrix of per-user event-type sequences
     (stages/intervals.py:event_transitions): one (user, ts, event_id)
-    sort, in-block pair-count partials, O(runs) boundary stitch; p =
+    block scan, in-block pair counts plus one carried boundary pair; p =
     row-normalized probabilities.  Oracle = LAG window + count."""
     from zonal_stats_toolkit_ray.stages.intervals import event_transitions
     import ray.data as rd
@@ -1656,8 +1656,8 @@ def q_char_entropy(sf_dir: str):
 def q_interval_coverage(sf_dir: str):
     """Gaps-and-islands interval union per user (stages/intervals.py):
     each event covers [ts, ts + 60*|value|] seconds; connected intervals
-    merge into islands via the sorted-block + boundary-stitch shape
-    (session_windows' scale path), then a partials reduce reports island
+    merge into islands on the keyed block scan (session_windows' scale
+    path), then a partials reduce reports island
     count / covered seconds / longest island per user."""
     from zonal_stats_toolkit_ray.stages.intervals import interval_coverage
     from zonal_stats_toolkit_ray.stages.window import _ts_seconds
@@ -1685,7 +1685,7 @@ def q_interval_coverage(sf_dir: str):
 def q_event_gaps(sf_dir: str):
     """Per-user LAG-gap statistics (stages/intervals.py:event_gaps): one
     distributed (user, ts) sort, per-block vectorized diff partials, tiny
-    boundary stitch — never a per-key event materialization."""
+    open-key carry — never a per-key event materialization."""
     from zonal_stats_toolkit_ray.stages.intervals import event_gaps
     import ray.data as rd
 
@@ -3611,8 +3611,8 @@ def q_weighted_median(sf_dir: str):
 def q_max_streak(sf_dir: str):
     """Longest consecutive-active-days streak per user
     (stages/intervals.py:max_streak_by_key): distributed distinct
-    (user, day) → [d, d+1] closed intervals → interval_union island
-    stitch → per-key max.  Oracle = classic day − ROW_NUMBER islands."""
+    (user, day) → [d, d+1] closed intervals → interval_union islands →
+    per-key max.  Oracle = classic day − ROW_NUMBER islands."""
     from zonal_stats_toolkit_ray.stages.intervals import max_streak_by_key
     import ray.data as rd
 

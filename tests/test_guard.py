@@ -294,13 +294,22 @@ def test_dedup_variants_share_one_tail():
 _SCAN_OPERATORS = {
     "stages/cusum.py": ("cusum_by_key",),
     "stages/winfunc.py": ("window_ranks",),
-    "stages/rolling.py": ("ewma_by_key", "rolling_rows_median"),
+    "stages/rolling.py": ("ewma_by_key", "rolling_rows_median", "rolling_window_stats"),
     "stages/pack.py": ("attach_running_total",),
+    "stages/joins.py": ("asof_join_self",),
+    "stages/window.py": ("session_windows",),
+    "stages/intervals.py": (
+        "interval_union",
+        "event_gaps",
+        "event_transitions",
+        "twap_by_key",
+    ),
 }
 
 
 def _scan_plumbing(fn) -> list:
-    """The ``.sort(``, ``ray.put`` and ``ray.get`` calls inside ``fn``."""
+    """The ``.sort(``, ``.map_groups(``, ``ray.put`` and ``ray.get`` calls
+    inside ``fn``."""
     out = []
     for n in ast.walk(fn):
         if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
@@ -309,7 +318,9 @@ def _scan_plumbing(fn) -> list:
         on_ray = (isinstance(owner, ast.Name) and "ray" in owner.id) or (
             isinstance(owner, ast.Call) and getattr(owner.func, "id", "") == "__import__"
         )
-        if n.func.attr == "sort" or (n.func.attr in ("put", "get") and on_ray):
+        if n.func.attr in ("sort", "map_groups") or (
+            n.func.attr in ("put", "get") and on_ray
+        ):
             out.append(n.func.attr)
     return out
 
@@ -334,6 +345,7 @@ def test_scan_operators_share_one_block_scan():
         "def f(x):\n    import ray\n    return ray.put(x)",
         "def f(r):\n    import ray as _ray\n    return _ray.get(r)",
         "def f(r):\n    return __import__('ray').get(r)",
+        "def f(ds, g):\n    return ds.groupby('k').map_groups(g)",
     ],
 )
 def test_scan_check_catches_own_plumbing(src):

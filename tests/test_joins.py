@@ -324,9 +324,10 @@ class TestAsofChunked:
         )
 
     def test_tied_click_in_later_block_is_seen(self, ray_session):
-        """A click tied at a query row's ts that lands in a LATER block
-        (the range sort splits tied runs arbitrarily) must still win —
-        the HEAD carry export."""
+        """A click tied at a query row's ts must win wherever the sort
+        puts it.  Ray's range sort keeps the 41 tied rows in one block
+        today; it does not promise to, and a tied run that straddles two
+        blocks reaches the earlier one through the forward carry."""
         from zonal_stats_toolkit_ray.stages.joins import asof_join_self
 
         T = 1_000_000
@@ -348,15 +349,43 @@ class TestAsofChunked:
         )
         assert (out["last_click_value"] == 777.0).all()
 
+    def test_tie_straddling_two_blocks(self, ray_session, monkeypatch):
+        """Ray's range sort keeps a tied (key, ts) run in one block but does
+        not promise it: with the sorted blocks re-split so that the ts=2
+        run straddles two blocks, every row at ts ≥ 2 still sees the max
+        click of the whole tie, whichever block holds it."""
+        from zonal_stats_toolkit_ray.stages.joins import asof_join_self
+
+        sort = rd.Dataset.sort
+        monkeypatch.setattr(
+            rd.Dataset, "sort", lambda ds, cols: sort(ds, cols).repartition(2)
+        )
+        T = 1_000_000
+        ts = [T] * 5 + [2 * T] * 10 + [3 * T] * 5
+        clicks = {8: 3.0, 14: 7.0}  # both at ts = 2 T
+        df = pd.DataFrame(
+            {
+                "user_id": np.zeros(20, dtype=np.int64),
+                "ts": pd.to_datetime(ts, unit="us"),
+                "event_type": ["click" if i in clicks else "view" for i in range(20)],
+                "value": [clicks.get(i, 0.0) for i in range(20)],
+                "event_id": np.arange(20, dtype=np.int64),
+            }
+        )
+        out = asof_join_self(rd.from_pandas(df)).to_pandas().sort_values("event_id")
+        got = out["last_click_value"].to_numpy()
+        assert np.isnan(got[:5]).all()
+        assert (got[5:] == 7.0).all()
+
     @pytest.mark.parametrize("nan_first", [True, False])
     @pytest.mark.parametrize("chunked", [True, False])
     def test_nan_loses_max_value_tie(self, ray_session, chunked, nan_first):
         """NaN is the lowest value in the max-value tie-break, like SQL
         ``max`` ignoring NULL: a (NaN, 3.0) click tie answers 3.0, an
         all-NaN tie answers NaN, and a NaN click that is the latest (not
-        tied) still answers NaN.  40 tied views around the clicks let the
-        range sort split the tie across blocks; ``chunked=False`` runs the
-        per-key reference form."""
+        tied) still answers NaN.  The 40 tied views around the clicks land
+        in one block with Ray's range sort today, which Ray does not
+        promise; ``chunked=False`` runs the per-key reference form."""
         from zonal_stats_toolkit_ray.stages.joins import (
             asof_join_self,
             asof_join_self_ref,

@@ -3,7 +3,7 @@ width.
 
 **Driver budget** (``DRIVER_ROWS``).  Every dual-regime operator counts
 the slim rows it would hold on the driver (ids, keys, int64 pairs,
-vocabulary entries, session starts, pending islands, partial rows) and
+vocabulary entries, session starts, partial rows) and
 takes its driver regime — collect to the driver, or ``ray.put`` from it
 as a broadcast — only while that count is within ``DRIVER_ROWS``; above
 it the operator stays distributed (hash join, groupby, Dataset result).

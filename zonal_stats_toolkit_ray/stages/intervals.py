@@ -12,13 +12,12 @@ auditing, burst detection, crawl-politeness gap checks):
 * :func:`event_gaps` — per key, COUNT/AVG/MAX of the ``LAG``-style gaps
   between consecutive event timestamps.
 
-Both use the scale-safe sorted-block shape proven by
-``window.session_windows`` (VERDICT r3 #7): a distributed sort by
-(key, ts) range-partitions the stream — a hot key SPLITS across blocks,
-unlike a hash groupby — each sorted block reduces its key runs with pure
-vectorized NumPy, and only O(1)-per-block boundary state is stitched in a
-second pass (driver within ``guard.DRIVER_ROWS``, per-key ``map_groups``
-above it).
+Both run as one keyed block scan (``stages/scan.py``): a
+distributed sort by (key, ts) range-partitions the stream — a hot key
+SPLITS across blocks, unlike a hash groupby — each sorted block reduces
+its key runs with vectorized NumPy, and the driver chains one edge row
+per block into the carry of the next.  :func:`event_transitions` and
+:func:`twap_by_key` ride on the same scan.
 
 Why the boundary invariant holds for islands: within a sorted block, a
 middle island M precedes the block's last island L, and L opened because
@@ -37,137 +36,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import guard
+from .scan import block_scan, group_chain
 from .window import _ts_seconds
 
 
 # ---------------------------------------------------------------------------
 # interval_union
 # ---------------------------------------------------------------------------
-
-
-def _island_schema(key_type: pa.DataType) -> pa.Schema:
-    return pa.schema(
-        [
-            ("__key", key_type),
-            ("n_intervals", pa.int64()),
-            ("start", pa.float64()),
-            ("end", pa.float64()),
-            ("pending", pa.bool_()),
-        ]
-    )
-
-
-def _block_islands_factory(key_col: str, start_col: str, end_col: str):
-    """Per-block island kernel: rows arrive sorted by (key, start, end);
-    a new island opens when start > running max(end) of the current key."""
-
-    def block_islands(b: pa.Table) -> pa.Table:
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        if len(b) == 0:
-            return _island_schema(kcol.type).empty_table()
-        st = b[start_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        en = b[end_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        # running max(end) that RESETS per key run: subtract a per-run
-        # offset large enough to dominate, cummax, add back.  Simpler and
-        # branch-free: cummax within runs via segmented trick — compute
-        # global cummax of (en - LARGE*code) then add back LARGE*code.
-        # Floats lose precision at LARGE scale, so instead do the reset
-        # with np.maximum.accumulate on a copy where run starts are -inf.
-        run_start = np.ones(len(b), dtype=bool)
-        run_start[1:] = codes[1:] != codes[:-1]
-        # cummax of en within each key run:
-        cm = en.copy()
-        starts_idx = np.flatnonzero(run_start)
-        # Vectorized segmented cummax: accumulate, then at each run start
-        # restart.  np.maximum.accumulate has no segment support, so use
-        # the standard trick: subtract per-run base AFTER accumulate is
-        # wrong; loop over runs would be O(runs).  Runs per block = keys
-        # per block (bounded by block rows, typically few): a Python loop
-        # over run slices on a 100k-row block with 1k keys is fine, but a
-        # hot single-key block needs the vectorized path — so handle the
-        # common "one run" case without looping and only slice otherwise.
-        if starts_idx.size == 1:
-            np.maximum.accumulate(cm, out=cm)
-        else:
-            bounds = np.append(starts_idx, len(b))
-            for i in range(starts_idx.size):
-                s, e = bounds[i], bounds[i + 1]
-                np.maximum.accumulate(cm[s:e], out=cm[s:e])
-        new = run_start.copy()
-        new[1:] |= st[1:] > cm[:-1]
-        isl_start = np.flatnonzero(new)
-        isl_end = np.append(isl_start[1:] - 1, len(b) - 1)
-        n_isl = isl_start.size
-        # island end = running-max end at the island's last row
-        isl_en = cm[isl_end]
-        pending = np.zeros(n_isl, dtype=bool)
-        pending[0] = True
-        pending[-1] = True
-        return pa.table(
-            {
-                "__key": kcol.take(pa.array(isl_start)),
-                "n_intervals": pa.array(
-                    (isl_end - isl_start + 1).astype(np.int64), pa.int64()
-                ),
-                "start": pa.array(st[isl_start], pa.float64()),
-                "end": pa.array(isl_en, pa.float64()),
-                "pending": pa.array(pending),
-            },
-            schema=_island_schema(kcol.type),
-        )
-
-    return block_islands
-
-
-def _stitch_islands_factory(key_col: str):
-    """Merge boundary islands of one or more keys: sorted by (key, start),
-    an island connects to the running union when start <= running max(end).
-    Input is tiny (<= 2 islands per block)."""
-
-    def stitch(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["__key", "start", "end"], kind="stable").reset_index(
-            drop=True
-        )
-        key_arr = df["__key"].to_numpy()
-        st = df["start"].to_numpy()
-        en = df["end"].to_numpy()
-        run_start = np.ones(len(df), dtype=bool)
-        run_start[1:] = key_arr[1:] != key_arr[:-1]
-        cm = en.copy()
-        bounds = np.append(np.flatnonzero(run_start), len(df))
-        for i in range(bounds.size - 1):
-            s, e = bounds[i], bounds[i + 1]
-            np.maximum.accumulate(cm[s:e], out=cm[s:e])
-        new = run_start.copy()
-        new[1:] |= st[1:] > cm[:-1]
-        gid = np.cumsum(new) - 1
-        out = (
-            pd.DataFrame(
-                {
-                    "g": gid,
-                    "__key": df["__key"],
-                    "n_intervals": df["n_intervals"],
-                    "start": st,
-                    "end": cm,  # per-group max = last row's running max
-                }
-            )
-            .groupby("g", sort=True)
-            .agg(
-                __key=("__key", "first"),
-                n_intervals=("n_intervals", "sum"),
-                start=("start", "min"),
-                end=("end", "max"),
-            )
-            .reset_index(drop=True)
-        )
-        return out.rename(columns={"__key": key_col})[
-            [key_col, "n_intervals", "start", "end"]
-        ]
-
-    return stitch
 
 
 def interval_union(
@@ -184,122 +59,87 @@ def interval_union(
     prev.end) CONNECT (the closed-interval convention, matching the SQL
     ``start > cummax(end)`` island break).
 
-    Cross-block merge is a two-step stitch.  Unlike sessions, an
-    interval's END is not bounded by the sort key, so a giant interval at
-    the tail of block k can swallow islands deep inside later blocks —
-    the pending (block-edge) islands alone are NOT a sufficient merge
-    set.  Step 1 stitches the pending islands into per-key stitched
-    islands S.  Step 2 routes every final (block-interior) island F that
-    OVERLAPS some S (predecessor-by-start test) back into a second
-    stitch.  One absorb pass is exact: a final island's end is bounded
-    by the next island's start in its own block (the cummax break), so
-    absorbing F can never extend S far enough to newly reach an island
-    that didn't already overlap S.  Within ``guard.DRIVER_ROWS`` pending
-    islands the stitch runs on the driver; above it, per key in one
-    ``map_groups``.
-    """
-    import ray.data as rd
+    One keyed block scan (``stages/scan.py``) over the (key, start, end)
+    sort, with the open island ``(start, E = running max end, n)`` as the
+    carry:
 
-    srt = ds.select_columns([key_col, start_col, end_col]).sort(
-        [key_col, start_col, end_col]
-    )
-    parts = srt.map_batches(
-        _block_islands_factory(key_col, start_col, end_col),
-        batch_format="pyarrow",
-    ).materialize()
+    * edge: the first key run's first and last island start, running max
+      end and row count, and the last run's last island — one row;
+    * chain: exactly the leading islands of a block with ``start ≤ E``
+      merge into the carry.  A later island opened because its start
+      exceeds the running max of the block's earlier ends, and it also
+      exceeds ``E``, so nothing it reaches was reachable before.  An
+      interval's end is not bounded by the sort, so one giant interval can
+      swallow whole blocks: a one-run block whose last island merges
+      passes the grown island on;
+    * apply: islands per block (segmented running max), the carry merged
+      into the leading ones, the last island left out when a later block
+      continues it."""
 
-    def finalize(t: pa.Table) -> pa.Table:
+    def islands(b: pa.Table, starts, ends):
+        """→ (start, first row, last row, end) of every island in block
+        order.  The running max of ``end`` restarts per key run: a cummax
+        of run-banded ranks of ``end``."""
+        st = b[start_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        en = b[end_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        order = np.argsort(en, kind="stable")
+        rank = np.empty(en.size, dtype=np.int64)
+        rank[order] = np.arange(en.size)
+        run = np.repeat(np.arange(starts.size, dtype=np.int64), ends - starts)
+        band = run * en.size
+        cm = en[order[np.maximum.accumulate(band + rank) - band]]
+        new = np.zeros(en.size, dtype=bool)
+        new[starts] = True
+        new[1:] |= st[1:] > cm[:-1]
+        i0 = np.flatnonzero(new)
+        i1 = np.r_[i0[1:], en.size] - 1
+        return st, i0, i1, cm[i1]
+
+    def edge(b: pa.Table, starts, ends) -> list:
+        st, i0, i1, e = islands(b, starts, ends)
+        k = np.searchsorted(i0, ends[0]) - 1  # first run's last island
+        n = int(i1[-1] - i0[-1] + 1)
+        return [(st[0], st[i0[k]], e[k], int(ends[0]), st[i0[-1]], e[-1], n)]
+
+    def step(open_, blk):
+        first, last, top, rows, start, end, n = blk.edge[0]
+        if open_ is None or first > open_[1]:
+            return None, (start, end, n)
+        if blk.one_run and last <= open_[1]:
+            return open_, (open_[0], max(open_[1], top), open_[2] + rows)
+        return open_, (start, end, n)
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        st, i0, i1, end = islands(b, starts, ends)
+        start, n = st[i0], i1 - i0 + 1
+        joined, later = carry or (None, False)
+        keep = np.ones(i0.size, dtype=bool)
+        if joined is not None:
+            m = int(np.sum((i0 < ends[0]) & (start <= joined[1])))
+            start[m - 1] = joined[0]
+            end[m - 1] = max(joined[1], end[m - 1])
+            n[m - 1] = joined[2] + n[:m].sum()
+            keep[: m - 1] = False
+        keep[-1] &= not later
         return pa.table(
             {
-                key_col: t["__key"],
-                "n_intervals": t["n_intervals"],
-                "start": t["start"],
-                "end": t["end"],
+                key_col: b[key_col].take(pa.array(i0[keep])),
+                "n_intervals": pa.array(n[keep], pa.int64()),
+                "start": pa.array(start[keep], pa.float64()),
+                "end": pa.array(end[keep], pa.float64()),
             }
         )
 
-    finals = parts.map_batches(
-        lambda t: t.filter(pc.invert(t["pending"])), batch_format="pyarrow"
+    return block_scan(
+        ds,
+        op="intervals.interval_union",
+        key=key_col,
+        order=[start_col, end_col],
+        cols=[key_col, start_col, end_col],
+        edge=edge,
+        chain=lambda blocks: group_chain(blocks, step),
+        apply=apply,
     )
-    pend = parts.map_batches(
-        lambda t: t.filter(t["pending"]), batch_format="pyarrow"
-    ).materialize()
-    stitch = _stitch_islands_factory(key_col)
-    n_pending = pend.count()  # <= 2 islands per block, whatever the skew
-    if n_pending == 0:
-        return finals.map_batches(finalize, batch_format="pyarrow")
-    key_type = pend.schema().base_schema.field("__key").type
-    out_schema = pa.schema(
-        [
-            (key_col, key_type),
-            ("n_intervals", pa.int64()),
-            ("start", pa.float64()),
-            ("end", pa.float64()),
-        ]
-    )
-    if n_pending > guard.DRIVER_ROWS:
-        # Skew regime: stitch per key (<= 2 rows per block per key).  The
-        # absorb routing below needs the stitched islands broadcast; at
-        # this scale route via a groupby instead: tag pending + finals and
-        # stitch per key in one map_groups (exact — the per-key stitch is
-        # a full sequential union of everything it is handed).
-        tagged = pend.union(finals)  # identical schemas (pending col unused)
-        return tagged.groupby("__key").map_groups(
-            lambda d: pa.Table.from_pandas(
-                stitch(d), schema=out_schema, preserve_index=False
-            ),
-            batch_format="pandas",
-        )
-
-    s0 = stitch(pend.to_pandas())  # merged pending islands, per key sorted
-    # broadcast per-key stitched interval arrays for the absorb test
-    lut: dict = {}
-    for k, g in s0.groupby(key_col, sort=False):
-        lut[k] = (g["start"].to_numpy(), g["end"].to_numpy())
-    import ray as _ray
-
-    lut_ref = _ray.put(lut)
-
-    def route(t: pa.Table) -> pa.Table:
-        """Adds __absorb: True when the final island overlaps a stitched
-        island of its key (predecessor by start; starts are sorted)."""
-        if len(t) == 0:
-            return t.append_column("__absorb", pa.array([], pa.bool_()))
-        lu = _ray.get(lut_ref)
-        keys = t["__key"].to_pandas().to_numpy()
-        st = t["start"].to_numpy(zero_copy_only=False)
-        absorb = np.zeros(len(t), dtype=bool)
-        for k in pd.unique(keys):
-            ent = lu.get(k)
-            if ent is None:
-                continue
-            m = keys == k
-            idx = np.searchsorted(ent[0], st[m], side="right") - 1
-            ok = idx >= 0
-            hit = np.zeros(idx.size, dtype=bool)
-            hit[ok] = st[m][ok] <= ent[1][idx[ok]]
-            absorb[m] = hit
-        return t.append_column("__absorb", pa.array(absorb))
-
-    routed = finals.map_batches(route, batch_format="pyarrow").materialize()
-    kept = routed.map_batches(
-        lambda t: t.filter(pc.invert(t["__absorb"])).drop_columns(["__absorb"]),
-        batch_format="pyarrow",
-    ).map_batches(finalize, batch_format="pyarrow")
-    absorbed = routed.map_batches(
-        lambda t: t.filter(t["__absorb"]).drop_columns(["__absorb"]),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if len(absorbed):
-        both = pd.concat([pend.to_pandas().drop(columns=["pending"]), absorbed])
-        both = both.drop(columns=["pending"], errors="ignore")
-        s_final = stitch(both)
-    else:
-        s_final = s0
-    stitched = rd.from_arrow(
-        pa.Table.from_pandas(s_final, schema=out_schema, preserve_index=False)
-    )
-    return kept.union(stitched)
 
 
 def interval_coverage(
@@ -351,104 +191,40 @@ def interval_coverage(
 # event_gaps
 # ---------------------------------------------------------------------------
 
-_GAP_SCHEMA_FIXED = [
-    ("n_events", pa.int64()),
-    ("n_gaps", pa.int64()),
-    ("sum_gap", pa.float64()),
-    ("max_gap", pa.float64()),
-    ("first_ts", pa.float64()),
-    ("last_ts", pa.float64()),
-]
+
+def _key_frame(out, key_col: str, cols: dict) -> pd.DataFrame:
+    """The per-key rows of a block scan → DataFrame sorted by key, NULL
+    last; an empty scan gives the typed empty frame of ``cols``."""
+    df = out.to_pandas()
+    if key_col not in df.columns:
+        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+    return df.sort_values(key_col, kind="stable").reset_index(drop=True)
 
 
-def _gap_schema(key_type: pa.DataType) -> pa.Schema:
-    return pa.schema([("__key", key_type)] + _GAP_SCHEMA_FIXED)
+def _open_key_kernels(runs, merge):
+    """(edge, chain, partials) of a per-key scan whose carry is the open
+    key's partial: ``runs`` gives per-run partial arrays, ``merge(a, b)``
+    folds ``b`` in after ``a``, and ``partials`` merges the carry into the
+    first run and gives the runs the block emits."""
 
+    def edge(b: pa.Table, starts, ends) -> list:
+        return [tuple(x[-1].item() for x in runs(b, starts, ends))]
 
-def _block_gaps_factory(key_col: str, ts_col: str):
-    """Per-block gap partials: one row per key run (a key appears as ONE
-    contiguous run per sorted block) with the run's internal LAG-gap
-    count/sum/max plus first/last ts for cross-block stitching."""
+    def step(open_, blk):
+        last = blk.edge[0]
+        if open_ is not None and blk.one_run:
+            return open_, merge(open_, last)
+        return open_, last
 
-    def block_gaps(b: pa.Table) -> pa.Table:
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        if len(b) == 0:
-            return _gap_schema(kcol.type).empty_table()
-        ts = _ts_seconds(b[ts_col])
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        run_start = np.ones(len(b), dtype=bool)
-        run_start[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(run_start)
-        ends = np.append(starts[1:] - 1, len(b) - 1)
-        diffs = np.diff(ts)
-        internal = ~run_start[1:]  # diff i = ts[i+1]-ts[i], internal iff same run
-        gd = np.where(internal, diffs, 0.0)
-        cum = np.concatenate([[0.0], np.cumsum(gd)])
-        sum_gap = cum[ends] - cum[starts]
-        # segmented max over internal diffs (runs per block are few; the
-        # single-run hot-key case stays loop-free)
-        n_runs = starts.size
-        max_gap = np.full(n_runs, -np.inf)
-        if n_runs == 1:
-            if len(b) > 1:
-                max_gap[0] = diffs.max()
-        else:
-            for i in range(n_runs):
-                s, e = starts[i], ends[i]
-                if e > s:
-                    max_gap[i] = diffs[s:e].max()
-        return pa.table(
-            {
-                "__key": kcol.take(pa.array(starts)),
-                "n_events": pa.array(
-                    (ends - starts + 1).astype(np.int64), pa.int64()
-                ),
-                "n_gaps": pa.array((ends - starts).astype(np.int64), pa.int64()),
-                "sum_gap": pa.array(sum_gap, pa.float64()),
-                "max_gap": pa.array(max_gap, pa.float64()),
-                "first_ts": pa.array(ts[starts], pa.float64()),
-                "last_ts": pa.array(ts[ends], pa.float64()),
-            },
-            schema=_gap_schema(kcol.type),
-        )
+    def partials(b: pa.Table, starts, ends, carry):
+        p = runs(b, starts, ends)
+        joined, later = carry or (None, False)
+        if joined is not None:
+            for x, v in zip(p, merge(joined, [x[0] for x in p])):
+                x[0] = v
+        return p, np.arange(starts.size - 1 if later else starts.size)
 
-    return block_gaps
-
-
-def _merge_gap_partials(df: pd.DataFrame, key_col: str) -> pd.DataFrame:
-    """Combine per-(block, key) run partials: sorted by (key, first_ts),
-    consecutive runs of one key contribute a boundary gap
-    first_ts[i+1] - last_ts[i] (blocks are contiguous time ranges after
-    the sort, so run order by first_ts IS block adjacency order)."""
-    df = df.sort_values(["__key", "first_ts"], kind="stable").reset_index(drop=True)
-    key_arr = df["__key"].to_numpy()
-    same = np.zeros(len(df), dtype=bool)
-    if len(df) > 1:
-        same[1:] = key_arr[1:] == key_arr[:-1]
-    bgap = np.where(
-        same, df["first_ts"].to_numpy() - np.roll(df["last_ts"].to_numpy(), 1), np.nan
-    )
-    df = df.assign(__bgap=bgap)
-    g = (
-        df.groupby("__key", sort=True)
-        .agg(
-            n_events=("n_events", "sum"),
-            n_gaps=("n_gaps", "sum"),
-            sum_gap=("sum_gap", "sum"),
-            max_gap=("max_gap", "max"),
-            _bn=("__bgap", "count"),
-            _bs=("__bgap", "sum"),
-            _bm=("__bgap", "max"),
-        )
-        .reset_index()
-    )
-    g["n_gaps"] = (g["n_gaps"] + g["_bn"]).astype("int64")
-    g["sum_gap"] = g["sum_gap"] + g["_bs"].fillna(0.0)
-    g["max_gap"] = np.maximum(g["max_gap"], g["_bm"].fillna(-np.inf))
-    g["n_events"] = g["n_events"].astype("int64")
-    return g.drop(columns=["_bn", "_bs", "_bm"]).rename(columns={"__key": key_col})
+    return edge, (lambda blocks: group_chain(blocks, step)), partials
 
 
 def event_gaps(
@@ -458,123 +234,83 @@ def event_gaps(
     ts_col: str = "ts",
 ) -> pd.DataFrame:
     """Per-key inter-event gap statistics (count / avg / max of the LAG
-    diffs) — the crawl-politeness / burstiness audit.  One sorted pass
-    emits one tiny partial row per (block, key run); the merge is
-    driver-side within ``guard.DRIVER_ROWS`` partial rows and a
-    per-key ``map_groups`` (each key holds <= blocks rows) above.
+    diffs) — the crawl-politeness / burstiness audit → DataFrame(key,
+    n_events, n_gaps, avg_gap_s, max_gap_s) sorted by key, NULL last.
+
+    One keyed block scan (``stages/scan.py``) over the (key, ts) sort.
+    The carry is the open key's running partial ``(n_events, n_gaps,
+    sum_gap, max_gap, first_ts, last_ts)``; the edge is the block's last
+    run's partial.  A block merges the carry into its first run (one more
+    gap, ``first_ts − carry last_ts``) and emits every run except a last
+    one that continues into the next block, so each key comes out as
+    exactly one row.
 
     Tie robustness: rows with equal (key, ts) produce the same gap
     MULTISET under any tie order, so count/avg/max match the SQL ``LAG``
     oracle regardless of how the distributed sort breaks ties.
     """
-    srt = ds.select_columns([key_col, ts_col]).sort([key_col, ts_col])
-    parts = srt.map_batches(
-        _block_gaps_factory(key_col, ts_col), batch_format="pyarrow"
-    ).materialize()
-    n = parts.count()
-    if n <= guard.DRIVER_ROWS:
-        merged = _merge_gap_partials(parts.to_pandas(), key_col)
-    else:
-        merged = (
-            parts.groupby("__key")
-            .map_groups(
-                lambda d: _merge_gap_partials(d, key_col), batch_format="pandas"
-            )
-            .to_pandas()
-            .sort_values(key_col)
-            .reset_index(drop=True)
+
+    def runs(b: pa.Table, starts, ends) -> list:
+        """Per-run partials as arrays, in the carry's field order."""
+        ts = _ts_seconds(b[ts_col])
+        gap = np.r_[-np.inf, np.diff(ts)]
+        gap[starts] = -np.inf  # no gap into a run's first row
+        n = ends - starts
+        return [
+            n,
+            n - 1,
+            np.add.reduceat(np.where(np.isneginf(gap), 0.0, gap), starts),
+            np.maximum.reduceat(gap, starts),
+            ts[starts],
+            ts[ends - 1],
+        ]
+
+    def merge(a, b):
+        d = b[4] - a[5]  # the gap between the two runs
+        n, gaps, total = a[0] + b[0], a[1] + b[1] + 1, a[2] + b[2] + d
+        return n, gaps, total, max(a[3], b[3], d), a[4], b[5]
+
+    edge, chain, partials = _open_key_kernels(runs, merge)
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        p, keep = partials(b, starts, ends, carry)
+        n, ng, sg, mg = (x[keep] for x in p[:4])
+        has = ng > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            avg = np.where(has, sg / ng, np.nan)
+        return pa.table(
+            {
+                key_col: b[key_col].take(pa.array(starts[keep])),
+                "n_events": pa.array(n, pa.int64()),
+                "n_gaps": pa.array(ng, pa.int64()),
+                "avg_gap_s": pa.array(avg, pa.float64()),
+                "max_gap_s": pa.array(np.where(has, mg, np.nan), pa.float64()),
+            }
         )
-    out = merged[[key_col, "n_events", "n_gaps", "sum_gap", "max_gap"]].copy()
-    out["avg_gap_s"] = np.where(
-        out["n_gaps"] > 0, out["sum_gap"] / out["n_gaps"], np.nan
+
+    out = block_scan(
+        ds,
+        op="intervals.event_gaps",
+        key=key_col,
+        order=[ts_col],
+        cols=[key_col, ts_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
     )
-    out["max_gap_s"] = np.where(out["n_gaps"] > 0, out["max_gap"], np.nan)
-    return out[[key_col, "n_events", "n_gaps", "avg_gap_s", "max_gap_s"]]
+    return _key_frame(
+        out,
+        key_col,
+        {key_col: "int64", "n_events": "int64", "n_gaps": "int64",
+         "avg_gap_s": "float64", "max_gap_s": "float64"},
+    )
 
 
 # ---------------------------------------------------------------------------
 # event_transitions — the Markov transition matrix of per-key event
 # sequences (funnel/journey mining; the sequence-statistics sibling of
-# event_gaps, same sorted-block + boundary-stitch machinery).
+# event_gaps, on the same keyed block scan).
 # ---------------------------------------------------------------------------
-
-
-def _block_transitions_factory(key_col: str, ts_col: str, type_col: str, id_col: str):
-    def block_trans(b: pa.Table) -> pa.Table:
-        """Per-block partials: (from, to, n) counts of consecutive-type
-        pairs inside key runs, PLUS one boundary row per key run
-        (first_ts/first_id/first_type/last_type) for cross-block stitch.
-        Both shapes ride one table with a discriminator column."""
-        empty = pa.table(
-            {
-                "__key": pa.array([], pa.int64()),
-                "from_type": pa.array([], pa.string()),
-                "to_type": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "first_ts": pa.array([], pa.float64()),
-                "first_id": pa.array([], pa.int64()),
-                "is_boundary": pa.array([], pa.bool_()),
-            }
-        )
-        if len(b) == 0:
-            return empty
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        tcol = b[type_col]
-        if isinstance(tcol, pa.ChunkedArray):
-            tcol = tcol.combine_chunks()
-        enc = tcol.dictionary_encode()
-        tcodes = np.asarray(enc.indices, dtype=np.int64)
-        tdict = enc.dictionary.to_pylist()
-        keys = kcol.to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = _ts_seconds(b[ts_col])
-        eids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        run_start = np.ones(len(b), dtype=bool)
-        run_start[1:] = keys[1:] != keys[:-1]
-        internal = ~run_start[1:]
-        frm = tcodes[:-1][internal]
-        to = tcodes[1:][internal]
-        K = np.int64(len(tdict))
-        pairkey = frm * K + to
-        up, cnt = np.unique(pairkey, return_counts=True)
-        starts = np.flatnonzero(run_start)
-        ends = np.append(starts[1:] - 1, len(b) - 1)
-        n_pairs = up.size
-        n_runs = starts.size
-        return pa.table(
-            {
-                "__key": pa.array(
-                    np.concatenate([np.full(n_pairs, -1, np.int64), keys[starts]])
-                ),
-                "from_type": pa.array(
-                    [tdict[i] for i in (up // K).tolist()]
-                    + [tdict[i] for i in tcodes[starts].tolist()],
-                    pa.string(),
-                ),
-                "to_type": pa.array(
-                    [tdict[i] for i in (up % K).tolist()]
-                    + [tdict[i] for i in tcodes[ends].tolist()],
-                    pa.string(),
-                ),
-                "n": pa.array(
-                    np.concatenate([cnt.astype(np.int64), np.zeros(n_runs, np.int64)])
-                ),
-                "first_ts": pa.array(
-                    np.concatenate([np.zeros(n_pairs), ts[starts]]), pa.float64()
-                ),
-                "first_id": pa.array(
-                    np.concatenate([np.zeros(n_pairs, np.int64), eids[starts]])
-                ),
-                "is_boundary": pa.array(
-                    np.concatenate(
-                        [np.zeros(n_pairs, bool), np.ones(n_runs, bool)]
-                    )
-                ),
-            }
-        )
-
-    return block_trans
 
 
 def event_transitions(
@@ -587,103 +323,69 @@ def event_transitions(
 ) -> pd.DataFrame:
     """Global Markov transition counts over per-key event sequences
     ordered by (ts, id) → DataFrame(from_type, to_type, n, p) with p =
-    n / Σ n over the from_type row (6-dp).  One distributed sort; counts
-    are in-block partials; only O(2 per block-run) boundary rows stitch
-    on the driver (boundary rows carry from/to types of the run edges —
-    for a boundary row ``from_type`` holds the run's FIRST type and
-    ``to_type`` its LAST)."""
-    srt = ds.select_columns([key_col, ts_col, type_col, id_col]).sort(
-        [key_col, ts_col, id_col]
-    )
-    parts = srt.map_batches(
-        _block_transitions_factory(key_col, ts_col, type_col, id_col),
-        batch_format="pyarrow",
-    ).to_pandas()
-    counts = (
-        parts[~parts["is_boundary"]]
-        .groupby(["from_type", "to_type"], sort=False)["n"]
-        .sum()
-        .to_dict()
-    )
-    bd = parts[parts["is_boundary"]].sort_values(
-        ["__key", "first_ts", "first_id"], kind="stable"
-    )
-    keys = bd["__key"].to_numpy()
-    same = np.zeros(len(bd), dtype=bool)
-    if len(bd) > 1:
-        same[1:] = keys[1:] == keys[:-1]
-    # cross-block transition: previous run's LAST type → this run's FIRST
-    prev_last = np.roll(bd["to_type"].to_numpy(dtype=object), 1)
-    cur_first = bd["from_type"].to_numpy(dtype=object)
-    for f, t in zip(prev_last[same], cur_first[same]):
-        counts[(f, t)] = counts.get((f, t), 0) + 1
-    if not counts:
-        return pd.DataFrame(
-            {
-                "from_type": pd.Series(dtype="object"),
-                "to_type": pd.Series(dtype="object"),
-                "n": pd.Series(dtype="int64"),
-                "p": pd.Series(dtype="float64"),
-            }
+    n / Σ n over the from_type row (6-dp).
+
+    One keyed block scan (``stages/scan.py``) over the (key, ts, id)
+    sort: the edge is the block's last type, the carry the last type
+    before a block whose first run continues that key.  Each block counts
+    its in-run pairs plus the one boundary pair (≤ types² rows per block),
+    and ``guard.group_sums`` merges the counts."""
+
+    def edge(b: pa.Table, starts, ends) -> list:
+        return [b[type_col][len(b) - 1].as_py()]
+
+    def chain(blocks) -> list:
+        return [
+            (prev.edge[0],) if blk.cont else None
+            for prev, blk in zip([None, *blocks], blocks)
+        ]
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        t = b[type_col]
+        if isinstance(t, pa.ChunkedArray):
+            t = t.combine_chunks()
+        enc = t.dictionary_encode(null_encoding="encode")
+        codes = np.asarray(enc.indices, dtype=np.int64)
+        inner = np.ones(codes.size, dtype=bool)
+        inner[starts] = False  # a pair (i−1, i) inside one run
+        k = len(enc.dictionary)
+        pair, cnt = np.unique(
+            codes[:-1][inner[1:]] * k + codes[1:][inner[1:]], return_counts=True
         )
-    out = pd.DataFrame(
-        [(f, t, n) for (f, t), n in counts.items()],
-        columns=["from_type", "to_type", "n"],
-    ).sort_values(["from_type", "to_type"]).reset_index(drop=True)
+        frm = enc.dictionary.take(pa.array(pair // k))
+        to = enc.dictionary.take(pa.array(pair % k))
+        if carry is not None:
+            frm = pa.concat_arrays([frm, pa.array([carry[0]], t.type)])
+            to = pa.concat_arrays([to, t.slice(0, 1)])
+            cnt = np.r_[cnt, 1]
+        return pa.table(
+            {"from_type": frm, "to_type": to, "n": pa.array(cnt, pa.int64())}
+        )
+
+    out = guard.group_sums(
+        block_scan(
+            ds,
+            op="intervals.event_transitions",
+            key=key_col,
+            order=[ts_col, id_col],
+            cols=[key_col, ts_col, type_col, id_col],
+            edge=edge,
+            chain=chain,
+            apply=apply,
+        ),
+        ["from_type", "to_type"],
+        ["n"],
+    )
+    out["n"] = out["n"].astype("int64")
     tot = out.groupby("from_type")["n"].transform("sum")
     out["p"] = np.round(out["n"] / tot, 6) + 0.0
-    out["n"] = out["n"].astype("int64")
     return out
 
 
 # ---------------------------------------------------------------------------
 # twap — time-weighted average value per key (each event's value holds
 # until the next event; the step-function integral / total-span ratio).
-# Same sorted-block + boundary-merge machinery as event_gaps, with a
-# value carry: boundary segments are weighted by the PREVIOUS run's last
-# value.
 # ---------------------------------------------------------------------------
-
-
-def _block_twap_factory(key_col: str, ts_col: str, val_col: str, id_col: str):
-    def block_twap(b: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "__key": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "segsum": pa.array([], pa.float64()),
-                "first_ts": pa.array([], pa.float64()),
-                "first_id": pa.array([], pa.int64()),
-                "last_ts": pa.array([], pa.float64()),
-                "last_val": pa.array([], pa.float64()),
-            }
-        )
-        if len(b) == 0:
-            return empty
-        keys = b[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = _ts_seconds(b[ts_col])
-        vals = b[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        eids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        run_start = np.ones(len(b), dtype=bool)
-        run_start[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(run_start)
-        ends = np.append(starts[1:] - 1, len(b) - 1)
-        seg = np.where(~run_start[1:], np.diff(ts) * vals[:-1], 0.0)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        segsum = cum[ends] - cum[starts]
-        return pa.table(
-            {
-                "__key": pa.array(keys[starts]),
-                "n_events": pa.array((ends - starts + 1).astype(np.int64)),
-                "segsum": pa.array(segsum, pa.float64()),
-                "first_ts": pa.array(ts[starts], pa.float64()),
-                "first_id": pa.array(eids[starts]),
-                "last_ts": pa.array(ts[ends], pa.float64()),
-                "last_val": pa.array(vals[ends], pa.float64()),
-            }
-        )
-
-    return block_twap
 
 
 def twap_by_key(
@@ -695,53 +397,55 @@ def twap_by_key(
     id_col: str = "event_id",
 ) -> pd.DataFrame:
     """→ DataFrame(key, n_events, twap): Σ (t_{i+1} − t_i)·v_i / (t_last −
-    t_first) per key, events ordered by (ts, id).  Keys with a single
-    event are excluded (no span).  One distributed sort; per-run
-    partials; boundary segments stitched in (first_ts, first_id) order
-    (block adjacency — sort tuples are unique via the id column)."""
-    srt = ds.select_columns([key_col, ts_col, val_col, id_col]).sort(
-        [key_col, ts_col, id_col]
-    )
-    parts = srt.map_batches(
-        _block_twap_factory(key_col, ts_col, val_col, id_col),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if len(parts) == 0:
-        return pd.DataFrame(
+    t_first) per key, events ordered by (ts, id), sorted by key (NULL
+    last).  Keys with a single event are excluded (no span).
+
+    One keyed block scan (``stages/scan.py``) over the (key, ts, id) sort,
+    shaped like :func:`event_gaps`: the carry is the open key's partial
+    ``(n, segsum, first_ts, last_ts, last_val)``, and merging it into a
+    block's first run adds the boundary segment ``(first_ts − last_ts) ·
+    last_val``."""
+
+    def runs(b: pa.Table, starts, ends) -> list:
+        ts = _ts_seconds(b[ts_col])
+        v = b[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        seg = np.r_[0.0, np.diff(ts) * v[:-1]]
+        seg[starts] = 0.0  # no segment into a run's first row
+        n, last = ends - starts, ends - 1
+        return [n, np.add.reduceat(seg, starts), ts[starts], ts[last], v[last]]
+
+    def merge(a, b):
+        return (a[0] + b[0], a[1] + b[1] + (b[2] - a[3]) * a[4], a[2], b[3], b[4])
+
+    edge, chain, partials = _open_key_kernels(runs, merge)
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        p, keep = partials(b, starts, ends, carry)
+        keep = keep[p[0][keep] > 1]
+        n, segsum, first, last = (x[keep] for x in p[:4])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            twap = np.round(segsum / (last - first), 6) + 0.0
+        return pa.table(
             {
-                key_col: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "twap": pd.Series(dtype="float64"),
+                key_col: b[key_col].take(pa.array(starts[keep])),
+                "n_events": pa.array(n, pa.int64()),
+                "twap": pa.array(twap, pa.float64()),
             }
         )
-    parts = parts.sort_values(["__key", "first_ts", "first_id"], kind="stable")
-    keys = parts["__key"].to_numpy()
-    same = np.zeros(len(parts), dtype=bool)
-    if len(parts) > 1:
-        same[1:] = keys[1:] == keys[:-1]
-    bseg = np.where(
-        same,
-        (parts["first_ts"].to_numpy() - np.roll(parts["last_ts"].to_numpy(), 1))
-        * np.roll(parts["last_val"].to_numpy(), 1),
-        0.0,
+
+    out = block_scan(
+        ds,
+        op="intervals.twap_by_key",
+        key=key_col,
+        order=[ts_col, id_col],
+        cols=[key_col, ts_col, val_col, id_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
     )
-    parts = parts.assign(__bseg=bseg)
-    g = (
-        parts.groupby("__key", sort=True)
-        .agg(
-            n_events=("n_events", "sum"),
-            segsum=("segsum", "sum"),
-            bsum=("__bseg", "sum"),
-            first_ts=("first_ts", "min"),
-            last_ts=("last_ts", "max"),
-        )
-        .reset_index()
+    return _key_frame(
+        out, key_col, {key_col: "int64", "n_events": "int64", "twap": "float64"}
     )
-    g = g[g["n_events"] > 1].reset_index(drop=True)
-    span = g["last_ts"] - g["first_ts"]
-    g["twap"] = np.round((g["segsum"] + g["bsum"]) / span, 6) + 0.0
-    g["n_events"] = g["n_events"].astype("int64")
-    return g.rename(columns={"__key": key_col})[[key_col, "n_events", "twap"]]
 
 
 def max_streak_by_key(
@@ -758,7 +462,7 @@ def max_streak_by_key(
     distinct (key, period) via the in-batch-combiner distinct (only the
     per-block distinct universe shuffles), each period becomes the closed
     interval [p, p+1] — consecutive periods TOUCH and connect under
-    ``interval_union``'s island stitch (giant-interval absorb included) —
+    ``interval_union``'s block-scan carry (giant intervals included) —
     and the streak is the island length.  The final per-key max is a
     groupby over the islands Dataset (island rows ≤ distinct periods)."""
     import pyarrow as pa

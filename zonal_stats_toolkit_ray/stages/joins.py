@@ -4,9 +4,10 @@ joins and the per-key as-of join.
 Shapes (ray_guide "Joins and lookups"):
 * semi/anti — broadcast the (small) key set once via ``ray.put``; filter
   inside ``map_batches`` with a vectorized membership test.  No shuffle.
-* as-of — one (key, ts) range sort; each block answers from its own
-  clicks plus a broadcast carry of every block's edge clicks
-  (``asof_join_self_ref`` is the per-key ``pd.merge_asof`` reference).
+* as-of — one keyed block scan (``stages/scan.py``) over the (key, ts)
+  sort; each block answers from its own clicks plus a carry of the last
+  click before it (``asof_join_self_ref`` is the per-key
+  ``pd.merge_asof`` reference).
   Oracle: DuckDB ``ASOF JOIN``.
 """
 
@@ -228,150 +229,116 @@ def asof_join_self(
     most recent row (same key, ts ≤ this row's ts) matching the filter.
     Oracle SQL: DuckDB ``ASOF JOIN ... ON l.key = r.key AND l.ts >= r.ts``.
 
-    A distributed (key, ts) sort range-partitions the events — one
-    pathological key splits across blocks instead of landing on one
-    worker — each sorted block answers its rows from in-block clicks with
-    vectorized searchsorted per key run, and a broadcast CARRY table (the
-    last click per (block, key) — block-count-bounded, never
-    event-count-bounded) supplies clicks from earlier blocks.
-
     Tie-break: filter rows tied at the same (key, ts) resolve to the
     MAXIMUM ``value_col``, NaN / NULL lowest like SQL ``max`` (an all-NaN
     tie gives NaN) — engine-defined and deterministic, the same in
     :func:`asof_join_self_ref` (DuckDB's ASOF leaves the pick
     unspecified, so any fixed rule is oracle-compatible on tie-free data
-    and self-consistent on ties).  Each query row takes the better of
-    its in-block candidate and its carry candidate by (ts, value) order,
-    so the rule holds even when a tied click run straddles blocks.
+    and self-consistent on ties).
 
-    Returns the joined **Dataset** (round-2 fix: the join output is
-    corpus-sized, so it must stream — callers aggregate distributedly or
-    write it out, never ``to_pandas`` the whole thing)."""
-    import ray
+    One keyed block scan (``stages/scan.py``) over the (key, ts) sort — one
+    pathological key splits across blocks instead of landing on one
+    worker.  Each block answers its rows from its own clicks (a forward
+    fill over tie groups), and the carry adds what other blocks know:
 
-    srt = ds.sort([key_col, ts_col]).materialize()
+    * back: the last click before the block (the max value tied at its
+      ts), for the key the block opens with;
+    * forward: the max-value click tied at the block's last ts that
+      opens the NEXT block.  Ray's range sort keeps a tied (key, ts) run
+      in one block today (41 tied rows from 10 input blocks land in one),
+      but Ray does not promise it, so a tied run may straddle two blocks.
+      Each row takes the best of its candidates by (ts, value) order.
 
-    def _runs(b: pa.Table):
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        new = np.ones(len(b), dtype=bool)
-        new[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(b)]])
-        clicks = pc.fill_null(
-            pc.equal(b[right_filter_col], right_filter_value), False
-        ).to_numpy(zero_copy_only=False)
+    Returns the joined **Dataset** (the join output is corpus-sized, so
+    it streams — callers aggregate distributedly or write it out, never
+    ``to_pandas`` the whole thing)."""
+    from .scan import block_scan
+
+    lowest = np.iinfo(np.int64).min
+
+    def clicks(b: pa.Table):
         ts = _to_int64_us(b[ts_col])
+        hit = pc.fill_null(pc.equal(b[right_filter_col], right_filter_value), False)
         vals = b[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        return kcol, starts, ends, clicks, ts, vals
+        return ts, hit.to_numpy(zero_copy_only=False), vals
 
-    def _tie_dedup(cts: np.ndarray, cvs: np.ndarray):
-        """(ts, value) click pairs → unique ascending ts with the MAX value
-        per tied ts (the deterministic tie-break representative; NaN sorts
-        lowest, so it wins only an all-NaN tie)."""
-        order = np.lexsort((cvs, ~np.isnan(cvs), cts))
-        cts, cvs = cts[order], cvs[order]
-        last = np.concatenate([cts[1:] != cts[:-1], [True]])
-        return cts[last], cvs[last]
+    def best(ts, hit, vals, rows) -> float | None:
+        """Max click value (NaN lowest) among ``rows``, None if no click."""
+        m = hit[rows]
+        return float(np.fmax.reduce(vals[rows][m])) if m.any() else None
 
-    def block_carry(b: pa.Table) -> pa.Table:
-        """Per (block, key), the only in-block clicks ANOTHER block's rows
-        can need (the rolling.py head/tail boundary shape):
+    def edge(b: pa.Table, starts, ends) -> list:
+        ts, hit, vals = clicks(b)
+        c = starts[-1] + np.flatnonzero(hit[starts[-1]:])
+        tail = None
+        if c.size:
+            t = ts[c[-1]]
+            tail = (int(t), best(ts, hit, vals, c[ts[c] == t]))
+        head = best(ts, hit, vals, np.flatnonzero(ts[: ends[0]] == ts[0]))
+        return [(tail, int(ts[0]), head, int(ts[-1]))]
 
-        * TAIL — the last click (max value among clicks tied at its ts):
-          what later blocks' rows look back to (their ts ≥ this block's
-          max ts, so nothing older than the last click can win);
-        * HEAD — the max-value click tied at the key run's FIRST ts: what
-          EARLIER blocks' rows tied at that ts need — the range sort
-          splits a tied (key, ts) run across blocks arbitrarily, so a
-          click tied with a query row can land in a LATER block.
+    def latest(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        if a[0] != b[0]:
+            return max(a, b)
+        return a[0], float(np.fmax(a[1], b[1]))
 
-        Cross-block ties merge on the driver via _tie_dedup."""
-        if len(b) == 0:
-            return pa.table(
-                {"__k": pa.array([], pa.string()), "__ts": pa.array([], pa.int64()),
-                 "__v": pa.array([], pa.float64())}
+    def chain(blocks) -> list:
+        carries, back = [], None
+        for blk, nxt in zip(blocks, [*blocks[1:], None]):
+            tail, _, _, last_ts = blk.edge[0]
+            b_in = back if blk.cont else None
+            back = latest(b_in, tail) if blk.one_run else tail
+            fwd = None
+            if nxt is not None and nxt.cont:
+                _, t0, head, _ = nxt.edge[0]
+                if head is not None and t0 == last_ts:
+                    fwd = (t0, head)
+            carries.append(None if b_in is None and fwd is None else (b_in, fwd))
+        return carries
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        ts, hit, vals = clicks(b)
+        n = ts.size
+        new = np.zeros(n, dtype=bool)
+        new[starts] = True
+        new[1:] |= ts[1:] != ts[:-1]
+        g0 = np.flatnonzero(new)  # tie groups: equal (key, ts)
+        gid = np.cumsum(new) - 1
+        gmax = np.fmax.reduceat(np.where(hit, vals, np.nan), g0)
+        g_last = np.r_[g0[1:], n] - 1
+        # the last click at or before the end of each row's tie group
+        c = np.maximum.accumulate(np.where(hit, np.arange(n), -1))[g_last[gid]]
+        found = c >= np.repeat(starts, ends - starts)
+        c = np.maximum(c, 0)
+        a_ts = np.where(found, ts[c], lowest)
+        a_v = np.where(found, gmax[gid[c]], np.nan)
+        back, fwd = carry or (None, None)
+        row = np.arange(n)
+        for cand, run in ((back, row < ends[0]), (fwd, row >= starts[-1])):
+            if cand is None:
+                continue
+            t, v = cand  # seen by the run's rows at ts ≥ t
+            take = (run & (ts >= t)) & (
+                (t > a_ts)
+                | ((t == a_ts) & ~(a_v >= v) & ~np.isnan(v))  # NaN loses a tie
             )
-        kcol, starts, ends, clicks, ts, vals = _runs(b)
-        ks, tss, vs = [], [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            c = s + np.flatnonzero(clicks[s:e])
-            if c.size:
-                mx = ts[c[-1]]  # runs are ts-sorted: last click ts
-                tied = c[ts[c] == mx]
-                ks.append(s)
-                tss.append(mx)
-                vs.append(np.fmax.reduce(vals[tied]))  # NaN lowest
-                head = c[ts[c] == ts[s]]  # clicks tied at the run's first ts
-                if head.size and ts[s] != mx:
-                    ks.append(s)
-                    tss.append(ts[s])
-                    vs.append(np.fmax.reduce(vals[head]))
-        return pa.table(
-            {
-                "__k": pc.cast(kcol.take(pa.array(ks, pa.int64())), pa.string()),
-                "__ts": pa.array(np.asarray(tss, np.int64), pa.int64()),
-                "__v": pa.array(np.asarray(vs, np.float64), pa.float64()),
-            }
-        )
-
-    cdf = srt.map_batches(block_carry, batch_format="pyarrow").to_pandas()
-    carry: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if len(cdf):
-        for k, g in cdf.groupby("__k", sort=False):
-            carry[k] = _tie_dedup(
-                g["__ts"].to_numpy(np.int64), g["__v"].to_numpy(np.float64)
-            )
-    carry_ref = ray.put(carry) if ray.is_initialized() else carry
-
-    def block_asof(b: pa.Table, *, _ref=carry_ref) -> pa.Table:
-        if len(b) == 0:
-            return b.append_column(out_col, pa.array([], pa.float64()))
-        kcol, starts, ends, clicks, ts, vals = _runs(b)
-        out = np.full(len(b), np.nan)
-        cmap = _resolve_ref(_ref)
-        keys_py = None
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            # candidate A: best in-block click (tie-deduped to max value)
-            a_ts = np.full(e - s, np.iinfo(np.int64).min, dtype=np.int64)
-            a_v = np.full(e - s, np.nan)
-            c_idx = s + np.flatnonzero(clicks[s:e])
-            if c_idx.size:
-                rts, rvs = _tie_dedup(ts[c_idx], vals[c_idx])
-                pos = np.searchsorted(rts, ts[s:e], side="right") - 1
-                ok = pos >= 0
-                a_ts[ok] = rts[pos[ok]]
-                a_v[ok] = rvs[pos[ok]]
-            # candidate B: best carry click from earlier blocks; a carry
-            # click can TIE candidate A's ts when a tied run straddles
-            # blocks — (ts, value) order picks the global max then
-            if keys_py is None:
-                keys_py = pc.cast(kcol, pa.string()).to_pylist()
-            hit = cmap.get(keys_py[s])
-            if hit is not None:
-                cts, cvs = hit
-                pos = np.searchsorted(cts, ts[s:e], side="right") - 1
-                ok = pos >= 0
-                b_ts = np.full(e - s, np.iinfo(np.int64).min, dtype=np.int64)
-                b_v = np.full(e - s, np.nan)
-                b_ts[ok] = cts[pos[ok]]
-                b_v[ok] = cvs[pos[ok]]
-                take_b = (b_ts > a_ts) | (
-                    (b_ts == a_ts)
-                    & (b_ts > np.iinfo(np.int64).min)
-                    & ~(a_v >= b_v)  # NaN a_v never wins a tie ...
-                    & ~np.isnan(b_v)  # ... nor does a NaN b_v
-                )
-                a_ts = np.where(take_b, b_ts, a_ts)
-                a_v = np.where(take_b, b_v, a_v)
-            seg = out[s:e]
-            found = a_ts > np.iinfo(np.int64).min
-            seg[found] = a_v[found]
+            a_ts = np.where(take, t, a_ts)
+            a_v = np.where(take, v, a_v)
+        out = np.where(a_ts > lowest, a_v, np.nan)
         return b.append_column(out_col, pa.array(out, pa.float64()))
 
-    return srt.map_batches(block_asof, batch_format="pyarrow")
+    return block_scan(
+        ds,
+        op="joins.asof_join_self",
+        key=key_col,
+        order=[ts_col],
+        cols=None,
+        edge=edge,
+        chain=chain,
+        apply=apply,
+    )
 
 
 def asof_join_self_ref(

@@ -8,22 +8,18 @@ aggregate over ALL rows of the same key whose timestamp lies in
 inclusive; tied timestamps are peers and always co-frame, so the result
 is independent of tie order).
 
-Distributed form (the scale path — no per-key materialization):
-
-1. slim projection → ``sort([key, ts, id])`` — Ray's RANGE sort splits a
-   hot key across blocks (sandbox lesson #24), so a 10^8-event bot user
-   never lands on one worker;
-2. one ``batch_size=None`` pass extracts each block's **boundary rows** —
-   the only rows another block can need: the last key-run's trailing
-   ``window`` of rows (backward context for later blocks) and the first
-   run's leading tied-timestamp peers (forward peers for earlier blocks).
-   Boundary volume is O(blocks × rows-per-window), never O(rows);
-3. the boundary table broadcasts once via ``ray.put``; a second
-   ``batch_size=None`` pass merges each block with the boundary rows of
-   its edge keys (own rows excluded by id), then computes every window
-   with two ``np.searchsorted`` calls over a run-packed int64 composite
-   of microsecond timestamps — exact integer comparisons, so the window
-   bounds match SQL's interval arithmetic bit-for-bit.
+Distributed form (the scale path — no per-key materialization): one
+keyed block scan (``stages/scan.py``) over the (key, ts, id) sort.  Ray's
+RANGE sort splits a hot key across blocks, so a 10^8-event bot user never
+lands on one worker.  Each block's edge is its **boundary rows** — the
+last key run's trailing ``window`` of rows (backward context for later
+blocks) and the first run's leading tied-timestamp peers (forward peers
+for earlier blocks) — O(blocks × rows-per-window), never O(rows).  The
+chain hands each block the context and peers of its edge keys, and the
+block computes every window with two ``np.searchsorted`` calls over a
+run-packed int64 composite of microsecond timestamps — exact integer
+comparisons, so the window bounds match SQL's interval arithmetic
+bit-for-bit.
 
 All arithmetic on timestamps is int64 microseconds; the composite packs
 each key run into its own offset band (gap ≥ window + 2) so one global
@@ -50,17 +46,6 @@ def _combined(col):
     if isinstance(col, pa.ChunkedArray):
         return col.combine_chunks()
     return col
-
-
-def _boundary_schema(key_type: pa.DataType) -> pa.Schema:
-    return pa.schema(
-        [
-            ("__key", key_type),
-            ("__ts_us", pa.int64()),
-            ("__v", pa.float64()),
-            ("__id", pa.int64()),
-        ]
-    )
 
 
 def _window_sums(
@@ -114,131 +99,90 @@ def rolling_window_stats(
     ``value_col`` must be finite (same contract as grouped top-k: NaN
     ordering under SQL frames is not replicated).
 
-    Scale notes: the sort is the one all-to-all; both window passes are
-    block-local.  The boundary table is O(blocks × window-density) and
-    broadcasts once; past ``guard.DRIVER_ROWS`` boundary rows the call
-    raises (widen blocks: the bound is per-block, never per-key).
-    """
-    import ray
+    One keyed block scan (``stages/scan.py``) over the (key, ts, id) sort:
 
+    * edge: the only rows another block can need — the last key run's
+      rows within ``window`` of its last ts (backward context, INCLUSIVE
+      lower bound: a later block can hold a row tied with the last ts,
+      whose frame reaches exactly ``window`` back) and the first run's
+      rows tied at its first ts (peers of an earlier block's last rows);
+    * chain: per block, the context rows of the key it opens with (through
+      blocks shorter than the window) and the tied peers that open later
+      blocks.  Edge rows are O(blocks × window density), never O(keys);
+      past ``guard.DRIVER_ROWS`` of them the call raises (widen blocks:
+      the bound is per block, never per key);
+    * apply: the context before the block's first run and the peers after
+      its last keep the (run, ts) order, so one ``_window_sums`` answers
+      every row.
+    """
     window_us = int(round(float(window_s) * 1e6))
 
-    slim = ds.select_columns([key_col, ts_col, value_col, id_col])
-    srt = slim.sort([key_col, ts_col, id_col]).materialize()
+    def _v(b: pa.Table) -> np.ndarray:
+        return b[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
 
-    def boundary(b: pa.Table) -> pa.Table:
-        kcol = _combined(b[key_col])
-        if len(b) == 0:
-            return _boundary_schema(kcol.type).empty_table()
-        ts = _ts_us(b[ts_col])
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        ids = _combined(b[id_col]).to_numpy(zero_copy_only=False)
-        vals = (
-            _combined(b[value_col]).to_numpy(zero_copy_only=False).astype(np.float64)
+    def edge(b: pa.Table, starts, ends) -> list:
+        ts, v = _ts_us(b[ts_col]), _v(b)
+        head = np.searchsorted(ts[: ends[0]], ts[0], side="right")
+        tail = starts[-1] + np.searchsorted(ts[starts[-1]:], ts[-1] - window_us)
+        rows = np.r_[0:head, max(head, tail) : ts.size]
+        return [(int(ts[i]), float(v[i]), i < head, i >= tail) for i in rows]
+
+    def chain(blocks) -> list:
+        n_bnd = sum(len(blk.edge) for blk in blocks)
+        if n_bnd > guard.DRIVER_ROWS:
+            raise ValueError(
+                f"boundary rows ({n_bnd}) exceed guard.DRIVER_ROWS "
+                f"({guard.DRIVER_ROWS}); widen blocks — the bound grows with "
+                "blocks × window density, not with corpus size"
+            )
+        backs, ctx = [], []
+        for blk in blocks:
+            back = ctx if blk.cont else []
+            backs.append(back)
+            tail = [r[:2] for r in blk.edge if r[3]]
+            lo = tail[-1][0] - window_us
+            ctx = [r for r in (back if blk.one_run else []) + tail if r[0] >= lo]
+        fwds = [[] for _ in blocks]
+        for i in range(len(blocks) - 1, 0, -1):
+            blk = blocks[i]
+            t0 = blk.edge[0][0]
+            whole = blk.one_run and blk.edge[-1][0] == t0  # one tie group
+            peers = [r[:2] for r in blk.edge if r[2]] + (fwds[i] if whole else [])
+            if blk.cont and blocks[i - 1].edge[-1][0] == t0:
+                fwds[i - 1] = peers
+        return [(bk, fw) if bk or fw else None for bk, fw in zip(backs, fwds)]
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        back, fwd = carry or ([], [])
+        bt = np.array([r[0] for r in back], dtype=np.int64)
+        ft = np.array([r[0] for r in fwd], dtype=np.int64)
+        ts = np.r_[bt, _ts_us(b[ts_col]), ft]
+        vals = np.r_[[r[1] for r in back], _v(b), [r[1] for r in fwd]]
+        q = np.arange(bt.size, bt.size + len(b))
+        roll_n, roll_sum = _window_sums(
+            ts, vals, np.r_[0, starts[1:] + bt.size], q, window_us
         )
-        # trailing context: last key's rows within window of that key's max
-        # ts — INCLUSIVE lower bound: a later block can hold a row tied with
-        # ts[-1], whose RANGE frame [t − window, t] includes a row at exactly
-        # ts[-1] − window (ADVICE r4: strict `>` dropped frame-edge rows when
-        # a tied run straddles the block boundary)
-        last_mask = codes == codes[-1]
-        tail = last_mask & (ts >= ts[-1] - np.int64(window_us))
-        # forward peers: first key's rows tied with the block's first ts
-        head = (codes == codes[0]) & (ts == ts[0])
-        keep = np.flatnonzero(tail | head)
         return pa.table(
             {
-                "__key": kcol.take(pa.array(keep)),
-                "__ts_us": pa.array(ts[keep], pa.int64()),
-                "__v": pa.array(vals[keep], pa.float64()),
-                "__id": pa.array(ids[keep].astype(np.int64), pa.int64()),
-            },
-            schema=_boundary_schema(kcol.type),
+                id_col: pa.array(
+                    b[id_col].to_numpy(zero_copy_only=False), pa.int64()
+                ),
+                key_col: b[key_col],
+                "roll_n": pa.array(roll_n, pa.int64()),
+                "roll_sum": pa.array(roll_sum, pa.float64()),
+            }
         )
 
-    bnd = srt.map_batches(
-        boundary, batch_size=None, batch_format="pyarrow"
-    ).materialize()
-    n_bnd = bnd.count()
-    if n_bnd > guard.DRIVER_ROWS:
-        raise ValueError(
-            f"boundary rows ({n_bnd}) exceed guard.DRIVER_ROWS "
-            f"({guard.DRIVER_ROWS}); widen blocks — the bound grows with "
-            "blocks × window density, not with corpus size"
-        )
-    bdf = bnd.to_pandas()
-    b_ref = ray.put(
-        (
-            bdf["__key"].to_numpy(),
-            bdf["__ts_us"].to_numpy().astype(np.int64),
-            bdf["__v"].to_numpy().astype(np.float64),
-            bdf["__id"].to_numpy().astype(np.int64),
-        )
+    return block_scan(
+        ds,
+        op="rolling.rolling_window_stats",
+        key=key_col,
+        order=[ts_col, id_col],
+        cols=[key_col, ts_col, value_col, id_col],
+        edge=edge,
+        chain=chain,
+        apply=apply,
     )
-
-    def _out_schema(key_type: pa.DataType) -> pa.Schema:
-        return pa.schema(
-            [
-                (id_col, pa.int64()),
-                (key_col, key_type),
-                ("roll_n", pa.int64()),
-                ("roll_sum", pa.float64()),
-            ]
-        )
-
-    def windows(b: pa.Table, *, _ref=b_ref) -> pa.Table:
-        out_schema = _out_schema(b[key_col].type)
-        if len(b) == 0:
-            return out_schema.empty_table()
-        bk, bts, bv, bid = ray.get(_ref)
-        kcol = _combined(b[key_col])
-        keys = kcol.to_numpy(zero_copy_only=False)
-        ts = _ts_us(b[ts_col])
-        ids = _combined(b[id_col]).to_numpy(zero_copy_only=False).astype(np.int64)
-        vals = (
-            _combined(b[value_col]).to_numpy(zero_copy_only=False).astype(np.float64)
-        )
-        # context: boundary rows of this block's edge keys, minus own rows
-        if bk.size:
-            edge = np.flatnonzero((bk == keys[0]) | (bk == keys[-1]))
-            ctx = edge[~np.isin(bid[edge], ids)]
-        else:
-            ctx = np.array([], dtype=np.int64)
-        m_keys = np.concatenate([keys, bk[ctx]])
-        m_ts = np.concatenate([ts, bts[ctx]])
-        m_v = np.concatenate([vals, bv[ctx]])
-        own = np.zeros(m_ts.size, dtype=bool)
-        own[: ts.size] = True
-        # total order (key, ts): tie order within equal ts is irrelevant to
-        # the value-interval frame
-        codes = np.asarray(
-            pa.array(m_keys).dictionary_encode().indices, dtype=np.int64
-        )
-        order = np.lexsort((m_ts, codes))
-        s_codes = codes[order]
-        s_ts = m_ts[order]
-        s_v = m_v[order]
-        s_own = own[order]
-        run_starts = np.flatnonzero(
-            np.concatenate([[True], s_codes[1:] != s_codes[:-1]])
-        )
-        q_idx = np.flatnonzero(s_own)
-        roll_n, roll_sum = _window_sums(s_ts, s_v, run_starts, q_idx, window_us)
-        # map back to the block's original row order
-        orig_pos = order[q_idx]  # position in the pre-sort merged arrays
-        inv = np.empty(ts.size, dtype=np.int64)
-        inv[orig_pos] = np.arange(q_idx.size)
-        return pa.table(
-            {
-                id_col: pa.array(ids, pa.int64()),
-                key_col: kcol,
-                "roll_n": pa.array(roll_n[inv], pa.int64()),
-                "roll_sum": pa.array(roll_sum[inv], pa.float64()),
-            },
-            schema=out_schema,
-        )
-
-    return srt.map_batches(windows, batch_size=None, batch_format="pyarrow")
 
 
 def rolling_window_stats_ref(

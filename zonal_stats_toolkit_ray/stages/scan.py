@@ -1,10 +1,18 @@
 """One keyed block scan: sort → edge summary → carry chain → block apply.
 
-Ray Data has no scan operator.  The streaming operators that carry state
-along a sorted stream — ``cusum.cusum_by_key``, ``winfunc.window_ranks``,
-``rolling.ewma_by_key``, ``rolling.rolling_rows_median`` and
-``pack.attach_running_total`` — all run through :func:`block_scan`, which
-builds one from a range sort and two whole-block passes:
+Ray Data has no scan operator.  The operators that carry state along a
+sorted stream all run through :func:`block_scan`, which builds one from a
+range sort and two whole-block passes:
+
+* running values per row — ``cusum.cusum_by_key``,
+  ``winfunc.window_ranks``, ``rolling.ewma_by_key``,
+  ``rolling.rolling_rows_median``, ``rolling.rolling_window_stats``,
+  ``pack.attach_running_total`` and ``joins.asof_join_self``;
+* one row per session, island or key — ``window.session_windows``,
+  ``intervals.interval_union``, ``intervals.event_gaps``,
+  ``intervals.event_transitions`` and ``intervals.twap_by_key``: a
+  session, island or key that continues into the next block is emitted
+  by the block where it ends, so no pending rows are stitched afterwards.
 
 1. **Sort** by ``(key, *order)`` and ``materialize`` once, so both passes
    read the same blocks.  The range partitioner splits a hot key across
@@ -20,13 +28,20 @@ builds one from a range sort and two whole-block passes:
    operator's ``edge(b, starts, ends)`` returns the rows another block
    needs: facts of the first and last run, or a bounded tail.
 3. **Chain** on the driver, over the blocks in global order: the sort
-   tuple of each block's first row.  It is unique because every order
-   ends in a unique id (an unkeyed scan needs unique order values, and
-   its chain checks them).  Each block reaches the operator's
-   ``chain(blocks)`` as a :class:`Block`; the chain returns one carry per
-   block (None: no carry).  The driver holds O(blocks) rows, never
-   O(keys); ``summary_rows`` (edge rows) and ``blocks`` are noted under
-   the operator's ``op``.
+   tuple of each block's first row.  Two blocks must not share it, or
+   one block's carry would be taken for the other's.  An order that ends
+   in a unique id makes it unique (an unkeyed scan needs unique order
+   values, and its chain checks them).  ``session_windows``,
+   ``interval_union``, ``event_gaps`` and ``asof_join_self`` sort on no
+   id: their first rows are unique only because Ray's range sort keeps
+   equal sort tuples in one output block (4,000 rows of one (key, ts)
+   sorted into one block; Ray does this today but does not promise it).
+   Two blocks that do share a first-row tuple raise a ``ValueError``.
+   Each block reaches the operator's ``chain(blocks)`` as a
+   :class:`Block`; the chain returns one carry per block (None: no
+   carry).  The driver holds O(blocks) rows (O(blocks × window density)
+   for the rolling window), never O(keys); ``summary_rows`` (edge rows)
+   and ``blocks`` are noted under the operator's ``op``.
 4. **Apply pass** (whole blocks again).  The carries broadcast once; each
    block finds its own by its first-row sort tuple, and
    ``apply(b, starts, ends, carry)`` returns its output rows, adding the
@@ -77,6 +92,25 @@ def key_runs(kcol) -> tuple[np.ndarray, np.ndarray]:
     )
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
     return starts, np.r_[starts[1:], codes.size]
+
+
+def group_chain(blocks: list[Block], step: Callable) -> list:
+    """The chain of a scan that emits one row per group (session, island,
+    key) where a group can continue across blocks.  ``step(open, blk)``
+    takes the group left open by the blocks before (None when ``blk``
+    opens a new key) and returns ``(joined, left_open)``: ``open`` if the
+    block's first group extends it (else None), and the group the block
+    leaves open.  → per block None or ``(joined, ends_later)``: the apply
+    merges ``joined`` into its first group and, when ``ends_later``, does
+    not emit its last group, which a later block emits."""
+    joined, open_ = [], None
+    for blk in blocks:
+        j, open_ = step(open_ if blk.cont else None, blk)
+        joined.append(j)
+    later = [j is not None for j in joined[1:]] + [False]
+    return [
+        None if j is None and not e else (j, e) for j, e in zip(joined, later)
+    ]
 
 
 def _with_sort_key(t: pa.Table, *, key: str) -> pa.Table:
@@ -147,6 +181,13 @@ def block_scan(
         ),
         key=lambda r: r[0],
     )
+    for a, b in zip(recs, recs[1:]):
+        if a[0] == b[0]:
+            raise ValueError(
+                f"{op}: two sorted blocks start with the same sort tuple "
+                f"{a[0]!r}, so their carries cannot be told apart; the range "
+                "sort split a run of equal sort tuples across blocks"
+            )
     blocks, prev_last = [], None
     for _, first, last, one_run, rows in recs:
         blocks.append(Block(first == prev_last, one_run, rows))

@@ -4,8 +4,8 @@ Ray Data has no event-time windowing; the engine implements the standard
 batch shapes (ray_guide streaming section): tumbling / hopping windows as a
 vectorized timestamp-truncate ``map_batches`` + partial-aggregate →
 groupby-merge (same two-level reduce as the zonal path), and session
-windows as per-key ``map_groups`` over ts-sorted groups.  Oracle SQL:
-``date_trunc`` / window functions.
+windows as one keyed block scan over the (key, ts) sort
+(``stages/scan.py``).  Oracle SQL: ``date_trunc`` / window functions.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import guard
+from .scan import block_scan, group_chain
 
 
 def tumbling_window_batch(
@@ -158,18 +159,6 @@ def _ts_seconds(col) -> np.ndarray:
     return np.asarray(col).astype("datetime64[us]").astype("int64") / 1e6
 
 
-def _sessions_schema(key_type: pa.DataType) -> pa.Schema:
-    return pa.schema(
-        [
-            ("__key", key_type),
-            ("n_events", pa.int64()),
-            ("start", pa.float64()),
-            ("end", pa.float64()),
-            ("pending", pa.bool_()),
-        ]
-    )
-
-
 def session_windows(
     ds,
     *,
@@ -181,126 +170,70 @@ def session_windows(
     previous event exceeds ``gap_seconds``.  Returns the per-session
     **Dataset** (one row per session — corpus-sized, so it streams).
 
-    A distributed sort by (key, ts) range-partitions the events (a hot
-    key SPLITS across blocks — the range partitioner cuts between equal
-    keys at different timestamps, unlike a hash groupby which lands a
-    10^8-event bot user on one worker), each sorted block sessionizes its
-    key runs with pure vectorized NumPy, and only the first/last session
-    of each block — the ones that may continue in a neighboring block —
-    are stitched in a second pass (two boundary sessions per block,
-    independent of event count, stitched on the driver within
-    ``guard.DRIVER_ROWS`` and per key above; a session spanning a block
-    edge merges iff its gap ≤ threshold, chains across any number of
-    blocks).  Results are exactly equal to :func:`session_windows_ref`
-    (tests pin equality, including a one-key stress)."""
+    One keyed block scan (``stages/scan.py``) over the (key, ts) sort — a
+    hot key splits across blocks, so no key lands on one worker — with
+    the open session as the carry:
 
-    def finalize(b: pa.Table) -> pa.Table:
-        dur = pc.subtract(b["end"], b["start"])
+    * edge: the block's first session start and its last session
+      (start, end, n), one row per block;
+    * chain: the carry into a block is the session left open before it,
+      if the block's first session starts within ``gap_seconds`` of its
+      end.  Only the first session can join it: sessions inside a block
+      are already more than the gap apart.  A block that is one session
+      and joins passes the grown session on;
+    * apply: sessionize the block with vectorized NumPy, merge the carry
+      into its first session, and leave out its last session when a
+      later block continues it (the block where a session ends emits it).
+
+    Results are exactly equal to :func:`session_windows_ref` (tests pin
+    equality, including a one-key stress)."""
+
+    def sessions(b: pa.Table, starts):
+        ts = _ts_seconds(b[ts_col])
+        new = np.zeros(ts.size, dtype=bool)
+        new[starts] = True
+        new[1:] |= (ts[1:] - ts[:-1]) > gap_seconds
+        i0 = np.flatnonzero(new)
+        return ts, i0, np.r_[i0[1:], ts.size] - 1
+
+    def edge(b: pa.Table, starts, ends) -> list:
+        ts, i0, i1 = sessions(b, starts)
+        n = int(i1[-1] - i0[-1] + 1)
+        return [(ts[0], ts[i0[-1]], ts[-1], n, i0.size == 1)]
+
+    def step(open_, blk):
+        first, start, end, n, single = blk.edge[0]
+        if open_ is None or first - open_[1] > gap_seconds:
+            return None, (start, end, n)
+        return open_, ((open_[0], end, open_[2] + n) if single else (start, end, n))
+
+    def apply(b: pa.Table, starts, ends, carry) -> pa.Table:
+        ts, i0, i1 = sessions(b, starts)
+        start, end, n = ts[i0], ts[i1], i1 - i0 + 1
+        joined, later = carry or (None, False)
+        if joined is not None:
+            start[0], n[0] = joined[0], n[0] + joined[2]
+        keep = slice(0, i0.size - 1 if later else i0.size)
         return pa.table(
             {
-                key_col: b["__key"],
-                "n_events": b["n_events"],
-                "start": b["start"],
-                "end": b["end"],
-                "duration_s": dur,
+                key_col: b[key_col].take(pa.array(i0[keep])),
+                "n_events": pa.array(n[keep], pa.int64()),
+                "start": pa.array(start[keep], pa.float64()),
+                "end": pa.array(end[keep], pa.float64()),
+                "duration_s": pa.array(end[keep] - start[keep], pa.float64()),
             }
         )
 
-    srt = ds.select_columns([key_col, ts_col]).sort([key_col, ts_col])
-
-    def block_sessions(b: pa.Table) -> pa.Table:
-        # rows arrive sorted by (key, ts) within the block
-        kcol = b[key_col]
-        if isinstance(kcol, pa.ChunkedArray):
-            kcol = kcol.combine_chunks()
-        if len(b) == 0:
-            return _sessions_schema(kcol.type).empty_table()
-        ts = _ts_seconds(b[ts_col])
-        # key-run boundaries without materializing Python objects: compare
-        # the dictionary codes (works for any key dtype)
-        codes = np.asarray(kcol.dictionary_encode().indices, dtype=np.int64)
-        new = np.ones(len(b), dtype=bool)
-        new[1:] = (codes[1:] != codes[:-1]) | ((ts[1:] - ts[:-1]) > gap_seconds)
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:] - 1, [len(b) - 1]])
-        n_sessions = starts.size
-        pending = np.zeros(n_sessions, dtype=bool)
-        pending[0] = True  # may continue the previous block's last session
-        pending[-1] = True  # may continue into the next block
-        return pa.table(
-            {
-                "__key": kcol.take(pa.array(starts)),
-                "n_events": pa.array(
-                    (ends - starts + 1).astype(np.int64), pa.int64()
-                ),
-                "start": pa.array(ts[starts], pa.float64()),
-                "end": pa.array(ts[ends], pa.float64()),
-                "pending": pa.array(pending),
-            },
-            schema=_sessions_schema(kcol.type),
-        )
-
-    parts = srt.map_batches(block_sessions, batch_format="pyarrow").materialize()
-    finals = parts.map_batches(
-        lambda t: t.filter(pc.invert(t["pending"])), batch_format="pyarrow"
-    ).map_batches(finalize, batch_format="pyarrow")
-    pend = parts.map_batches(
-        lambda t: t.filter(t["pending"]), batch_format="pyarrow"
+    return block_scan(
+        ds,
+        op="window.session_windows",
+        key=key_col,
+        order=[ts_col],
+        cols=[key_col, ts_col],
+        edge=edge,
+        chain=lambda blocks: group_chain(blocks, step),
+        apply=apply,
     )
-
-    def stitch_frame(df: pd.DataFrame) -> pd.DataFrame:
-        """Merge boundary sessions: sorted by (key, start); non-overlapping
-        intervals of one key merge when start − prev_end ≤ gap — the SAME
-        cumsum grouping as event sessionization, over interval rows."""
-        df = df.sort_values(["__key", "start"], kind="stable").reset_index(drop=True)
-        key_arr = df["__key"].to_numpy()
-        st = df["start"].to_numpy()
-        en = df["end"].to_numpy()
-        new = np.ones(len(df), dtype=bool)
-        if len(df) > 1:
-            new[1:] = (key_arr[1:] != key_arr[:-1]) | (
-                (st[1:] - en[:-1]) > gap_seconds
-            )
-        gid = np.cumsum(new) - 1
-        out = (
-            pd.DataFrame(
-                {
-                    "g": gid,
-                    "__key": df["__key"],
-                    "n_events": df["n_events"],
-                    "start": st,
-                    "end": en,
-                }
-            )
-            .groupby("g", sort=True)
-            .agg(
-                __key=("__key", "first"),
-                n_events=("n_events", "sum"),
-                start=("start", "min"),
-                end=("end", "max"),
-            )
-            .reset_index(drop=True)
-        )
-        out["duration_s"] = out["end"] - out["start"]
-        return out.rename(columns={"__key": key_col})[
-            [key_col, "n_events", "start", "end", "duration_s"]
-        ]
-
-    import ray.data as rd
-
-    pend = pend.materialize()
-    n_pending = pend.count()  # ≤ 2 sessions per block, whatever the skew
-    if n_pending == 0:
-        return finals
-    if n_pending <= guard.DRIVER_ROWS:
-        stitched = rd.from_pandas(stitch_frame(pend.to_pandas()))
-    else:
-        # per-key stitch: rows per key ≤ 2 × blocks containing that key —
-        # bounded by the block count, never by the key's event count
-        stitched = pend.groupby("__key").map_groups(
-            stitch_frame, batch_format="pandas"
-        )
-    return finals.union(stitched)
 
 
 def session_windows_ref(
