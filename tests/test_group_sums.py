@@ -1,12 +1,16 @@
-"""``guard.group_sums``: the one grouped-sum merge of partial aggregates.
+"""``guard.group_sums`` and ``guard.universe``: the one grouped-sum merge
+of partial aggregates and the value universe built on its kernel.
 
-* the merge itself: a NULL key is its own group, rows sorted by key with
-  NULLs last, empty and schemaless-empty blocks, tree levels;
-* SQL ``GROUP BY`` semantics end to end: a NULL key on a ≥4-block input
-  through four migrated operators, checked against DuckDB's
-  ``GROUP BY … ORDER BY … NULLS LAST``;
+* the merge itself: a NULL key is its own group, −0.0 and +0.0 one float
+  key, rows sorted by key with NULLs last, empty and schemaless-empty
+  blocks, tree levels;
+* SQL ``GROUP BY`` / ``PARTITION BY`` semantics end to end: a NULL key on
+  a ≥4-block input through the grouped-sum and universe operators,
+  checked against DuckDB (``GROUP BY … ORDER BY … NULLS LAST``,
+  ``quantile_cont``, ``median``) or pandas ``groupby(dropna=False)``;
 * both regimes of the merge (``guard.DRIVER_ROWS = 0`` forces tree levels)
-  give the same rows for migrated operators of six modules;
+  give the same rows for the migrated operators of six modules and the
+  13 universe operators;
 * native shuffles cut wider than their key count (schemaless empty
   partitions) still give the right rows.
 """
@@ -46,6 +50,20 @@ def _keys(col: pd.Series) -> list:
     return [None if pd.isna(v) else v for v in col]
 
 
+def _by_key(df: pd.DataFrame):
+    """pandas ``groupby("k")`` with NULL a group of its own, sorted last."""
+    return df.groupby("k", dropna=False, sort=True)
+
+
+def _tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall τ-b by brute force over all pairs."""
+    iu = np.triu_indices(len(x), 1)
+    s = np.sign(x[:, None] - x[None, :])[iu] * np.sign(y[:, None] - y[None, :])[iu]
+    n0 = len(x) * (len(x) - 1) // 2
+    n1, n2 = (sum(t * (t - 1) // 2 for t in pd.Series(v).value_counts()) for v in (x, y))
+    return float(((s > 0).sum() - (s < 0).sum()) / np.sqrt(float(n0 - n1) * (n0 - n2)))
+
+
 def _duck(sql: str, **tables) -> pd.DataFrame:
     import duckdb
 
@@ -73,6 +91,12 @@ class TestGroupSums:
         assert _keys(got["k"]) == ["a", "b", None]
         assert got["n"].tolist() == want["n"].tolist()
         np.testing.assert_allclose(got["s"], want["s"], rtol=1e-12)
+
+    def test_signed_zero_float_keys_are_one_group(self, ray_session):
+        df = pd.DataFrame({"k": [0.0, -0.0] * 6, "n": np.ones(12, np.int64)})
+        got = guard.group_sums(_blocks(df), ["k"], ["n"])
+        assert got["k"].tolist() == [0.0] and got["n"].tolist() == [12]
+        assert not np.signbit(got["k"]).any()
 
     def test_empty_input_keeps_columns(self, ray_session):
         ds = rd.from_pandas(pd.DataFrame({"k": ["a"], "n": [1]})).filter(
@@ -103,7 +127,9 @@ class TestGroupSums:
 
 class TestNullKeyGroupBy:
     """A NULL key is its own group at every migrated site (SQL GROUP BY);
-    Ray's native sort-shuffle raised ``TypeError`` comparing None with str."""
+    Ray's native sort-shuffle raised ``TypeError`` comparing None with str,
+    and Arrow's multi-key ``group_by`` split the NULL group of a string key
+    next to a float key."""
 
     def test_group_entropy(self, ray_session):
         from zonal_stats_toolkit_ray.stages.profile import group_entropy
@@ -124,6 +150,121 @@ class TestNullKeyGroupBy:
         assert _keys(got["k"]) == _keys(want["k"])
         assert got["n"].tolist() == want["n"].astype(np.int64).tolist()
         np.testing.assert_allclose(got["entropy"], want["entropy"], rtol=1e-12)
+
+    def test_weighted_median_by_group(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.rank import weighted_median_by_group
+
+        df = _events().assign(w=lambda d: d["y"].abs() + 0.25)
+        got = weighted_median_by_group(
+            _blocks(df), key_col="k", value_col="x", weight_col="w"
+        )
+        want = []
+        for _, g in _by_key(df):
+            vals = np.sort(g["x"].unique())
+            cw = np.array([g["w"][g["x"] <= v].sum() for v in vals])
+            want.append(vals[np.argmax(cw >= 0.5 * g["w"].sum())])
+        assert _keys(got["k"]) == _keys(_by_key(df).size().index)
+        assert got["wq"].tolist() == want
+
+    def test_winsorized_mean_by_group(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.rank import winsorized_mean_by_group
+
+        df = _events()
+        got = winsorized_mean_by_group(_blocks(df), key_col="k", value_col="x")
+        want = _duck(
+            """
+            WITH q AS (
+                SELECT k, count(*) AS n, quantile_cont(x, 0.05) AS lo,
+                       quantile_cont(x, 0.95) AS hi
+                FROM t GROUP BY k
+            )
+            SELECT q.k, q.n, q.lo, q.hi,
+                   avg(least(greatest(t.x, q.lo), q.hi)) AS wmean
+            FROM t JOIN q ON t.k IS NOT DISTINCT FROM q.k
+            GROUP BY q.k, q.n, q.lo, q.hi ORDER BY q.k NULLS LAST
+            """,
+            t=df,
+        )
+        assert _keys(got["k"]) == _keys(want["k"])
+        assert got["n"].tolist() == want["n"].astype(np.int64).tolist()
+        for c in ("lo", "hi", "wmean"):
+            np.testing.assert_allclose(got[c], want[c], rtol=1e-12, err_msg=c)
+
+    def test_gini_by_group(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.rank import gini_by_group
+
+        df = _events()
+        got = gini_by_group(_blocks(df), key_col="k", value_col="x")
+        want = []
+        for _, g in _by_key(df):
+            x = np.sort(g["x"].to_numpy())
+            n = x.size
+            w = 2.0 * np.arange(1, n + 1) - n - 1
+            want.append(round(float((w * x).sum() / (n * x.sum())), 6))
+        assert _keys(got["k"]) == _keys(_by_key(df).size().index)
+        assert got["n"].tolist() == _by_key(df).size().tolist()
+        np.testing.assert_allclose(got["gini"], want, rtol=0, atol=1e-6)
+
+    def test_auc_by_group(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.bivar import auc_by_group
+
+        df = _events().assign(label=lambda d: (d["y"] > 0).astype(np.int64))
+        got = auc_by_group(
+            _blocks(df), group_col="k", label_col="label", score_col="x"
+        )
+        want = []
+        for _, g in _by_key(df):
+            r = g["x"].rank().to_numpy()
+            pos = g["label"].to_numpy() == 1
+            n_pos, n_neg = pos.sum(), (~pos).sum()
+            u = r[pos].sum() - n_pos * (n_pos + 1) / 2.0
+            want.append((n_pos, n_neg, round(u / (n_pos * n_neg), 6)))
+        assert _keys(got["k"]) == _keys(_by_key(df).size().index)
+        assert list(zip(got["n_pos"], got["n_neg"])) == [w[:2] for w in want]
+        np.testing.assert_allclose(got["auc"], [w[2] for w in want], atol=1e-6)
+
+    def test_impute_group_median(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.normalize import impute_group_median
+
+        df = _events().assign(
+            id=lambda d: np.arange(len(d), dtype=np.int64),
+            x=lambda d: d["x"].where(d.index % 5 != 0),
+        )
+        got = impute_group_median(
+            _blocks(df), id_col="id", key_col="k", value_col="x"
+        ).to_pandas().sort_values("id", ignore_index=True)
+        want = _duck(
+            """
+            SELECT id, k, coalesce(x, median(x) OVER (PARTITION BY k)) AS v_filled
+            FROM t ORDER BY id
+            """,
+            t=df,
+        )
+        assert _keys(got["k"]) == _keys(want["k"])
+        assert got["v_filled"].notna().all()
+        np.testing.assert_allclose(got["v_filled"], want["v_filled"], rtol=1e-12)
+
+    def test_spearman_by_group(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.bivar import spearman_by_group
+
+        df = _events()
+        got = spearman_by_group(_blocks(df), key_col="k", x_col="x", y_col="y")
+        want = [
+            np.corrcoef(g["x"].rank(), g["y"].rank())[0, 1] for _, g in _by_key(df)
+        ]
+        assert _keys(got["k"]) == _keys(_by_key(df).size().index)
+        assert got["n"].tolist() == _by_key(df).size().tolist()
+        np.testing.assert_allclose(got["rho"], want, rtol=0, atol=1e-6)
+
+    def test_kendall_tau_by_group(self, ray_session):
+        from zonal_stats_toolkit_ray.stages.bivar import kendall_tau_by_group
+
+        df = _events()
+        got = kendall_tau_by_group(_blocks(df), key_col="k", x_col="x", y_col="y")
+        want = [_tau_b(g["x"].to_numpy(), g["y"].to_numpy()) for _, g in _by_key(df)]
+        assert _keys(got["k"]) == _keys(_by_key(df).size().index)
+        assert got["n"].tolist() == _by_key(df).size().tolist()
+        np.testing.assert_allclose(got["tau"], want, rtol=0, atol=1e-6)
 
     def test_grouped_corr(self, ray_session):
         from zonal_stats_toolkit_ray.stages.bivar import grouped_corr
@@ -204,7 +345,9 @@ def _regime_cases():
     from zonal_stats_toolkit_ray.stages import (
         bivar,
         cohort,
+        normalize,
         profile,
+        rank,
         rollup,
         sketch,
         text,
@@ -217,6 +360,11 @@ def _regime_cases():
         t=lambda d: (d["x"] % 13).astype(np.int64),
         e=lambda d: (d["y"] > 0).astype(np.int64),
         variant=lambda d: np.arange(len(d)) % 2,
+    )
+    uv = ev.assign(
+        event_id=lambda d: np.arange(len(d), dtype=np.int64),
+        w=lambda d: d["y"].abs() + 0.25,
+        xn=lambda d: d["x"].where(d.index % 5 != 0),
     )
     words = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
     docs = pd.DataFrame(
@@ -245,24 +393,41 @@ def _regime_cases():
         ("text.vocab_overlap", docs, lambda ds: text.vocab_overlap(ds)),
         ("triangles.triangle_stats", edges, lambda ds: triangles.triangle_stats(ds)),
         ("web.link_graph", pages, lambda ds: web.link_graph(ds)),
+        # the value-universe family (guard.universe)
+        ("rank.weighted_median_by_group", uv, lambda ds: rank.weighted_median_by_group(ds, key_col="k", value_col="x", weight_col="w")),
+        ("rank.winsorized_mean_by_group", uv, lambda ds: rank.winsorized_mean_by_group(ds, key_col="k", value_col="x")),
+        ("rank.gini_by_group", uv, lambda ds: rank.gini_by_group(ds, key_col="k", value_col="x")),
+        ("normalize.quantile_transform", uv, lambda ds: _by_id(normalize.quantile_transform(ds, id_col="event_id", value_col="x"))),
+        ("normalize.impute_group_median", uv, lambda ds: _by_id(normalize.impute_group_median(ds, id_col="event_id", key_col="k", value_col="xn"))),
+        ("bivar.auc_by_group", uv, lambda ds: bivar.auc_by_group(ds, group_col="k", label_col="e", score_col="x")),
+        ("bivar.spearman_by_group", uv, lambda ds: bivar.spearman_by_group(ds, key_col="k", x_col="x", y_col="y")),
+        ("bivar.kendall_tau_by_group", uv, lambda ds: bivar.kendall_tau_by_group(ds, key_col="k", x_col="x", y_col="t")),
+        ("profile.ks_test", uv, lambda ds: profile.ks_test(ds, value_col="x", seg_col="k", ref_segment="a")),
+        ("profile.psi_drift", uv, lambda ds: profile.psi_drift(ds, value_col="y", seg_col="k", ref_segment="a")),
+        ("profile.chi2_independence", uv, lambda ds: profile.chi2_independence(ds, row_col="k", col_col="cat")),
+        ("profile.mutual_information", uv, lambda ds: profile.mutual_information(ds, row_col="k", col_col="cat")),
     ]
 
 
-@pytest.mark.parametrize("case", range(9))
+def _by_id(ds) -> pd.DataFrame:
+    return ds.to_pandas().sort_values("event_id", ignore_index=True)
+
+
+@pytest.mark.parametrize("case", range(21))
 def test_regimes_identical(ray_session, monkeypatch, case):
     """The driver regime and forced tree levels (``DRIVER_ROWS = 0``) of
     each migrated operator: counts equal exactly, float sums to 1e-12."""
     name, df, run = _regime_cases()[case]
     ds = rd.from_pandas(df).repartition(8).materialize()
     levels = []
-    tree = guard.tree_combine
+    tree = guard._tree_levels  # the loop of tree_combine and of universe
 
     def spy(d, kernel):
-        frame, n = tree(d, kernel)
+        m, rows, n = tree(d, kernel)
         levels.append(n)
-        return frame, n
+        return m, rows, n
 
-    monkeypatch.setattr(guard, "tree_combine", spy)
+    monkeypatch.setattr(guard, "_tree_levels", spy)
     default = run(ds)
     assert set(levels) == {0}, (name, levels)
     monkeypatch.setattr(guard, "DRIVER_ROWS", 0)

@@ -1,13 +1,19 @@
-"""The two driver guards of stages/guard.py.
+"""The driver guards of stages/guard.py.
 
 Universe cap: a continuous value column whose distinct universe exceeds
-``max_universe`` fails fast with guidance naming the salted-percentile
-alternative, BEFORE anything universe-sized reaches the driver, while
-bounded inputs are unaffected.
+``guard.DEFAULT_MAX_UNIVERSE`` fails fast with guidance naming the
+salted-percentile alternative, and the driver holds at most
+``guard.DRIVER_ROWS`` universe rows before that check, while bounded
+inputs are unaffected.
 
-Tree budget: ``tree_combine`` is the one repartition-and-recombine loop in
-the package; it ends on any kernel, and no other ``while`` loop
-repartitions.
+Tree budget: the levels of ``tree_combine`` (``guard._tree_levels``) are
+the one repartition-and-recombine loop in the package; they end on any
+kernel, and no other ``while`` loop repartitions.
+
+One value universe: the 13 order-statistics operators each call
+``guard.universe`` and keep only their projection and finalize — no own
+Arrow ``group_by`` kernel, native ``groupby`` of their Dataset,
+``repartition``, ``max_universe`` keyword or ``quantile_cont`` copy.
 
 One regime rule: no function takes a per-call ``*_threshold`` knob (a
 regime switch reads ``guard.DRIVER_ROWS`` or a module constant), except
@@ -49,17 +55,17 @@ def _continuous_df(n=200_000, seed=13):
 
 
 class TestUniverseGuard:
-    def test_weighted_median_fails_fast_with_guidance(self, ray_session):
+    def test_weighted_median_fails_fast_with_guidance(self, ray_session, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import guard
         from zonal_stats_toolkit_ray.stages.rank import weighted_median_by_group
 
+        monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 50_000)
         ds = rd.from_pandas(_continuous_df()).repartition(8)
         with pytest.raises(ValueError, match="salted_group_percentiles"):
-            weighted_median_by_group(
-                ds, key_col="k", value_col="v", weight_col="w",
-                max_universe=50_000,
-            )
+            weighted_median_by_group(ds, key_col="k", value_col="v", weight_col="w")
 
-    def test_gini_auc_ks_qt_winsor_guarded(self, ray_session):
+    def test_gini_auc_ks_qt_winsor_guarded(self, ray_session, monkeypatch):
+        from zonal_stats_toolkit_ray.stages import guard
         from zonal_stats_toolkit_ray.stages.bivar import auc_by_group
         from zonal_stats_toolkit_ray.stages.normalize import quantile_transform
         from zonal_stats_toolkit_ray.stages.profile import ks_test
@@ -68,25 +74,14 @@ class TestUniverseGuard:
             winsorized_mean_by_group,
         )
 
+        monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 50_000)
         ds = rd.from_pandas(_continuous_df()).repartition(8)
         for call in (
-            lambda: gini_by_group(
-                ds, key_col="k", value_col="v", max_universe=50_000
-            ),
-            lambda: winsorized_mean_by_group(
-                ds, key_col="k", value_col="v", max_universe=50_000
-            ),
-            lambda: auc_by_group(
-                ds, group_col="k", label_col="y", score_col="v",
-                max_universe=50_000,
-            ),
-            lambda: ks_test(
-                ds, value_col="v", seg_col="k", ref_segment="0",
-                max_universe=50_000,
-            ),
-            lambda: quantile_transform(
-                ds, id_col="event_id", value_col="v", max_universe=50_000
-            ),
+            lambda: gini_by_group(ds, key_col="k", value_col="v"),
+            lambda: winsorized_mean_by_group(ds, key_col="k", value_col="v"),
+            lambda: auc_by_group(ds, group_col="k", label_col="y", score_col="v"),
+            lambda: ks_test(ds, value_col="v", seg_col="k", ref_segment="0"),
+            lambda: quantile_transform(ds, id_col="event_id", value_col="v"),
         ):
             with pytest.raises(ValueError, match="max_universe"):
                 call()
@@ -116,6 +111,30 @@ class TestUniverseGuard:
         monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 1_000)
         with pytest.raises(ValueError, match="max_universe=1,000"):
             impute_group_median(ds, **kw)
+
+
+def test_universe_cap_checked_before_the_collect(ray_session, monkeypatch):
+    # the combine ends on one block above the driver budget: its row count
+    # is checked before anything reaches the driver
+    from zonal_stats_toolkit_ray.stages import guard
+
+    monkeypatch.setattr(guard, "DRIVER_ROWS", 1_000)
+    monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 5_000)
+    ds = rd.from_pandas(pd.DataFrame({"v": np.arange(20_000.0)})).repartition(8)
+    collected = []
+    to_pandas = rd.Dataset.to_pandas
+
+    def spy(self, *a, **kw):
+        collected.append(self.count())
+        return to_pandas(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
+    with pytest.raises(ValueError, match="max_universe=5,000"):
+        guard.universe(ds, ["v"], what="test")
+    assert collected == []
+    monkeypatch.setattr(guard, "DEFAULT_MAX_UNIVERSE", 20_000)
+    uni = guard.universe(ds, ["v"], what="test")
+    assert collected == [20_000] and uni["n"].tolist() == [1] * 20_000
 
 
 class TestTreeCombine:
@@ -160,7 +179,7 @@ def test_tree_combine_is_the_only_repartition_loop():
         for path in sorted(pkg.rglob("*.py"))
         for fn in _repartitioning_while_loops(ast.parse(path.read_text()))
     ]
-    assert found == [("stages/guard.py", "tree_combine")], found
+    assert found == [("stages/guard.py", "_tree_levels")], found
 
 
 # (module, function, parameter) → why it may stay a per-call keyword
@@ -445,3 +464,100 @@ def e(ds):
         ("literal repartition", "b"),
         ("num_partitions", "a"),
     ]
+
+
+# the value-universe family: each operator keeps its projection and its
+# finalize, and counts through the one guarded universe (guard.universe)
+_UNIVERSE_OPERATORS = {
+    "stages/rank.py": (
+        "weighted_median_by_group",
+        "winsorized_mean_by_group",
+        "gini_by_group",
+    ),
+    "stages/normalize.py": ("quantile_transform", "impute_group_median"),
+    "stages/bivar.py": ("auc_by_group", "spearman_by_group", "kendall_tau_by_group"),
+    "stages/profile.py": (
+        "ks_test",
+        "group_entropy",
+        "chi2_independence",
+        "psi_drift",
+        "mutual_information",
+    ),
+}
+
+
+def _root_name(node):
+    """The name a call/attribute chain starts from (``ds`` of
+    ``ds.map_batches(f).groupby(k)``), else None."""
+    while isinstance(node, (ast.Call, ast.Attribute, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _universe_plumbing(fn) -> list:
+    """What a universe operator may not write itself: an Arrow
+    ``.group_by(`` kernel, a ``.groupby(`` on its Dataset (first)
+    parameter, a ``.repartition(``, a Ray ``Sum`` aggregate, a
+    ``max_universe`` name or a ``floor`` (an own ``quantile_cont``)."""
+    params = fn.args.posonlyargs + fn.args.args
+    ds = params[0].arg if params else None
+    out = []
+    for n in ast.walk(fn):
+        name = getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "arg", None)
+        if name in ("max_universe", "Sum", "floor"):
+            out.append(name)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            attr = n.func.attr
+            if attr in ("group_by", "repartition") or (
+                attr == "groupby" and _root_name(n.func.value) == ds
+            ):
+                out.append(attr)
+    return out
+
+
+def _calls_universe(fn) -> bool:
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "universe"
+        and getattr(n.func.value, "id", None) == "guard"
+        for n in ast.walk(fn)
+    )
+
+
+def test_universe_family_shares_one_guarded_universe():
+    trees = dict(_package_trees())
+    for rel, names in _UNIVERSE_OPERATORS.items():
+        fns = {n.name: n for n in trees[rel].body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            assert _universe_plumbing(fns[name]) == [], (rel, name)
+            assert _calls_universe(fns[name]), (rel, name)
+    knobs = [
+        (rel, fn.name)
+        for rel, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            a.arg == "max_universe"
+            for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        )
+    ]
+    assert knobs == [], knobs
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # the native count chain gini_by_group had
+        "def gini_by_group(ds, *, key_col, value_col):\n"
+        "    uni = guard.universe(ds, [key_col], what='g')\n"
+        "    return ds.map_batches(f).repartition(guard.shuffle_partitions())"
+        ".groupby([key_col, 'v']).aggregate(Sum('c', alias_name='c'))",
+        "def f(ds):\n    return guard.universe(ds.groupby('k').count(), ['k'], what='f')",
+        "def f(ds):\n    g = pa.table({}).group_by(['k']).aggregate([([], 'count_all')])",
+        "def f(ds, *, max_universe=None):\n    return guard.universe(ds, ['k'], what='f')",
+        "def f(ds):\n    r = q * (n - 1)\n    k = int(np.floor(r))",
+    ],
+)
+def test_universe_check_catches_own_plumbing(src):
+    assert _universe_plumbing(ast.parse(src).body[0])

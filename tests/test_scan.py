@@ -1,6 +1,7 @@
-"""The keyed block scan (stages/scan.py) under its twelve operators: a
-NULL key is a partition of its own, any key type keeps its type, and the
-driver holds O(blocks) rows."""
+"""The keyed block scan (stages/scan.py) under its twelve operators (and
+``interval_coverage``, the per-key reduce of ``interval_union``'s
+islands): a NULL key is a partition of its own, any key type keeps its
+type, and the driver holds O(blocks) rows."""
 
 import numpy as np
 import pandas as pd
@@ -12,6 +13,7 @@ from zonal_stats_toolkit_ray.stages.cusum import cusum_by_key
 from zonal_stats_toolkit_ray.stages.intervals import (
     event_gaps,
     event_transitions,
+    interval_coverage,
     interval_union,
     twap_by_key,
 )
@@ -142,6 +144,14 @@ def _union_ref(df):
     return pd.DataFrame(rows, columns=["user_id", "n_intervals", "start", "end"])
 
 
+def _coverage_ref(df):
+    isl = _union_ref(df).assign(cov=lambda d: d["end"] - d["start"])
+    out = isl.groupby("user_id", dropna=False).agg(
+        n_islands=("cov", "size"), covered_s=("cov", "sum"), max_island_s=("cov", "max")
+    )
+    return out.reset_index()
+
+
 def _gaps_ref(df):
     rows = []
     for k, g in _by_key(df, ["ts"]):
@@ -194,6 +204,7 @@ _KEYED = {
         ["user_id", "start"],
     ),
     "interval_union": (interval_union, _union_ref, ["user_id", "start"]),
+    "interval_coverage": (interval_coverage, _coverage_ref, ["user_id"]),
     "event_gaps": (event_gaps, _gaps_ref, ["user_id"]),
     "twap_by_key": (twap_by_key, _twap_ref, ["user_id"]),
     "event_transitions": (

@@ -243,25 +243,70 @@ class TestKaplanMeier:
         assert len(got) == 0  # no event times → no curve rows
 
 
+def _signed_zero_ties(n=4000, seed=11) -> pd.DataFrame:
+    """x = round(2·N(0,1)) and y = round(x + N(0,1)) in two groups: about
+    a tenth of each column is −0.0 and as many +0.0, one tie in SQL."""
+    rng = np.random.default_rng(seed)
+    x = np.round(2 * rng.normal(0, 1, n))
+    y = np.round(x + rng.normal(0, 1, n))
+    df = pd.DataFrame({"k": rng.choice(["a", "b"], n), "x": x, "y": y})
+    assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+    return df
+
+
+def _check_spearman(rd, df, blocks):
+    from zonal_stats_toolkit_ray.stages.bivar import spearman_by_group
+
+    got = spearman_by_group(
+        rd.from_pandas(df).repartition(blocks), key_col="k", x_col="x", y_col="y"
+    ).set_index("k")
+    for key, g in df.groupby("k"):
+        xr = pd.Series(g["x"]).rank().to_numpy()
+        yr = pd.Series(g["y"]).rank().to_numpy()
+        want = np.corrcoef(xr, yr)[0, 1]
+        assert got.loc[key, "n"] == len(g)
+        assert abs(got.loc[key, "rho"] - want) < 1e-6
+        assert got.loc[key, "rho"] > 0.5
+
+
+def _check_kendall(rd, df, blocks):
+    from zonal_stats_toolkit_ray.stages.bivar import kendall_tau_by_group
+
+    got = kendall_tau_by_group(
+        rd.from_pandas(df).repartition(blocks), key_col="k", x_col="x", y_col="y"
+    ).set_index("k")
+    for key, g in df.groupby("k"):
+        xv, yv = g["x"].to_numpy(), g["y"].to_numpy()
+        dx = np.sign(xv[:, None] - xv[None, :])
+        dy = np.sign(yv[:, None] - yv[None, :])
+        iu = np.triu_indices(len(xv), 1)
+        s = dx[iu] * dy[iu]
+        C = int((s > 0).sum())
+        D = int((s < 0).sum())
+        n0 = len(xv) * (len(xv) - 1) // 2
+        n1 = sum(
+            t * (t - 1) // 2 for t in pd.Series(xv).value_counts()
+        )
+        n2 = sum(
+            t * (t - 1) // 2 for t in pd.Series(yv).value_counts()
+        )
+        want = (C - D) / np.sqrt(float(n0 - n1) * float(n0 - n2))
+        assert got.loc[key, "n"] == len(g)
+        assert abs(got.loc[key, "tau"] - want) < 1e-6
+        assert got.loc[key, "tau"] > 0.3  # planted monotone trend
+
+
 class TestSpearman:
     def test_matches_scipy_definition(self, rd):
-        from zonal_stats_toolkit_ray.stages.bivar import spearman_by_group
-
         rng = np.random.default_rng(7)
         n = 2000
         k = rng.choice(["a", "b"], n)
         x = rng.integers(0, 40, n).astype(float)
         y = x + rng.normal(0, 8, n).round(1)  # monotone-ish, heavy x ties
-        df = pd.DataFrame({"k": k, "x": x, "y": y})
-        got = spearman_by_group(
-            rd.from_pandas(df).repartition(5), key_col="k", x_col="x", y_col="y"
-        ).set_index("k")
-        for key, g in df.groupby("k"):
-            xr = pd.Series(g["x"]).rank().to_numpy()
-            yr = pd.Series(g["y"]).rank().to_numpy()
-            want = np.corrcoef(xr, yr)[0, 1]
-            assert abs(got.loc[key, "rho"] - want) < 1e-6
-            assert got.loc[key, "rho"] > 0.5
+        _check_spearman(rd, pd.DataFrame({"k": k, "x": x, "y": y}), 5)
+
+    def test_signed_zeros_tie(self, rd):
+        _check_spearman(rd, _signed_zero_ties(), 5)
 
     def test_perfect_monotone(self, rd):
         from zonal_stats_toolkit_ray.stages.bivar import spearman_by_group
@@ -277,35 +322,15 @@ class TestSpearman:
 
 class TestKendallTau:
     def test_matches_scipy_style_bruteforce(self, rd):
-        from zonal_stats_toolkit_ray.stages.bivar import kendall_tau_by_group
-
         rng = np.random.default_rng(9)
         n = 600
         k = rng.choice(["a", "b"], n)
         x = rng.integers(0, 8, n).astype(float)
         y = np.clip(x + rng.integers(-3, 4, n), 0, 10).astype(float)
-        df = pd.DataFrame({"k": k, "x": x, "y": y})
-        got = kendall_tau_by_group(
-            rd.from_pandas(df).repartition(4), key_col="k", x_col="x", y_col="y"
-        ).set_index("k")
-        for key, g in df.groupby("k"):
-            xv, yv = g["x"].to_numpy(), g["y"].to_numpy()
-            dx = np.sign(xv[:, None] - xv[None, :])
-            dy = np.sign(yv[:, None] - yv[None, :])
-            iu = np.triu_indices(len(xv), 1)
-            s = dx[iu] * dy[iu]
-            C = int((s > 0).sum())
-            D = int((s < 0).sum())
-            n0 = len(xv) * (len(xv) - 1) // 2
-            n1 = sum(
-                t * (t - 1) // 2 for t in pd.Series(xv).value_counts()
-            )
-            n2 = sum(
-                t * (t - 1) // 2 for t in pd.Series(yv).value_counts()
-            )
-            want = (C - D) / np.sqrt(float(n0 - n1) * float(n0 - n2))
-            assert abs(got.loc[key, "tau"] - want) < 1e-6
-            assert got.loc[key, "tau"] > 0.3  # planted monotone trend
+        _check_kendall(rd, pd.DataFrame({"k": k, "x": x, "y": y}), 4)
+
+    def test_signed_zeros_tie(self, rd):
+        _check_kendall(rd, _signed_zero_ties(), 4)
 
 
 class TestMutualInfo:

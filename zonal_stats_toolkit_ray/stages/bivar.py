@@ -403,33 +403,24 @@ def auc_by_group(
     group_col: str,
     label_col: str,
     score_col: str,
-    max_universe: int | None = None,
 ) -> pd.DataFrame:
     """ROC AUC of ``score_col`` against the binary ``label_col`` per group
     → DataFrame(group, n_pos, n_neg, auc 6dp) — the Mann–Whitney rank
     form with midrank tie correction:
     ``AUC = (Σ midrank(positives) − n_pos(n_pos+1)/2) / (n_pos·n_neg)``.
 
-    Shape: in-batch (group, score) pos/neg count partials → one hash
-    aggregate over the (group, score) universe → driver cum-rank finalize
-    (midrank of a tie block = cum_before + (c+1)/2 — exact half-integer
-    arithmetic, bit-identical to the SQL RANK()+COUNT() window form).
-    Exact for bounded distinct-score universes; degenerate groups (no
-    positives or no negatives) yield NULL.  Round 5: the bounded-universe
-    regime is CODE-enforced (``max_universe``, guard.collect_universe) —
-    continuous scores should be rounded/binned upstream."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    Shape: the (group, score) universe with pos/neg sums
+    (``guard.universe``) → driver cum-rank finalize (midrank of a tie
+    block = cum_before + (c+1)/2 — exact half-integer arithmetic,
+    bit-identical to the SQL RANK()+COUNT() window form).  Exact for
+    bounded distinct-score universes — continuous scores should be
+    rounded/binned upstream, as the universe cap says; degenerate groups
+    (no positives or no negatives) yield NULL.  A NULL group is a group
+    of its own, last."""
 
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
-
-    if max_universe is None:
-        max_universe = DEFAULT_MAX_UNIVERSE
-
-    def partials(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         y = pc.cast(b[label_col], pa.int64())
-        t = pa.table(
+        return pa.table(
             {
                 group_col: b[group_col],
                 "s": pc.cast(b[score_col], pa.float64()),
@@ -437,21 +428,15 @@ def auc_by_group(
                 "neg": pc.subtract(pa.scalar(1, pa.int64()), y),
             }
         )
-        g = t.group_by([group_col, "s"]).aggregate(
-            [("pos", "sum"), ("neg", "sum")]
-        )
-        return g.rename_columns([group_col, "s", "pos", "neg"])
 
-    uni = collect_universe(
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(guard.shuffle_partitions())
-        .groupby([group_col, "s"])
-        .aggregate(Sum("pos", alias_name="pos"), Sum("neg", alias_name="neg")),
-        max_universe=max_universe,
+    uni = guard.universe(
+        ds.map_batches(project, batch_format="pyarrow"),
+        [group_col, "s"],
+        sums=["pos", "neg"],
         what="auc_by_group",
-    ).sort_values([group_col, "s"], kind="stable")
+    )
     rows = []
-    for k, g in uni.groupby(group_col, sort=True):
+    for k, g in uni.groupby(group_col, sort=False, dropna=False):
         pos = g["pos"].to_numpy(dtype=np.float64)
         neg = g["neg"].to_numpy(dtype=np.float64)
         c = pos + neg
@@ -478,39 +463,29 @@ def spearman_by_group(
     scipy.stats.spearmanr convention) — the robust monotone-association
     readout.
 
-    Shape: two (key, value) count-universe aggregates (x and y) yield
-    per-value midranks (cum_before + (c+1)/2 — exact half-integers, the
+    Shape: two (key, value) count universes (x and y, ``guard.universe``)
+    yield per-value midranks (cum_before + (c+1)/2 — exact half-integers, the
     AUC kernel); the maps broadcast and ONE pass attaches both ranks and
     emits six-moment partials (the grouped_corr kernel).  Degenerate
     groups yield NULL."""
     import ray
 
     def universe(col: str) -> pd.DataFrame:
-        def partials(b: pa.Table) -> pa.Table:
-            t = pa.table(
-                {key_col: b[key_col], "v": pc.cast(b[col], pa.float64())}
-            )
-            g = t.group_by([key_col, "v"]).aggregate([([], "count_all")])
-            return pa.table(
-                {
-                    key_col: g[key_col],
-                    "v": g["v"],
-                    "c": pc.cast(g["count_all"], pa.int64()),
-                }
-            )
+        def project(b: pa.Table) -> pa.Table:
+            return pa.table({key_col: b[key_col], "v": pc.cast(b[col], pa.float64())})
 
-        return guard.group_sums(
+        return guard.universe(
             ds.select_columns([key_col, col]).map_batches(
-                partials, batch_format="pyarrow"
+                project, batch_format="pyarrow"
             ),
             [key_col, "v"],
-            ["c"],
+            what="spearman_by_group",
         )
 
     def rank_map(uni: pd.DataFrame) -> dict:
         out = {}
         for k, g in uni.groupby(key_col, sort=False, dropna=False):
-            c = g["c"].to_numpy(dtype=np.float64)
+            c = g["n"].to_numpy(dtype=np.float64)
             cum_before = np.concatenate([[0.0], np.cumsum(c)[:-1]])
             out[None if pd.isna(k) else k] = (
                 g["v"].to_numpy(dtype=np.float64),
@@ -581,28 +556,23 @@ def kendall_tau_by_group(
     ``τ-b = (C − D) / sqrt((n0 − n1)(n0 − n2))`` with the standard
     marginal tie terms.
 
-    Shape: ONE (key, x, y) count-universe aggregate; the driver finalize
-    is O(cells) per group (cells = |x-universe| × |y-universe|)."""
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table(
+    Shape: ONE (key, x, y) count universe (``guard.universe``); the
+    driver finalize is O(cells) per group (cells = |x-universe| ×
+    |y-universe|)."""
+
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 key_col: b[key_col],
                 "x": pc.cast(b[x_col], pa.float64()),
                 "y": pc.cast(b[y_col], pa.float64()),
             }
         )
-        g = t.group_by([key_col, "x", "y"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                key_col: g[key_col],
-                "x": g["x"],
-                "y": g["y"],
-                "n": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
 
-    uni = guard.group_sums(
-        ds.map_batches(partials, batch_format="pyarrow"), [key_col, "x", "y"], ["n"]
+    uni = guard.universe(
+        ds.map_batches(project, batch_format="pyarrow"),
+        [key_col, "x", "y"],
+        what="kendall_tau_by_group",
     )
     rows = []
     for k, g in uni.groupby(key_col, sort=False, dropna=False):

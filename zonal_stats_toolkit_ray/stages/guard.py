@@ -26,19 +26,26 @@ a time, then collects.  Operators whose partials are grouped SUMS (moment
 and count partials: bivar, cohort, graph, incremental, profile, rollup,
 sketch, text, triangles, web) merge through ``group_sums``, the tree
 combine with one Arrow ``group_by`` sum kernel: a NULL key is its own
-group, as in SQL ``GROUP BY``.  Two kinds of aggregate stay native Ray
-``groupby`` shuffles: results that stay a Dataset (vocabularies, distinct
-rows, PageRank, the ``collect_universe`` inputs, ``hash_join``), and
+group and −0.0 equals +0.0, as in SQL ``GROUP BY``.  Two kinds of
+aggregate stay native Ray ``groupby`` shuffles: results that stay a
+Dataset (vocabularies, distinct rows, PageRank, ``hash_join``), and
 aggregates filtered before the collect (boilerplate lines, similarity
 join candidates).
 
+**Value universe** (``universe``).  The order-statistics family —
+weighted median, winsorized mean, Gini, AUC, Spearman, Kendall τ,
+quantile transform, group-median impute, KS, PSI, entropy, χ² and mutual
+information — finalizes exactly on the driver from one (key, value)
+universe: the row count and sums per distinct key tuple, counted by the
+``group_sums`` kernel and merged by the tree combine.  That universe is
+the one guard that raises on size: above ``DEFAULT_MAX_UNIVERSE`` rows
+(read at call time) a continuous value column has made it approach the
+corpus, and it fails naming ``salted_group_percentiles``; the driver
+holds at most ``DRIVER_ROWS`` of its rows before the check.
+``quantile_cont`` is the family's one SQL quantile interpolation.
+
 **Guards that raise** instead of routing, where no distributed path
-exists: the universe cap (``collect_universe``, ``max_universe``) of the
-value-universe statistics family (weighted_median / gini / AUC / KS /
-quantile_transform / winsorized_mean / group-median impute), which
-finalizes on the driver from a distributed ``(key, value)`` count
-aggregate and fails fast naming ``salted_group_percentiles`` when the
-universe approaches the corpus; the boundary rows of
+exists: the universe cap above; the boundary rows of
 ``rolling.rolling_window_stats``, which raise above ``DRIVER_ROWS``; the
 vocabulary cap of ``text.encode_corpus``; and the node-universe cap of
 ``graph.bfs_hops`` and ``triangles.triangle_stats``.
@@ -68,14 +75,14 @@ import functools
 import pandas as pd
 import pyarrow as pa
 
-DEFAULT_MAX_UNIVERSE = 5_000_000
-
 # driver budget: slim rows any operator collects to or broadcasts from the
 # driver; tree combine: blocks merged into one per level
 DRIVER_ROWS = 1_000_000
 FAN_IN = 8
 # task floor: the fewest input rows one task of the point join runs over
 TASK_ROWS = 6_000
+# universe cap: the most distinct key tuples a value universe may hold
+DEFAULT_MAX_UNIVERSE = 5_000_000
 
 
 def shuffle_partitions() -> int:
@@ -90,27 +97,23 @@ def shuffle_partitions() -> int:
     return max(2, min(64, n))
 
 
-def collect_universe(uni_ds, *, max_universe: int | None, what: str):
-    """Materialize a distributed universe aggregate and collect it to the
-    driver ONLY if its row count is within ``max_universe`` (None disables
-    the guard) → pandas DataFrame.
-
-    The count runs on the materialized dataset — metadata, not a fetch —
-    so nothing universe-sized reaches the driver before the check, and the
-    aggregate's work is reused by the collect when it passes."""
-    m = uni_ds.materialize()
+def _tree_levels(ds, kernel):
+    """The combine levels of ``tree_combine`` → (materialized partials,
+    their row count, levels run); nothing reaches the driver."""
+    m = ds.materialize()
     n = m.count()
-    if max_universe is not None and n > max_universe:
-        raise ValueError(
-            f"{what}: the distinct (key, value) universe has {n:,} rows, "
-            f"over max_universe={max_universe:,} — for continuous values "
-            "the universe approaches the corpus and the exact driver "
-            "finalize does not scale. Use salted_group_percentiles "
-            "(stages/zonal.py) for quantile-family readouts, or round/bin "
-            "the value column to bound the universe; raise max_universe "
-            "only if the driver is provisioned for the frame."
+    nb = m.num_blocks()
+    levels = 0
+    while n > DRIVER_ROWS and nb > 1:
+        nb = max(1, nb // FAN_IN)
+        m = (
+            m.repartition(nb)
+            .map_batches(kernel, batch_format="pyarrow", batch_size=None)
+            .materialize()
         )
-    return m.to_pandas()
+        n = m.count()
+        levels += 1
+    return m, n, levels
 
 
 def tree_combine(ds, kernel):
@@ -125,29 +128,52 @@ def tree_combine(ds, kernel):
     loop ends at one block at the latest.  Below the budget this is one
     materialize, one count and one ``to_pandas``.  The caller still runs
     its final merge on the returned frame."""
-    m = ds.materialize()
-    n = m.count()
-    nb = m.num_blocks()
-    levels = 0
-    while n > DRIVER_ROWS and nb > 1:
-        nb = max(1, nb // FAN_IN)
-        m = (
-            m.repartition(nb)
-            .map_batches(kernel, batch_format="pyarrow", batch_size=None)
-            .materialize()
-        )
-        n = m.count()
-        levels += 1
+    m, _, levels = _tree_levels(ds, kernel)
     return m.to_pandas(), levels
 
 
 def _group_sum_batch(t: pa.Table, *, keys: list[str], sums: list[str]) -> pa.Table:
-    """The grouped-sum kernel: rows with equal ``keys`` (NULL is a key of
-    its own) collapse to one row, every ``sums`` column summed."""
+    """The grouped-sum kernel: rows with equal ``keys`` collapse to one
+    row, every ``sums`` column summed.  As in SQL, NULL is a key of its
+    own and −0.0 and +0.0 are one float key.
+
+    Arrow groups on non-null dictionary indices, one per key column:
+    pyarrow 16's ``group_by`` splits equal key tuples when a NULL sits in
+    keys of different widths (64 rows of (NULL string, 1.0) gave 5
+    groups)."""
     if not set(keys).issubset(t.column_names):  # schemaless empty block
         return t
-    g = t.group_by(keys, use_threads=False).aggregate([(c, "sum") for c in sums])
-    return pa.table({**{k: g[k] for k in keys}, **{c: g[f"{c}_sum"] for c in sums}})
+    import pyarrow.compute as pc
+
+    codes = {}
+    for k in keys:
+        col = t[k].combine_chunks()
+        if pa.types.is_floating(col.type):
+            col = pc.add(col, pa.scalar(0, col.type))  # −0.0 + 0 = +0.0
+        codes[k] = pc.dictionary_encode(col, null_encoding="encode")
+    g = pa.table(
+        {**{k: d.indices for k, d in codes.items()}, **{c: t[c] for c in sums}}
+    ).group_by(keys, use_threads=False).aggregate([(c, "sum") for c in sums])
+    return pa.table(
+        {
+            **{k: d.dictionary.take(g[k]) for k, d in codes.items()},
+            **{c: g[f"{c}_sum"] for c in sums},
+        }
+    )
+
+
+def _merged(frame: pd.DataFrame, keys: list[str], sums: list[str]) -> pd.DataFrame:
+    """The driver merge of collected partial rows: the grouped-sum kernel
+    once more, then sorted by ``keys`` ascending with NULLs last."""
+    if not set(keys + sums).issubset(frame.columns):
+        return pd.DataFrame({c: [] for c in keys + sums})
+    t = _group_sum_batch(
+        pa.Table.from_pandas(frame[keys + sums], preserve_index=False),
+        keys=keys,
+        sums=sums,
+    )
+    t = t.sort_by([(k, "ascending") for k in keys], null_placement="at_end")
+    return t.to_pandas()
 
 
 def group_sums(partials_ds, keys, sums) -> pd.DataFrame:
@@ -165,8 +191,77 @@ def group_sums(partials_ds, keys, sums) -> pd.DataFrame:
     frame, _ = tree_combine(
         partials_ds.map_batches(kernel, batch_format="pyarrow"), kernel
     )
-    if not set(keys + sums).issubset(frame.columns):
-        return pd.DataFrame({c: [] for c in keys + sums})
-    t = kernel(pa.Table.from_pandas(frame[keys + sums], preserve_index=False))
-    t = t.sort_by([(k, "ascending") for k in keys], null_placement="at_end")
-    return t.to_pandas()
+    return _merged(frame, keys, sums)
+
+
+def _count_batch(t: pa.Table, *, keys: list[str], sums: list[str]) -> pa.Table:
+    """One block's universe: a count column ``n`` of ones, then the
+    grouped-sum kernel (``sums`` includes ``n``)."""
+    import numpy as np
+
+    if set(keys).issubset(t.column_names):
+        t = t.append_column("n", pa.array(np.ones(len(t), dtype=np.int64)))
+    return _group_sum_batch(t, keys=keys, sums=sums)
+
+
+def _cap_universe(rows: int, what: str) -> None:
+    cap = DEFAULT_MAX_UNIVERSE
+    if rows > cap:
+        raise ValueError(
+            f"{what}: the distinct (key, value) universe has {rows:,} rows, "
+            f"over max_universe={cap:,} — for continuous values "
+            "the universe approaches the corpus and the exact driver "
+            "finalize does not scale. Use salted_group_percentiles "
+            "(stages/zonal.py) for quantile-family readouts, or round/bin "
+            "the value column to bound the universe; raise "
+            "guard.DEFAULT_MAX_UNIVERSE only if the driver is provisioned "
+            "for the frame."
+        )
+
+
+def universe(ds, keys, *, sums=(), what: str) -> pd.DataFrame:
+    """The value universe of ``ds`` → DataFrame(keys…, n, sums…): one row
+    per distinct key tuple with its row count ``n`` and each ``sums``
+    column summed, sorted by ``keys`` with NULLs last — the partial
+    aggregate that the order-statistics family (quantiles, ranks,
+    contingency tables) finalizes exactly on the driver.
+
+    ``ds`` is the operator's projection; extra columns are ignored.  Each
+    block counts itself with the ``group_sums`` kernel, and the tree
+    combine merges the blocks.  A universe of more than
+    ``DEFAULT_MAX_UNIVERSE`` rows (read at call time) raises naming
+    ``salted_group_percentiles``, and the driver holds at most
+    ``DRIVER_ROWS`` of its rows before that check: when the combine ends
+    on one block above the budget, the block's row count is checked
+    before the collect; otherwise the exact count after the driver
+    merge."""
+    keys, sums = list(keys), ["n", *sums]
+    kernel = functools.partial(_group_sum_batch, keys=keys, sums=sums)
+    m, rows, _ = _tree_levels(
+        ds.map_batches(
+            functools.partial(_count_batch, keys=keys, sums=sums),
+            batch_format="pyarrow",
+        ),
+        kernel,
+    )
+    if rows > DRIVER_ROWS:
+        _cap_universe(rows, what)
+    frame = _merged(m.to_pandas(), keys, sums)
+    _cap_universe(len(frame), what)
+    return frame
+
+
+def quantile_cont(values, cum, q: float) -> float:
+    """SQL ``quantile_cont`` over one universe slice: the q-quantile,
+    linearly interpolated at rank ``q·(n−1)``, of the ascending distinct
+    ``values`` each repeated as their cumulative counts ``cum`` say."""
+    import numpy as np
+
+    r = q * (int(cum[-1]) - 1)
+    k = int(np.floor(r))
+    frac = r - k
+    vk = values[int(np.searchsorted(cum, k, side="right"))]
+    if frac == 0.0:
+        return float(vk)
+    vj = values[int(np.searchsorted(cum, k + 1, side="right"))]
+    return float(vk + frac * (vj - vk))

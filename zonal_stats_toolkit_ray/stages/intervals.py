@@ -151,7 +151,8 @@ def interval_coverage(
 ) -> pd.DataFrame:
     """Per-key coverage summary over the island Dataset: island count,
     total covered seconds, longest island.  The reduce is the standard
-    in-batch partials → driver merge (one row per key per block)."""
+    in-batch partials → driver merge (one row per key per block); a NULL
+    key is a key of its own, sorted last."""
     islands = interval_union(
         ds, key_col=key_col, start_col=start_col, end_col=end_col
     )
@@ -165,7 +166,7 @@ def interval_coverage(
                 "cov": cov.to_pandas(),
             }
         )
-        g = df.groupby("k", sort=False).agg(
+        g = df.groupby("k", sort=False, dropna=False).agg(
             n_islands=("n", "size"),
             covered_s=("cov", "sum"),
             max_island_s=("cov", "max"),
@@ -174,7 +175,7 @@ def interval_coverage(
 
     p = islands.map_batches(partials, batch_format="pyarrow").to_pandas()
     out = (
-        p.groupby("k", sort=True)
+        p.groupby("k", sort=True, dropna=False)  # NULL key kept, last
         .agg(
             n_islands=("n_islands", "sum"),
             covered_s=("covered_s", "sum"),

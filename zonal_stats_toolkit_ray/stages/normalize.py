@@ -151,45 +151,28 @@ def quantile_transform(
     *,
     id_col: str = "event_id",
     value_col: str = "value",
-    max_universe: int | None = None,
 ):
     """ECDF (rank) transform → Dataset(id, ecdf): each value maps to
     ``count(v' ≤ v) / n`` — SQL ``CUME_DIST()`` — the uniformizing
     feature transform (quantile normalization's per-column half).
 
-    Shape: one (value, count) universe aggregate (exact for bounded
-    distinct universes — fixed-decimal data), driver cumsum, broadcast
-    (values, cum) arrays, then a vectorized searchsorted per batch.  The
-    corpus streams; only the value universe ever leaves the workers —
-    and the universe itself is guarded (round 5, ``max_universe``)."""
+    Shape: the value count universe (``guard.universe``; exact for
+    bounded distinct universes — fixed-decimal data), driver cumsum,
+    broadcast (values, cum) arrays, then a vectorized searchsorted per
+    batch.  The corpus streams; only the value universe ever leaves the
+    workers, and the universe cap guards it."""
     import ray
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({"v": pc.cast(b[value_col], pa.float64())})
 
-    if max_universe is None:
-        max_universe = DEFAULT_MAX_UNIVERSE
-
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table({"v": pc.cast(b[value_col], pa.float64())})
-        g = t.group_by("v").aggregate([([], "count_all")])
-        return pa.table(
-            {"v": g["v"], "c": pc.cast(g["count_all"], pa.int64())}
-        )
-
-    uni = collect_universe(
-        ds.select_columns([value_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(guard.shuffle_partitions())
-        .groupby("v")
-        .aggregate(Sum("c", alias_name="c")),
-        max_universe=max_universe,
+    uni = guard.universe(
+        ds.select_columns([value_col]).map_batches(project, batch_format="pyarrow"),
+        ["v"],
         what="quantile_transform",
-    ).sort_values("v", kind="stable")
+    )
     vals = uni["v"].to_numpy(dtype=np.float64)
-    cum = np.cumsum(uni["c"].to_numpy(dtype=np.int64))
+    cum = np.cumsum(uni["n"].to_numpy(dtype=np.int64))
     n = float(cum[-1]) if cum.size else 1.0
     ref = ray.put((vals, cum.astype(np.float64)))
 
@@ -220,50 +203,33 @@ def impute_group_median(
     median of the NON-null values (``quantile_cont`` 0.5 interpolation)
     — the standard tabular-ML imputation pass.
 
-    Shape: one (key, value) count-universe aggregate over non-null rows
-    (the winsorized-mean shape), driver interpolation, broadcast medians,
-    one vectorized fill pass.  Groups that are entirely NULL stay NULL."""
+    Shape: the (key, value) count universe over non-null rows
+    (``guard.universe``), driver interpolation (``guard.quantile_cont``),
+    broadcast medians, one vectorized fill pass.  A NULL key is a group of
+    its own (SQL ``PARTITION BY``); groups that are entirely NULL stay
+    NULL."""
     import ray
-    from ray.data.aggregate import Sum
 
-    def partials(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         v = pc.cast(b[value_col], pa.float64())
-        t = pa.table({key_col: b[key_col], "v": v}).filter(pc.is_valid(v))
-        g = t.group_by([key_col, "v"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                key_col: g[key_col],
-                "v": g["v"],
-                "c": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
+        return pa.table({key_col: b[key_col], "v": v}).filter(pc.is_valid(v))
 
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
-
-    uni = collect_universe(
-        ds.select_columns([key_col, value_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(guard.shuffle_partitions())
-        .groupby([key_col, "v"])
-        .aggregate(Sum("c", alias_name="c")),
-        max_universe=DEFAULT_MAX_UNIVERSE,
+    uni = guard.universe(
+        ds.select_columns([key_col, value_col]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        [key_col, "v"],
         what="impute_group_median",
-    ).sort_values([key_col, "v"], kind="stable")
-    meds: dict = {}
-    for k, g in uni.groupby(key_col, sort=True):
-        v = g["v"].to_numpy(dtype=np.float64)
-        cum = np.cumsum(g["c"].to_numpy(dtype=np.int64))
-        n = int(cum[-1])
-        r = 0.5 * (n - 1)
-        kk = int(np.floor(r))
-        frac = r - kk
-        i = int(np.searchsorted(cum, kk, side="right"))
-        med = v[i]
-        if frac != 0.0:
-            j = int(np.searchsorted(cum, kk + 1, side="right"))
-            med = med + frac * (v[j] - med)
-        meds[k] = float(med)
-    keys = pa.array([str(k) for k in meds], pa.string())
+    )
+    meds = {
+        k: guard.quantile_cont(
+            g["v"].to_numpy(dtype=np.float64),
+            np.cumsum(g["n"].to_numpy(dtype=np.int64)),
+            0.5,
+        )
+        for k, g in uni.groupby(key_col, sort=False, dropna=False)
+    }
+    keys = pa.array([None if pd.isna(k) else k for k in meds])
     vals = np.array(list(meds.values()), dtype=np.float64)
     ref = ray.put((keys, vals))
 
@@ -272,11 +238,11 @@ def impute_group_median(
         v = pc.cast(b[value_col], pa.float64()).to_numpy(zero_copy_only=False)
         valid = pc.is_valid(b[value_col]).to_numpy(zero_copy_only=False)
         idx = pc.index_in(
-            pc.cast(b[key_col], pa.string()), value_set=ks
+            b[key_col], value_set=ks.cast(b[key_col].type), skip_nulls=False
         ).to_numpy(zero_copy_only=False)
         known = idx >= 0 if idx.dtype.kind == "i" else ~np.isnan(idx)
         filled = np.where(
-            valid, v, np.where(known, ms[np.where(known, idx, 0)], np.nan)
+            valid, v, np.where(known, ms[np.where(known, idx, 0).astype(np.int64)], np.nan)
         )
         return pa.table(
             {

@@ -120,29 +120,12 @@ def group_entropy(
     DataFrame(key, n, entropy) — the behavioral-diversity feature
     (``−Σ p·log2 p`` over the key's category frequencies).
 
-    Shape: in-batch (key, category) count partials → ``guard.group_sums``
-    over the keys × categories universe → driver finalize on the
-    universe-sized frame (bounded by the category vocabulary).  The same
-    algebra as the SQL oracle term-for-term; a NULL key is its own group,
-    sorted last."""
-
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table({key_col: b[key_col], cat_col: b[cat_col]})
-        g = t.group_by([key_col, cat_col]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                key_col: g[key_col],
-                cat_col: g[cat_col],
-                "n": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = guard.group_sums(
-        ds.select_columns([key_col, cat_col]).map_batches(
-            partials, batch_format="pyarrow"
-        ),
-        [key_col, cat_col],
-        ["n"],
+    Shape: the (key, category) count universe (``guard.universe``,
+    bounded by the category vocabulary) → driver finalize on the
+    universe-sized frame.  The same algebra as the SQL oracle
+    term-for-term; a NULL key is its own group, sorted last."""
+    uni = guard.universe(
+        ds.select_columns([key_col, cat_col]), [key_col, cat_col], what="group_entropy"
     )
     rows = []
     for k, g in uni.groupby(key_col, sort=False, dropna=False):
@@ -269,27 +252,13 @@ def chi2_independence(
     columns → DataFrame(chi2 6dp, dof, n) — the categorical A/B readout
     (does variant change the event-type mix?).
 
-    One pass of (row, col) count partials → ``guard.group_sums`` over the
-    contingency universe → driver statistic with the SQL-identical
+    One pass of the (row, col) count universe (``guard.universe``, the
+    contingency table) → driver statistic with the SQL-identical
     ``(o − e)² / e`` algebra, e = row_total · col_total / n."""
-
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table({row_col: b[row_col], col_col: b[col_col]})
-        g = t.group_by([row_col, col_col]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                row_col: g[row_col],
-                col_col: g[col_col],
-                "n": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = guard.group_sums(
-        ds.select_columns([row_col, col_col]).map_batches(
-            partials, batch_format="pyarrow"
-        ),
+    uni = guard.universe(
+        ds.select_columns([row_col, col_col]),
         [row_col, col_col],
-        ["n"],
+        what="chi2_independence",
     )
     piv = uni.pivot_table(
         index=row_col, columns=col_col, values="n", fill_value=0, aggfunc="sum",
@@ -311,6 +280,17 @@ def chi2_independence(
     )
 
 
+def _segment_values(b: pa.Table, *, value_col: str, seg_col: str, ref) -> pa.Table:
+    """The projection of the two-segment tests: ``is_ref`` (1 in the
+    reference segment, 0 elsewhere) and the value as float64."""
+    return pa.table(
+        {
+            "is_ref": pc.cast(pc.equal(b[seg_col], ref), pa.int8()),
+            "v": pc.cast(b[value_col], pa.float64()),
+        }
+    )
+
+
 def psi_drift(
     ds,
     *,
@@ -327,55 +307,28 @@ def psi_drift(
     stay finite.  Σ psi_term > 0.2 is the conventional "investigate"
     threshold.
 
-    Shape: ONE (segment, value) count-universe aggregate (the
+    Shape: ONE (segment, value) count universe (``guard.universe``, the
     winsorized-mean shape — exact for fixed-decimal data) yields both the
-    interpolated boundaries AND every bin count: binning is a
-    searchsorted over the universe, never a second corpus pass."""
-
-    def partials(b: pa.Table) -> pa.Table:
-        seg = pc.equal(b[seg_col], ref_segment)
-        t = pa.table(
-            {
-                "is_ref": pc.cast(seg, pa.int8()),
-                "v": pc.cast(b[value_col], pa.float64()),
-            }
-        )
-        g = t.group_by(["is_ref", "v"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "is_ref": g["is_ref"],
-                "v": g["v"],
-                "c": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = guard.group_sums(
+    interpolated boundaries (``guard.quantile_cont``) AND every bin count:
+    binning is a searchsorted over the universe, never a second corpus
+    pass."""
+    uni = guard.universe(
         ds.select_columns([seg_col, value_col]).map_batches(
-            partials, batch_format="pyarrow"
+            _segment_values,
+            fn_kwargs=dict(value_col=value_col, seg_col=seg_col, ref=ref_segment),
+            batch_format="pyarrow",
         ),
         ["is_ref", "v"],
-        ["c"],
+        what="psi_drift",
     )
     a = uni[uni["is_ref"] == 1]
     b = uni[uni["is_ref"] == 0]
-    va, ca = a["v"].to_numpy(), a["c"].to_numpy(dtype=np.int64)
-    vb, cb = b["v"].to_numpy(), b["c"].to_numpy(dtype=np.int64)
+    va, ca = a["v"].to_numpy(), a["n"].to_numpy(dtype=np.int64)
+    vb, cb = b["v"].to_numpy(), b["n"].to_numpy(dtype=np.int64)
     cum = np.cumsum(ca)
-    n_a = int(cum[-1])
-
-    def interp_q(q: float) -> float:
-        r = q * (n_a - 1)
-        k = int(np.floor(r))
-        frac = r - k
-        i = int(np.searchsorted(cum, k, side="right"))
-        vk = va[i]
-        if frac == 0.0:
-            return float(vk)
-        j = int(np.searchsorted(cum, k + 1, side="right"))
-        return float(vk + frac * (va[j] - vk))
-
     bounds = np.array(
-        [interp_q(i / n_bins) for i in range(1, n_bins)], dtype=np.float64
+        [guard.quantile_cont(va, cum, i / n_bins) for i in range(1, n_bins)],
+        dtype=np.float64,
     )
 
     def bin_counts(vals, cnts):
@@ -416,24 +369,10 @@ def mutual_information(
 
     Same one-pass contingency shape as :func:`chi2_independence`;
     SQL-identical term algebra."""
-
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table({row_col: b[row_col], col_col: b[col_col]})
-        g = t.group_by([row_col, col_col]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                row_col: g[row_col],
-                col_col: g[col_col],
-                "n": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = guard.group_sums(
-        ds.select_columns([row_col, col_col]).map_batches(
-            partials, batch_format="pyarrow"
-        ),
+    uni = guard.universe(
+        ds.select_columns([row_col, col_col]),
         [row_col, col_col],
-        ["n"],
+        what="mutual_information",
     )
     n = float(uni["n"].sum())
     ri = uni.groupby(row_col, dropna=False)["n"].sum()
@@ -451,7 +390,6 @@ def ks_test(
     value_col: str,
     seg_col: str,
     ref_segment,
-    max_universe: int | None = None,
 ) -> pd.DataFrame:
     """Two-sample Kolmogorov–Smirnov statistic between a reference
     segment and the rest → DataFrame(d 6dp, at_value, n_a, n_b):
@@ -459,49 +397,22 @@ def ks_test(
     (smallest such value on ties) — the classic distribution-shift test
     (exact counterpart of the binned PSI above).
 
-    Exact from ONE (segment, value) count-universe aggregate: merged
-    distinct values, cumulative fractions (integer counts / totals —
-    identical arithmetic to the SQL window form), vectorized max.
-    Round 5: bounded-universe regime CODE-enforced (``max_universe``,
-    guard.collect_universe) — bin continuous inputs upstream (the PSI
+    Exact from ONE (segment, value) count universe (``guard.universe``):
+    merged distinct values, cumulative fractions (integer counts / totals
+    — identical arithmetic to the SQL window form), vectorized max.  Bin
+    continuous inputs upstream, as the universe cap says (the PSI
     operator is the pre-binned sibling)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
-
-    if max_universe is None:
-        max_universe = DEFAULT_MAX_UNIVERSE
-
-    def partials(b: pa.Table) -> pa.Table:
-        seg = pc.equal(b[seg_col], ref_segment)
-        t = pa.table(
-            {
-                "is_ref": pc.cast(seg, pa.int8()),
-                "v": pc.cast(b[value_col], pa.float64()),
-            }
-        )
-        g = t.group_by(["is_ref", "v"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "is_ref": g["is_ref"],
-                "v": g["v"],
-                "c": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = collect_universe(
-        ds.select_columns([seg_col, value_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(guard.shuffle_partitions())
-        .groupby(["is_ref", "v"])
-        .aggregate(Sum("c", alias_name="c")),
-        max_universe=max_universe,
+    uni = guard.universe(
+        ds.select_columns([seg_col, value_col]).map_batches(
+            _segment_values,
+            fn_kwargs=dict(value_col=value_col, seg_col=seg_col, ref=ref_segment),
+            batch_format="pyarrow",
+        ),
+        ["is_ref", "v"],
         what="ks_test",
     )
     piv = (
-        uni.pivot_table(index="v", columns="is_ref", values="c", fill_value=0)
+        uni.pivot_table(index="v", columns="is_ref", values="n", fill_value=0)
         .sort_index()
     )
     ca = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(dtype=np.int64)

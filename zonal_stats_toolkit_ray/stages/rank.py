@@ -191,60 +191,38 @@ def weighted_median_by_group(
     value_col: str,
     weight_col: str,
     q: float = 0.5,
-    max_universe: int | None = None,
 ) -> "pd.DataFrame":
     """Exact lower weighted q-quantile per group → DataFrame(key, wq):
     the smallest value v with cumweight(≤ v) ≥ q · totalweight, weights
     summed in value order — the SQL cumulative-weight window definition.
 
-    Shape: in-batch (key, value) weight partials (one arrow group_by per
-    batch) → coalesce → ONE hash aggregate over the (key, value) universe
-    → driver per-key cumsum + searchsorted on the universe-sized frame.
-    Exact whenever the DISTINCT (key, value) universe is bounded (integer
-    quantities, prices in cents, categorical scores — the weighted-median
-    use cases); for unbounded continuous values the universe approaches
-    the input and the salted percentile machinery (stages/zonal.py:
-    salted_group_percentiles) is the right tool instead.  Round 5: the
-    regime is CODE-enforced — the universe row count is checked before the
-    driver collect (``max_universe``, default
-    guard.DEFAULT_MAX_UNIVERSE; None here means the default, pass a
-    larger value for a provisioned driver)."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    Shape: the (key, value) universe with its weight sums
+    (``guard.universe``) → driver per-key cumsum + searchsorted on the
+    universe-sized frame.  Exact whenever the DISTINCT (key, value)
+    universe is bounded (integer quantities, prices in cents, categorical
+    scores — the weighted-median use cases); for unbounded continuous
+    values the universe approaches the input and the salted percentile
+    machinery (stages/zonal.py: salted_group_percentiles) is the right
+    tool, which the universe cap says.  A NULL key is a group of its own,
+    last."""
 
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
-
-    if max_universe is None:
-        max_universe = DEFAULT_MAX_UNIVERSE
-
-    def partials(b: pa.Table) -> pa.Table:
-        w = pc.cast(b[weight_col], pa.float64())
-        t = pa.table(
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 key_col: b[key_col],
                 value_col: pc.cast(b[value_col], pa.float64()),
-                "w": w,
+                "w": pc.cast(b[weight_col], pa.float64()),
             }
         )
-        g = t.group_by([key_col, value_col]).aggregate([("w", "sum")])
-        return g.rename_columns([key_col, value_col, "w"])
 
-    uni = (
-        collect_universe(
-            ds.map_batches(partials, batch_format="pyarrow")
-            .repartition(guard.shuffle_partitions())
-            .groupby([key_col, value_col])
-            .aggregate(Sum("w", alias_name="w")),
-            max_universe=max_universe,
-            what="weighted_median_by_group",
-        )
-        .sort_values([key_col, value_col], kind="stable")
-        .reset_index(drop=True)
+    uni = guard.universe(
+        ds.map_batches(project, batch_format="pyarrow"),
+        [key_col, value_col],
+        sums=["w"],
+        what="weighted_median_by_group",
     )
     rows = []
-    for k, g in uni.groupby(key_col, sort=True):
+    for k, g in uni.groupby(key_col, sort=False, dropna=False):
         cw = np.cumsum(g["w"].to_numpy())
         tw = cw[-1]
         i = int(np.searchsorted(cw, q * tw, side="left"))
@@ -262,77 +240,36 @@ def winsorized_mean_by_group(
     value_col: str,
     q_lo: float = 0.05,
     q_hi: float = 0.95,
-    max_universe: int | None = None,
 ) -> "pd.DataFrame":
     """Winsorized mean per group — the robust-statistics readout: clip
     each group's values at its own exact [q_lo, q_hi] quantiles
     (``quantile_cont`` linear interpolation), then average →
     DataFrame(key, n, lo, hi, wmean).
 
-    ONE input pass: the (key, value) weight/count universe aggregates
-    distributed (the weighted-median shape); both the interpolated
-    quantiles AND the clipped mean finalize from the universe frame —
-    ``Σ count·clip(value)`` needs no second corpus read.  Exact for
-    bounded distinct-value universes (ints, prices); for unbounded
-    continuous values use the salted percentile machinery instead
-    (stages/zonal.py).  Round 5: regime CODE-enforced via
-    guard.collect_universe (``max_universe``)."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    ONE input pass: the (key, value) count universe (``guard.universe``);
+    both the interpolated quantiles (``guard.quantile_cont``) AND the
+    clipped mean finalize from the universe frame — ``Σ count·clip(value)``
+    needs no second corpus read.  Exact for bounded distinct-value
+    universes (ints, prices); for unbounded continuous values use the
+    salted percentile machinery instead (stages/zonal.py).  A NULL key is
+    a group of its own, last."""
 
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({key_col: b[key_col], "v": pc.cast(b[value_col], pa.float64())})
 
-    if max_universe is None:
-        max_universe = DEFAULT_MAX_UNIVERSE
-
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                key_col: b[key_col],
-                value_col: pc.cast(b[value_col], pa.float64()),
-            }
-        )
-        g = t.group_by([key_col, value_col]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                key_col: g[key_col],
-                value_col: g[value_col],
-                "c": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = collect_universe(
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(guard.shuffle_partitions())
-        .groupby([key_col, value_col])
-        .aggregate(Sum("c", alias_name="c")),
-        max_universe=max_universe,
+    uni = guard.universe(
+        ds.map_batches(project, batch_format="pyarrow"),
+        [key_col, "v"],
         what="winsorized_mean_by_group",
-    ).sort_values([key_col, value_col], kind="stable")
-
-    def interp_q(v: np.ndarray, cum: np.ndarray, n: int, q: float) -> float:
-        # quantile_cont: rank r = q·(n−1) over the EXPANDED sorted values;
-        # order statistic k = value at cum > k (searchsorted on cumcounts)
-        r = q * (n - 1)
-        k = int(np.floor(r))
-        frac = r - k
-        i = int(np.searchsorted(cum, k, side="right"))
-        vk = v[i]
-        if frac == 0.0:
-            return float(vk)
-        j = int(np.searchsorted(cum, k + 1, side="right"))
-        return float(vk + frac * (v[j] - vk))
-
+    )
     rows = []
-    for key, g in uni.groupby(key_col, sort=True):
-        v = g[value_col].to_numpy(dtype=np.float64)
-        c = g["c"].to_numpy(dtype=np.int64)
+    for key, g in uni.groupby(key_col, sort=False, dropna=False):
+        v = g["v"].to_numpy(dtype=np.float64)
+        c = g["n"].to_numpy(dtype=np.int64)
         cum = np.cumsum(c)
         n = int(cum[-1])
-        lo = interp_q(v, cum, n, q_lo)
-        hi = interp_q(v, cum, n, q_hi)
+        lo = guard.quantile_cont(v, cum, q_lo)
+        hi = guard.quantile_cont(v, cum, q_hi)
         clipped = np.clip(v, lo, hi)
         wmean = float((clipped * c).sum() / n)
         rows.append((key, n, lo, hi, wmean))
@@ -381,7 +318,6 @@ def gini_by_group(
     *,
     key_col: str,
     value_col: str,
-    max_universe: int | None = None,
 ) -> "pd.DataFrame":
     """Gini coefficient per group → DataFrame(key, n, gini 6dp) — the
     inequality/concentration readout (host traffic concentration, spend
@@ -390,49 +326,24 @@ def gini_by_group(
 
     Exactness: the rank-weighted sum over a tie block is invariant to
     rank assignment within the block, so it computes in closed form from
-    the (key, value) count universe — ``x·(2·(c·cum_before + c(c+1)/2)
-    − c(n+1))`` per distinct value — all int64 when values are integral
-    (cast upstream), making the result bit-identical to the SQL
-    ROW_NUMBER form.  One universe aggregate, driver finalize — guarded
-    by ``max_universe`` (round 5, guard.collect_universe)."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    the (key, value) count universe (``guard.universe``) —
+    ``x·(2·(c·cum_before + c(c+1)/2) − c(n+1))`` per distinct value — all
+    int64 when values are integral (cast upstream), making the result
+    bit-identical to the SQL ROW_NUMBER form.  A NULL key is a group of
+    its own, last."""
 
-    from .guard import DEFAULT_MAX_UNIVERSE, collect_universe
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({key_col: b[key_col], "v": pc.cast(b[value_col], pa.float64())})
 
-    if max_universe is None:
-        max_universe = DEFAULT_MAX_UNIVERSE
-
-    def partials(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                key_col: b[key_col],
-                "v": pc.cast(b[value_col], pa.float64()),
-            }
-        )
-        g = t.group_by([key_col, "v"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                key_col: g[key_col],
-                "v": g["v"],
-                "c": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    uni = collect_universe(
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(guard.shuffle_partitions())
-        .groupby([key_col, "v"])
-        .aggregate(Sum("c", alias_name="c")),
-        max_universe=max_universe,
+    uni = guard.universe(
+        ds.map_batches(project, batch_format="pyarrow"),
+        [key_col, "v"],
         what="gini_by_group",
-    ).sort_values([key_col, "v"], kind="stable")
+    )
     rows = []
-    for k, g in uni.groupby(key_col, sort=True):
+    for k, g in uni.groupby(key_col, sort=False, dropna=False):
         v = g["v"].to_numpy(dtype=np.float64)
-        c = g["c"].to_numpy(dtype=np.float64)
+        c = g["n"].to_numpy(dtype=np.float64)
         n = c.sum()
         cum_before = np.concatenate([[0.0], np.cumsum(c)[:-1]])
         w = 2.0 * (c * cum_before + c * (c + 1.0) / 2.0) - c * (n + 1.0)
